@@ -28,7 +28,7 @@ import os
 
 import pytest
 
-from repro.api import shared_session
+from repro.api import Session
 from repro.experiments import default_settings
 from repro.runtime import default_runner
 
@@ -55,7 +55,7 @@ def session(settings):
     run (at most) once per pytest session and each figure benchmark only
     slices rows out of the memoized results.
     """
-    return shared_session(settings)
+    return Session(settings, runner=default_runner())
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -71,8 +71,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         "   ".join(f"{name}: {value}" for name, value in stats.as_row().items())
     )
     executor = (
-        f"parallel x{runner.max_workers} ({runner.pool_mode} pool, "
-        f"{runner.schedule} schedule)"
+        f"parallel x{runner.max_workers} ({runner.pool_mode} pool)"
         if runner.parallel
         else "serial"
     )

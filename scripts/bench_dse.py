@@ -25,9 +25,6 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
 import shutil
 import sys
 import tempfile
@@ -36,6 +33,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from benchgate import Bench  # noqa: E402
 from repro.api import Session  # noqa: E402
 from repro.dse.designs import default_design_points  # noqa: E402
 from repro.dse.explore import DseSpec  # noqa: E402
@@ -46,11 +44,6 @@ from repro.dse.workloads import (  # noqa: E402
 )
 from repro.experiments.settings import default_settings  # noqa: E402
 from repro.runtime import BatchRunner, ResultCache  # noqa: E402
-
-#: Speedup fraction below the committed baseline that fails --check;
-#: ``REPRO_BENCH_TOLERANCE`` widens the floor without a code change, as for
-#: the other benches.
-REGRESSION_TOLERANCE = float(os.environ.get("REPRO_BENCH_TOLERANCE", "0.8"))
 
 #: Grid edge sizes: 8 workloads x 8 design points = 64 campaign points.
 NUM_WORKLOADS = 8
@@ -120,44 +113,22 @@ def measure(budget: float, workers: int) -> dict[str, float]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
+    bench = Bench(__doc__, "BENCH_dse.json")
+    bench.parser.add_argument(
         "--budget", type=float, default=5e4,
         help="per-layer dense-MAC budget (default 5e4: the micro scale that "
         "keeps 64 cold simulations inside a CI minute)",
     )
-    parser.add_argument(
+    bench.parser.add_argument(
         "--workers", type=int, default=None,
         help="process-pool width (default: the committed record's width in "
         "--check mode so the speedup compares like for like, else "
         "os.cpu_count(), at least 2)",
     )
-    parser.add_argument(
-        "--repeats", type=int, default=2,
-        help="measurement repeats; the best warm speedup is recorded so one "
-        "noisy sample (shared CI runners!) cannot fail the regression check",
-    )
-    parser.add_argument(
-        "-o", "--output", default=None,
-        help="where to write the measurement record (default: BENCH_dse.json "
-        "when recording, bench-measured.json with --check so the committed "
-        "baseline is never clobbered)",
-    )
-    parser.add_argument(
-        "--check", metavar="BASELINE", default=None,
-        help="compare against a committed baseline record and exit non-zero "
-        "on a >20%% warm-speedup regression",
-    )
-    args = parser.parse_args(argv)
-    output = args.output or ("bench-measured.json" if args.check else "BENCH_dse.json")
-    baseline = json.loads(Path(args.check).read_text()) if args.check else None
-    workers = args.workers
-    if workers is None and baseline is not None:
-        # Measure at the committed record's width: cold throughput scales
-        # with the pool, so a wider host would otherwise shrink the ratio.
-        workers = int(baseline.get("workers", 0)) or None
-    if workers is None:
-        workers = max(2, os.cpu_count() or 1)
+    args = bench.parse(argv)
+    # Cold throughput scales with the pool, so a wider host would otherwise
+    # shrink the ratio.
+    workers = bench.workers(args.workers)
 
     best: dict[str, float] | None = None
     for _ in range(max(1, args.repeats)):
@@ -174,26 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     for key in ("points", "cold_points_per_second", "warm_points_per_second",
                 "warm_speedup"):
         print(f"{key:24s} {record[key]}", file=sys.stderr)
-
-    Path(output).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {output}", file=sys.stderr)
-
-    if baseline is not None:
-        floor = REGRESSION_TOLERANCE * baseline["warm_speedup"]
-        if record["warm_speedup"] < floor:
-            print(
-                f"FAIL: measured warm speedup {record['warm_speedup']}x is "
-                f"below {REGRESSION_TOLERANCE:.0%} of the committed baseline "
-                f"{baseline['warm_speedup']}x (floor {floor:.2f}x)",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"OK: warm speedup {record['warm_speedup']}x >= floor {floor:.2f}x "
-            f"(baseline {baseline['warm_speedup']}x)",
-            file=sys.stderr,
-        )
-    return 0
+    return bench.finish(record, {"warm_speedup": "higher"})
 
 
 if __name__ == "__main__":

@@ -15,19 +15,10 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
 import sys
 import time
-from pathlib import Path
 
-#: Backend-speedup fraction below the committed baseline that fails --check.
-#: The ratio is machine-*relative* but not perfectly machine-*invariant*
-#: (pure-Python and NumPy performance scale differently across interpreter
-#: versions and CPUs), so ``REPRO_BENCH_TOLERANCE`` lets an operator widen
-#: the floor without a code change if a runner generation proves noisier.
-REGRESSION_TOLERANCE = float(os.environ.get("REPRO_BENCH_TOLERANCE", "0.8"))
+from benchgate import Bench
 
 SUITE = ("fig12", "fig15")
 
@@ -53,36 +44,16 @@ def run_suite(engine: str, budget: float, max_layers: int) -> float:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
+    bench = Bench(__doc__, "BENCH_engine.json")
+    bench.parser.add_argument(
         "--budget", type=float, default=2e6,
         help="per-layer dense-MAC budget (default: the benchmark harness's 2e6)",
     )
-    parser.add_argument(
+    bench.parser.add_argument(
         "--max-layers", type=int, default=8,
         help="sampled layers per model (default: the benchmark harness's 8)",
     )
-    parser.add_argument(
-        "-o", "--output", default=None,
-        help="where to write the measurement record (default: "
-        "BENCH_engine.json when recording, bench-measured.json with --check "
-        "so the committed baseline is never clobbered)",
-    )
-    parser.add_argument(
-        "--check", metavar="BASELINE", default=None,
-        help="compare against a committed baseline record and exit non-zero "
-        "on a >20%% speedup regression",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=2,
-        help="timed runs per backend; the minimum is recorded, so one noisy "
-        "sample (shared CI runners!) cannot fail the regression check",
-    )
-    args = parser.parse_args(argv)
-    output = args.output or ("bench-measured.json" if args.check else "BENCH_engine.json")
-    # Load the baseline before any writing: with identical paths the check
-    # would otherwise compare the fresh measurement against itself.
-    baseline = json.loads(Path(args.check).read_text()) if args.check else None
+    args = bench.parse(argv)
 
     record = {
         "suite": list(SUITE),
@@ -103,26 +74,7 @@ def main(argv: list[str] | None = None) -> int:
         record["reference_seconds"] / record["vectorized_seconds"], 3
     )
     print(f"speedup    {record['speedup']:8.3f} x", file=sys.stderr)
-
-    Path(output).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {output}", file=sys.stderr)
-
-    if baseline is not None:
-        floor = REGRESSION_TOLERANCE * baseline["speedup"]
-        if record["speedup"] < floor:
-            print(
-                f"FAIL: measured speedup {record['speedup']}x is below "
-                f"{REGRESSION_TOLERANCE:.0%} of the committed baseline "
-                f"{baseline['speedup']}x (floor {floor:.2f}x)",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"OK: speedup {record['speedup']}x >= floor {floor:.2f}x "
-            f"(baseline {baseline['speedup']}x)",
-            file=sys.stderr,
-        )
-    return 0
+    return bench.finish(record, {"speedup": "higher"})
 
 
 if __name__ == "__main__":

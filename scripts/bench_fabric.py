@@ -34,8 +34,6 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import subprocess
 import sys
@@ -44,16 +42,11 @@ import threading
 import time
 from pathlib import Path
 
+from benchgate import Bench
 from repro.api import Session, SweepSpec
 from repro.experiments.settings import default_settings
 from repro.fabric import Coordinator, WorkQueue, reset_shared_fabric, set_shared_coordinator
 from repro.runtime import BatchRunner, ResultCache
-
-#: Fraction of the committed baseline the measured scaling speedup may not
-#: drop below: with the default 0.8, a speedup regression of more than 20%
-#: fails the check.  ``REPRO_BENCH_TOLERANCE`` widens the floor without a
-#: code change, as for the other benches.
-REGRESSION_TOLERANCE = float(os.environ.get("REPRO_BENCH_TOLERANCE", "0.8"))
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -162,39 +155,19 @@ def measure(budget: float, max_layers: int, scale: float) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
+    bench = Bench(__doc__, "BENCH_fabric.json")
+    bench.parser.add_argument(
         "--budget", type=float, default=1e6,
         help="per-layer dense-MAC budget of the benchmark settings",
     )
-    parser.add_argument(
+    bench.parser.add_argument(
         "--max-layers", type=int, default=2, help="sampled layers per model"
     )
-    parser.add_argument(
+    bench.parser.add_argument(
         "--scale", type=float, default=0.3,
         help="operand downscale factor of the benchmark grid",
     )
-    parser.add_argument(
-        "--repeats", type=int, default=2,
-        help="full measurement repeats; the best (highest-speedup) run is "
-        "recorded so one noisy sample cannot fail the regression check",
-    )
-    parser.add_argument(
-        "-o", "--output", default=None,
-        help="where to write the measurement record (default: BENCH_fabric.json "
-        "when recording, bench-fabric-measured.json with --check so the "
-        "committed baseline is never clobbered)",
-    )
-    parser.add_argument(
-        "--check", metavar="BASELINE", default=None,
-        help="compare against a committed baseline record and exit non-zero "
-        "when the 2-worker scaling speedup regresses past the tolerance",
-    )
-    args = parser.parse_args(argv)
-    output = args.output or (
-        "bench-fabric-measured.json" if args.check else "BENCH_fabric.json"
-    )
-    baseline = json.loads(Path(args.check).read_text()) if args.check else None
+    args = bench.parse(argv)
 
     best: dict | None = None
     for _ in range(max(1, args.repeats)):
@@ -216,26 +189,7 @@ def main(argv: list[str] | None = None) -> int:
         "speedup_2v1", "warm_seconds",
     ):
         print(f"{key:22s} {record[key]}", file=sys.stderr)
-
-    Path(output).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {output}", file=sys.stderr)
-
-    if baseline is not None:
-        floor = baseline["speedup_2v1"] * REGRESSION_TOLERANCE
-        if record["speedup_2v1"] < floor:
-            print(
-                f"FAIL: scaling speedup {record['speedup_2v1']}x is below "
-                f"{floor:.2f}x ({REGRESSION_TOLERANCE:.0%} of the committed "
-                f"baseline {baseline['speedup_2v1']}x)",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"OK: scaling speedup {record['speedup_2v1']}x >= floor "
-            f"{floor:.2f}x (baseline {baseline['speedup_2v1']}x)",
-            file=sys.stderr,
-        )
-    return 0
+    return bench.finish(record, {"speedup_2v1": "higher"})
 
 
 if __name__ == "__main__":

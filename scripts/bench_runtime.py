@@ -1,24 +1,24 @@
-"""Timed runtime benchmark: the streaming persistent-pool runtime vs legacy.
+"""Timed runtime benchmark: cold parallel fig12+fig15, with exact work counts.
 
-Measures the cold parallel fig12+fig15 wall-clock twice, in fresh
-subprocesses with fresh result caches:
+Runs the fig12+fig15 suite cold on the default runtime (persistent worker
+pool, cost-aware scheduling, streaming cache writes, engine runs shared
+through the cache) in a fresh subprocess over a fresh result cache, and
+records:
 
-* **baseline** — the pre-streaming runtime reconstructed through its compat
-  knobs: one ephemeral process pool per batch (``REPRO_POOL=ephemeral``),
-  submission-order static chunking (``REPRO_SCHED=fifo``) and no
-  engine-result sharing between designs (``REPRO_SHARE_ENGINE=0``).
-* **streaming** — the defaults: persistent worker pool, cost-aware
-  longest-first grouped scheduling, streaming cache writes and shared
-  content-addressed engine runs.
+* ``seconds`` — the suite's wall-clock (best of ``--repeats``);
+* ``jobs_executed`` — the figure jobs the runner simulated;
+* ``engine_runs_stored`` — the nested engine runs the suite stored (cache
+  entries minus jobs).
 
 It also measures cache-scan throughput (keys/second) of the batched
-:meth:`ResultCache.get_many` pre-dispatch scan against the legacy per-key
-``get`` loop over a half-warm key set.
+:meth:`ResultCache.get_many` pre-dispatch scan against a per-key ``get``
+loop over a half-warm key set.
 
-Records everything in ``BENCH_runtime.json``; in ``--check`` mode it fails
-when the measured wall-clock speedup drops below 80% of the committed
-baseline *speedup* (a machine-relative quantity, so the check is portable
-across hosts of different absolute speed).
+``--check`` fails unless both counts equal the committed record's.  They
+are exact on any host, so a change to the jobs the suite runs or to the
+engine runs it stores in the sweep's cache fails the check.  The seconds are
+recorded but not gated: the repository benchmark's ``figures_cold``
+workload (``perfbench/``) bounds this path's time.
 
 Usage::
 
@@ -28,31 +28,16 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
-from pathlib import Path
 
-#: Speedup fraction below the committed baseline that fails --check.  The
-#: ratio is machine-*relative* but not perfectly machine-*invariant* (core
-#: counts change how much the scheduler can matter), so
-#: ``REPRO_BENCH_TOLERANCE`` lets an operator widen the floor without a code
-#: change if a runner generation proves noisier.
-REGRESSION_TOLERANCE = float(os.environ.get("REPRO_BENCH_TOLERANCE", "0.8"))
+from benchgate import Bench
 
 SUITE = ("fig12", "fig15")
-
-#: Environment overrides reconstructing the pre-streaming runtime.
-BASELINE_ENV = {
-    "REPRO_POOL": "ephemeral",
-    "REPRO_SCHED": "fifo",
-    "REPRO_SHARE_ENGINE": "0",
-}
 
 _CHILD_CODE = """
 import sys, time
@@ -64,33 +49,34 @@ budget, max_layers, workers, cache_dir = (
     float(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
 )
 settings = default_settings(max_dense_macs=budget, max_layers_per_model=max_layers)
+cache = ResultCache(cache_dir)
 session = Session(
-    settings,
-    runner=BatchRunner(parallel=True, max_workers=workers, cache=ResultCache(cache_dir)),
+    settings, runner=BatchRunner(parallel=True, max_workers=workers, cache=cache)
 )
 start = time.perf_counter()
 for figure in ("fig12", "fig15"):
     session.figure(figure)
-print(time.perf_counter() - start)
+seconds = time.perf_counter() - start
+executed = session.stats.executed
+print(seconds, executed, cache.entry_count() - executed)
 """
 
 
-def run_suite(
-    env_overrides: dict[str, str], budget: float, max_layers: int, workers: int
-) -> float:
-    """Cold wall-clock seconds of the figure suite in a fresh subprocess.
+def run_suite(budget: float, max_layers: int, workers: int) -> tuple[float, int, int]:
+    """``(seconds, jobs executed, engine runs stored)`` of one cold suite.
 
     A subprocess per measurement keeps every process-wide amortisation the
-    persistent runtime relies on (worker pool, materialisation memos) inside
-    the measured window, and a fresh cache directory keeps the run cold.
+    runtime relies on (worker pool, materialisation memos) inside the
+    measured window, and a fresh cache directory keeps the run cold.
     """
-    env = dict(os.environ)
-    env.pop("REPRO_POOL", None)
-    env.pop("REPRO_SCHED", None)
-    env.pop("REPRO_SHARE_ENGINE", None)
-    env.update(env_overrides)
+    # The committed counts describe the default runtime, so no REPRO_* knob
+    # the caller exported may reach the child.
+    env = {
+        name: value for name, value in os.environ.items()
+        if not name.startswith("REPRO_")
+    }
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in ("src", env.get("PYTHONPATH", "")) if p
+        p for p in ("src", os.environ.get("PYTHONPATH", "")) if p
     )
     cache_dir = tempfile.mkdtemp(prefix="bench-runtime-cache-")
     try:
@@ -112,17 +98,18 @@ def run_suite(
             )
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
-    return float(proc.stdout.strip().splitlines()[-1])
+    seconds, executed, stored = proc.stdout.strip().splitlines()[-1].split()
+    return float(seconds), int(executed), int(stored)
 
 
 def bench_cache_scan(num_entries: int = 2048) -> dict[str, float]:
-    """Keys/second of the batched hit scan vs the legacy per-key loop.
+    """Keys/second of the batched hit scan vs a per-key ``get`` loop.
 
     Half the probed keys exist (reads) and half do not (pure scan cost) —
     the profile of a partially warm sweep.  Fresh cache instances per
     measurement keep the in-memory blob level cold.
     """
-    from repro.runtime import ResultCache
+    from repro.runtime import MISS, ResultCache
 
     directory = tempfile.mkdtemp(prefix="bench-runtime-scan-")
     try:
@@ -138,11 +125,9 @@ def bench_cache_scan(num_entries: int = 2048) -> dict[str, float]:
         batched_seconds = time.perf_counter() - start
         assert len(found) == num_entries
 
-        legacy = ResultCache(directory)
-        from repro.runtime import MISS
-
+        per_key = ResultCache(directory)
         start = time.perf_counter()
-        hits = sum(legacy.get(key) is not MISS for key in probe)
+        hits = sum(per_key.get(key) is not MISS for key in probe)
         per_key_seconds = time.perf_counter() - start
         assert hits == num_entries
         return {
@@ -155,52 +140,31 @@ def bench_cache_scan(num_entries: int = 2048) -> dict[str, float]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
+    bench = Bench(__doc__, "BENCH_runtime.json")
+    bench.parser.add_argument(
         "--budget", type=float, default=2e6,
         help="per-layer dense-MAC budget (default: the benchmark harness's 2e6)",
     )
-    parser.add_argument(
+    bench.parser.add_argument(
         "--max-layers", type=int, default=8,
         help="sampled layers per model (default: the benchmark harness's 8)",
     )
-    parser.add_argument(
+    bench.parser.add_argument(
         "--workers", type=int, default=None,
-        help="process-pool width for both modes (default: the committed "
-        "record's width in --check mode so ratios compare like for like, "
-        "else os.cpu_count(), at least 2 so the parallel path is exercised)",
+        help="process-pool width (default: the committed record's width in "
+        "--check mode, else os.cpu_count(), at least 2 so the parallel path "
+        "is exercised)",
     )
-    parser.add_argument(
-        "-o", "--output", default=None,
-        help="where to write the measurement record (default: "
-        "BENCH_runtime.json when recording, bench-measured.json with --check "
-        "so the committed baseline is never clobbered)",
-    )
-    parser.add_argument(
-        "--check", metavar="BASELINE", default=None,
-        help="compare against a committed baseline record and exit non-zero "
-        "on a >20%% speedup regression",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=2,
-        help="timed runs per mode; the minimum is recorded, so one noisy "
-        "sample (shared CI runners!) cannot fail the regression check",
-    )
-    args = parser.parse_args(argv)
-    output = args.output or (
-        "bench-measured.json" if args.check else "BENCH_runtime.json"
-    )
-    # Load the baseline before any writing: with identical paths the check
-    # would otherwise compare the fresh measurement against itself.
-    baseline = json.loads(Path(args.check).read_text()) if args.check else None
-    workers = args.workers
-    if workers is None and baseline is not None:
-        # Measure at the committed record's width so the ratios compare
-        # like for like.
-        workers = int(baseline.get("workers", 0)) or None
-    if workers is None:
-        workers = max(2, os.cpu_count() or 1)
+    args = bench.parse(argv)
+    workers = bench.workers(args.workers)
 
+    runs = [
+        run_suite(args.budget, args.max_layers, workers)
+        for _ in range(max(1, args.repeats))
+    ]
+    counts = {(executed, stored) for _seconds, executed, stored in runs}
+    assert len(counts) == 1, f"cold runs disagree on their work counts: {counts}"
+    executed, stored = counts.pop()
     record: dict[str, object] = {
         "suite": list(SUITE),
         "max_dense_macs": args.budget,
@@ -208,39 +172,16 @@ def main(argv: list[str] | None = None) -> int:
         "workers": workers,
         "cache": "cold (fresh directory per run)",
         "repeats": args.repeats,
-        "baseline_env": dict(BASELINE_ENV),
+        "seconds": round(min(seconds for seconds, _e, _s in runs), 3),
+        "jobs_executed": executed,
+        "engine_runs_stored": stored,
+        "cache_scan": bench_cache_scan(),
     }
-    for mode, overrides in (("baseline", BASELINE_ENV), ("streaming", {})):
-        seconds = min(
-            run_suite(overrides, args.budget, args.max_layers, workers)
-            for _ in range(max(1, args.repeats))
-        )
-        record[f"{mode}_seconds"] = round(seconds, 3)
-        print(f"{mode:10s} {seconds:8.3f} s (best of {args.repeats})", file=sys.stderr)
-    record["speedup"] = round(record["baseline_seconds"] / record["streaming_seconds"], 3)
-    print(f"speedup    {record['speedup']:8.3f} x", file=sys.stderr)
-    record["cache_scan"] = bench_cache_scan()
-    print(f"cache scan {record['cache_scan']}", file=sys.stderr)
-
-    Path(output).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {output}", file=sys.stderr)
-
-    if baseline is not None:
-        floor = REGRESSION_TOLERANCE * baseline["speedup"]
-        if record["speedup"] < floor:
-            print(
-                f"FAIL: measured speedup {record['speedup']}x is below "
-                f"{REGRESSION_TOLERANCE:.0%} of the committed baseline "
-                f"{baseline['speedup']}x (floor {floor:.2f}x)",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"OK: speedup {record['speedup']}x >= floor {floor:.2f}x "
-            f"(baseline {baseline['speedup']}x)",
-            file=sys.stderr,
-        )
-    return 0
+    for key in ("seconds", "jobs_executed", "engine_runs_stored", "cache_scan"):
+        print(f"{key:18s} {record[key]}", file=sys.stderr)
+    return bench.finish(
+        record, {"jobs_executed": "exact", "engine_runs_stored": "exact"}
+    )
 
 
 if __name__ == "__main__":

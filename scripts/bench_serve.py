@@ -32,7 +32,6 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
 import http.client
 import json
 import os
@@ -42,18 +41,12 @@ import sys
 import tempfile
 import threading
 import time
-from pathlib import Path
 
+from benchgate import Bench
 from repro.api import Session
 from repro.experiments.settings import default_settings
 from repro.runtime import BatchRunner, ResultCache
 from repro.serve import BackgroundServer
-
-#: Fraction of the committed baseline the measured overhead ratio may not
-#: exceed the inverse of: with the default 0.8, a measured ratio up to
-#: baseline / 0.8 (25% worse) still passes.  ``REPRO_BENCH_TOLERANCE``
-#: widens the floor without a code change, as for the other benches.
-REGRESSION_TOLERANCE = float(os.environ.get("REPRO_BENCH_TOLERANCE", "0.8"))
 
 FIGURE_PATH = "/v1/figure/fig12"
 
@@ -260,48 +253,28 @@ def measure_saturation(depth: int) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
+    bench = Bench(__doc__, "BENCH_serve.json")
+    bench.parser.add_argument(
         "--budget", type=float, default=2e5,
         help="per-layer dense-MAC budget of the served settings",
     )
-    parser.add_argument(
+    bench.parser.add_argument(
         "--max-layers", type=int, default=3, help="sampled layers per model"
     )
-    parser.add_argument(
+    bench.parser.add_argument(
         "--iterations", type=int, default=30,
         help="requests per latency median (and per client thread)",
     )
-    parser.add_argument(
+    bench.parser.add_argument(
         "--clients", type=int, default=8,
         help="concurrent keep-alive connections in the throughput phase",
     )
-    parser.add_argument(
-        "--repeats", type=int, default=2,
-        help="full measurement repeats; the best (lowest-overhead) run is "
-        "recorded so one noisy sample cannot fail the regression check",
-    )
-    parser.add_argument(
+    bench.parser.add_argument(
         "--pool-depth", type=int, default=2,
         help="job-pool depth K for the saturation phase (4×K concurrent "
         "cold sweeps); 0 skips the phase",
     )
-    parser.add_argument(
-        "-o", "--output", default=None,
-        help="where to write the measurement record (default: BENCH_serve.json "
-        "when recording, bench-serve-measured.json with --check so the "
-        "committed baseline is never clobbered)",
-    )
-    parser.add_argument(
-        "--check", metavar="BASELINE", default=None,
-        help="compare against a committed baseline record and exit non-zero "
-        "when the serving overhead ratio regresses past the tolerance",
-    )
-    args = parser.parse_args(argv)
-    output = args.output or (
-        "bench-serve-measured.json" if args.check else "BENCH_serve.json"
-    )
-    baseline = json.loads(Path(args.check).read_text()) if args.check else None
+    args = bench.parse(argv)
 
     best: dict | None = None
     for _ in range(max(1, args.repeats)):
@@ -330,26 +303,7 @@ def main(argv: list[str] | None = None) -> int:
         ]
     for key in printed:
         print(f"{key:28s} {record[key]}", file=sys.stderr)
-
-    Path(output).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {output}", file=sys.stderr)
-
-    if baseline is not None:
-        ceiling = baseline["overhead_ratio"] / REGRESSION_TOLERANCE
-        if record["overhead_ratio"] > ceiling:
-            print(
-                f"FAIL: overhead ratio {record['overhead_ratio']}x exceeds "
-                f"{ceiling:.2f}x ({1 / REGRESSION_TOLERANCE:.0%} of the "
-                f"committed baseline {baseline['overhead_ratio']}x)",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"OK: overhead ratio {record['overhead_ratio']}x <= ceiling "
-            f"{ceiling:.2f}x (baseline {baseline['overhead_ratio']}x)",
-            file=sys.stderr,
-        )
-    return 0
+    return bench.finish(record, {"overhead_ratio": "lower"})
 
 
 if __name__ == "__main__":

@@ -38,12 +38,7 @@ from repro.api.responses import (
     jsonify_rows,
     sweep_row,
 )
-from repro.api.session import (
-    Session,
-    default_session,
-    reset_shared_sessions,
-    shared_session,
-)
+from repro.api.session import Session
 from repro.dse.explore import DseSpec, dse_report_key
 
 __all__ = [
@@ -64,7 +59,4 @@ __all__ = [
     "jsonify_rows",
     "sweep_row",
     "Session",
-    "default_session",
-    "reset_shared_sessions",
-    "shared_session",
 ]

@@ -52,7 +52,6 @@ from repro.runtime import (
     ResultCache,
     RunnerStats,
     SimJob,
-    default_runner,
 )
 from repro.sparse.formats import CompressedMatrix
 
@@ -302,11 +301,10 @@ class Session:
         """Disk-cache layout telemetry plus the session runner's counters.
 
         One batched scan of the cache directory (entry/byte totals, shard
-        count, surviving flat legacy entries, scan wall-clock) under
-        ``"cache"`` keys, and the runner's lifetime counters — including the
-        ``exec_seconds`` / ``cache_scan_seconds`` / ``peak_in_flight``
-        wall-clock telemetry — under ``"runner"``.  ``None`` when the session
-        runs without a cache.
+        count, scan wall-clock) under ``"cache"`` keys, and the runner's
+        lifetime counters — including the ``exec_seconds`` /
+        ``cache_scan_seconds`` / ``peak_in_flight`` wall-clock telemetry —
+        under ``"runner"``.  ``None`` when the session runs without a cache.
         """
         if self.cache is None:
             return None
@@ -335,57 +333,3 @@ class Session:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Session(settings={self.settings!r}, runner={self.runner!r})"
-
-
-# ----------------------------------------------------------------------
-# Shared sessions (what the deprecated free-function shims delegate to)
-# ----------------------------------------------------------------------
-#: Most settings values whose shared session is kept alive at once (the
-#: bound the old ``lru_cache(maxsize=4)`` implementation enforced).
-_SHARED_SESSION_LIMIT = 4
-
-_shared_sessions: dict[ExperimentSettings, Session] = {}
-_shared_sessions_lock = threading.Lock()
-
-
-def shared_session(settings: ExperimentSettings) -> Session:
-    """The process-wide session for one settings value.
-
-    Backed by the process-wide :func:`~repro.runtime.default_runner`, so the
-    in-process memo and the runner's stats are shared between the facade and
-    any legacy free-function call sites that run the same settings.  The
-    registry is lock-guarded (concurrent first calls observe one session,
-    never two), LRU-bounded to :data:`_SHARED_SESSION_LIMIT` settings values
-    and explicitly droppable via :func:`reset_shared_sessions`.
-    """
-    with _shared_sessions_lock:
-        session = _shared_sessions.get(settings)
-        if session is None:
-            session = Session(settings, runner=default_runner())
-            _shared_sessions[settings] = session
-            while len(_shared_sessions) > _SHARED_SESSION_LIMIT:
-                _shared_sessions.pop(next(iter(_shared_sessions)))
-        else:
-            # Refresh recency so the bound evicts the least recently used.
-            _shared_sessions[settings] = _shared_sessions.pop(settings)
-        return session
-
-
-def reset_shared_sessions() -> None:
-    """Drop every memoized shared session.
-
-    Sessions capture the runner — and through it the cache directory — that
-    the environment named when they were first built, so anything that
-    re-points ``REPRO_CACHE_DIR``/``REPRO_*`` (the test suite's hermetic
-    fixtures above all) must drop the registry or later ``shared_session``
-    calls keep answering from the stale environment.  Pair with
-    :func:`repro.runtime.reset_default_runners`, which this intentionally
-    does not call (other live sessions may still hold the default runner).
-    """
-    with _shared_sessions_lock:
-        _shared_sessions.clear()
-
-
-def default_session() -> Session:
-    """The shared session over the environment-default settings."""
-    return shared_session(default_settings())

@@ -310,7 +310,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"entries         : {entries}")
         print(f"size            : {report['size_bytes'] / 1e6:.2f} MB")
         print(f"shard dirs      : {report['shard_dirs']}")
-        print(f"legacy entries  : {report['legacy_entries']} (flat layout; migrated on read)")
         print(f"scan            : {scan_seconds * 1e3:.2f} ms ({throughput:,.0f} entries/s)")
         return 0
     if args.cache_command == "clear":

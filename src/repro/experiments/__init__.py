@@ -1,9 +1,11 @@
 """Experiment harness: the code paths behind every table and figure.
 
-The benchmark scripts under ``benchmarks/`` are thin wrappers around this
-package.  Each experiment function returns plain row dictionaries (ready for
-:func:`repro.metrics.format_table`) so the same code also powers the examples
-and can be reused programmatically.
+Each experiment module defines its sweep as a job grid (``*_jobs``), collates
+the grid's results (``collate_*``) and slices them into the plain row
+dictionaries each figure or table reports (``*_rows``, ready for
+:func:`repro.metrics.format_table`).  The grids run through
+:class:`repro.api.Session`, which memoizes them per session; the benchmark
+scripts under ``benchmarks/`` and the examples ask a session for their rows.
 """
 
 from repro.experiments.settings import ExperimentSettings, default_settings
@@ -11,7 +13,6 @@ from repro.experiments.layerwise import (
     LayerwiseResults,
     collate_layerwise,
     layerwise_jobs,
-    run_layerwise_comparison,
     layerwise_speedup_rows,
     onchip_traffic_rows,
     miss_rate_rows,
@@ -21,7 +22,6 @@ from repro.experiments.end_to_end import (
     EndToEndResults,
     collate_end_to_end,
     end_to_end_jobs,
-    run_end_to_end,
     end_to_end_speedup_rows,
     performance_per_area_rows,
     best_dataflow_per_layer_rows,
@@ -35,7 +35,6 @@ __all__ = [
     "LayerwiseResults",
     "collate_layerwise",
     "layerwise_jobs",
-    "run_layerwise_comparison",
     "layerwise_speedup_rows",
     "onchip_traffic_rows",
     "miss_rate_rows",
@@ -43,7 +42,6 @@ __all__ = [
     "EndToEndResults",
     "collate_end_to_end",
     "end_to_end_jobs",
-    "run_end_to_end",
     "end_to_end_speedup_rows",
     "performance_per_area_rows",
     "best_dataflow_per_layer_rows",

@@ -1,9 +1,9 @@
 """End-to-end experiments over the eight DNN models (Figs. 1, 12, 18 and Table 2).
 
-One call to :func:`run_end_to_end` executes (a sampled, scaled version of)
-every model on the CPU baseline and the four accelerator designs; the
-per-figure ``*_rows`` helpers then turn the shared results into the rows each
-figure or table reports.
+The end-to-end grid executes (a sampled, scaled version of) every model on
+the CPU baseline and the four accelerator designs; the per-figure ``*_rows``
+helpers then turn the shared results into the rows each figure or table
+reports.
 
 The sweep is expressed as a flat (model, design, layer) job grid submitted
 through :class:`repro.runtime.BatchRunner`: layers of a chain are independent
@@ -14,19 +14,17 @@ parallel and lets the runtime answer repeat runs from its persistent cache.
 This module owns the *sweep definition* (:func:`end_to_end_jobs`), the
 *collation* of grid results into :class:`EndToEndResults`
 (:func:`collate_end_to_end`) and the per-figure row makers.  Execution goes
-through the :class:`repro.api.Session` facade; :func:`run_end_to_end` remains
-as a deprecated shim over it.
+through :meth:`repro.api.Session.end_to_end`.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 
 from repro.accelerators import accelerator_area_power
 from repro.arch.config import AcceleratorConfig
-from repro.experiments.settings import ExperimentSettings, default_settings
+from repro.experiments.settings import ExperimentSettings
 from repro.metrics.results import (
     RESULT_SCHEMA_VERSION,
     ModelSimResult,
@@ -35,7 +33,7 @@ from repro.metrics.results import (
     check_record_schema,
     geometric_mean,
 )
-from repro.runtime import CPU_DESIGN, DESIGN_ORDER, BatchRunner, SimJob
+from repro.runtime import CPU_DESIGN, DESIGN_ORDER, SimJob
 from repro.workloads.layers import LayerSpec
 from repro.workloads.models import MODEL_REGISTRY, ModelSpec
 
@@ -253,35 +251,6 @@ def collate_end_to_end(
         extrapolation=extrapolation,
         configs=configs,
     )
-
-
-def run_end_to_end(
-    settings: ExperimentSettings | None = None,
-    runner: BatchRunner | None = None,
-) -> EndToEndResults:
-    """Execute the eight models on the CPU and the four designs.
-
-    .. deprecated::
-        Construct a :class:`repro.api.Session` and call
-        :meth:`~repro.api.Session.end_to_end` instead.  This shim keeps the
-        pre-facade call sites working: with the default ``runner`` it
-        delegates to the shared per-settings session (memoized in-process and
-        across processes by the runtime's on-disk cache); an explicit
-        :class:`~repro.runtime.BatchRunner` gets a private session, which is
-        the hook the runtime tests use to observe cache and executor
-        behaviour directly.
-    """
-    warnings.warn(
-        "run_end_to_end() is deprecated; use repro.api.Session().end_to_end()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api.session import Session, shared_session
-
-    settings = settings or default_settings()
-    if runner is None:
-        return shared_session(settings).end_to_end()
-    return Session(settings, runner=runner).end_to_end()
 
 
 # ----------------------------------------------------------------------

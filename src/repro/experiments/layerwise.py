@@ -1,8 +1,8 @@
 """Layer-wise experiments over the nine Table 6 layers (Figs. 13, 14, 15, 16).
 
-One call to :func:`run_layerwise_comparison` simulates every representative
-layer on the four accelerator designs; the per-figure ``*_rows`` helpers then
-slice the same results into the rows each figure plots.  The (layer, design)
+The layer-wise grid simulates every representative layer on the four
+accelerator designs; the per-figure ``*_rows`` helpers then slice the same
+results into the rows each figure plots.  The (layer, design)
 grid is submitted through :class:`repro.runtime.BatchRunner`, so the sweep
 runs in parallel and repeat runs are answered from the runtime's persistent
 cache.
@@ -10,17 +10,15 @@ cache.
 This module owns the *sweep definition* (:func:`layerwise_jobs`), the
 *collation* of grid results into :class:`LayerwiseResults`
 (:func:`collate_layerwise`) and the per-figure row makers.  Execution goes
-through the :class:`repro.api.Session` facade; :func:`run_layerwise_comparison`
-remains as a deprecated shim over it.
+through :meth:`repro.api.Session.layerwise`.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 
-from repro.experiments.settings import ExperimentSettings, default_settings
+from repro.experiments.settings import ExperimentSettings
 from repro.metrics.results import (
     RESULT_SCHEMA_VERSION,
     LayerSimResult,
@@ -28,7 +26,7 @@ from repro.metrics.results import (
     canonical_order,
     check_record_schema,
 )
-from repro.runtime import DESIGN_ORDER, BatchRunner, SimJob
+from repro.runtime import DESIGN_ORDER, SimJob
 from repro.workloads.representative import REPRESENTATIVE_LAYERS, representative_layer_names
 
 
@@ -138,34 +136,6 @@ def collate_layerwise(
     for spec in REPRESENTATIVE_LAYERS:
         collated[spec.name] = {design: next(grid_results) for design in DESIGN_ORDER}
     return LayerwiseResults(settings=settings, results=collated, scales=scales)
-
-
-def run_layerwise_comparison(
-    settings: ExperimentSettings | None = None,
-    runner: BatchRunner | None = None,
-) -> LayerwiseResults:
-    """Simulate the nine Table 6 layers on the four designs.
-
-    .. deprecated::
-        Construct a :class:`repro.api.Session` and call
-        :meth:`~repro.api.Session.layerwise` instead.  This shim keeps the
-        pre-facade call sites working: with the default ``runner`` it
-        delegates to the shared per-settings session (memoized in-process and
-        across processes by the runtime's on-disk cache); an explicit
-        ``runner`` gets a private session, exposing cache and executor
-        behaviour to the runtime tests.
-    """
-    warnings.warn(
-        "run_layerwise_comparison() is deprecated; use repro.api.Session().layerwise()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api.session import Session, shared_session
-
-    settings = settings or default_settings()
-    if runner is None:
-        return shared_session(settings).layerwise()
-    return Session(settings, runner=runner).layerwise()
 
 
 # ----------------------------------------------------------------------

@@ -25,11 +25,8 @@ import os
 from dataclasses import dataclass
 from typing import Callable
 
-#: Valid values of the ``REPRO_SCHED`` knob (the runner re-exports this).
-SCHEDULE_MODES = ("cost", "fifo")
-
 #: Valid values of the ``REPRO_POOL`` knob (the pool re-exports this).
-POOL_MODES = ("persistent", "ephemeral", "remote")
+POOL_MODES = ("persistent", "remote")
 
 
 @dataclass(frozen=True)
@@ -132,15 +129,7 @@ KNOBS: dict[str, Knob] = {
         ),
         _knob(
             "REPRO_POOL", "persistent", _choice("REPRO_POOL", POOL_MODES),
-            "Worker pool: `persistent` (default), `ephemeral` or `remote`",
-        ),
-        _knob(
-            "REPRO_SCHED", "cost", _choice("REPRO_SCHED", SCHEDULE_MODES),
-            "Dispatch order: `cost` (grouped, longest-first; default) or `fifo`",
-        ),
-        _knob(
-            "REPRO_SHARE_ENGINE", "1", _flag,
-            "Set to `0` to disable engine-result sharing between designs",
+            "Worker pool: `persistent` (default) or `remote`",
         ),
         _knob(
             "REPRO_LEASE_SECONDS", "30",

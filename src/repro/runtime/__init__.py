@@ -34,7 +34,6 @@ from repro.runtime.pool import (
     shutdown_shared_pool,
 )
 from repro.runtime.runner import (
-    SCHEDULE_MODES,
     BatchRunner,
     RunnerStats,
     default_runner,
@@ -63,7 +62,6 @@ __all__ = [
     "reset_shared_pool",
     "shared_pool",
     "shutdown_shared_pool",
-    "SCHEDULE_MODES",
     "BatchRunner",
     "RunnerStats",
     "default_runner",

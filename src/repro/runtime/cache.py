@@ -6,11 +6,9 @@ re-run, a worker process of the parallel executor — gets the finished result
 back instead of re-simulating.  Entries are pickled result records fanned out
 into 256 two-hex-character shard subdirectories
 (``<dir>/<key[:2]>/<key>.pkl``), which keeps directory listings short for
-large sweeps; entries written by older builds directly under ``<dir>``
-("flat" layout) are still found and are transparently migrated into their
-shard on first read.  Writes go through a temporary file plus
-:func:`os.replace` so concurrent writers (the pool workers all share one
-directory) can never leave a torn file behind.
+large sweeps.  Writes go through a temporary file plus :func:`os.replace` so
+concurrent writers (the pool workers all share one directory) can never
+leave a torn file behind.
 
 Point lookups use :meth:`ResultCache.get`; the runner's pre-dispatch hit
 scan uses :meth:`ResultCache.get_many`, which lists each needed shard once
@@ -89,24 +87,14 @@ class ResultCache:
         """On-disk (sharded) location of one entry."""
         return self.directory / key[:2] / f"{key}.pkl"
 
-    def legacy_path_for(self, key: str) -> Path:
-        """Pre-shard flat location of one entry (read + migrated, not written)."""
-        return self.directory / f"{key}.pkl"
-
     def get(self, key: str):
         """The cached result for ``key``, or :data:`MISS`."""
         blob = self._memory_get(key)
         if blob is None:
-            path = self.path_for(key)
             try:
-                blob = path.read_bytes()
+                blob = self.path_for(key).read_bytes()
             except OSError:
-                legacy = self.legacy_path_for(key)
-                try:
-                    blob = legacy.read_bytes()
-                except OSError:
-                    return MISS
-                self._migrate_legacy(key)
+                return MISS
             self._remember(key, blob)
         return self._decode(key, blob)
 
@@ -123,10 +111,8 @@ class ResultCache:
 
         Instead of one ``stat`` + ``open`` attempt per key (the cost profile
         of calling :meth:`get` in a loop, painful on cold sweeps where nearly
-        every key misses), each needed shard directory — and the flat legacy
-        level, if any key falls back to it — is listed once and only files
-        known to exist are opened.  Legacy entries found this way are
-        migrated into their shard exactly as :meth:`get` would.
+        every key misses), each needed shard directory is listed once and
+        only files known to exist are opened.
         """
         found: dict[str, object] = {}
         need: dict[str, list[str]] = {}
@@ -140,21 +126,13 @@ class ResultCache:
             need.setdefault(key[:2], []).append(key)
         if not need or not self.directory.is_dir():
             return found
-        flat_names: set[str] | None = None
         for prefix, shard_keys in need.items():
             names = _list_dir(self.directory / prefix)
             for key in shard_keys:
-                file_name = f"{key}.pkl"
-                if file_name in names:
-                    path = self.path_for(key)
-                else:
-                    if flat_names is None:
-                        flat_names = _list_dir(self.directory)
-                    if file_name not in flat_names:
-                        continue
-                    path = self._migrate_legacy(key)
+                if f"{key}.pkl" not in names:
+                    continue
                 try:
-                    blob = path.read_bytes()
+                    blob = self.path_for(key).read_bytes()
                 except OSError:
                     continue  # concurrently removed
                 self._remember(key, blob)
@@ -166,9 +144,8 @@ class ResultCache:
     def missing(self, keys: list[str]) -> list[str]:
         """The subset of ``keys`` with no cache entry, without reading any.
 
-        A pure existence probe: each needed shard (and the flat legacy
-        level, when some key falls back to it) is listed once and no entry
-        file is ever opened or decoded — the cost profile the serving
+        A pure existence probe: each needed shard is listed once and no
+        entry file is ever opened or decoded — the cost profile the serving
         front-end needs to classify a request as cache-warm or cold before
         deciding whether to answer synchronously.  A torn entry that
         :meth:`get` would treat as a miss can therefore still count as
@@ -187,17 +164,9 @@ class ResultCache:
             return absent
         if not self.directory.is_dir():
             return [key for shard_keys in need.values() for key in shard_keys]
-        flat_names: set[str] | None = None
         for prefix, shard_keys in need.items():
             names = _list_dir(self.directory / prefix)
-            for key in shard_keys:
-                file_name = f"{key}.pkl"
-                if file_name in names:
-                    continue
-                if flat_names is None:
-                    flat_names = _list_dir(self.directory)
-                if file_name not in flat_names:
-                    absent.append(key)
+            absent.extend(key for key in shard_keys if f"{key}.pkl" not in names)
         return absent
 
     def get_blob(self, key: str) -> bytes | None:
@@ -211,21 +180,15 @@ class ResultCache:
         blob = self._memory_get(key)
         if blob is not None:
             return blob
-        path = self.path_for(key)
         try:
-            blob = path.read_bytes()
+            blob = self.path_for(key).read_bytes()
         except OSError:
-            legacy = self.legacy_path_for(key)
-            try:
-                blob = legacy.read_bytes()
-            except OSError:
-                return None
-            self._migrate_legacy(key)
+            return None
         self._remember(key, blob)
         return blob
 
     def keys(self) -> list[str]:
-        """Every on-disk entry key, sorted (sharded and flat legacy layout).
+        """Every on-disk entry key, sorted.
 
         The coordinator's ``/v1/cache/keys`` inventory: a peer diffs this
         against its own :meth:`missing` probe to decide what to pull.
@@ -242,18 +205,7 @@ class ResultCache:
             with self._memory_lock:
                 self._memory.pop(key, None)
             self.path_for(key).unlink(missing_ok=True)
-            self.legacy_path_for(key).unlink(missing_ok=True)
             return MISS
-
-    def _migrate_legacy(self, key: str) -> Path:
-        """Move a flat legacy entry into its shard; returns the new path."""
-        path = self.path_for(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(self.legacy_path_for(key), path)
-        except OSError:
-            pass  # concurrently migrated or removed; the read decides
-        return path
 
     def _remember(self, key: str, blob: bytes) -> None:
         with self._memory_lock:
@@ -290,11 +242,10 @@ class ResultCache:
 
     # ------------------------------------------------------------------
     def _entry_paths(self):
-        """Every on-disk entry (sharded first, then flat legacy files)."""
+        """Every on-disk entry."""
         if not self.directory.is_dir():
             return
         yield from self.directory.glob("*/*.pkl")
-        yield from self.directory.glob("*.pkl")
 
     def clear(self) -> int:
         """Remove every entry (memory and disk); returns entries removed.
@@ -309,9 +260,8 @@ class ResultCache:
             path.unlink(missing_ok=True)
             removed += 1
         if self.directory.is_dir():
-            for pattern in ("*/*.tmp", "*.tmp"):
-                for path in self.directory.glob(pattern):
-                    path.unlink(missing_ok=True)
+            for path in self.directory.glob("*/*.tmp"):
+                path.unlink(missing_ok=True)
         return removed
 
     def prune(
@@ -367,7 +317,7 @@ class ResultCache:
         )
 
     def entry_count(self) -> int:
-        """Number of entries currently on disk (sharded + flat legacy)."""
+        """Number of entries currently on disk."""
         return sum(1 for _ in self._entry_paths())
 
     def size_bytes(self) -> int:
@@ -383,44 +333,35 @@ class ResultCache:
     def stats_report(self) -> dict[str, object]:
         """One batched scan of the disk level, with layout telemetry.
 
-        Returns entry/byte totals split by layout (sharded vs flat legacy),
-        the shard-directory count and how long the scan itself took — the
-        number ``python -m repro cache stats`` reports as scan throughput.
+        Returns the entry/byte totals, the shard-directory count and how
+        long the scan itself took — the number ``python -m repro cache
+        stats`` reports as scan throughput.
         """
         start = time.perf_counter()
         entries = 0
         size = 0
-        legacy_entries = 0
         shard_dirs = 0
         if self.directory.is_dir():
             for child in _scandir_safe(self.directory):
                 try:
-                    is_dir = child.is_dir()
+                    if not child.is_dir():
+                        continue
                 except OSError:
                     continue  # concurrently removed
-                if is_dir:
-                    shard_dirs += 1
-                    for entry in _scandir_safe(child.path):
-                        if not entry.name.endswith(".pkl"):
-                            continue
-                        try:
-                            size += entry.stat().st_size
-                        except OSError:
-                            continue  # concurrently removed
-                        entries += 1
-                elif child.name.endswith(".pkl"):
+                shard_dirs += 1
+                for entry in _scandir_safe(child.path):
+                    if not entry.name.endswith(".pkl"):
+                        continue
                     try:
-                        size += child.stat().st_size
+                        size += entry.stat().st_size
                     except OSError:
                         continue  # concurrently removed
                     entries += 1
-                    legacy_entries += 1
         return {
             "directory": str(self.directory),
             "entries": entries,
             "size_bytes": size,
             "shard_dirs": shard_dirs,
-            "legacy_entries": legacy_entries,
             "scan_seconds": time.perf_counter() - start,
         }
 

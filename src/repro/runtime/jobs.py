@@ -15,6 +15,10 @@ The key deliberately covers *everything the result depends on*: the design,
 every configuration field, the layer spec (or the full operand contents when
 explicit matrices are given), scale, seed and forced dataflow, plus a schema
 version that must be bumped whenever the simulator's semantics change.
+
+Design jobs run their engine simulations as nested ``engine`` jobs through
+the sweep's own cache (:func:`build_design`), so an engine run shared by
+several designs over the same operands executes once.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import weakref
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 
-from repro import knobs
 from repro.arch.config import AcceleratorConfig
 from repro.dataflows.base import Dataflow
 from repro.engine_vec import validate_engine_backend
@@ -56,16 +59,6 @@ _KNOWN_DESIGNS = DESIGN_ORDER + (CPU_DESIGN, ENGINE_DESIGN)
 
 #: Default for ``trial_cache``: use the process-wide trial runner.
 SHARED_TRIAL_CACHE = "<shared>"
-
-
-def _env_share_engine() -> bool:
-    """Whether design jobs share engine runs through the result cache.
-
-    ``REPRO_SHARE_ENGINE=0`` restores the pre-sharing behaviour (every design
-    simulates its engine run directly, even when the identical run is already
-    cached as an oracle trial) — used for A/B benchmarking.
-    """
-    return knobs.get("REPRO_SHARE_ENGINE")
 
 
 #: Per-process memo of nested runners keyed by cache directory: every job a
@@ -137,8 +130,8 @@ def build_design(
     deduplicates the sweep's hottest redundant work: a fixed-dataflow
     baseline re-simulates exactly the run Flexagon's oracle already trialed
     over the same operands, and Flexagon's own final run re-simulates its
-    winning trial.  ``REPRO_SHARE_ENGINE=0`` disables the sharing (trials
-    remain cached as before).
+    winning trial.  A cache-less nested runner (``trial_cache=None``) runs
+    every engine simulation directly instead.
 
     ``engine`` selects the :class:`~repro.accelerators.engine.SpmspmEngine`
     execution backend (``"vectorized"`` / ``"reference"``; ``None`` defers to
@@ -165,7 +158,7 @@ def build_design(
             "GAMMA-like": GammaLikeAccelerator,
         }
         accelerator = classes[design](config, engine=engine)
-    if nested.cache is not None and _env_share_engine():
+    if nested.cache is not None:
         accelerator.engine_job_runner = nested
     return accelerator
 

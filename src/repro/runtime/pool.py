@@ -1,21 +1,16 @@
 """The process-wide persistent worker pool behind the batch runner.
 
-Before this module existed every :meth:`BatchRunner.run` call built a fresh
-:class:`concurrent.futures.ProcessPoolExecutor` and tore it down when the
-batch finished, so a figure sequence (one batch per experiment grid) paid
-pool start-up per batch and threw away every per-worker memo (materialised
-layers, derived operand structures) each time.  :class:`WorkerPool` keeps one
-executor alive for the whole process: it is created lazily on first use,
-grows when a batch asks for more workers than it was built with, is shared by
-every runner in persistent mode, and is shut down atexit.
+:class:`WorkerPool` keeps one :class:`concurrent.futures.ProcessPoolExecutor`
+alive for the whole process, so a figure sequence (one batch per experiment
+grid) pays pool start-up once and keeps every per-worker memo (materialised
+layers, derived operand structures) warm across batches.  The executor is
+created lazily on first use, grows when a batch asks for more workers than
+it was built with, is shared by every runner, and is shut down atexit.
 
 Environment knob:
 
 * ``REPRO_POOL=persistent`` (default) — reuse one process-wide executor
   across batches.
-* ``REPRO_POOL=ephemeral`` — legacy behaviour: one executor per batch
-  (useful for A/B benchmarking and for workloads that must release worker
-  memory between batches).
 * ``REPRO_POOL=remote`` — dispatch chunks to the distributed fabric's pull
   queue instead of local processes; external ``python -m repro worker``
   processes claim and execute them (see :mod:`repro.fabric`).
@@ -174,25 +169,18 @@ def reset_shared_pool() -> None:
     _shared_pool = None
 
 
-def acquire_executor(mode: str, max_workers: int) -> tuple[Executor, bool]:
-    """An executor for one batch under ``mode``.
+def acquire_executor(mode: str, max_workers: int) -> Executor:
+    """The process-wide executor a batch under ``mode`` submits to.
 
-    Returns ``(executor, transient)``: when ``transient`` is true the caller
-    owns the executor and must shut it down after the batch (ephemeral mode);
-    otherwise the executor belongs to the shared pool and must be left alone.
+    It outlives the batch, so the caller must not shut it down.
     """
-    if mode == "ephemeral":
-        return (
-            ProcessPoolExecutor(max_workers=max_workers, mp_context=pool_context()),
-            True,
-        )
     if mode == "remote":
         # The fabric's queue-backed executor: chunks become leasable work
         # items that external ``python -m repro worker`` processes claim over
-        # HTTP.  Process-wide (like the persistent pool), hence not transient.
+        # HTTP.
         from repro.fabric import runtime_executor
 
-        return runtime_executor(), False
+        return runtime_executor()
     if mode != "persistent":
         raise ValueError(f"unknown pool mode {mode!r}; expected one of {POOL_MODES}")
-    return shared_pool().executor(max_workers), False
+    return shared_pool().executor(max_workers)

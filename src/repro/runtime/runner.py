@@ -33,18 +33,13 @@ arguments):
 * ``REPRO_WORKERS=N``    — process-pool width.  Default: the full
   ``os.cpu_count()``; set ``REPRO_WORKERS`` to cap it on shared machines.
 * ``REPRO_POOL``         — ``persistent`` (default: one process-wide pool
-  reused across batches), ``ephemeral`` (one pool per batch; see
-  :mod:`repro.runtime.pool`) or ``remote`` (dispatch chunks to the
-  distributed fabric's pull queue, executed by external ``python -m repro
-  worker`` processes; see :mod:`repro.fabric` —
-  ``REPRO_LEASE_SECONDS``/``REPRO_MAX_ATTEMPTS`` tune its leases).  All
+  reused across batches; see :mod:`repro.runtime.pool`) or ``remote``
+  (dispatch chunks to the distributed fabric's pull queue, executed by
+  external ``python -m repro worker`` processes; see :mod:`repro.fabric` —
+  ``REPRO_LEASE_SECONDS``/``REPRO_MAX_ATTEMPTS`` tune its leases).  Both
   modes are bit-equivalent: a chunk runs the same ``execute_chunk`` path
   wherever it executes, so cache keys and result bytes never depend on
   where the work ran.
-* ``REPRO_SCHED``        — ``cost`` (default: grouped, longest-first) or
-  ``fifo`` (legacy submission-order static chunks).
-* ``REPRO_SHARE_ENGINE=0`` — disable engine-result sharing between designs
-  (see :func:`repro.runtime.jobs.build_design`).
 * ``REPRO_CACHE=0``      — run without any result cache.
 * ``REPRO_CACHE_DIR``    — cache directory (see :mod:`repro.runtime.cache`).
 """
@@ -80,10 +75,6 @@ from repro.runtime.pool import (
 #: Default sentinel so ``cache=None`` can explicitly mean "no cache".
 _DEFAULT = object()
 
-#: Valid values of the ``REPRO_SCHED`` environment knob (canonical home:
-#: :mod:`repro.knobs`; re-exported here for existing importers).
-SCHEDULE_MODES = knobs.SCHEDULE_MODES
-
 #: Progress callback signature: ``on_result(done_jobs, total_jobs)``.
 ProgressCallback = Callable[[int, int], None]
 
@@ -110,10 +101,6 @@ def _env_workers() -> int:
     # Use every core the machine has.  (Earlier versions silently capped
     # this at 8; set REPRO_WORKERS explicitly to bound the width instead.)
     return max(1, os.cpu_count() or 1)
-
-
-def _env_schedule() -> str:
-    return knobs.get("REPRO_SCHED")
 
 
 def _env_cache() -> ResultCache | None:
@@ -163,20 +150,19 @@ class BatchRunner:
         max_workers: int | None = None,
         cache: ResultCache | None | object = _DEFAULT,
         pool_mode: str | None = None,
-        schedule: str | None = None,
+        schedule: str = "cost",
         on_result: ProgressCallback | None = None,
     ) -> None:
+        # The cost schedule (see :meth:`_plan_chunks`) is the only one; the
+        # keyword stays so callers that name it explicitly keep working.
+        if schedule != "cost":
+            raise ValueError(f"schedule must be 'cost', got {schedule!r}")
         self.max_workers = max_workers if max_workers is not None else _env_workers()
         self.parallel = (parallel if parallel is not None else _env_parallel()) and (
             self.max_workers > 1
         )
         self.cache = _env_cache() if cache is _DEFAULT else cache
         self.pool_mode = pool_mode if pool_mode is not None else pool_mode_from_env()
-        self.schedule = schedule if schedule is not None else _env_schedule()
-        if self.schedule not in SCHEDULE_MODES:
-            raise ValueError(
-                f"schedule must be one of {SCHEDULE_MODES}, got {self.schedule!r}"
-            )
         #: Default progress callback applied to every :meth:`run` call.
         self.on_result = on_result
         self.stats = RunnerStats()  # guarded-by: _stats_lock
@@ -319,7 +305,7 @@ class BatchRunner:
         chunks = self._plan_chunks(misses)
         trial_dir = None if self.cache is None else str(self.cache.directory)
         workers = min(self.max_workers, len(chunks))
-        executor, transient = acquire_executor(self.pool_mode, workers)
+        executor = acquire_executor(self.pool_mode, workers)
         futures = {}
         try:
             # Submit with a sliding window of at most ``workers`` chunks, so
@@ -378,39 +364,29 @@ class BatchRunner:
         except BaseException as exc:
             for future in futures:
                 future.cancel()
-            if not transient and isinstance(exc, BrokenExecutor):
+            if isinstance(exc, BrokenExecutor):
                 # The shared persistent pool is dead; drop it so the next
                 # batch lazily rebuilds a fresh one instead of failing
                 # forever (public-API counterpart of WorkerPool's own
                 # broken-executor check).
                 shutdown_shared_pool()
             raise
-        finally:
-            if transient:
-                executor.shutdown(wait=True, cancel_futures=True)
 
     def _plan_chunks(
         self, misses: list[tuple[str, SimJob]]
     ) -> list[list[tuple[str, SimJob]]]:
         """Partition cache-missing jobs into ordered dispatch units.
 
-        ``cost`` schedule (default): jobs are grouped by operand-pair
-        identity (one worker materialises each layer once), ordered
-        most-expensive-first *within* a group (so the group's Flexagon job
-        caches the engine runs its siblings then hit), and the groups are
-        packed longest-predicted-first onto a bounded number of chunks
-        (LPT bin packing over ``4 x max_workers`` bins) so no expensive
-        straggler starts last and dispatch overhead stays flat no matter how
-        many layers the sweep has.  Groups larger than an even per-worker
-        share are split so a single giant group cannot serialise the batch.
-
-        ``fifo`` schedule: the legacy behaviour — submission-order slices of
-        the static ``pool.map`` chunk size.
+        Jobs are grouped by operand-pair identity (one worker materialises
+        each layer once), ordered most-expensive-first *within* a group (so
+        the group's Flexagon job caches the engine runs its siblings then
+        hit), and the groups are packed longest-predicted-first onto a
+        bounded number of chunks (LPT bin packing over ``4 x max_workers``
+        bins) so no expensive straggler starts last and dispatch overhead
+        stays flat no matter how many layers the sweep has.  Groups larger
+        than an even per-worker share are split so a single giant group
+        cannot serialise the batch.
         """
-        if self.schedule == "fifo":
-            size = max(1, len(misses) // (self.max_workers * 4))
-            return [misses[i : i + size] for i in range(0, len(misses), size)]
-
         groups: dict[tuple, list[tuple[float, str, SimJob]]] = {}
         order: list[tuple] = []
         for key, job in misses:
@@ -464,7 +440,7 @@ class BatchRunner:
         if self.parallel:
             mode = (
                 f"parallel x{self.max_workers} "
-                f"[{self.pool_mode} pool, {self.schedule} schedule]"
+                f"[{self.pool_mode} pool, cost schedule]"
             )
         else:
             mode = "serial"

@@ -1,4 +1,4 @@
-"""Test-session hygiene for the simulation runtime.
+"""Test-session hygiene for the simulation runtime, plus the shared session.
 
 The runtime's result cache is *input*-addressed, not code-addressed, so a
 cache populated by an older build of the simulator would happily answer for
@@ -28,21 +28,14 @@ if "REPRO_CACHE_DIR" not in os.environ:
 os.environ.setdefault("REPRO_FABRIC_LISTEN", "0")
 
 
-@pytest.fixture(autouse=True, scope="session")
-def _shared_session_hygiene():
-    """Pin the shared-session registry to this session's environment.
+@pytest.fixture(scope="session")
+def tiny_session():
+    """One :class:`~repro.api.Session` at tiny budgets for the whole run.
 
-    ``shared_session`` memoizes per-settings sessions that capture the
-    runner — and through it the cache directory — the environment named
-    when they were first built.  Dropping the registry at both edges of the
-    pytest session guarantees no session built under another environment
-    (an earlier in-process pytest run, an importing harness) leaks into
-    this one, and nothing this session built leaks out.  Within the
-    session the registry stays warm on purpose: the suite's modules share
-    the memoized experiment grids.
+    The modules that read the end-to-end and layer-wise grids share it, so
+    each grid is computed once per pytest session, in seconds.
     """
-    from repro.api import reset_shared_sessions
+    from repro.api import Session
+    from repro.experiments import default_settings
 
-    reset_shared_sessions()
-    yield
-    reset_shared_sessions()
+    return Session(default_settings(max_dense_macs=2e5, max_layers_per_model=3))

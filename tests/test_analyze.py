@@ -135,13 +135,22 @@ class TestKnobRegistry:
         for name in knobs.KNOBS:
             assert name in readme, f"{name} missing from README"
 
+    def test_readme_carries_the_generated_knobs_table(self, capsys):
+        """``--knobs-table`` output appears verbatim, so a row left over for
+        a deleted knob (or a stale doc line) fails here."""
+        from repro.analyze.__main__ import main
+
+        assert main(["--knobs-table"]) == 0
+        table = capsys.readouterr().out
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        assert table in readme
+
     def test_defaults(self, monkeypatch):
         for name in knobs.KNOBS:
             monkeypatch.delenv(name, raising=False)
         assert knobs.get("REPRO_PARALLEL") is True
         assert knobs.get("REPRO_CACHE") is True
         assert knobs.get("REPRO_WORKERS") is None
-        assert knobs.get("REPRO_SCHED") == "cost"
         assert knobs.get("REPRO_POOL") == "persistent"
         assert knobs.get("REPRO_LEASE_SECONDS") == 30.0
         assert knobs.get("REPRO_MAX_ATTEMPTS") == 5
@@ -150,8 +159,8 @@ class TestKnobRegistry:
         assert knobs.get("REPRO_ENGINE") is None
 
     def test_empty_string_means_unset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHED", "")
-        assert knobs.get("REPRO_SCHED") == "cost"
+        monkeypatch.setenv("REPRO_POOL", "")
+        assert knobs.get("REPRO_POOL") == "persistent"
 
     def test_parse_errors_name_the_knob(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "many")

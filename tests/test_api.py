@@ -26,8 +26,6 @@ from repro.api import (
     SweepResult,
     figure_ids,
     normalize_figure_id,
-    reset_shared_sessions,
-    shared_session,
 )
 from repro.experiments import (
     EndToEndResults,
@@ -41,24 +39,16 @@ from repro.experiments import (
     offchip_traffic_rows,
     onchip_traffic_rows,
     performance_per_area_rows,
-    run_end_to_end,
-    run_layerwise_comparison,
 )
 from repro.metrics.results import LayerSimResult, ModelSimResult
 from repro.runtime import CPU_DESIGN, DESIGN_ORDER, BatchRunner, ResultCache
 from repro.sparse import random_sparse
 
-#: Same tiny budgets as tests/test_experiments.py so the shared per-settings
-#: session memo is reused and this module adds little simulation time.
+#: The tiny budgets of the suite-wide ``tiny_session`` fixture.
 TINY = default_settings(max_dense_macs=2e5, max_layers_per_model=3)
 
 #: Even tinier budgets for the cold/warm cache tests that re-run the grid.
 MICRO = default_settings(max_dense_macs=1e5, max_layers_per_model=2)
-
-
-@pytest.fixture(scope="module")
-def tiny_session():
-    return shared_session(TINY)
 
 
 # ----------------------------------------------------------------------
@@ -87,9 +77,6 @@ class TestSession:
     def test_layerwise_is_memoized_per_session(self, tiny_session):
         assert tiny_session.layerwise() is tiny_session.layerwise()
 
-    def test_shared_session_is_memoized_per_settings(self):
-        assert shared_session(TINY) is shared_session(TINY)
-
     def test_simulate_runs_each_design(self):
         a = random_sparse(30, 40, density=0.3, seed=0)
         b = random_sparse(40, 20, density=0.3, seed=1)
@@ -100,22 +87,6 @@ class TestSession:
 
     def test_figures_lists_the_registry(self, tiny_session):
         assert tiny_session.figures() == figure_ids()
-
-    def test_reset_shared_sessions_drops_the_registry(self):
-        from repro.api import session as session_module
-
-        saved = dict(session_module._shared_sessions)
-        try:
-            before = shared_session(TINY)
-            reset_shared_sessions()
-            after = shared_session(TINY)
-            assert after is not before
-            assert shared_session(TINY) is after
-        finally:
-            # Restore the registry so the suite's other modules keep their
-            # warm memoized grids (the hygiene fixture resets at exit).
-            session_module._shared_sessions.clear()
-            session_module._shared_sessions.update(saved)
 
 
 class TestSessionThreadSafety:
@@ -169,21 +140,6 @@ class TestRequiredJobs:
     def test_memoized_grids_need_nothing(self, tiny_session):
         tiny_session.end_to_end()
         assert tiny_session.required_jobs("fig12") == []
-
-
-# ----------------------------------------------------------------------
-# Deprecated free-function shims
-# ----------------------------------------------------------------------
-class TestDeprecatedShims:
-    def test_run_end_to_end_warns_and_delegates(self, tiny_session):
-        with pytest.warns(DeprecationWarning, match="Session"):
-            results = run_end_to_end(TINY)
-        assert results is tiny_session.end_to_end()
-
-    def test_run_layerwise_comparison_warns_and_delegates(self, tiny_session):
-        with pytest.warns(DeprecationWarning, match="Session"):
-            results = run_layerwise_comparison(TINY)
-        assert results is tiny_session.layerwise()
 
 
 # ----------------------------------------------------------------------

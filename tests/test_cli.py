@@ -1,4 +1,4 @@
-"""Tests of the ``python -m repro`` CLI (and the ``repro.runtime`` shim)."""
+"""Tests of the ``python -m repro`` CLI."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 
 from repro.cli import main
 from repro.runtime import ResultCache
-from repro.runtime.__main__ import main as runtime_main
 
 #: Tiny settings flags shared by the simulation-backed CLI invocations.
 MICRO = ["--max-dense-macs", "5e4", "--max-layers", "1", "--serial"]
@@ -114,21 +113,3 @@ class TestListCommand:
         assert main(["list", "figures"]) == 0
         out, _ = capsys.readouterr()
         assert "fig12" in out and "SqueezeNet" not in out
-
-
-class TestRuntimeModuleShim:
-    def test_stats_delegates_to_the_unified_cli(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        assert runtime_main(["stats"]) == 0
-        out, _ = capsys.readouterr()
-        assert "cache directory" in out and "entries" in out
-
-    def test_clear_still_works(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        ResultCache().put("ab" * 32, 1)
-        assert runtime_main(["clear"]) == 0
-        assert "removed 1 entries" in capsys.readouterr().out
-
-    def test_unknown_command_is_rejected(self, capsys):
-        assert runtime_main(["bogus"]) == 2
-        assert "unknown command" in capsys.readouterr().err

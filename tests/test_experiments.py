@@ -14,25 +14,20 @@ from repro.experiments import (
     offchip_traffic_rows,
     onchip_traffic_rows,
     performance_per_area_rows,
-    run_end_to_end,
-    run_layerwise_comparison,
 )
 from repro.experiments.layerwise import DESIGN_ORDER
 from repro.metrics import format_table
 from repro.workloads.representative import representative_layer_names
 
-#: Tiny budgets so the whole harness runs in seconds inside the test suite.
-TINY = default_settings(max_dense_macs=2e5, max_layers_per_model=3)
+
+@pytest.fixture(scope="module")
+def layerwise(tiny_session):
+    return tiny_session.layerwise()
 
 
 @pytest.fixture(scope="module")
-def layerwise():
-    return run_layerwise_comparison(TINY)
-
-
-@pytest.fixture(scope="module")
-def end_to_end():
-    return run_end_to_end(TINY)
+def end_to_end(tiny_session):
+    return tiny_session.end_to_end()
 
 
 class TestSettings:
@@ -69,8 +64,8 @@ class TestLayerwiseHarness:
         for layer in layerwise.layer_names():
             assert set(layerwise.results[layer]) == set(DESIGN_ORDER)
 
-    def test_caching_returns_same_object(self, layerwise):
-        assert run_layerwise_comparison(TINY) is layerwise
+    def test_caching_returns_same_object(self, tiny_session, layerwise):
+        assert tiny_session.layerwise() is layerwise
 
     def test_speedup_rows_shape(self, layerwise):
         rows = layerwise_speedup_rows(layerwise)

@@ -11,25 +11,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import (
-    default_settings,
-    end_to_end_speedup_rows,
-    performance_per_area_rows,
-    run_end_to_end,
-)
+from repro.experiments import end_to_end_speedup_rows, performance_per_area_rows
 from repro.metrics.results import geometric_mean
 from repro.runtime import DESIGN_ORDER
 
 FIXED_DESIGNS = ("SIGMA-like", "SpArch-like", "GAMMA-like")
 
-#: Same tiny budgets as tests/test_experiments.py, so the in-process memo is
-#: shared and this module adds no extra simulation time to the suite.
-TINY = default_settings(max_dense_macs=2e5, max_layers_per_model=3)
-
 
 @pytest.fixture(scope="module")
-def end_to_end():
-    return run_end_to_end(TINY)
+def end_to_end(tiny_session):
+    # The suite-wide tiny session: its grid is shared with the other
+    # modules, so this one adds no extra simulation time.
+    return tiny_session.end_to_end()
 
 
 @pytest.fixture(scope="module")

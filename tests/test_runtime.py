@@ -19,9 +19,10 @@ import sys
 
 import pytest
 
+from repro.api import Session
 from repro.arch.config import default_config
 from repro.dataflows import Dataflow
-from repro.experiments import default_settings, run_end_to_end, run_layerwise_comparison
+from repro.experiments import default_settings
 from repro.runtime import (
     CPU_DESIGN,
     DESIGN_ORDER,
@@ -31,6 +32,7 @@ from repro.runtime import (
     ResultCache,
     SimJob,
     execute_job,
+    reset_shared_pool,
 )
 from repro.sparse import random_sparse
 from repro.workloads.representative import REPRESENTATIVE_LAYERS
@@ -213,12 +215,26 @@ class TestResultCache:
         keys = ["ab" * 32, "cd" * 32]
         assert cache.missing(keys) == keys
 
-    def test_missing_sees_memory_and_legacy_levels(self, tmp_path):
+    def test_missing_sees_the_memory_level(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put("ab" * 32, 1)  # in memory + disk
-        legacy_key = "cd" * 32
-        cache.legacy_path_for(legacy_key).write_bytes(b"whatever")  # flat file
-        assert cache.missing(["ab" * 32, legacy_key, "ef" * 32]) == ["ef" * 32]
+        cache.put("ab" * 32, 1)
+        cache.path_for("ab" * 32).unlink()  # only the memory level holds it now
+        assert cache.missing(["ab" * 32, "ef" * 32]) == ["ef" * 32]
+
+    def test_stray_flat_entry_is_a_miss(self, tmp_path):
+        """A ``<dir>/<key>.pkl`` file outside every shard is not an entry."""
+        import pickle
+
+        key = "cd" * 32
+        flat = tmp_path / f"{key}.pkl"
+        flat.write_bytes(pickle.dumps({"cycles": 7.0}))
+        cache = ResultCache(tmp_path)
+        assert cache.get(key) is MISS
+        assert cache.get_many([key]) == {}
+        assert cache.missing([key]) == [key]
+        assert cache.keys() == []
+        assert cache.entry_count() == 0
+        assert flat.exists() and not cache.path_for(key).exists()
 
 
 class TestResultCacheConcurrentMutation:
@@ -519,19 +535,21 @@ def _end_to_end_fingerprint(results) -> dict:
 
 class TestParallelSerialEquivalence:
     def test_end_to_end_bit_identical(self):
-        serial = run_end_to_end(SETTINGS, runner=BatchRunner(parallel=False, cache=None))
-        parallel = run_end_to_end(
+        serial = Session(
+            SETTINGS, runner=BatchRunner(parallel=False, cache=None)
+        ).end_to_end()
+        parallel = Session(
             SETTINGS, runner=BatchRunner(parallel=True, max_workers=4, cache=None)
-        )
+        ).end_to_end()
         assert _end_to_end_fingerprint(serial) == _end_to_end_fingerprint(parallel)
 
     def test_layerwise_bit_identical(self):
-        serial = run_layerwise_comparison(
+        serial = Session(
             SETTINGS, runner=BatchRunner(parallel=False, cache=None)
-        )
-        parallel = run_layerwise_comparison(
+        ).layerwise()
+        parallel = Session(
             SETTINGS, runner=BatchRunner(parallel=True, max_workers=4, cache=None)
-        )
+        ).layerwise()
         for layer in serial.layer_names():
             for design in DESIGN_ORDER:
                 assert (
@@ -637,17 +655,26 @@ class TestWorkerPool:
     def test_env_knob_validates(self, monkeypatch):
         from repro.runtime.pool import pool_mode_from_env
 
-        monkeypatch.setenv("REPRO_POOL", "ephemeral")
-        assert pool_mode_from_env() == "ephemeral"
+        monkeypatch.setenv("REPRO_POOL", "remote")
+        assert pool_mode_from_env() == "remote"
         monkeypatch.delenv("REPRO_POOL")
         assert pool_mode_from_env() == "persistent"
         monkeypatch.setenv("REPRO_POOL", "bogus")
         with pytest.raises(ValueError, match="REPRO_POOL"):
             pool_mode_from_env()
 
-    @pytest.mark.parametrize("pool_mode", ["persistent", "ephemeral"])
+    @pytest.mark.parametrize("pool_mode", ["persistent", "remote"])
     def test_both_pool_modes_match_serial_results(self, tmp_path, pool_mode):
-        from repro.runtime import reset_shared_pool
+        import contextlib
+
+        from fabric_chaos import worker_fleet
+
+        from repro.fabric import (
+            Coordinator,
+            WorkQueue,
+            reset_shared_fabric,
+            set_shared_coordinator,
+        )
 
         jobs = [
             _layer_job(design=design, index=index)
@@ -655,15 +682,24 @@ class TestWorkerPool:
             for design in DESIGN_ORDER + (CPU_DESIGN,)
         ]
         serial = BatchRunner(parallel=False, cache=None).run(jobs)
+        runner = BatchRunner(
+            parallel=True,
+            max_workers=2,
+            cache=ResultCache(tmp_path / pool_mode),
+            pool_mode=pool_mode,
+        )
+        workers = contextlib.nullcontext()
+        if pool_mode == "remote":
+            # One in-process pull worker drains the shared coordinator's queue.
+            queue = WorkQueue()
+            set_shared_coordinator(Coordinator(queue, cache=runner.cache))
+            workers = worker_fleet(queue, [{"cache_dir": tmp_path / "worker"}])
         try:
-            parallel = BatchRunner(
-                parallel=True,
-                max_workers=2,
-                cache=ResultCache(tmp_path / pool_mode),
-                pool_mode=pool_mode,
-            ).run(jobs)
+            with workers:
+                parallel = runner.run(jobs)
         finally:
             reset_shared_pool()
+            reset_shared_fabric()
         for design_serial, design_parallel in zip(serial, parallel):
             assert design_serial.cycles == design_parallel.cycles
             assert design_serial.stats == design_parallel.stats
@@ -844,8 +880,9 @@ class TestCrashResume:
         # One operand group of four jobs, kept whole as one chunk (cost
         # order: Flexagon, then the fixed designs in insertion order).
         # SpArch — last in the chunk — blows up in the worker after its
-        # chunk-mates finished; the ephemeral pool forks after the patch,
-        # so the worker inherits it.
+        # chunk-mates finished.  Resetting the persistent pool after the
+        # patch makes its workers fork with the patch in place; resetting
+        # it again afterwards keeps patched workers away from later tests.
         jobs = [
             _layer_job(design=design)
             for design in ("Flexagon", "SIGMA-like", "GAMMA-like", "SpArch-like")
@@ -858,14 +895,18 @@ class TestCrashResume:
             return original(job, **kwargs)
 
         monkeypatch.setattr(jobs_module, "execute_job", flaky)
+        reset_shared_pool()
         runner = BatchRunner(
             parallel=True,
             max_workers=2,
             cache=ResultCache(tmp_path),
-            pool_mode="ephemeral",
+            pool_mode="persistent",
         )
-        with pytest.raises(RuntimeError, match="worker crash"):
-            runner.run(jobs)
+        try:
+            with pytest.raises(RuntimeError, match="worker crash"):
+                runner.run(jobs)
+        finally:
+            reset_shared_pool()
         on_disk = ResultCache(tmp_path)
         # GAMMA completed before its chunk-mate SpArch crashed: its result
         # must have been streamed to disk despite the crash.
@@ -873,61 +914,6 @@ class TestCrashResume:
         sparch = next(job for job in jobs if job.design == "SpArch-like")
         assert on_disk.get(gamma.key()) is not MISS
         assert on_disk.get(sparch.key()) is MISS
-
-
-class TestLegacyFlatCache:
-    """Entries written by the pre-shard flat layout stay readable."""
-
-    @staticmethod
-    def _plant_flat_entry(cache, key, value):
-        import pickle
-
-        cache.directory.mkdir(parents=True, exist_ok=True)
-        cache.legacy_path_for(key).write_bytes(
-            pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-
-    def test_get_reads_and_migrates_flat_entries(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = "ab" * 32
-        self._plant_flat_entry(cache, key, {"cycles": 7.0})
-        assert cache.get(key) == {"cycles": 7.0}
-        # Migrated into its shard; the flat file is gone.
-        assert cache.path_for(key).exists()
-        assert not cache.legacy_path_for(key).exists()
-        assert ResultCache(tmp_path).get(key) == {"cycles": 7.0}
-
-    def test_get_many_spans_both_layouts(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        flat_key = "cd" * 32
-        sharded_key = "ef" * 32
-        absent_key = "01" * 32
-        self._plant_flat_entry(cache, flat_key, "flat")
-        cache.put(sharded_key, "sharded")
-        fresh = ResultCache(tmp_path)
-        found = fresh.get_many([flat_key, sharded_key, absent_key])
-        assert found == {flat_key: "flat", sharded_key: "sharded"}
-        assert not fresh.legacy_path_for(flat_key).exists()
-
-    def test_maintenance_covers_flat_entries(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        self._plant_flat_entry(cache, "12" * 32, "legacy")
-        cache.put("34" * 32, "sharded")
-        assert cache.entry_count() == 2
-        assert cache.size_bytes() > 0
-        report = cache.stats_report()
-        assert report["entries"] == 2
-        assert report["legacy_entries"] == 1
-        assert report["shard_dirs"] >= 1
-        assert cache.clear() == 2
-        assert cache.entry_count() == 0
-
-    def test_prune_evicts_flat_entries_too(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        self._plant_flat_entry(cache, "56" * 32, "legacy-" + "x" * 100)
-        report = cache.prune(0)
-        assert report.removed_entries == 1
-        assert cache.entry_count() == 0
 
 
 class TestRunnerTelemetry:
@@ -973,28 +959,10 @@ class TestEnvironmentKnobs:
         assert "x5" in text and "persistent" in text and "cost" in text
         assert "serial" in repr(BatchRunner(parallel=False, cache=None))
 
-    def test_schedule_knob_validates(self, monkeypatch):
-        from repro.runtime import runner as runner_module
-
-        monkeypatch.setenv("REPRO_SCHED", "bogus")
-        with pytest.raises(ValueError, match="REPRO_SCHED"):
-            runner_module._env_schedule()
-        monkeypatch.setenv("REPRO_SCHED", "fifo")
-        assert BatchRunner(parallel=False, cache=None).schedule == "fifo"
-
-    def test_fifo_schedule_matches_cost_schedule_results(self, tmp_path):
-        jobs = [
-            _layer_job(design=design, index=index)
-            for index in (0, 1)
-            for design in DESIGN_ORDER
-        ]
-        cost = BatchRunner(parallel=False, cache=ResultCache(tmp_path / "a"))
-        fifo = BatchRunner(
-            parallel=False, cache=ResultCache(tmp_path / "b"), schedule="fifo"
-        )
-        for ours, legacy in zip(cost.run(jobs), fifo.run(jobs)):
-            assert ours.total_cycles == legacy.total_cycles
-            assert ours.stats == legacy.stats
+    def test_cost_is_the_only_schedule(self):
+        BatchRunner(parallel=False, cache=None, schedule="cost")
+        with pytest.raises(ValueError, match="schedule"):
+            BatchRunner(parallel=False, cache=None, schedule="fifo")
 
 
 class TestEngineResultSharing:
@@ -1012,7 +980,7 @@ class TestEngineResultSharing:
         # from the cached trial, so no new engine entry appeared.
         assert cache.entry_count() == entries_after_flexagon + 1
 
-    def test_sharing_is_bit_equivalent_to_direct_execution(self, tmp_path, monkeypatch):
+    def test_sharing_is_bit_equivalent_to_direct_execution(self, tmp_path):
         jobs = [_layer_job(design=design) for design in DESIGN_ORDER]
         direct = BatchRunner(parallel=False, cache=None).run(jobs)
 
@@ -1027,24 +995,16 @@ class TestEngineResultSharing:
             assert via_cache.str_cache_miss_rate == via_engine.str_cache_miss_rate
             assert via_cache.dram == via_engine.dram
 
-        monkeypatch.setenv("REPRO_SHARE_ENGINE", "0")
-        unshared = BatchRunner(
-            parallel=False, cache=ResultCache(tmp_path / "unshared")
-        ).run(jobs)
-        for via_cache, via_engine in zip(unshared, direct):
-            assert via_cache.cycles == via_engine.cycles
-            assert via_cache.stats == via_engine.stats
-
 
 class TestWarmCacheEndToEnd:
     def test_second_run_executes_zero_jobs(self, tmp_path):
         cold = BatchRunner(parallel=False, cache=ResultCache(tmp_path))
-        first = run_end_to_end(SETTINGS, runner=cold)
+        first = Session(SETTINGS, runner=cold).end_to_end()
         assert cold.stats.executed > 0
         assert cold.stats.cache_hits == 0
 
         warm = BatchRunner(parallel=False, cache=ResultCache(tmp_path))
-        second = run_end_to_end(SETTINGS, runner=warm)
+        second = Session(SETTINGS, runner=warm).end_to_end()
         assert warm.stats.executed == 0
         assert warm.stats.cache_misses == 0
         assert warm.stats.cache_hits == warm.stats.submitted > 0
@@ -1052,7 +1012,7 @@ class TestWarmCacheEndToEnd:
 
     def test_parallel_writers_fill_a_shared_cache(self, tmp_path):
         cold = BatchRunner(parallel=True, max_workers=4, cache=ResultCache(tmp_path))
-        run_layerwise_comparison(SETTINGS, runner=cold)
+        Session(SETTINGS, runner=cold).layerwise()
         warm = BatchRunner(parallel=False, cache=ResultCache(tmp_path))
-        run_layerwise_comparison(SETTINGS, runner=warm)
+        Session(SETTINGS, runner=warm).layerwise()
         assert warm.stats.executed == 0

@@ -16,7 +16,7 @@ Environment knobs:
 * ``REPRO_MAX_DENSE_MACS`` — override the per-layer dense-MAC budget used to
   pick the scale factor (default used by the benches: 2e6).
 * ``REPRO_MAX_LAYERS`` — cap on simulated layers per model (default 8).
-* ``REPRO_WORKERS`` / ``REPRO_PARALLEL=0`` — process-pool width / force the
+* ``REPRO_WORKERS`` — process-pool width; ``REPRO_WORKERS=1`` runs the
   serial executor (see :mod:`repro.runtime.runner`).
 * ``REPRO_CACHE_DIR`` / ``REPRO_CACHE=0`` — result-cache directory / disable
   the persistent cache (see :mod:`repro.runtime.cache`).
@@ -60,8 +60,6 @@ def session(settings):
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Report what the simulation runtime did for this benchmark session."""
-    from repro.engine_vec import resolve_engine_backend
-
     runner = default_runner()
     stats = runner.stats
     if stats.submitted == 0:
@@ -75,12 +73,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if runner.parallel
         else "serial"
     )
-    terminalreporter.write_line(
-        f"executor: {executor}"
-        # BENCH trajectories must be attributable to the backend that
-        # produced them (REPRO_ENGINE; both backends are bit-equivalent).
-        + f"   engine backend: {resolve_engine_backend()}"
-    )
+    terminalreporter.write_line(f"executor: {executor}")
 
 
 def run_once(benchmark, func, *args, **kwargs):

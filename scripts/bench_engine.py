@@ -1,11 +1,14 @@
-"""Timed engine-backend benchmark: fig12 + fig15 under both backends.
+"""Timed engine benchmark: fig12 + fig15 on the NumPy kernels and on the oracle.
 
 Runs the figure suite cold (no result cache, serial executor, fresh process
-memos per backend) with the reference and the vectorized engine backend,
-records per-backend wall-clock and the speedup in ``BENCH_engine.json``, and
-— in ``--check`` mode — fails when the vectorized backend has regressed by
-more than 20% against the committed baseline *speedup* (a machine-relative
-quantity, so the check is portable across hosts of different absolute speed).
+memos per run) twice: once on the engine's NumPy kernels (``vectorized``)
+and once with :class:`~repro.accelerators.engine.ReferenceEngine`'s
+per-batch Python walk installed as every engine run's kernel
+(``reference``).  It records both wall-clocks and the speedup in
+``BENCH_engine.json`` and — in ``--check`` mode — fails when the kernels
+have regressed by more than 20% against the committed baseline *speedup* (a
+machine-relative quantity, so the check is portable across hosts of
+different absolute speed).
 
 Usage::
 
@@ -24,23 +27,29 @@ SUITE = ("fig12", "fig15")
 
 
 def run_suite(engine: str, budget: float, max_layers: int) -> float:
-    """Cold wall-clock seconds of the figure suite under one backend."""
+    """Cold wall-clock seconds of the figure suite on ``engine``'s kernels."""
+    from repro.accelerators.engine import ReferenceEngine, SpmspmEngine
     from repro.api import Session
     from repro.experiments.settings import default_settings
     from repro.runtime import BatchRunner
     from repro.workloads.layers import _materialize_cached
 
-    # Both backends run in this process; drop the operand memo so neither
+    # Both runs share this process; drop the operand memo so neither
     # inherits warmed layers from the other and the comparison stays cold.
     _materialize_cached.cache_clear()
-    settings = default_settings(
-        max_dense_macs=budget, max_layers_per_model=max_layers, engine=engine
-    )
+    settings = default_settings(max_dense_macs=budget, max_layers_per_model=max_layers)
     session = Session(settings, runner=BatchRunner(parallel=False, cache=None))
-    start = time.perf_counter()
-    for figure in SUITE:
-        session.figure(figure)
-    return time.perf_counter() - start
+    kernel = SpmspmEngine._run_kernel
+    if engine == "reference":
+        # Serial and uncached, so every engine run happens in this process.
+        SpmspmEngine._run_kernel = ReferenceEngine._run_kernel
+    try:
+        start = time.perf_counter()
+        for figure in SUITE:
+            session.figure(figure)
+        return time.perf_counter() - start
+    finally:
+        SpmspmEngine._run_kernel = kernel
 
 
 def main(argv: list[str] | None = None) -> int:

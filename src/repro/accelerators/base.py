@@ -22,14 +22,9 @@ class Accelerator(abc.ABC):
     #: Human-readable name used in result records and benchmark tables.
     name: str = "accelerator"
 
-    def __init__(
-        self,
-        config: AcceleratorConfig | None = None,
-        *,
-        engine: str | None = None,
-    ) -> None:
+    def __init__(self, config: AcceleratorConfig | None = None) -> None:
         self.config = config or default_config()
-        self.engine = SpmspmEngine(self.config, backend=engine)
+        self.engine = SpmspmEngine(self.config)
         #: Optional serial :class:`~repro.runtime.BatchRunner` that routes
         #: the configured engine run through the shared content-addressed
         #: result cache (attached by :func:`repro.runtime.build_design`).
@@ -111,7 +106,6 @@ class Accelerator(abc.ABC):
                     a=a,
                     b=b,
                     dataflow=chosen,
-                    engine=self.engine.backend,
                 )
             )
             return replace(record, accelerator=self.name, layer_name=layer_name)

@@ -10,10 +10,10 @@ that substrate: it executes one SpMSpM layer under a given dataflow and
 returns cycles (split into stationary / streaming / merging phases), on-chip
 and off-chip traffic, cache miss rates and PSRAM behaviour.
 
-Modelling approach (see DESIGN.md, "Simulation fidelity model"): the engine
-walks the exact element streams each dataflow produces, drives an exact
-set-associative model of the streaming cache and an occupancy model of the
-PSRAM, and converts element counts into cycles with the configured bandwidth
+Modelling approach: the NumPy kernels of :mod:`repro.engine_vec.kernels`
+count the exact element streams each dataflow produces, run an exact LRU
+model of the set-associative streaming cache and an occupancy model of the
+PSRAM, and convert element counts into cycles with the configured bandwidth
 bounds:
 
 * the Distribution Network injects at most ``distribution_bandwidth``
@@ -24,6 +24,8 @@ bounds:
 
 The per-phase time is the maximum of the compute-bound and memory-bound
 terms, the standard first-order throughput model for streaming accelerators.
+:class:`ReferenceEngine` keeps the per-batch Python walk the kernels
+reproduce bit for bit, as the test oracle.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from repro.arch.memory.dram import DramModel
 from repro.dataflows.base import DATAFLOW_PROPERTIES, Dataflow, DataflowClass
 from repro.dataflows.runner import run_dataflow
 from repro.dataflows.stats import DataflowStats
-from repro.engine_vec import resolve_engine_backend
+from repro.engine_vec import kernels
 from repro.metrics.results import LayerSimResult, PhaseCycles, TrafficBreakdown
 from repro.sparse.formats import CompressedMatrix, Layout, cached_derived
 
@@ -74,22 +76,10 @@ class _LayerContext:
 
 
 class SpmspmEngine:
-    """Cycle-accounting simulator of one SpMSpM layer on the shared substrate.
+    """Cycle-accounting simulator of one SpMSpM layer on the shared substrate."""
 
-    Two execution backends are available (``backend``, default resolved from
-    the ``REPRO_ENGINE`` environment variable, falling back to
-    ``"vectorized"``):
-
-    * ``"reference"`` — the per-batch Python walks below, the behavioural
-      ground truth.
-    * ``"vectorized"`` — the NumPy array kernels of :mod:`repro.engine_vec`,
-      bit-equivalent to the reference (same :class:`LayerSimResult`, down to
-      the floating-point cycle sums) but much faster.
-    """
-
-    def __init__(self, config: AcceleratorConfig, backend: str | None = None) -> None:
+    def __init__(self, config: AcceleratorConfig) -> None:
         self.config = config
-        self.backend = resolve_engine_backend(backend)
 
     # ------------------------------------------------------------------
     # Public entry point
@@ -123,22 +113,7 @@ class SpmspmEngine:
             return replace(mirrored, dataflow=dataflow, output=output)
 
         ctx = self._build_context(dataflow, a, b)
-        if self.backend == "vectorized":
-            from repro.engine_vec import kernels
-
-            runner = {
-                DataflowClass.INNER_PRODUCT: kernels.run_inner_product,
-                DataflowClass.OUTER_PRODUCT: kernels.run_outer_product,
-                DataflowClass.GUSTAVSON: kernels.run_gustavson,
-            }[dataflow.dataflow_class]
-            runner(self, ctx)
-        else:
-            runner = {
-                DataflowClass.INNER_PRODUCT: self._run_inner_product,
-                DataflowClass.OUTER_PRODUCT: self._run_outer_product,
-                DataflowClass.GUSTAVSON: self._run_gustavson,
-            }[dataflow.dataflow_class]
-            runner(ctx)
+        self._run_kernel(dataflow, ctx)
 
         ctx.traffic.offchip_bytes = ctx.dram.traffic.total_bytes
         output = None
@@ -209,6 +184,131 @@ class SpmspmEngine:
         ctx.a_csr = a_csr
         ctx.b_csr = b_csr
         return ctx
+
+    def _run_kernel(self, dataflow: Dataflow, ctx: _LayerContext) -> None:
+        """Run the NumPy kernel of ``dataflow``'s family over ``ctx``.
+
+        Looked up on the module per call, so a wrapper installed on
+        ``kernels.run_*`` (the per-layer trace) sees every run.
+        """
+        kernel = {
+            DataflowClass.INNER_PRODUCT: kernels.run_inner_product,
+            DataflowClass.OUTER_PRODUCT: kernels.run_outer_product,
+            DataflowClass.GUSTAVSON: kernels.run_gustavson,
+        }[dataflow.dataflow_class]
+        kernel(self, ctx)
+
+    # ------------------------------------------------------------------
+    # Shared merging-phase model (Outer Product)
+    # ------------------------------------------------------------------
+    def _merge_partial_fibers(
+        self, ctx: _LayerContext, psum_rows: np.ndarray, psum_lens: np.ndarray
+    ) -> None:
+        """Model the OP merging phase from the list of partial fiber lengths."""
+        cfg = self.config
+        if len(psum_rows) == 0:
+            return
+
+        order = np.argsort(psum_rows, kind="stable")
+        rows_sorted = psum_rows[order]
+        lens_sorted = psum_lens[order]
+        row_starts = np.flatnonzero(
+            np.concatenate(([True], rows_sorted[1:] != rows_sorted[:-1]))
+        )
+        row_ends = np.concatenate((row_starts[1:], [len(rows_sorted)]))
+
+        # A merge pass must combine at least two fibers to make progress, even
+        # in a degenerate single-multiplier configuration.
+        leaves = max(2, cfg.num_multipliers)
+        total_merge_inputs = 0
+        merge_cycles = 0.0
+        total_spilled_blocks = 0
+        total_blocks_needed = int(
+            np.ceil(lens_sorted / max(1, cfg.psram_elements_per_block)).sum()
+        )
+        # Per-row counts of non-empty partial fibers and total inputs; a row
+        # whose fibers fit one pass (the overwhelmingly common case) needs no
+        # per-row array slicing or pending-list walk.
+        positive_prefix = np.concatenate(([0], np.cumsum(lens_sorted > 0)))
+        length_prefix = np.concatenate(([0], np.cumsum(lens_sorted)))
+        row_fibers = (positive_prefix[row_ends] - positive_prefix[row_starts]).tolist()
+        row_inputs = (length_prefix[row_ends] - length_prefix[row_starts]).tolist()
+        tree_depth = ctx.tree_depth
+        red_bw = cfg.reduction_bandwidth
+        for index, (rs, re) in enumerate(zip(row_starts, row_ends)):
+            fibers = row_fibers[index]
+            if fibers == 0:
+                continue
+            if fibers <= leaves:
+                # Single pass: every partial fiber of the row merges at once.
+                inputs = row_inputs[index]
+                total_merge_inputs += inputs
+                merge_cycles += inputs / red_bw + tree_depth
+                ctx.stats.merge_passes += 1
+                continue
+            # Multi-pass row: the tree repeatedly folds ``leaves`` fibers into
+            # one partial result that re-enters the next pass, i.e. pass 1
+            # consumes ``leaves`` fibers and every later pass ``leaves - 1``
+            # fresh ones plus the previous merge.  Walking prefix sums
+            # reproduces the pending-list fold without per-pass list slicing.
+            row = int(rows_sorted[rs])
+            out_len = int(ctx.c_row_nnz[row])
+            lengths = lens_sorted[rs:re]
+            prefix = np.concatenate(([0], np.cumsum(lengths[lengths > 0]))).tolist()
+            count = len(prefix) - 1
+            inputs = prefix[leaves]
+            total_merge_inputs += inputs
+            merge_cycles += inputs / red_bw + tree_depth
+            passes = 1
+            consumed = leaves
+            while consumed < count:
+                merged_len = min(inputs, out_len)
+                ctx.stats.psum_writes += merged_len
+                ctx.traffic.psum_bytes += merged_len * ctx.element_bytes
+                upto = min(consumed + leaves - 1, count)
+                inputs = merged_len + prefix[upto] - prefix[consumed]
+                total_merge_inputs += inputs
+                merge_cycles += inputs / red_bw + tree_depth
+                passes += 1
+                consumed = upto
+            ctx.stats.merge_passes += passes
+
+        ctx.stats.psum_reads += total_merge_inputs
+        ctx.traffic.psum_bytes += total_merge_inputs * ctx.element_bytes
+
+        # PSRAM occupancy: all partial fibers of the layer coexist before the
+        # merging phase starts; anything beyond the PSRAM capacity spills.
+        if total_blocks_needed > cfg.psram_blocks:
+            total_spilled_blocks = total_blocks_needed - cfg.psram_blocks
+        spill_bytes = total_spilled_blocks * cfg.psram_block_bytes
+        if spill_bytes:
+            ctx.dram.spill_psums(spill_bytes)
+
+        output_bytes = int(ctx.c_row_nnz.sum()) * ctx.element_bytes
+        ctx.dram.write_output(output_bytes)
+        dram_cycles = (2 * spill_bytes + output_bytes) / ctx.dram.bytes_per_cycle
+        ctx.cycles.merging += max(merge_cycles, dram_cycles)
+
+
+class ReferenceEngine(SpmspmEngine):
+    """The per-batch Python walk the kernels reproduce: a test oracle.
+
+    Each dataflow is walked one multiplier batch at a time, driving the
+    per-line cache model of :class:`StreamingTileReader` fiber by fiber.
+    The runtime never selects it; ``tests/test_engine_equivalence.py``
+    asserts the kernels match it bit for bit and ``scripts/bench_engine.py``
+    times them against it.  Only :meth:`_run_kernel` is overridden, and it
+    calls the walks through the class, so installing it on
+    :class:`SpmspmEngine` routes every engine run of a sweep through them.
+    """
+
+    def _run_kernel(self, dataflow: Dataflow, ctx: _LayerContext) -> None:
+        walk = {
+            DataflowClass.INNER_PRODUCT: ReferenceEngine._run_inner_product,
+            DataflowClass.OUTER_PRODUCT: ReferenceEngine._run_outer_product,
+            DataflowClass.GUSTAVSON: ReferenceEngine._run_gustavson,
+        }[dataflow.dataflow_class]
+        walk(self, ctx)
 
     # ------------------------------------------------------------------
     # Inner Product (SIGMA-like behaviour)
@@ -439,97 +539,6 @@ class SpmspmEngine:
 
         ctx.stats.output_elements = int(ctx.c_row_nnz.sum())
 
-    # ------------------------------------------------------------------
-    # Shared merging-phase model (Outer Product)
-    # ------------------------------------------------------------------
-    def _merge_partial_fibers(
-        self, ctx: _LayerContext, psum_rows: np.ndarray, psum_lens: np.ndarray
-    ) -> None:
-        """Model the OP merging phase from the list of partial fiber lengths."""
-        cfg = self.config
-        if len(psum_rows) == 0:
-            return
-
-        order = np.argsort(psum_rows, kind="stable")
-        rows_sorted = psum_rows[order]
-        lens_sorted = psum_lens[order]
-        row_starts = np.flatnonzero(
-            np.concatenate(([True], rows_sorted[1:] != rows_sorted[:-1]))
-        )
-        row_ends = np.concatenate((row_starts[1:], [len(rows_sorted)]))
-
-        # A merge pass must combine at least two fibers to make progress, even
-        # in a degenerate single-multiplier configuration.
-        leaves = max(2, cfg.num_multipliers)
-        total_merge_inputs = 0
-        merge_cycles = 0.0
-        total_spilled_blocks = 0
-        total_blocks_needed = int(
-            np.ceil(lens_sorted / max(1, cfg.psram_elements_per_block)).sum()
-        )
-        # Per-row counts of non-empty partial fibers and total inputs; a row
-        # whose fibers fit one pass (the overwhelmingly common case) needs no
-        # per-row array slicing or pending-list walk.
-        positive_prefix = np.concatenate(([0], np.cumsum(lens_sorted > 0)))
-        length_prefix = np.concatenate(([0], np.cumsum(lens_sorted)))
-        row_fibers = (positive_prefix[row_ends] - positive_prefix[row_starts]).tolist()
-        row_inputs = (length_prefix[row_ends] - length_prefix[row_starts]).tolist()
-        tree_depth = ctx.tree_depth
-        red_bw = cfg.reduction_bandwidth
-        for index, (rs, re) in enumerate(zip(row_starts, row_ends)):
-            fibers = row_fibers[index]
-            if fibers == 0:
-                continue
-            if fibers <= leaves:
-                # Single pass: every partial fiber of the row merges at once.
-                inputs = row_inputs[index]
-                total_merge_inputs += inputs
-                merge_cycles += inputs / red_bw + tree_depth
-                ctx.stats.merge_passes += 1
-                continue
-            # Multi-pass row: the tree repeatedly folds ``leaves`` fibers into
-            # one partial result that re-enters the next pass, i.e. pass 1
-            # consumes ``leaves`` fibers and every later pass ``leaves - 1``
-            # fresh ones plus the previous merge.  Walking prefix sums
-            # reproduces the pending-list fold without per-pass list slicing.
-            row = int(rows_sorted[rs])
-            out_len = int(ctx.c_row_nnz[row])
-            lengths = lens_sorted[rs:re]
-            prefix = np.concatenate(([0], np.cumsum(lengths[lengths > 0]))).tolist()
-            count = len(prefix) - 1
-            inputs = prefix[leaves]
-            total_merge_inputs += inputs
-            merge_cycles += inputs / red_bw + tree_depth
-            passes = 1
-            consumed = leaves
-            while consumed < count:
-                merged_len = min(inputs, out_len)
-                ctx.stats.psum_writes += merged_len
-                ctx.traffic.psum_bytes += merged_len * ctx.element_bytes
-                upto = min(consumed + leaves - 1, count)
-                inputs = merged_len + prefix[upto] - prefix[consumed]
-                total_merge_inputs += inputs
-                merge_cycles += inputs / red_bw + tree_depth
-                passes += 1
-                consumed = upto
-            ctx.stats.merge_passes += passes
-
-        ctx.stats.psum_reads += total_merge_inputs
-        ctx.traffic.psum_bytes += total_merge_inputs * ctx.element_bytes
-
-        # PSRAM occupancy: all partial fibers of the layer coexist before the
-        # merging phase starts; anything beyond the PSRAM capacity spills.
-        if total_blocks_needed > cfg.psram_blocks:
-            total_spilled_blocks = total_blocks_needed - cfg.psram_blocks
-        spill_bytes = total_spilled_blocks * cfg.psram_block_bytes
-        if spill_bytes:
-            ctx.dram.spill_psums(spill_bytes)
-
-        output_bytes = int(ctx.c_row_nnz.sum()) * ctx.element_bytes
-        ctx.dram.write_output(output_bytes)
-        dram_cycles = (2 * spill_bytes + output_bytes) / ctx.dram.bytes_per_cycle
-        ctx.cycles.merging += max(merge_cycles, dram_cycles)
-
 
 # ----------------------------------------------------------------------
 # Helpers
@@ -590,15 +599,13 @@ def _output_row_nnz(a_csr: CompressedMatrix, b_csr: CompressedMatrix) -> np.ndar
     arrays (rows of A are the groups) instead of a per-row Python union —
     the counts are exact integers either way.
     """
-    from repro.engine_vec.kernels import grouped_union_counts
-
     a_indices = np.asarray(a_csr.indices, dtype=np.int64)
     if len(a_indices) == 0:
         return np.zeros(a_csr.nrows, dtype=np.int64)
     rows_of = np.repeat(
         np.arange(a_csr.nrows, dtype=np.int64), np.diff(a_csr.pointers)
     )
-    return grouped_union_counts(
+    return kernels.grouped_union_counts(
         np.asarray(b_csr.indices, dtype=np.int64),
         np.asarray(b_csr.pointers, dtype=np.int64),
         a_indices,

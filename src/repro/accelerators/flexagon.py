@@ -26,9 +26,8 @@ class FlexagonAccelerator(Accelerator):
         config: AcceleratorConfig | None = None,
         *,
         mapper: "object | None" = None,
-        engine: str | None = None,
     ) -> None:
-        super().__init__(config, engine=engine)
+        super().__init__(config)
         if mapper is None:
             # Imported lazily to keep the accelerators package importable
             # without the core package (and to avoid an import cycle).

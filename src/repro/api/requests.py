@@ -183,7 +183,6 @@ class SweepSpec:
                         scale=scale,
                         seed=seed,
                         layer_name=spec.name,
-                        engine=settings.engine,
                     )
                 )
                 meta.append({"model": model_name, "layer": spec.name, "design": design})

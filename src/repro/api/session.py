@@ -149,7 +149,6 @@ class Session:
                 a=a,
                 b=b,
                 layer_name=layer_name,
-                engine=self.settings.engine,
             )
             for design in designs
         ]

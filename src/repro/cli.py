@@ -30,7 +30,6 @@ import sys
 from repro.api.figures import FIGURES
 from repro.api.requests import FigureQuery, SweepSpec
 from repro.api.session import Session
-from repro.engine_vec import ENGINE_BACKENDS
 from repro.experiments.settings import default_settings
 from repro.metrics.reporting import format_table
 from repro.runtime import BatchRunner, ResultCache
@@ -58,11 +57,6 @@ def _add_settings_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--seed-salt", type=int, default=None, metavar="N",
         help="random-seed salt for synthetic matrix generation",
-    )
-    group.add_argument(
-        "--engine", default=None, choices=ENGINE_BACKENDS,
-        help="SpMSpM engine backend (default: REPRO_ENGINE or 'vectorized'; "
-        "both backends are bit-equivalent)",
     )
 
 
@@ -113,8 +107,6 @@ def _settings_from_args(args: argparse.Namespace):
         overrides["max_layers_per_model"] = args.max_layers
     if args.seed_salt is not None:
         overrides["seed_salt"] = args.seed_salt
-    if args.engine is not None:
-        overrides["engine"] = args.engine
     return default_settings(**overrides)
 
 

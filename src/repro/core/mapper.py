@@ -160,13 +160,9 @@ class OracleMapper:
         self,
         config: AcceleratorConfig | None = None,
         runner: "object | None" = None,
-        *,
-        engine: str | None = None,
     ) -> None:
         self.config = config or default_config()
         self._runner = runner
-        #: Engine backend the candidate trials run with (``None``: env default).
-        self.engine = engine
 
     @property
     def runner(self):
@@ -197,7 +193,6 @@ class OracleMapper:
                     a=a,
                     b=b,
                     dataflow=dataflow,
-                    engine=self.engine,
                 )
                 for dataflow in candidates
             ]

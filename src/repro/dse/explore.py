@@ -114,7 +114,6 @@ class DseSpec:
                         scale=scale,
                         seed=spec.deterministic_seed(settings.seed_salt),
                         layer_name=spec.name,
-                        engine=settings.engine,
                     )
                 else:
                     a, b = workload.operands()
@@ -124,7 +123,6 @@ class DseSpec:
                         a=a,
                         b=b,
                         layer_name=workload.name,
-                        engine=settings.engine,
                     )
                 jobs.append(job)
                 meta.append(

@@ -1,22 +1,22 @@
-"""Vectorized SpMSpM engine backend.
+"""The NumPy kernels of the SpMSpM engine.
 
-This package is the second execution backend of
-:class:`repro.accelerators.engine.SpmspmEngine`.  The reference backend walks
-the element streams of a dataflow one batch at a time in Python and drives a
-per-line set-associative cache model; the vectorized backend computes the
-same quantities with NumPy array kernels over the zero-copy CSR/CSC storage
-views (``pointers`` / ``indices`` / ``values``) of
+:class:`repro.accelerators.engine.SpmspmEngine` runs every layer through
+the array kernels of :mod:`repro.engine_vec.kernels`.  They compute the
+quantities of a dataflow walk over the zero-copy CSR/CSC storage views
+(``pointers`` / ``indices`` / ``values``) of
 :class:`~repro.sparse.formats.CompressedMatrix`, never materialising
-``Fiber`` / ``Element`` objects.
+``Fiber`` / ``Element`` objects or walking one multiplier batch at a time.
 
 Fidelity contract
 -----------------
-The backend is **bit-equivalent** to the reference engine: for any operand
-pair, dataflow and configuration, the resulting
+The kernels are **bit-equivalent** to the per-batch Python walk kept as the
+test oracle :class:`repro.accelerators.engine.ReferenceEngine`:
+for any operand pair, dataflow and configuration, the resulting
 :class:`~repro.metrics.results.LayerSimResult` — cycles (including the exact
 floating-point accumulation), traffic breakdowns, cache access/hit/miss
-counts, DRAM counters and PSRAM statistics — is *equal*, not merely close.
-That holds because nothing is approximated:
+counts, DRAM counters and PSRAM statistics — is *equal*, not merely close
+(enforced by ``tests/test_engine_equivalence``).  That holds because nothing
+is approximated:
 
 * **Operation counts** (multiplications, merge inputs, union/output sizes)
   are exact integers computed with vectorized prefix sums and grouped
@@ -29,56 +29,10 @@ That holds because nothing is approximated:
   :class:`~repro.arch.memory.cache.StreamingCache`.
 * **Cycle accumulation order** is preserved: per-batch cycle terms are
   computed as float64 arrays with the same expression shapes and then summed
-  in the reference's iteration order, so the floating-point results are
+  in the walk's iteration order, so the floating-point results are
   identical bit for bit.
 * The **merging-phase model** (partial-fiber merge trees) is computed
-  analytically from fiber lengths, shared verbatim with the reference
-  backend.
-
-Selection
----------
-The backend is chosen via ``ExperimentSettings.engine``, the
-``REPRO_ENGINE`` environment variable or ``python -m repro --engine``
-(default: ``vectorized``; ``reference`` is kept for auditing).  The runtime's
-job cache keys deliberately do *not* include the backend — both backends
-must produce identical results (enforced by ``tests/test_engine_equivalence``),
-so cached results are shared between them.
+  analytically from fiber lengths by
+  :meth:`SpmspmEngine._merge_partial_fibers`, which the kernels and the
+  oracle share.
 """
-
-from __future__ import annotations
-
-from repro import knobs
-
-#: The available engine backends, in preference order.
-ENGINE_BACKENDS = ("vectorized", "reference")
-
-#: Backend used when neither the caller nor the environment chooses one.
-DEFAULT_ENGINE_BACKEND = "vectorized"
-
-
-def validate_engine_backend(name: str) -> str:
-    """Check that ``name`` is a known backend; return it unchanged."""
-    if name not in ENGINE_BACKENDS:
-        raise ValueError(
-            f"unknown engine backend {name!r}; expected one of {ENGINE_BACKENDS}"
-        )
-    return name
-
-
-def resolve_engine_backend(name: str | None = None) -> str:
-    """Resolve an engine-backend choice to a validated backend name.
-
-    ``None`` falls back to the ``REPRO_ENGINE`` environment variable and then
-    to :data:`DEFAULT_ENGINE_BACKEND`.
-    """
-    return validate_engine_backend(
-        name or knobs.get("REPRO_ENGINE") or DEFAULT_ENGINE_BACKEND
-    )
-
-
-__all__ = [
-    "ENGINE_BACKENDS",
-    "DEFAULT_ENGINE_BACKEND",
-    "resolve_engine_backend",
-    "validate_engine_backend",
-]

@@ -1,14 +1,14 @@
 """NumPy array kernels for the three dataflow walks.
 
 Each ``run_*`` function below is the vectorized twin of the corresponding
-``SpmspmEngine._run_*`` method: it consumes the same
+``ReferenceEngine._run_*`` walk: it consumes the same
 :class:`~repro.accelerators.engine._LayerContext` and produces **identical**
 statistics, traffic, DRAM counters and cycle counts (see the package
 docstring for the fidelity contract).  The kernels operate directly on the
 CSR/CSC storage arrays (``pointers`` / ``indices``), replace the per-element
 cache walk with the batched LRU model of
 :mod:`repro.engine_vec.cache_model`, and compute per-batch cycle terms as
-float64 arrays that are then accumulated in the reference's iteration order
+float64 arrays that are then accumulated in the walk's iteration order
 so the floating-point sums match bit for bit.
 """
 
@@ -159,7 +159,7 @@ def _fiber_touch_misses(ctx, cfg, fibers: np.ndarray, nnzs: np.ndarray) -> np.nd
 # Inner Product
 # ----------------------------------------------------------------------
 def run_inner_product(engine, ctx) -> None:
-    """Vectorized twin of :meth:`SpmspmEngine._run_inner_product`."""
+    """Vectorized twin of :meth:`ReferenceEngine._run_inner_product`."""
     from repro.accelerators.engine import _lines_for, _pack_whole_fibers
 
     cfg = engine.config
@@ -265,7 +265,7 @@ def run_inner_product(engine, ctx) -> None:
 # Outer Product
 # ----------------------------------------------------------------------
 def run_outer_product(engine, ctx) -> None:
-    """Vectorized twin of :meth:`SpmspmEngine._run_outer_product`."""
+    """Vectorized twin of :meth:`ReferenceEngine._run_outer_product`."""
     cfg = engine.config
     a_csc = ctx.stationary
     b_row_nnz = ctx.b_row_nnz
@@ -343,7 +343,7 @@ def run_outer_product(engine, ctx) -> None:
         )
 
     # The merging-phase model is analytic already and shared verbatim with
-    # the reference backend, which guarantees the merge cycles/traffic match.
+    # the reference walk, which guarantees the merge cycles/traffic match.
     engine._merge_partial_fibers(ctx, psum_rows, psum_lens)
     ctx.stats.output_elements = int(ctx.c_row_nnz.sum())
 
@@ -352,7 +352,7 @@ def run_outer_product(engine, ctx) -> None:
 # Gustavson
 # ----------------------------------------------------------------------
 def run_gustavson(engine, ctx) -> None:
-    """Vectorized twin of :meth:`SpmspmEngine._run_gustavson`."""
+    """Vectorized twin of :meth:`ReferenceEngine._run_gustavson`."""
     cfg = engine.config
     a_csr = ctx.stationary
     b_csr = ctx.streaming

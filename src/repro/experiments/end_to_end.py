@@ -202,7 +202,6 @@ def end_to_end_jobs(
                         scale=scale,
                         seed=seed,
                         layer_name=spec.name,
-                        engine=settings.engine,
                     )
                 )
     return jobs, configs, sampled_specs

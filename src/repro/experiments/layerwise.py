@@ -117,7 +117,6 @@ def layerwise_jobs(
             scale=scales[spec.name],
             seed=spec.deterministic_seed(settings.seed_salt),
             layer_name=spec.name,
-            engine=settings.engine,
         )
         for spec in REPRESENTATIVE_LAYERS
         for design in DESIGN_ORDER

@@ -9,6 +9,12 @@ factor so the working-set-to-capacity ratios — which drive the paper's
 cache-miss and traffic trends — are preserved.  Setting
 ``REPRO_FULL_SCALE=1`` in the environment (or ``max_dense_macs=None``)
 disables scaling entirely.
+
+Every experiment runs on the one SpMSpM engine
+(:class:`~repro.accelerators.engine.SpmspmEngine`), so the settings carry no
+engine choice.  Their record still writes the constant ``"engine":
+"vectorized"``: response bodies, ETags and DSE report keys hash that record,
+and dropping the key would change the wire format.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from dataclasses import dataclass, field, replace
 
 from repro import knobs
 from repro.arch.config import AcceleratorConfig, default_config
-from repro.engine_vec import DEFAULT_ENGINE_BACKEND, validate_engine_backend
 from repro.workloads.layers import LayerSpec, round_up_pow2, scale_for_budget
 
 
@@ -35,13 +40,6 @@ class ExperimentSettings:
     max_layers_per_model: int = 10
     #: Random-seed salt for synthetic matrix generation.
     seed_salt: int = 0
-    #: SpMSpM engine backend every simulation job runs with
-    #: (``"vectorized"`` or ``"reference"``).  The two are bit-equivalent;
-    #: the reference backend is kept for auditing the vectorized kernels.
-    engine: str = DEFAULT_ENGINE_BACKEND
-
-    def __post_init__(self) -> None:
-        validate_engine_backend(self.engine)
 
     # ------------------------------------------------------------------
     def to_record(self) -> dict[str, object]:
@@ -51,13 +49,14 @@ class ExperimentSettings:
             "max_dense_macs": self.max_dense_macs,
             "max_layers_per_model": self.max_layers_per_model,
             "seed_salt": self.seed_salt,
-            "engine": self.engine,
+            "engine": "vectorized",
         }
 
     @classmethod
     def from_record(cls, record: dict) -> "ExperimentSettings":
-        """Inverse of :meth:`to_record`."""
+        """Inverse of :meth:`to_record` (any ``engine`` key is ignored)."""
         fields = dict(record)
+        fields.pop("engine", None)
         config = AcceleratorConfig.from_record(fields.pop("config"))
         return cls(config=config, **fields)
 
@@ -119,8 +118,7 @@ def default_settings(**overrides) -> ExperimentSettings:
 
     ``REPRO_FULL_SCALE=1`` switches to unscaled, full-size layers;
     ``REPRO_MAX_DENSE_MACS`` overrides the per-layer MAC budget;
-    ``REPRO_ENGINE`` selects the engine backend
-    (``vectorized`` — the default — or ``reference``).
+    ``REPRO_MAX_LAYERS`` caps the sampled layers per model.
     """
     kwargs: dict = {}
     if knobs.get("REPRO_FULL_SCALE"):
@@ -131,8 +129,5 @@ def default_settings(**overrides) -> ExperimentSettings:
     env_layers = knobs.get("REPRO_MAX_LAYERS")
     if env_layers is not None:
         kwargs["max_layers_per_model"] = env_layers
-    env_engine = knobs.get("REPRO_ENGINE")
-    if env_engine:
-        kwargs["engine"] = env_engine
     kwargs.update(overrides)
     return ExperimentSettings(**kwargs)

@@ -124,10 +124,6 @@ KNOBS: dict[str, Knob] = {
             "Process-pool width (default: the full `os.cpu_count()`)",
         ),
         _knob(
-            "REPRO_PARALLEL", "1", _flag,
-            "Set to `0` to force the serial executor",
-        ),
-        _knob(
             "REPRO_POOL", "persistent", _choice("REPRO_POOL", POOL_MODES),
             "Worker pool: `persistent` (default) or `remote`",
         ),
@@ -171,10 +167,6 @@ KNOBS: dict[str, Knob] = {
         _knob(
             "REPRO_MAX_LAYERS", None, _integer("REPRO_MAX_LAYERS"),
             "Layers sampled per model in the end-to-end sweep",
-        ),
-        _knob(
-            "REPRO_ENGINE", None, None,
-            "SpMSpM engine backend: `vectorized` (default) or `reference`",
         ),
         _knob(
             "REPRO_BACKOFF_INITIAL", "0.2",

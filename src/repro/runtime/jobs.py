@@ -34,7 +34,6 @@ from dataclasses import asdict, dataclass
 
 from repro.arch.config import AcceleratorConfig
 from repro.dataflows.base import Dataflow
-from repro.engine_vec import validate_engine_backend
 from repro.sparse.formats import CompressedMatrix
 from repro.workloads.layers import LayerSpec, materialize_layer
 
@@ -106,7 +105,6 @@ def build_design(
     config: AcceleratorConfig,
     *,
     trial_cache: object = SHARED_TRIAL_CACHE,
-    engine: str | None = None,
 ):
     """Instantiate one hardware design; Flexagon gets the oracle mapper.
 
@@ -132,11 +130,6 @@ def build_design(
     over the same operands, and Flexagon's own final run re-simulates its
     winning trial.  A cache-less nested runner (``trial_cache=None``) runs
     every engine simulation directly instead.
-
-    ``engine`` selects the :class:`~repro.accelerators.engine.SpmspmEngine`
-    execution backend (``"vectorized"`` / ``"reference"``; ``None`` defers to
-    ``REPRO_ENGINE`` and then the default).  Both backends are bit-equivalent,
-    so the choice never affects results — only how fast they are produced.
     """
     from repro.accelerators import (
         FlexagonAccelerator,
@@ -149,15 +142,15 @@ def build_design(
     if design == "Flexagon":
         from repro.core.mapper import OracleMapper
 
-        mapper = OracleMapper(config, runner=nested, engine=engine)
-        accelerator = FlexagonAccelerator(config, mapper=mapper, engine=engine)
+        mapper = OracleMapper(config, runner=nested)
+        accelerator = FlexagonAccelerator(config, mapper=mapper)
     else:
         classes = {
             "SIGMA-like": SigmaLikeAccelerator,
             "SpArch-like": SparchLikeAccelerator,
             "GAMMA-like": GammaLikeAccelerator,
         }
-        accelerator = classes[design](config, engine=engine)
+        accelerator = classes[design](config)
     if nested.cache is not None:
         accelerator.engine_job_runner = nested
     return accelerator
@@ -184,20 +177,12 @@ class SimJob:
     layer_name: str = ""
     a: CompressedMatrix | None = None
     b: CompressedMatrix | None = None
-    #: Engine backend the job executes with (``None``: ``REPRO_ENGINE`` /
-    #: default).  Deliberately **excluded** from :meth:`key`: the backends
-    #: are bit-equivalent (enforced by the equivalence suite), so cached
-    #: results are shared between them and a backend switch can never
-    #: invalidate or fork the cache.
-    engine: str | None = None
 
     def __post_init__(self) -> None:
         if self.design not in _KNOWN_DESIGNS:
             raise ValueError(
                 f"unknown design {self.design!r}; expected one of {_KNOWN_DESIGNS}"
             )
-        if self.engine is not None:
-            validate_engine_backend(self.engine)
         has_operands = self.a is not None and self.b is not None
         if (self.a is None) != (self.b is None):
             raise ValueError("operands a and b must be given together")
@@ -268,12 +253,10 @@ def execute_job(job: SimJob, *, trial_cache: object = SHARED_TRIAL_CACHE):
     if job.design == ENGINE_DESIGN:
         from repro.accelerators.engine import SpmspmEngine
 
-        return SpmspmEngine(job.config, backend=job.engine).run_layer(
+        return SpmspmEngine(job.config).run_layer(
             job.dataflow, a, b, layer_name=job.layer_name
         )
-    accelerator = build_design(
-        job.design, job.config, trial_cache=trial_cache, engine=job.engine
-    )
+    accelerator = build_design(job.design, job.config, trial_cache=trial_cache)
     return accelerator.run_layer(
         a, b, dataflow=job.dataflow, layer_name=job.layer_name
     )

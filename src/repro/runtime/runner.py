@@ -29,9 +29,9 @@ their results in order, doing four things along the way:
 Environment knobs (read when a runner is constructed without explicit
 arguments):
 
-* ``REPRO_PARALLEL=0``   — force serial execution.
 * ``REPRO_WORKERS=N``    — process-pool width.  Default: the full
   ``os.cpu_count()``; set ``REPRO_WORKERS`` to cap it on shared machines.
+  ``REPRO_WORKERS=1`` (or ``parallel=False``) runs serially.
 * ``REPRO_POOL``         — ``persistent`` (default: one process-wide pool
   reused across batches; see :mod:`repro.runtime.pool`) or ``remote``
   (dispatch chunks to the distributed fabric's pull queue, executed by
@@ -88,10 +88,6 @@ _MIN_GROUP_SPLIT = 8
 #: wait on) the process pool, so a handful is plenty; it bounds how many
 #: batches can be in flight concurrently, not how many cores they use.
 _SUBMIT_THREADS = 4
-
-
-def _env_parallel() -> bool:
-    return knobs.get("REPRO_PARALLEL")
 
 
 def _env_workers() -> int:
@@ -158,9 +154,8 @@ class BatchRunner:
         if schedule != "cost":
             raise ValueError(f"schedule must be 'cost', got {schedule!r}")
         self.max_workers = max_workers if max_workers is not None else _env_workers()
-        self.parallel = (parallel if parallel is not None else _env_parallel()) and (
-            self.max_workers > 1
-        )
+        # ``None``: parallel whenever the pool has more than one worker.
+        self.parallel = (parallel is None or parallel) and self.max_workers > 1
         self.cache = _env_cache() if cache is _DEFAULT else cache
         self.pool_mode = pool_mode if pool_mode is not None else pool_mode_from_env()
         #: Default progress callback applied to every :meth:`run` call.

@@ -51,6 +51,11 @@ MAX_BODY_BYTES = 1 << 20  # 1 MiB — a SweepSpec record is a few hundred bytes
 #: 1 MiB bound — see :func:`body_bound_for_path`.
 WORK_MAX_BODY_BYTES = 64 << 20
 
+#: Read size and wall-clock limit for draining a body refused with ``413``
+#: (see :func:`_discard_body`).
+DRAIN_CHUNK_BYTES = 64 << 10
+DRAIN_SECONDS = 10.0
+
 
 def body_bound_for_path(path: str) -> int:
     """Per-route request-body bound for listeners carrying fabric routes.
@@ -161,6 +166,8 @@ async def read_request(
             raise HttpError(400, "malformed Content-Length")
         bound = max_body(path) if callable(max_body) else max_body
         if length > bound:
+            if length <= WORK_MAX_BODY_BYTES:
+                await _discard_body(reader, length)
             raise HttpError(413, f"body larger than {bound} bytes")
         try:
             body = await reader.readexactly(length)
@@ -168,6 +175,30 @@ async def read_request(
             raise HttpError(400, "truncated body") from None
 
     return Request(method=method, path=path, headers=headers, body=body)
+
+
+async def _discard_body(reader: asyncio.StreamReader, length: int) -> None:
+    """Read and drop up to ``length`` body bytes before a ``413``.
+
+    The handler closes the connection after the ``413``; closing on unread
+    bytes resets it, and a client still sending its body then sees a broken
+    pipe instead of the status.  The bytes are read in
+    :data:`DRAIN_CHUNK_BYTES` pieces and never kept, and the drain gives up
+    after :data:`DRAIN_SECONDS` so a slow sender cannot hold the handler.
+    """
+
+    async def drain() -> None:
+        remaining = length
+        while remaining > 0:
+            chunk = await reader.read(min(remaining, DRAIN_CHUNK_BYTES))
+            if not chunk:
+                return
+            remaining -= len(chunk)
+
+    try:
+        await asyncio.wait_for(drain(), timeout=DRAIN_SECONDS)
+    except TimeoutError:
+        pass
 
 
 def encode_response(response: Response, *, keep_alive: bool) -> bytes:

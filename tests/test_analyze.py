@@ -148,7 +148,6 @@ class TestKnobRegistry:
     def test_defaults(self, monkeypatch):
         for name in knobs.KNOBS:
             monkeypatch.delenv(name, raising=False)
-        assert knobs.get("REPRO_PARALLEL") is True
         assert knobs.get("REPRO_CACHE") is True
         assert knobs.get("REPRO_WORKERS") is None
         assert knobs.get("REPRO_POOL") == "persistent"
@@ -156,7 +155,6 @@ class TestKnobRegistry:
         assert knobs.get("REPRO_MAX_ATTEMPTS") == 5
         assert knobs.get("REPRO_FABRIC_PORT") == 8735
         assert knobs.get("REPRO_FULL_SCALE") is False
-        assert knobs.get("REPRO_ENGINE") is None
 
     def test_empty_string_means_unset(self, monkeypatch):
         monkeypatch.setenv("REPRO_POOL", "")

@@ -1,33 +1,29 @@
-"""Bit-equivalence of the vectorized engine backend against the reference.
+"""Bit-equivalence of the engine's NumPy kernels against the reference walk.
 
-The vectorized backend (:mod:`repro.engine_vec`) promises *equality*, not
+:class:`SpmspmEngine` runs every layer through the kernels of
+:mod:`repro.engine_vec`; :class:`ReferenceEngine` keeps the per-batch
+Python walk as the oracle.  The kernels promise *equality*, not
 approximation: for any operands, dataflow and configuration, the full
 :class:`LayerSimResult` — exact float cycle sums, traffic, cache and DRAM
-counters — must match the reference walk, and cached results must be
-shareable between backends (backend-agnostic job keys).  This suite sweeps
-randomized sparsities/shapes/seeds across all six dataflows and several
-cache geometries (including degenerate single-set caches), cross-checks the
-batched LRU model against the per-line reference cache, and pins the
-backend-selection plumbing (settings, env, CLI, job keys).
+counters — must match the walk.  This suite sweeps randomized
+sparsities/shapes/seeds across all six dataflows and several cache
+geometries (including degenerate single-set caches), cross-checks the
+batched LRU model against the per-line reference cache, and compares a
+whole layer-wise figure grid computed both ways.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from repro.accelerators.engine import SpmspmEngine
+from repro.accelerators.engine import ReferenceEngine, SpmspmEngine
 from repro.arch.config import default_config
 from repro.arch.memory.cache import StreamingCache
 from repro.dataflows.base import Dataflow
-from repro.engine_vec import ENGINE_BACKENDS, resolve_engine_backend
 from repro.engine_vec.cache_model import lru_hits
 from repro.engine_vec import kernels
-from repro.runtime import BatchRunner, ResultCache, SimJob
-from repro.sparse.formats import Layout, csr_from_dense
+from repro.sparse.formats import csr_from_dense
 from repro.sparse.generate import SparsityPattern, random_sparse
 from repro.sparse.reference import spgemm_reference
 
@@ -92,8 +88,8 @@ def _assert_results_equal(reference, vectorized, context):
 def test_backends_bit_equal_across_dataflows_and_geometries(case):
     a, b = _make_pair(case)
     for config in CONFIGS:
-        reference = SpmspmEngine(config, backend="reference")
-        vectorized = SpmspmEngine(config, backend="vectorized")
+        reference = ReferenceEngine(config)
+        vectorized = SpmspmEngine(config)
         for dataflow in Dataflow:
             r = reference.run_layer(dataflow, a, b)
             v = vectorized.run_layer(dataflow, a, b)
@@ -104,12 +100,8 @@ def test_backends_equal_output_matrix_and_reference_numerics():
     a, b = _make_pair(LAYER_CASES[3])
     golden = spgemm_reference(a, b)
     for dataflow in Dataflow:
-        r = SpmspmEngine(CONFIGS[0], backend="reference").run_layer(
-            dataflow, a, b, capture_output=True
-        )
-        v = SpmspmEngine(CONFIGS[0], backend="vectorized").run_layer(
-            dataflow, a, b, capture_output=True
-        )
+        r = ReferenceEngine(CONFIGS[0]).run_layer(dataflow, a, b, capture_output=True)
+        v = SpmspmEngine(CONFIGS[0]).run_layer(dataflow, a, b, capture_output=True)
         want = golden.with_layout(v.output.layout)
         assert v.output == r.output
         assert v.output.shape == want.shape
@@ -122,8 +114,8 @@ def test_vectorized_handles_empty_operands():
     a = csr_from_dense(np.zeros((4, 6)))
     b = csr_from_dense(np.zeros((6, 5)))
     for dataflow in Dataflow:
-        r = SpmspmEngine(CONFIGS[0], backend="reference").run_layer(dataflow, a, b)
-        v = SpmspmEngine(CONFIGS[0], backend="vectorized").run_layer(dataflow, a, b)
+        r = ReferenceEngine(CONFIGS[0]).run_layer(dataflow, a, b)
+        v = SpmspmEngine(CONFIGS[0]).run_layer(dataflow, a, b)
         _assert_results_equal(r, v, dataflow)
         assert v.total_cycles == r.total_cycles
 
@@ -184,8 +176,8 @@ def test_trace_memory_fallback_is_bit_identical(monkeypatch):
     a, b = _make_pair(LAYER_CASES[3])
     for config in CONFIGS[:2]:
         for dataflow in (Dataflow.OP_M, Dataflow.GUST_M, Dataflow.GUST_N):
-            r = SpmspmEngine(config, backend="reference").run_layer(dataflow, a, b)
-            v = SpmspmEngine(config, backend="vectorized").run_layer(dataflow, a, b)
+            r = ReferenceEngine(config).run_layer(dataflow, a, b)
+            v = SpmspmEngine(config).run_layer(dataflow, a, b)
             _assert_results_equal(r, v, ("fallback", dataflow))
 
 
@@ -216,83 +208,18 @@ def test_grouped_union_counts_scipy_and_numpy_paths_agree(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Backend selection plumbing
+# The settings record still carries the retired engine choice
 # ----------------------------------------------------------------------
-def test_job_keys_are_backend_agnostic():
-    a, b = _make_pair(LAYER_CASES[2])
-    config = default_config()
-    jobs = [
-        SimJob(design="engine", config=config, a=a, b=b,
-               dataflow=Dataflow.GUST_M, engine=engine)
-        for engine in (None, "reference", "vectorized")
-    ]
-    keys = {job.key() for job in jobs}
-    assert len(keys) == 1
-
-
-def test_job_rejects_unknown_engine():
-    a, b = _make_pair(LAYER_CASES[1])
-    with pytest.raises(ValueError, match="engine backend"):
-        SimJob(design="engine", config=default_config(), a=a, b=b,
-               dataflow=Dataflow.IP_M, engine="turbo")
-
-
-def test_cache_entries_are_shared_between_backends(tmp_path):
-    a, b = _make_pair(LAYER_CASES[2])
-    config = default_config()
-
-    def job(engine):
-        return SimJob(design="GAMMA-like", config=config, a=a, b=b, engine=engine)
-
-    cold = BatchRunner(parallel=False, cache=ResultCache(tmp_path))
-    (first,) = cold.run([job("reference")])
-    assert cold.stats.executed == 1
-
-    warm = BatchRunner(parallel=False, cache=ResultCache(tmp_path))
-    (second,) = warm.run([job("vectorized")])
-    assert warm.stats.executed == 0 and warm.stats.cache_hits == 1
-    assert first.cycles == second.cycles and first.traffic == second.traffic
-
-
-def test_settings_engine_resolution(monkeypatch):
-    from repro.experiments.settings import ExperimentSettings, default_settings
-
-    assert ExperimentSettings().engine == "vectorized"
-    monkeypatch.setenv("REPRO_ENGINE", "reference")
-    assert default_settings().engine == "reference"
-    assert default_settings(engine="vectorized").engine == "vectorized"
-    assert resolve_engine_backend(None) == "reference"
-    monkeypatch.delenv("REPRO_ENGINE")
-    assert resolve_engine_backend(None) == "vectorized"
-    with pytest.raises(ValueError):
-        ExperimentSettings(engine="turbo")
-    record = default_settings(engine="reference").to_record()
-    assert record["engine"] == "reference"
-    assert ExperimentSettings.from_record(record).engine == "reference"
-
-
-def test_settings_record_without_engine_defaults(monkeypatch):
+def test_settings_record_without_engine_defaults():
     from repro.experiments.settings import ExperimentSettings
 
     record = ExperimentSettings().to_record()
-    record.pop("engine")
-    assert ExperimentSettings.from_record(record).engine == "vectorized"
-
-
-def test_cli_engine_flag():
-    from repro.cli import build_parser
-
-    args = build_parser().parse_args(["figure", "fig12", "--engine", "reference"])
-    assert args.engine == "reference"
-    args = build_parser().parse_args(["figure", "fig12"])
-    assert args.engine is None
-    assert set(ENGINE_BACKENDS) == {"vectorized", "reference"}
-
-
-def test_engine_env_reaches_spmspm_engine(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", "reference")
-    assert SpmspmEngine(default_config()).backend == "reference"
-    assert SpmspmEngine(default_config(), backend="vectorized").backend == "vectorized"
+    assert record["engine"] == "vectorized"
+    for engine in ("reference", "vectorized", None):
+        variant = {key: value for key, value in record.items() if key != "engine"}
+        if engine is not None:
+            variant["engine"] = engine
+        assert ExperimentSettings.from_record(variant) == ExperimentSettings(), engine
 
 
 # ----------------------------------------------------------------------
@@ -312,35 +239,36 @@ def test_cache_stats_miss_bytes_is_a_real_field():
     assert CacheStats(misses=3, miss_bytes=5).miss_bytes == 5
 
 
-@pytest.mark.parametrize("backend", ENGINE_BACKENDS)
-def test_engine_accounts_inner_product_miss_bytes(backend):
+@pytest.mark.parametrize(
+    "engine_class", [ReferenceEngine, SpmspmEngine], ids=["reference", "vectorized"]
+)
+def test_engine_accounts_inner_product_miss_bytes(engine_class):
     a, b = _make_pair(LAYER_CASES[2])
     config = CONFIGS[1]  # tiny cache: IP re-streams and thrashes
-    engine = SpmspmEngine(config, backend=backend)
+    engine = engine_class(config)
     ctx = engine._build_context(Dataflow.IP_M, a, b)
-    if backend == "vectorized":
-        kernels.run_inner_product(engine, ctx)
-    else:
-        engine._run_inner_product(ctx)
+    engine._run_kernel(Dataflow.IP_M, ctx)
     assert ctx.cache.stats.miss_bytes == ctx.cache.stats.misses * config.str_cache_line_bytes
     assert ctx.cache.stats.miss_bytes == ctx.dram.traffic.str_read_bytes
 
 
 # ----------------------------------------------------------------------
-# End-to-end: a figure cell computed by both backends is identical
+# End-to-end: a figure grid computed by the kernels and the walk is identical
 # ----------------------------------------------------------------------
-def test_layerwise_grid_equal_under_both_backends():
+def test_layerwise_grid_equal_under_both_backends(monkeypatch):
     from repro.api import Session
     from repro.experiments.settings import default_settings
 
-    results = {}
-    for engine in ENGINE_BACKENDS:
-        settings = default_settings(
-            max_dense_macs=2e4, max_layers_per_model=1, engine=engine
-        )
-        session = Session(settings, parallel=False, cache=None)
-        results[engine] = session.layerwise()
-    ref, vec = results["reference"], results["vectorized"]
+    settings = default_settings(max_dense_macs=2e4, max_layers_per_model=1)
+
+    def grid():
+        # Serial and uncached: every engine run executes in this process,
+        # so patching the class reaches all of them.
+        return Session(settings, parallel=False, cache=None).layerwise()
+
+    vec = grid()
+    monkeypatch.setattr(SpmspmEngine, "_run_kernel", ReferenceEngine._run_kernel)
+    ref = grid()
     assert ref.scales == vec.scales
     for layer, per_design in ref.results.items():
         for design, result in per_design.items():

@@ -26,6 +26,7 @@ import json
 import os
 import pickle
 import random
+import socket
 import subprocess
 import sys
 import threading
@@ -737,6 +738,25 @@ def _http(server, method, path, body=None, headers=None):
         conn.close()
 
 
+def _paced_post(port, path, size=2 << 20, piece=64 << 10, gap_seconds=0.002):
+    """POST an oversized body the way a slow uploader does; return the status.
+
+    The body goes out in ``piece``-sized writes ``gap_seconds`` apart, so
+    the server answers long before the client has finished sending.
+    """
+    head = (
+        f"POST {path} HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {size}\r\n\r\n"
+    )
+    with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+        sock.sendall(head.encode("latin-1"))
+        for offset in range(0, size, piece):
+            sock.sendall(b"x" * min(piece, size - offset))
+            time.sleep(gap_seconds)
+        with sock.makefile("rb") as response:
+            return int(response.readline().split()[1])
+
+
 def _poll(server, url, deadline_seconds=120.0):
     deadline = time.monotonic() + deadline_seconds
     while True:
@@ -921,6 +941,18 @@ class TestHttpFabric:
                 {"Content-Type": "application/json"},
             )
             assert status == 404
+
+    def test_paced_oversized_upload_reads_413_on_both_listeners(self, tmp_path):
+        """A 413 reaches a client still sending its body: the server drains
+        the declared bytes before answering, instead of closing on unread
+        data (which the client sees as a broken pipe)."""
+        with BackgroundServer(Session(MICRO, parallel=False, cache=None)) as server:
+            assert _paced_post(server.port, "/v1/sweep") == 413
+        coordinator = Coordinator(WorkQueue(lease_seconds=30), cache=None)
+        set_shared_coordinator(coordinator)  # the hygiene fixture closes it
+        url = coordinator.ensure_listener(port=0)
+        port = int(url.rsplit(":", 1)[1])
+        assert _paced_post(port, "/v1/work/claim") == 413
 
     def test_worker_cli_subprocess_end_to_end(self, tmp_path):
         """``python -m repro worker <url>`` — the real deployment shape —

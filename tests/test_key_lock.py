@@ -1,0 +1,60 @@
+"""Drift lock: the keys that address cached and served bytes, pinned literally.
+
+A job key addresses a cache entry; an ETag and a ``dse-`` report key are
+hashes over the settings record and both schema versions.  A refactor that
+moves any of them silently orphans every warm cache and every client
+validator, so the digests below are literals.  Update one only together
+with the schema-version bump that makes the move deliberate.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.api import DseSpec, FigureQuery, dse_report_key
+from repro.arch.config import default_config
+from repro.dataflows.base import Dataflow
+from repro.experiments.settings import ExperimentSettings
+from repro.runtime import SimJob
+from repro.serve import wire
+from repro.sparse.formats import csr_from_dense
+from repro.workloads.representative import REPRESENTATIVE_LAYERS
+
+PINNED = {
+    "flexagon_spec_job": "7b50744c4da2a514b106b906aa22a21457fb26132b6d990177a7399451245631",
+    "engine_operand_job": "1801f5ecfd67417681be741637c4b84409347170a788e984ee5f07c077496538",
+    "cpu_job": "41753ab2a046eb668b1fdbbc7edca63fd10ea4c29fd9e851e49369507757170a",
+    "fig12_etag": '"c2d40bc42b49e49a8df15a41901c7859"',
+    "dse_report_key": "dse-4b1186e82dd87c01ab954c0b36623837474b1f5ff30cee5e5be1c5c397947e7c",
+}
+
+
+def _spec_job(design: str) -> SimJob:
+    spec = REPRESENTATIVE_LAYERS[0]
+    return SimJob(
+        design=design,
+        config=default_config(),
+        spec=spec,
+        scale=0.05,
+        seed=spec.deterministic_seed(0),
+        layer_name=spec.name,
+    )
+
+
+def test_keys_match_their_pinned_digests():
+    a = csr_from_dense(np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 3.0]]))
+    b = csr_from_dense(np.array([[0.0, 4.0], [5.0, 0.0], [0.0, 6.0]]))
+    settings = ExperimentSettings()
+    keys = {
+        "flexagon_spec_job": _spec_job("Flexagon").key(),
+        "engine_operand_job": SimJob(
+            design="engine", config=default_config(), a=a, b=b,
+            dataflow=Dataflow.GUST_M,
+        ).key(),
+        "cpu_job": _spec_job("CPU-MKL").key(),
+        "fig12_etag": wire.request_etag("figure", FigureQuery("fig12").key(), settings),
+        "dse_report_key": dse_report_key(
+            DseSpec(workloads=("xf-prune-80",), designs=("base",)), settings
+        ),
+    }
+    assert keys == PINNED

@@ -45,7 +45,7 @@ from repro.dataflows.runner import run_dataflow
 from repro.dataflows.stats import DataflowStats
 from repro.engine_vec import kernels
 from repro.metrics.results import LayerSimResult, PhaseCycles, TrafficBreakdown
-from repro.sparse.formats import CompressedMatrix, Layout, cached_derived
+from repro.sparse.formats import CompressedMatrix, Layout, cached_derived, stable_order
 
 
 @dataclass
@@ -99,10 +99,15 @@ class SpmspmEngine:
             raise ValueError(f"inner dimensions do not match: {a.shape} x {b.shape}")
 
         if dataflow.is_n_stationary:
+            a_t, b_t = b.transposed(), a.transposed()
+            # Only CSR operands are their own CSR views; for others, sharing
+            # would add a layout flip, so the mirrored run counts for itself.
+            if a.layout is Layout.CSR and b.layout is Layout.CSR:
+                _share_output_nnz(a, b, a_t, b_t)
             mirrored = self.run_layer(
                 dataflow.mirrored(),
-                b.transposed(),
-                a.transposed(),
+                a_t,
+                b_t,
                 capture_output=capture_output,
                 layer_name=layer_name,
                 accelerator_name=accelerator_name,
@@ -199,87 +204,75 @@ class SpmspmEngine:
         kernel(self, ctx)
 
     # ------------------------------------------------------------------
-    # Shared merging-phase model (Outer Product)
+    # Merging-phase model (Outer Product)
     # ------------------------------------------------------------------
     def _merge_partial_fibers(
         self, ctx: _LayerContext, psum_rows: np.ndarray, psum_lens: np.ndarray
     ) -> None:
-        """Model the OP merging phase from the list of partial fiber lengths."""
+        """Model the OP merging phase from the list of partial fiber lengths.
+
+        Array form of :meth:`ReferenceEngine._merge_partial_fibers`.  A row
+        with more non-empty partial fibers than tree leaves merges in
+        passes: pass 0 takes the first ``leaves`` fibers, every later pass
+        ``leaves - 1`` fresh ones plus the previous pass's result, truncated
+        to the row's output length ``L``.  With ``S_p`` the total length of
+        the fresh fibers of passes ``0..p``, the truncated result re-entering
+        pass ``p`` is ``min(S_{p-1}, L)`` (by induction, as fresh inputs are
+        never negative), so the passes of all rows form one ragged array in
+        row-major order and no loop is needed.
+        """
         cfg = self.config
         if len(psum_rows) == 0:
             return
 
-        order = np.argsort(psum_rows, kind="stable")
-        rows_sorted = psum_rows[order]
-        lens_sorted = psum_lens[order]
-        row_starts = np.flatnonzero(
-            np.concatenate(([True], rows_sorted[1:] != rows_sorted[:-1]))
+        # Empty partial fibers take no part in a merge.
+        nonempty = psum_lens > 0
+        rows = psum_rows[nonempty]
+        lens = psum_lens[nonempty]
+        order = stable_order(rows, len(ctx.c_row_nnz))
+        rows = rows[order]
+        lens = lens[order]
+        total_blocks_needed = int(
+            np.ceil(lens / max(1, cfg.psram_elements_per_block)).sum()
         )
-        row_ends = np.concatenate((row_starts[1:], [len(rows_sorted)]))
 
         # A merge pass must combine at least two fibers to make progress, even
         # in a degenerate single-multiplier configuration.
         leaves = max(2, cfg.num_multipliers)
-        total_merge_inputs = 0
-        merge_cycles = 0.0
-        total_spilled_blocks = 0
-        total_blocks_needed = int(
-            np.ceil(lens_sorted / max(1, cfg.psram_elements_per_block)).sum()
-        )
-        # Per-row counts of non-empty partial fibers and total inputs; a row
-        # whose fibers fit one pass (the overwhelmingly common case) needs no
-        # per-row array slicing or pending-list walk.
-        positive_prefix = np.concatenate(([0], np.cumsum(lens_sorted > 0)))
-        length_prefix = np.concatenate(([0], np.cumsum(lens_sorted)))
-        row_fibers = (positive_prefix[row_ends] - positive_prefix[row_starts]).tolist()
-        row_inputs = (length_prefix[row_ends] - length_prefix[row_starts]).tolist()
-        tree_depth = ctx.tree_depth
-        red_bw = cfg.reduction_bandwidth
-        for index, (rs, re) in enumerate(zip(row_starts, row_ends)):
-            fibers = row_fibers[index]
-            if fibers == 0:
-                continue
-            if fibers <= leaves:
-                # Single pass: every partial fiber of the row merges at once.
-                inputs = row_inputs[index]
-                total_merge_inputs += inputs
-                merge_cycles += inputs / red_bw + tree_depth
-                ctx.stats.merge_passes += 1
-                continue
-            # Multi-pass row: the tree repeatedly folds ``leaves`` fibers into
-            # one partial result that re-enters the next pass, i.e. pass 1
-            # consumes ``leaves`` fibers and every later pass ``leaves - 1``
-            # fresh ones plus the previous merge.  Walking prefix sums
-            # reproduces the pending-list fold without per-pass list slicing.
-            row = int(rows_sorted[rs])
-            out_len = int(ctx.c_row_nnz[row])
-            lengths = lens_sorted[rs:re]
-            prefix = np.concatenate(([0], np.cumsum(lengths[lengths > 0]))).tolist()
-            count = len(prefix) - 1
-            inputs = prefix[leaves]
-            total_merge_inputs += inputs
-            merge_cycles += inputs / red_bw + tree_depth
-            passes = 1
-            consumed = leaves
-            while consumed < count:
-                merged_len = min(inputs, out_len)
-                ctx.stats.psum_writes += merged_len
-                ctx.traffic.psum_bytes += merged_len * ctx.element_bytes
-                upto = min(consumed + leaves - 1, count)
-                inputs = merged_len + prefix[upto] - prefix[consumed]
-                total_merge_inputs += inputs
-                merge_cycles += inputs / red_bw + tree_depth
-                passes += 1
-                consumed = upto
-            ctx.stats.merge_passes += passes
+        new_row = np.empty(len(rows), dtype=bool)
+        new_row[:1] = True
+        np.not_equal(rows[1:], rows[:-1], out=new_row[1:])
+        row_starts = np.flatnonzero(new_row)
+        row_fibers = np.diff(np.append(row_starts, len(rows)))
+        passes = 1 + (np.maximum(row_fibers - leaves, 0) + leaves - 2) // (leaves - 1)
+        # One entry per (row, pass), row-major: the reference loop's order.
+        pass_row = np.repeat(np.arange(len(passes)), passes)
+        first_pass = np.cumsum(passes) - passes
+        pass_index = np.arange(int(passes.sum())) - first_pass[pass_row]
+        consumed = np.minimum(leaves + pass_index * (leaves - 1), row_fibers[pass_row])
+        length_prefix = np.concatenate(([0], np.cumsum(lens)))
+        start = row_starts[pass_row]
+        fresh_through = length_prefix[start + consumed] - length_prefix[start]  # S_p
+        fresh_before = np.zeros_like(fresh_through)  # S_{p-1}, 0 for pass 0
+        fresh_before[1:] = fresh_through[:-1]
+        fresh_before[first_pass] = 0
+        merged = np.minimum(fresh_before, ctx.c_row_nnz[rows[start]])
+        inputs = merged + fresh_through - fresh_before
 
+        total_merged = int(merged.sum())
+        ctx.stats.psum_writes += total_merged
+        ctx.traffic.psum_bytes += total_merged * ctx.element_bytes
+        ctx.stats.merge_passes += len(inputs)
+        total_merge_inputs = int(inputs.sum())
+        merge_cycles = kernels.ordered_sum(
+            inputs / cfg.reduction_bandwidth + ctx.tree_depth
+        )
         ctx.stats.psum_reads += total_merge_inputs
         ctx.traffic.psum_bytes += total_merge_inputs * ctx.element_bytes
 
         # PSRAM occupancy: all partial fibers of the layer coexist before the
         # merging phase starts; anything beyond the PSRAM capacity spills.
-        if total_blocks_needed > cfg.psram_blocks:
-            total_spilled_blocks = total_blocks_needed - cfg.psram_blocks
+        total_spilled_blocks = max(0, total_blocks_needed - cfg.psram_blocks)
         spill_bytes = total_spilled_blocks * cfg.psram_block_bytes
         if spill_bytes:
             ctx.dram.spill_psums(spill_bytes)
@@ -297,9 +290,11 @@ class ReferenceEngine(SpmspmEngine):
     per-line cache model of :class:`StreamingTileReader` fiber by fiber.
     The runtime never selects it; ``tests/test_engine_equivalence.py``
     asserts the kernels match it bit for bit and ``scripts/bench_engine.py``
-    times them against it.  Only :meth:`_run_kernel` is overridden, and it
-    calls the walks through the class, so installing it on
-    :class:`SpmspmEngine` routes every engine run of a sweep through them.
+    times them against it.  It overrides :meth:`_run_kernel` and
+    :meth:`_merge_partial_fibers` (the row loop the array merge reproduces).
+    The walks, and the OP walk's merge, are called through the class, so
+    installing :meth:`_run_kernel` on :class:`SpmspmEngine` routes every
+    engine run of a sweep through the loops.
     """
 
     def _run_kernel(self, dataflow: Dataflow, ctx: _LayerContext) -> None:
@@ -441,8 +436,103 @@ class ReferenceEngine(SpmspmEngine):
             dram_cycles = miss_bytes / ctx.dram.bytes_per_cycle
             ctx.cycles.streaming += max(compute_cycles, dram_cycles) + 1
 
-        self._merge_partial_fibers(ctx, psum_rows, psum_lens)
+        ReferenceEngine._merge_partial_fibers(self, ctx, psum_rows, psum_lens)
         ctx.stats.output_elements = int(ctx.c_row_nnz.sum())
+
+    # ------------------------------------------------------------------
+    # Merging phase (Outer Product)
+    # ------------------------------------------------------------------
+    def _merge_partial_fibers(
+        self, ctx: _LayerContext, psum_rows: np.ndarray, psum_lens: np.ndarray
+    ) -> None:
+        """Model the OP merging phase from the list of partial fiber lengths.
+
+        The row-by-row loop :meth:`SpmspmEngine._merge_partial_fibers`
+        reproduces with array code.
+        """
+        cfg = self.config
+        if len(psum_rows) == 0:
+            return
+
+        order = np.argsort(psum_rows, kind="stable")
+        rows_sorted = psum_rows[order]
+        lens_sorted = psum_lens[order]
+        row_starts = np.flatnonzero(
+            np.concatenate(([True], rows_sorted[1:] != rows_sorted[:-1]))
+        )
+        row_ends = np.concatenate((row_starts[1:], [len(rows_sorted)]))
+
+        # A merge pass must combine at least two fibers to make progress, even
+        # in a degenerate single-multiplier configuration.
+        leaves = max(2, cfg.num_multipliers)
+        total_merge_inputs = 0
+        merge_cycles = 0.0
+        total_spilled_blocks = 0
+        total_blocks_needed = int(
+            np.ceil(lens_sorted / max(1, cfg.psram_elements_per_block)).sum()
+        )
+        # Per-row counts of non-empty partial fibers and total inputs; a row
+        # whose fibers fit one pass (the overwhelmingly common case) needs no
+        # per-row array slicing or pending-list walk.
+        positive_prefix = np.concatenate(([0], np.cumsum(lens_sorted > 0)))
+        length_prefix = np.concatenate(([0], np.cumsum(lens_sorted)))
+        row_fibers = (positive_prefix[row_ends] - positive_prefix[row_starts]).tolist()
+        row_inputs = (length_prefix[row_ends] - length_prefix[row_starts]).tolist()
+        tree_depth = ctx.tree_depth
+        red_bw = cfg.reduction_bandwidth
+        for index, (rs, re) in enumerate(zip(row_starts, row_ends)):
+            fibers = row_fibers[index]
+            if fibers == 0:
+                continue
+            if fibers <= leaves:
+                # Single pass: every partial fiber of the row merges at once.
+                inputs = row_inputs[index]
+                total_merge_inputs += inputs
+                merge_cycles += inputs / red_bw + tree_depth
+                ctx.stats.merge_passes += 1
+                continue
+            # Multi-pass row: the tree repeatedly folds ``leaves`` fibers into
+            # one partial result that re-enters the next pass, i.e. pass 1
+            # consumes ``leaves`` fibers and every later pass ``leaves - 1``
+            # fresh ones plus the previous merge.  Walking prefix sums
+            # reproduces the pending-list fold without per-pass list slicing.
+            row = int(rows_sorted[rs])
+            out_len = int(ctx.c_row_nnz[row])
+            lengths = lens_sorted[rs:re]
+            prefix = np.concatenate(([0], np.cumsum(lengths[lengths > 0]))).tolist()
+            count = len(prefix) - 1
+            inputs = prefix[leaves]
+            total_merge_inputs += inputs
+            merge_cycles += inputs / red_bw + tree_depth
+            passes = 1
+            consumed = leaves
+            while consumed < count:
+                merged_len = min(inputs, out_len)
+                ctx.stats.psum_writes += merged_len
+                ctx.traffic.psum_bytes += merged_len * ctx.element_bytes
+                upto = min(consumed + leaves - 1, count)
+                inputs = merged_len + prefix[upto] - prefix[consumed]
+                total_merge_inputs += inputs
+                merge_cycles += inputs / red_bw + tree_depth
+                passes += 1
+                consumed = upto
+            ctx.stats.merge_passes += passes
+
+        ctx.stats.psum_reads += total_merge_inputs
+        ctx.traffic.psum_bytes += total_merge_inputs * ctx.element_bytes
+
+        # PSRAM occupancy: all partial fibers of the layer coexist before the
+        # merging phase starts; anything beyond the PSRAM capacity spills.
+        if total_blocks_needed > cfg.psram_blocks:
+            total_spilled_blocks = total_blocks_needed - cfg.psram_blocks
+        spill_bytes = total_spilled_blocks * cfg.psram_block_bytes
+        if spill_bytes:
+            ctx.dram.spill_psums(spill_bytes)
+
+        output_bytes = int(ctx.c_row_nnz.sum()) * ctx.element_bytes
+        ctx.dram.write_output(output_bytes)
+        dram_cycles = (2 * spill_bytes + output_bytes) / ctx.dram.bytes_per_cycle
+        ctx.cycles.merging += max(merge_cycles, dram_cycles)
 
     # ------------------------------------------------------------------
     # Gustavson (GAMMA-like behaviour)
@@ -580,20 +670,30 @@ def _pack_whole_fibers(
 
 
 def output_row_nnz(a_csr: CompressedMatrix, b_csr: CompressedMatrix) -> np.ndarray:
-    """Memoized :func:`_output_row_nnz` (per live operand-pair instance).
+    """nnz of every output row of C = A x B, memoized per live operand pair.
 
     The oracle mapper simulates the same operand pair under up to six
     dataflows (plus the final run), and the design grid shares materialized
     operands between jobs, so the structure-only output pass is the hottest
-    redundant work of a sweep.
+    redundant work of a sweep.  The pass yields C's column counts as well,
+    memoized beside the row counts (see :func:`_share_output_nnz`).
     """
+    return _output_nnz(a_csr, b_csr)[0]
+
+
+def _output_nnz(
+    a_csr: CompressedMatrix, b_csr: CompressedMatrix
+) -> tuple[np.ndarray, np.ndarray]:
+    """Memoized ``(row counts, column counts)`` of C = A x B."""
     return cached_derived(
-        "output_row_nnz", lambda: _output_row_nnz(a_csr, b_csr), a_csr, b_csr
+        "output_nnz", lambda: _structural_counts(a_csr, b_csr), a_csr, b_csr
     )
 
 
-def _output_row_nnz(a_csr: CompressedMatrix, b_csr: CompressedMatrix) -> np.ndarray:
-    """nnz of every output row of C = A x B (structure-only Gustavson pass).
+def _structural_counts(
+    a_csr: CompressedMatrix, b_csr: CompressedMatrix
+) -> tuple[np.ndarray, np.ndarray]:
+    """nnz of every output row and column of C = A x B (structure only).
 
     Computed with one grouped distinct-coordinate count over the CSR index
     arrays (rows of A are the groups) instead of a per-row Python union —
@@ -601,7 +701,7 @@ def _output_row_nnz(a_csr: CompressedMatrix, b_csr: CompressedMatrix) -> np.ndar
     """
     a_indices = np.asarray(a_csr.indices, dtype=np.int64)
     if len(a_indices) == 0:
-        return np.zeros(a_csr.nrows, dtype=np.int64)
+        return np.zeros(a_csr.nrows, dtype=np.int64), np.zeros(b_csr.ncols, dtype=np.int64)
     rows_of = np.repeat(
         np.arange(a_csr.nrows, dtype=np.int64), np.diff(a_csr.pointers)
     )
@@ -612,6 +712,31 @@ def _output_row_nnz(a_csr: CompressedMatrix, b_csr: CompressedMatrix) -> np.ndar
         rows_of,
         a_csr.nrows,
         b_csr.minor_dim,
+        minor_counts=True,
+    )
+
+
+def _share_output_nnz(
+    a_csr: CompressedMatrix,
+    b_csr: CompressedMatrix,
+    a_t: CompressedMatrix,
+    b_t: CompressedMatrix,
+) -> None:
+    """Hand C's column counts to the mirrored run of an N-stationary layer.
+
+    The mirrored run simulates ``Cᵀ = Bᵀ Aᵀ`` over ``(a_t, b_t)``, whose
+    output rows are C's columns, so the structural product of the original
+    CSR pair answers its :func:`output_row_nnz` too.  The mirrored pair's
+    CSR views are the ones its own context requests.
+    """
+    # Through the module function, so a wrapper on it sees the product.
+    rows = output_row_nnz(a_csr, b_csr)
+    cols = _output_nnz(a_csr, b_csr)[1]
+    cached_derived(
+        "output_nnz",
+        lambda: (cols, rows),
+        a_t.with_layout(Layout.CSR),
+        b_t.with_layout(Layout.CSR),
     )
 
 

@@ -83,8 +83,10 @@ class StreamingCache:
         self.banks = banks
         self.element_bytes = element_bytes
         self.num_sets = num_lines // associativity
-        # Each set is an OrderedDict of line_tag -> None, most recent last.
-        self._sets: list[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
+        # Each set is an OrderedDict of line_tag -> None, most recent last,
+        # built on the first probe: the engine's array kernels model most
+        # runs without probing, and a DSE geometry can have thousands of sets.
+        self._sets: list[OrderedDict] | None = None
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -112,8 +114,9 @@ class StreamingCache:
         if byte_offset < 0:
             raise ValueError("byte offset must be non-negative")
         line_addr = byte_offset // self.line_bytes
-        set_index = line_addr % self.num_sets
-        ways = self._sets[set_index]
+        if self._sets is None:
+            self._sets = [OrderedDict() for _ in range(self.num_sets)]
+        ways = self._sets[line_addr % self.num_sets]
         self.stats.accesses += 1
         if line_addr in ways:
             ways.move_to_end(line_addr)
@@ -136,13 +139,14 @@ class StreamingCache:
 
     def contains_line_of(self, element_offset: int) -> bool:
         """True when the line holding ``element_offset`` is resident (no side effects)."""
+        if self._sets is None:
+            return False
         line_addr = (element_offset * self.element_bytes) // self.line_bytes
         return line_addr in self._sets[line_addr % self.num_sets]
 
     def invalidate(self) -> None:
         """Drop all resident lines (used when the streaming operand changes)."""
-        for ways in self._sets:
-            ways.clear()
+        self._sets = None
 
     def reset_stats(self) -> None:
         """Zero the hit/miss counters, keeping the resident lines."""

@@ -32,7 +32,10 @@ is approximated:
   in the walk's iteration order, so the floating-point results are
   identical bit for bit.
 * The **merging-phase model** (partial-fiber merge trees) is computed
-  analytically from fiber lengths by
-  :meth:`SpmspmEngine._merge_partial_fibers`, which the kernels and the
-  oracle share.
+  analytically from fiber lengths: as array code by
+  :meth:`SpmspmEngine._merge_partial_fibers` for the kernels, and by the
+  row loop :meth:`ReferenceEngine._merge_partial_fibers` in the oracle.
+  Inner Product's greedy fiber packing likewise has an array form
+  (:func:`repro.engine_vec.kernels.pack_fiber_batches`) beside the oracle's
+  loop.
 """

@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.sparse.formats import stable_order
+
 
 def prefix_rank_leq(values: np.ndarray) -> np.ndarray:
     """``H[i] = #{j < i : values[j] <= values[i]}`` for every position ``i``.
@@ -90,7 +92,7 @@ def lru_hits(lines: np.ndarray, num_sets: int, associativity: int) -> np.ndarray
     # Set-major, time-stable arrangement: accesses of one set are contiguous
     # and in program order.  LRU state is per set, so accesses to different
     # sets commute and this reordering preserves every hit/miss outcome.
-    order = np.argsort(lines % num_sets, kind="stable")
+    order = stable_order(lines % num_sets, num_sets)
     trace = lines[order]
     hits = np.empty(n, dtype=bool)
     hits[order] = _hits_setmajor(trace, num_sets, associativity)
@@ -125,7 +127,7 @@ def _previous_occurrence(trace: np.ndarray) -> np.ndarray:
     repeat accesses while the stable order keeps them chronological.
     """
     n = len(trace)
-    by_line = np.argsort(trace, kind="stable")
+    by_line = stable_order(trace, int(trace.max()) + 1 if n else 0)
     grouped = trace[by_line]
     prev = np.full(n, -1, dtype=np.int64)
     same = grouped[1:] == grouped[:-1]

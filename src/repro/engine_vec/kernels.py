@@ -52,7 +52,9 @@ def grouped_union_counts(
     groups: np.ndarray,
     num_groups: int,
     minor_dim: int,
-) -> np.ndarray:
+    *,
+    minor_counts: bool = False,
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Distinct minor coordinates of ``union(B[k, :] for k in group)`` per group.
 
     ``ks`` lists B fibers in group-major order (``groups`` must be
@@ -62,11 +64,16 @@ def grouped_union_counts(
     (selector-matrix x B); otherwise fiber coordinate slices are expanded in
     bounded-size batches of whole groups, so peak memory stays bounded even
     for large products.  Both paths produce the same exact integers.
+
+    With ``minor_counts`` the result is ``(per_group, per_minor)``, where
+    ``per_minor[c]`` is the number of groups whose union holds coordinate
+    ``c``: the column counts of the same structural product.
     """
     out = np.zeros(num_groups, dtype=np.int64)
+    per_minor = np.zeros(minor_dim, dtype=np.int64)
     nk = len(ks)
     if nk == 0 or minor_dim == 0:
-        return out
+        return (out, per_minor) if minor_counts else out
     ks = np.asarray(ks, dtype=np.int64)
     groups = np.asarray(groups, dtype=np.int64)
     if _scipy_sparse is not None:
@@ -82,7 +89,11 @@ def grouped_union_counts(
         # The product's sparsity structure is the per-group union of B fibers
         # (scipy's symbolic pass; explicit zeros are never produced since all
         # inputs are positive), so indptr differences are the distinct counts.
-        return np.diff((selector @ b_struct).indptr).astype(np.int64)
+        product = selector @ b_struct
+        out = np.diff(product.indptr).astype(np.int64)
+        if minor_counts:
+            return out, np.bincount(product.indices, minlength=minor_dim).astype(np.int64)
+        return out
     counts = b_pointers[ks + 1] - b_pointers[ks]
     # Slice boundaries in ``ks`` space: never split a group across slices
     # (a coordinate present on both sides would be counted twice).
@@ -106,8 +117,12 @@ def grouped_union_counts(
             keys = sl_groups[of] * np.int64(minor_dim) + coords
             unique_keys = np.unique(keys)
             out += np.bincount(unique_keys // np.int64(minor_dim), minlength=num_groups)
+            if minor_counts:
+                per_minor += np.bincount(
+                    unique_keys % np.int64(minor_dim), minlength=minor_dim
+                )
         start_group = end_group
-    return out
+    return (out, per_minor) if minor_counts else out
 
 
 def _flush_dram(counter, field: str, total: int, requests: int) -> None:
@@ -158,9 +173,52 @@ def _fiber_touch_misses(ctx, cfg, fibers: np.ndarray, nnzs: np.ndarray) -> np.nd
 # ----------------------------------------------------------------------
 # Inner Product
 # ----------------------------------------------------------------------
+def pack_fiber_batches(
+    pointers: np.ndarray, num_multipliers: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Array form of :func:`repro.accelerators.engine._pack_whole_fibers`.
+
+    Returns ``(entry_m, entry_s, entry_e, entry_b, nb)``: the batches'
+    ``(major_index, start, end)`` entries flattened in order, the batch of
+    each entry, and the number of batches.  Over the prefix sum of the
+    non-empty fiber lengths, a batch starting at fiber ``i`` ends where the
+    prefix first exceeds ``prefix[i] + P`` (a fiber longer than the array
+    exceeds it alone, so no batch reaches past one), and the walk over
+    batch starts takes one step per batch.  Each long fiber becomes
+    ``ceil(length / P)`` solo chunks.
+    """
+    P = num_multipliers
+    pointers = np.asarray(pointers, dtype=np.int64)
+    lengths = np.diff(pointers)
+    fibers = np.flatnonzero(lengths)
+    n = len(fibers)
+    lengths = lengths[fibers]
+    prefix = np.concatenate(([0], np.cumsum(lengths)))
+    batch_end = np.searchsorted(prefix, prefix[:-1] + P, side="right") - 1
+    step = np.maximum(batch_end, np.arange(1, n + 1)).tolist()
+    batch_starts = []
+    i = 0
+    while i < n:
+        batch_starts.append(i)
+        i = step[i]
+    starts_batch = np.zeros(n, dtype=bool)
+    starts_batch[batch_starts] = True
+
+    entries = (lengths + P - 1) // P  # 1 for every fiber that fits the array
+    entry_fiber = np.repeat(np.arange(n), entries)
+    chunk = np.arange(len(entry_fiber)) - np.repeat(np.cumsum(entries) - entries, entries)
+    entry_m = fibers[entry_fiber]
+    entry_s = pointers[entry_m] + chunk * P
+    entry_e = np.minimum(entry_s + P, pointers[entry_m + 1])
+    # A long fiber always starts a batch, so each of its chunks opens one.
+    entry_b = np.cumsum(starts_batch[entry_fiber]) - 1
+    nb = int(entry_b[-1]) + 1 if n else 0
+    return entry_m, entry_s, entry_e, entry_b, nb
+
+
 def run_inner_product(engine, ctx) -> None:
     """Vectorized twin of :meth:`ReferenceEngine._run_inner_product`."""
-    from repro.accelerators.engine import _lines_for, _pack_whole_fibers
+    from repro.accelerators.engine import _lines_for
 
     cfg = engine.config
     a_csr = ctx.a_csr
@@ -171,26 +229,12 @@ def run_inner_product(engine, ctx) -> None:
     streaming_lines = _lines_for(snnz, ctx)
     fits_in_cache = snnz * eb <= cfg.str_cache_bytes
 
-    batches = _pack_whole_fibers(a_csr, cfg.num_multipliers)
-    nb = len(batches)
+    entry_m, entry_s, entry_e, entry_b, nb = pack_fiber_batches(
+        a_csr.pointers, cfg.num_multipliers
+    )
     ctx.stats.output_elements = int(ctx.c_row_nnz.sum())
     if nb == 0:
         return
-
-    # Flatten the greedy packing into per-entry arrays.
-    entry_m = np.array(
-        [m for batch in batches for (m, _, _) in batch], dtype=np.int64
-    )
-    entry_s = np.array(
-        [s for batch in batches for (_, s, _) in batch], dtype=np.int64
-    )
-    entry_e = np.array(
-        [e for batch in batches for (_, _, e) in batch], dtype=np.int64
-    )
-    entry_b = np.repeat(
-        np.arange(nb, dtype=np.int64),
-        np.array([len(batch) for batch in batches], dtype=np.int64),
-    )
 
     # Effectual multiplications per entry via a prefix sum over the element
     # positions of A (every stored (m, k) meets nnz(B[k, :]) streamed elems).
@@ -342,8 +386,7 @@ def run_outer_product(engine, ctx) -> None:
             np.maximum(compute_b, miss_bytes_b / bpc) + 1, ctx.cycles.streaming
         )
 
-    # The merging-phase model is analytic already and shared verbatim with
-    # the reference walk, which guarantees the merge cycles/traffic match.
+    # The merging phase: the array form of the reference walk's row loop.
     engine._merge_partial_fibers(ctx, psum_rows, psum_lens)
     ctx.stats.output_elements = int(ctx.c_row_nnz.sum())
 

@@ -405,6 +405,19 @@ def matrix_from_coo(
     return CompressedMatrix(nrows, ncols, layout, pointers, indices, values)
 
 
+def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of non-negative integer ``keys``, all below ``bound``.
+
+    The permutation is the one ``np.argsort(keys, kind="stable")`` returns.
+    NumPy's stable sort of 16-bit integers is a linear-time radix sort, so
+    keys that fit are cast to ``uint16`` first.  ``bound`` must be a true
+    upper bound: the cast wraps larger values silently.
+    """
+    if bound <= 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
+
+
 def matrix_from_arrays(
     nrows: int,
     ncols: int,
@@ -418,7 +431,9 @@ def matrix_from_arrays(
     Equivalent to :func:`matrix_from_coo` (duplicates accumulated, zeros
     dropped) but implemented entirely with numpy so that the synthetic
     workload generator and the layout converter stay fast for matrices with
-    millions of non-zeros.
+    millions of non-zeros.  Entries are ordered by two :func:`stable_order`
+    passes (minor, then major), which for dimensions up to ``2**16`` are
+    radix sorts; duplicates, when any, are summed in that order.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
@@ -433,32 +448,41 @@ def matrix_from_arrays(
     major = rows if layout.major_is_row else cols
     minor = cols if layout.major_is_row else rows
     major_dim = nrows if layout.major_is_row else ncols
+    minor_dim = ncols if layout.major_is_row else nrows
 
     if len(values) == 0:
         return empty_matrix(nrows, ncols, layout)
 
-    order = np.lexsort((minor, major))
+    # Lexicographic (major, minor) order, ties in input order.
+    order = stable_order(minor, minor_dim)
+    order = order[stable_order(major[order], major_dim)]
     major, minor, values = major[order], minor[order], values[order]
 
     # Accumulate duplicates: group boundaries where (major, minor) changes.
     new_group = np.empty(len(major), dtype=bool)
     new_group[0] = True
     new_group[1:] = (major[1:] != major[:-1]) | (minor[1:] != minor[:-1])
-    group_starts = np.flatnonzero(new_group)
-    group_ids = np.cumsum(new_group) - 1
-    summed = np.zeros(len(group_starts), dtype=np.float64)
-    np.add.at(summed, group_ids, values)
-    major = major[group_starts]
-    minor = minor[group_starts]
+    if new_group.all():
+        # Same bits as adding each value into a zero: -0.0 becomes +0.0.
+        summed = 0.0 + values
+    else:
+        group_starts = np.flatnonzero(new_group)
+        group_ids = np.cumsum(new_group) - 1
+        summed = np.zeros(len(group_starts), dtype=np.float64)
+        np.add.at(summed, group_ids, values)
+        major = major[group_starts]
+        minor = minor[group_starts]
 
     keep = summed != 0.0
-    major, minor, summed = major[keep], minor[keep], summed[keep]
+    if not keep.all():
+        major, minor, summed = major[keep], minor[keep], summed[keep]
 
     counts = np.bincount(major, minlength=major_dim)
     pointers = np.zeros(major_dim + 1, dtype=np.int64)
     np.cumsum(counts, out=pointers[1:])
-    # The lexsort + dedup above produce canonical storage (in-range, grouped,
-    # strictly increasing within fibers), so re-validation is redundant.
+    # The ordering + dedup above produce canonical storage (in-range,
+    # grouped, strictly increasing within fibers), so re-validation is
+    # redundant.
     return CompressedMatrix(
         nrows, ncols, layout, pointers, minor, summed, validate=False
     )

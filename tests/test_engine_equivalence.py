@@ -49,6 +49,11 @@ CONFIGS = [
         psram_bytes=4096,
         psram_block_bytes=64,
     ),
+    # Degenerate datapaths: with one multiplier the merge tree clamps to two
+    # leaves and every non-empty fiber is longer than the array; two give the
+    # smallest real tree, so multi-pass merges are the common case.
+    default_config(num_multipliers=1),
+    default_config(num_multipliers=2),
 ]
 
 #: (m, k, n, density_a, density_b, pattern, seed) grid; chosen to cover
@@ -194,17 +199,78 @@ def test_grouped_union_counts_scipy_and_numpy_paths_agree(monkeypatch):
         ks, groups, 12, b.ncols,
     )
     fast = kernels.grouped_union_counts(*args)
+    fast_minor = kernels.grouped_union_counts(*args, minor_counts=True)
     monkeypatch.setattr(kernels, "_scipy_sparse", None)
     slow = kernels.grouped_union_counts(*args)
+    slow_minor = kernels.grouped_union_counts(*args, minor_counts=True)
     assert np.array_equal(fast, slow)
     # Against a straightforward per-group set union.
     expected = np.zeros(12, dtype=np.int64)
+    expected_minor = np.zeros(b.ncols, dtype=np.int64)
     for g in range(12):
         cols = set()
         for k in ks[groups == g]:
             cols.update(b.indices[b.pointers[k]:b.pointers[k + 1]].tolist())
         expected[g] = len(cols)
+        expected_minor[sorted(cols)] += 1
     assert np.array_equal(fast, expected)
+    for per_group, per_minor in (fast_minor, slow_minor):
+        assert np.array_equal(per_group, expected)
+        assert np.array_equal(per_minor, expected_minor)
+        assert per_minor.dtype == np.int64
+
+
+# ----------------------------------------------------------------------
+# Array forms of the packing and merge models against their loops
+# ----------------------------------------------------------------------
+def test_fiber_packing_matches_the_greedy_loop():
+    from repro.accelerators.engine import _pack_whole_fibers
+    from repro.sparse.formats import CompressedMatrix, Layout
+
+    rng = np.random.default_rng(13)
+    for trial in range(600):
+        num_multipliers = int(rng.integers(1, 12))
+        lengths = rng.integers(0, 3 * num_multipliers + 2, size=int(rng.integers(0, 40)))
+        lengths[rng.random(len(lengths)) < 0.3] = 0  # empty fibers
+        pointers = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+        nnz = int(pointers[-1])
+        matrix = CompressedMatrix(
+            len(lengths), 1, Layout.CSR, pointers,
+            np.zeros(nnz, dtype=np.int64), np.ones(nnz), validate=False,
+        )
+        batches = _pack_whole_fibers(matrix, num_multipliers)
+        want = [
+            [entry[field] for batch in batches for entry in batch] for field in range(3)
+        ]
+        want.append([b for b, batch in enumerate(batches) for _ in batch])
+        *got, nb = kernels.pack_fiber_batches(pointers, num_multipliers)
+        assert nb == len(batches), trial
+        for want_field, got_field in zip(want, got):
+            assert np.array_equal(np.asarray(want_field, dtype=np.int64), got_field), trial
+
+
+def test_merge_model_matches_the_row_loop():
+    a, b = _make_pair(LAYER_CASES[2])
+    rng = np.random.default_rng(17)
+    for trial in range(400):
+        config = default_config(
+            num_multipliers=int(rng.choice([1, 2, 3, 8, 64])),
+            psram_bytes=int(rng.choice([2048, 1 << 20])),
+        )
+        engine = SpmspmEngine(config)
+        num_rows = int(rng.integers(1, 12))
+        n = int(rng.integers(0, 200))
+        psum_rows = rng.integers(0, num_rows, size=n).astype(np.int64)
+        psum_lens = rng.integers(0, int(rng.choice([1, 4, 60])), size=n).astype(np.int64)
+        c_row_nnz = rng.integers(0, 80, size=num_rows).astype(np.int64)
+        outcomes = []
+        for merge in (ReferenceEngine._merge_partial_fibers, SpmspmEngine._merge_partial_fibers):
+            ctx = engine._build_context(Dataflow.OP_M, a, b)
+            ctx.c_row_nnz = c_row_nnz
+            merge(engine, ctx, psum_rows, psum_lens)
+            outcomes.append((ctx.stats, ctx.traffic, ctx.cycles, ctx.dram.traffic,
+                             ctx.dram.requests))
+        assert outcomes[0] == outcomes[1], trial
 
 
 # ----------------------------------------------------------------------

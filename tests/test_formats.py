@@ -17,7 +17,12 @@ from repro.sparse import (
 )
 from repro.sparse.convert import convert_with_cost, explicit_conversion_cost, transpose
 from repro.sparse.fiber import Fiber
-from repro.sparse.formats import ELEMENT_BYTES, POINTER_BYTES
+from repro.sparse.formats import (
+    ELEMENT_BYTES,
+    POINTER_BYTES,
+    matrix_from_arrays,
+    stable_order,
+)
 
 
 def dense_strategy(max_dim=12):
@@ -231,3 +236,91 @@ class TestGeneration:
         assert m.fiber_nnz(0) == 10
         assert m.fiber_nnz(1) == 0
         assert 0 <= m.fiber_nnz(2) <= 10
+
+
+# ----------------------------------------------------------------------
+# The radix-ordered constructor against the lexsort body it replaced
+# ----------------------------------------------------------------------
+def _lexsort_matrix_from_arrays(nrows, ncols, rows, cols, values, layout):
+    """The ``lexsort`` + ``np.add.at`` body ``matrix_from_arrays`` replaced."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    major = rows if layout.major_is_row else cols
+    minor = cols if layout.major_is_row else rows
+    major_dim = nrows if layout.major_is_row else ncols
+
+    if len(values) == 0:
+        return empty_matrix(nrows, ncols, layout)
+
+    order = np.lexsort((minor, major))
+    major, minor, values = major[order], minor[order], values[order]
+
+    # Accumulate duplicates: group boundaries where (major, minor) changes.
+    new_group = np.empty(len(major), dtype=bool)
+    new_group[0] = True
+    new_group[1:] = (major[1:] != major[:-1]) | (minor[1:] != minor[:-1])
+    group_starts = np.flatnonzero(new_group)
+    group_ids = np.cumsum(new_group) - 1
+    summed = np.zeros(len(group_starts), dtype=np.float64)
+    np.add.at(summed, group_ids, values)
+    major = major[group_starts]
+    minor = minor[group_starts]
+
+    keep = summed != 0.0
+    major, minor, summed = major[keep], minor[keep], summed[keep]
+
+    counts = np.bincount(major, minlength=major_dim)
+    pointers = np.zeros(major_dim + 1, dtype=np.int64)
+    np.cumsum(counts, out=pointers[1:])
+    return CompressedMatrix(nrows, ncols, layout, pointers, minor, summed, validate=False)
+
+
+def _storage_bytes(matrix):
+    return tuple(a.tobytes() for a in (matrix.pointers, matrix.indices, matrix.values))
+
+
+class TestRadixOrderedConstructor:
+    @pytest.mark.parametrize("bound", [1, 2, 255, 2**16, 2**16 + 1, 2**20])
+    def test_stable_order_is_the_stable_argsort(self, bound):
+        rng = np.random.default_rng(bound)
+        for n in (0, 1, 7, 1000):
+            keys = rng.integers(0, bound, size=n).astype(np.int64)
+            assert np.array_equal(
+                stable_order(keys, bound), np.argsort(keys, kind="stable")
+            )
+
+    @pytest.mark.parametrize("layout", list(Layout), ids=str)
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (9, 13), (120, 70), (3, 70000), (70000, 2)], ids=str
+    )
+    def test_matches_the_lexsort_body_bit_for_bit(self, shape, layout):
+        nrows, ncols = shape
+        rng = np.random.default_rng(nrows * 7 + ncols)
+        for trial in range(20):
+            n = int(rng.integers(0, 400))
+            # Few distinct coordinates: duplicate groups of 8+ elements,
+            # whose sums depend on the accumulation order.
+            span = int(rng.choice([1, 3, 40]))
+            rows = rng.integers(0, min(nrows, span), size=n)
+            cols = rng.integers(0, ncols, size=n) if trial % 2 else (
+                rng.integers(0, min(ncols, span), size=n)
+            )
+            values = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=n)
+            values[rng.random(n) < 0.15] = 0.0
+            values[rng.random(n) < 0.15] = -0.0
+            got = matrix_from_arrays(nrows, ncols, rows, cols, values, layout=layout)
+            want = _lexsort_matrix_from_arrays(nrows, ncols, rows, cols, values, layout)
+            assert _storage_bytes(got) == _storage_bytes(want), trial
+            got._validate()
+
+    def test_duplicate_sums_and_negative_zero(self):
+        rows = np.array([0] * 12 + [1, 1])
+        cols = np.array([2] * 12 + [0, 0])
+        values = np.array([1e16, 1.0, -1e16] + [1.0] * 9 + [-0.0, 0.0])
+        got = matrix_from_arrays(2, 3, rows, cols, values)
+        want = _lexsort_matrix_from_arrays(2, 3, rows, cols, values, Layout.CSR)
+        assert _storage_bytes(got) == _storage_bytes(want)
+        # A lone -0.0 is dropped like any other zero.
+        lone = matrix_from_arrays(1, 2, np.array([0]), np.array([1]), np.array([-0.0]))
+        assert lone.nnz == 0

@@ -1,4 +1,4 @@
-"""Ablation — streaming-cache capacity sweep (design decision from DESIGN.md).
+"""Ablation — streaming-cache capacity sweep (the Table 5 sizing decision).
 
 Sweeps the STR cache size on a layer whose streaming operand is larger than
 the smallest cache and shows the crossover the paper's Section 5.2 explains:

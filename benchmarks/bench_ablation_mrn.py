@@ -1,7 +1,7 @@
 """Ablation — tick-level MRN micro-simulation vs the closed-form cycle model.
 
 The accelerator engine charges ``inputs / bandwidth + tree depth`` cycles for
-a merge pass (Section "Simulation fidelity model" of DESIGN.md).  This
+a merge pass: it computes merge trees analytically (README, "Engine").  This
 ablation merges randomly generated partial-sum fibers on the tick-level MRN
 micro-simulator and compares the measured cycles against that closed form,
 checking the engine's assumption holds within a small factor.

@@ -1,4 +1,4 @@
-"""Ablation — PSRAM capacity sweep (design decision from DESIGN.md).
+"""Ablation — PSRAM capacity sweep (the Table 5 sizing decision).
 
 The Outer-Product dataflow holds every partial sum on chip until the merging
 phase; when the PSRAM is too small the excess spills to DRAM and the merging

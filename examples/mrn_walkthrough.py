@@ -5,21 +5,22 @@ Run with::
     python examples/mrn_walkthrough.py
 
 Using the same example matrices as the paper's walk-through (Fig. 2), the
-script shows the three execution styles on the micro-architectural models:
+script shows the three execution styles on the tick-level model of the
+Merger-Reduction Network (MRN):
 
 * Inner Product  — dot products reduced by the MRN in adder mode,
-* Outer Product  — partial-sum fibers staged in the PSRAM and merged by the
-  MRN in comparator mode,
+* Outer Product  — partial-sum fibers staged per output row (the PSRAM's
+  role) and merged by the MRN in comparator mode,
 * Gustavson      — scaled B fibers merged on the fly, row by row.
+
+Each walkthrough checks that the C it assembles equals ``A @ B``.
 """
 
 import numpy as np
 
-from repro.arch.memory.psram import Psram
 from repro.arch.mrn import MergerReductionNetwork
-from repro.arch.multiplier import MultiplierMode, MultiplierNetwork
 from repro.sparse import csr_from_dense, csc_from_dense
-from repro.sparse.fiber import Element, Fiber
+from repro.sparse.fiber import Fiber
 
 
 def paper_example_matrices():
@@ -44,46 +45,48 @@ def inner_product_walkthrough(a_dense, b_dense) -> None:
     a = csr_from_dense(a_dense)
     b = csc_from_dense(b_dense)
     mrn = MergerReductionNetwork(4)
-    multipliers = MultiplierNetwork(4)
-    multipliers.configure_all(MultiplierMode.MULTIPLIER)
+    c = np.zeros((a.nrows, b.ncols))
     for m in range(a.nrows):
         a_fiber = a.fiber(m)
         if a_fiber.is_empty():
             continue
         for n in range(b.major_dim):
             b_fiber = b.fiber(n)
-            products = []
-            for coord in a_fiber.intersect_coords(b_fiber):
-                switch = multipliers[len(products) % 4]
-                switch.load_stationary(a_fiber.value_at(coord))
-                products.append(switch.process(Element(coord, b_fiber.value_at(coord))).value)
+            # The multipliers hold A's row; each effectual intersection
+            # multiplies one streamed element of B's column.
+            products = [
+                a_fiber.value_at(coord) * b_fiber.value_at(coord)
+                for coord in a_fiber.intersect_coords(b_fiber)
+            ]
             if products:
-                total, cycles = mrn.reduce(products)
-                print(f"  C[{m},{n}] = {total:g}  "
+                c[m, n], cycles = mrn.reduce(products)
+                print(f"  C[{m},{n}] = {c[m, n]:g}  "
                       f"({len(products)} products reduced in {cycles} tree cycles)")
+    assert np.allclose(c, a_dense @ b_dense)
     print()
 
 
 def outer_product_walkthrough(a_dense, b_dense) -> None:
-    print("=== Outer Product(M): psum fibers staged in the PSRAM, then merged ===")
+    print("=== Outer Product(M): psum fibers staged per output row, then merged ===")
     a = csc_from_dense(a_dense)
     b = csr_from_dense(b_dense)
-    psram = Psram(capacity_bytes=1024, block_bytes=64, num_sets=4)
-    # Streaming phase: every stationary scalar A[m, k] scales the fiber B[k, :].
+    # Streaming phase: every stationary scalar A[m, k] scales the fiber B[k, :]
+    # into one partial-sum fiber of output row m.
+    psums: dict[int, list[Fiber]] = {}
     for k in range(a.major_dim):
         for m, a_value in a.fiber(k):
-            for element in b.fiber(k).scaled(a_value):
-                psram.partial_write(m, k, element)
-    # Merging phase: row by row, consume the k-fibers and merge them on the MRN.
+            psums.setdefault(m, []).append(b.fiber(k).scaled(a_value))
+    # Merging phase: row by row, merge the row's psum fibers on the MRN.
     mrn = MergerReductionNetwork(4)
-    for row in range(4):
-        ks = psram.fiber_ks(row)
-        if not ks:
-            continue
-        fibers = [Fiber(list(psram.consume_fiber(row, k)), sort=True) for k in ks]
-        merged, cycles = mrn.merge(fibers)
-        rendered = ", ".join(f"C[{row},{c}]={v:g}" for c, v in merged)
-        print(f"  row {row}: merged {len(ks)} psum fibers in {cycles} cycles -> {rendered}")
+    c = np.zeros((a.nrows, b.ncols))
+    for row in sorted(psums):
+        merged, cycles = mrn.merge(psums[row])
+        for col, value in merged:
+            c[row, col] = value
+        rendered = ", ".join(f"C[{row},{col}]={v:g}" for col, v in merged)
+        print(f"  row {row}: merged {len(psums[row])} psum fibers in {cycles} cycles "
+              f"-> {rendered}")
+    assert np.allclose(c, a_dense @ b_dense)
     print()
 
 
@@ -92,14 +95,18 @@ def gustavson_walkthrough(a_dense, b_dense) -> None:
     a = csr_from_dense(a_dense)
     b = csr_from_dense(b_dense)
     mrn = MergerReductionNetwork(4)
+    c = np.zeros((a.nrows, b.ncols))
     for m in range(a.nrows):
         a_fiber = a.fiber(m)
         if a_fiber.is_empty():
             continue
         scaled = [b.fiber(k).scaled(value) for k, value in a_fiber]
         merged, cycles = mrn.merge(scaled)
-        rendered = ", ".join(f"C[{m},{c}]={v:g}" for c, v in merged)
+        for col, value in merged:
+            c[m, col] = value
+        rendered = ", ".join(f"C[{m},{col}]={v:g}" for col, v in merged)
         print(f"  row {m}: merged {len(scaled)} scaled fibers in {cycles} cycles -> {rendered}")
+    assert np.allclose(c, a_dense @ b_dense)
     print()
 
 
@@ -112,7 +119,7 @@ def main() -> None:
     inner_product_walkthrough(a_dense, b_dense)
     outer_product_walkthrough(a_dense, b_dense)
     gustavson_walkthrough(a_dense, b_dense)
-    print("All three dataflows produce the same C, using the same MRN substrate.")
+    print("All three dataflows produce C = A x B, using the same MRN substrate.")
 
 
 if __name__ == "__main__":

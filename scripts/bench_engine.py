@@ -2,7 +2,7 @@
 
 Runs the figure suite cold (no result cache, serial executor, fresh process
 memos per run) twice: once on the engine's NumPy kernels (``vectorized``)
-and once with :class:`~repro.accelerators.engine.ReferenceEngine`'s
+and once with :class:`~repro.accelerators.reference.ReferenceEngine`'s
 per-batch Python walk installed as every engine run's kernel
 (``reference``).  It records both wall-clocks and the speedup in
 ``BENCH_engine.json`` and — in ``--check`` mode — fails when the kernels
@@ -28,7 +28,8 @@ SUITE = ("fig12", "fig15")
 
 def run_suite(engine: str, budget: float, max_layers: int) -> float:
     """Cold wall-clock seconds of the figure suite on ``engine``'s kernels."""
-    from repro.accelerators.engine import ReferenceEngine, SpmspmEngine
+    from repro.accelerators.engine import SpmspmEngine
+    from repro.accelerators.reference import ReferenceEngine
     from repro.api import Session
     from repro.experiments.settings import default_settings
     from repro.runtime import BatchRunner

@@ -2,10 +2,11 @@
 
 The paper obtains post-layout area and power for the main building blocks of
 the four accelerators (DN, MN, RN/merger/MRN, streaming cache, PSRAM) from
-RTL synthesis at TSMC 28 nm / 800 MHz plus CACTI for the SRAMs.  We cannot run
-those tools, so — per the substitution policy in DESIGN.md — the per-component
-constants reported in Table 8 for the 64-multiplier reference design are used
-as calibration points and scaled structurally:
+RTL synthesis at TSMC 28 nm / 800 MHz plus CACTI for the SRAMs.  This
+reproduction cannot run those tools, and its policy for a measured component
+it cannot run is a documented model: the per-component constants reported in
+Table 8 for the 64-multiplier reference design are used as calibration points
+and scaled structurally:
 
 * network components scale with the number of multiplier switches / tree
   nodes they contain,

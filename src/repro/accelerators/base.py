@@ -41,22 +41,8 @@ class Accelerator(abc.ABC):
         """The dataflows this design can execute."""
 
     @abc.abstractmethod
-    def choose_dataflow(
-        self,
-        a: CompressedMatrix,
-        b: CompressedMatrix,
-        *,
-        activation_layout=None,
-        produced_layout=None,
-    ) -> Dataflow:
-        """Pick the dataflow this design would configure for the given layer.
-
-        ``activation_layout`` is the layout the activations arrive in from the
-        previous layer; ``produced_layout`` optionally constrains the layout
-        the output must be produced in.  Fixed-dataflow designs may ignore
-        either hint (and then pay the explicit-conversion cost the scheduler
-        charges).
-        """
+    def choose_dataflow(self, a: CompressedMatrix, b: CompressedMatrix) -> Dataflow:
+        """Pick the dataflow this design would configure for the given layer."""
 
     # ------------------------------------------------------------------
     def run_layer(
@@ -65,7 +51,6 @@ class Accelerator(abc.ABC):
         b: CompressedMatrix,
         *,
         dataflow: Dataflow | None = None,
-        capture_output: bool = False,
         layer_name: str = "",
     ) -> LayerSimResult:
         """Simulate one SpMSpM layer on this design.
@@ -89,7 +74,7 @@ class Accelerator(abc.ABC):
             raise ValueError(
                 f"{self.name} does not support the {label} dataflow ({source})"
             )
-        if self.engine_job_runner is not None and not capture_output:
+        if self.engine_job_runner is not None:
             # Run the engine as a content-addressed job: bit-equivalent to
             # the direct call below (the engine is a pure function of
             # (config, dataflow, operands)), but memoized — the record is
@@ -110,12 +95,7 @@ class Accelerator(abc.ABC):
             )
             return replace(record, accelerator=self.name, layer_name=layer_name)
         return self.engine.run_layer(
-            chosen,
-            a,
-            b,
-            capture_output=capture_output,
-            layer_name=layer_name,
-            accelerator_name=self.name,
+            chosen, a, b, layer_name=layer_name, accelerator_name=self.name
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

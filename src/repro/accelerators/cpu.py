@@ -1,13 +1,13 @@
 """CPU MKL-like software baseline (Section 4, Table 2, Fig. 12).
 
 The paper compares the accelerators against Intel MKL's SpGEMM running on a
-4-core i5-7400 at 3 GHz.  We cannot run MKL, so — per the substitution policy
-in DESIGN.md — this module provides a software Gustavson SpGEMM together with
-an analytical cost model of a multicore CPU executing it.  The cost model
-charges a fixed number of core cycles per effectual multiply-accumulate, per
-input element touched and per output element materialised (index arithmetic,
-hashing and write-back dominate sparse kernels on CPUs), divided over the
-available cores.
+4-core i5-7400 at 3 GHz.  This reproduction cannot run MKL, and its policy for
+a measured component it cannot run is to substitute a documented model: here,
+an analytical cost model of a multicore CPU executing a Gustavson SpGEMM.
+The model charges a fixed number of core cycles per effectual
+multiply-accumulate, per input element touched and per output element
+materialised (index arithmetic, hashing and write-back dominate sparse kernels
+on CPUs), divided over the available cores.
 
 The constants are calibrated so that the accelerator-to-CPU speed-up lands in
 the range the paper reports (13x-163x, 31x on average) for workloads with the
@@ -52,7 +52,6 @@ class CpuRunResult:
     cycles: float
     seconds: float
     stats: DataflowStats
-    output: CompressedMatrix | None = None
 
 
 class CpuMklLikeBaseline:
@@ -69,13 +68,13 @@ class CpuMklLikeBaseline:
         a: CompressedMatrix,
         b: CompressedMatrix,
         *,
-        capture_output: bool = False,
         layer_name: str = "",
     ) -> CpuRunResult:
         """Estimate the CPU cycles to compute ``C = A x B``.
 
         The work counts are exact (computed from the operand structure); only
-        their translation into cycles is a model.
+        their translation into cycles is a model.  The product itself is not
+        computed: :func:`repro.sparse.reference.spgemm_reference` gives C.
         """
         if a.ncols != b.nrows:
             raise ValueError(f"inner dimensions do not match: {a.shape} x {b.shape}")
@@ -105,16 +104,8 @@ class CpuMklLikeBaseline:
         )
         effective_cores = max(1.0, cfg.cores * cfg.parallel_efficiency)
         cycles = serial_cycles / effective_cores
-        output = None
-        if capture_output:
-            from repro.sparse.reference import spgemm_reference
-
-            output = spgemm_reference(a, b)
         return CpuRunResult(
-            cycles=cycles,
-            seconds=cycles / cfg.frequency_hz,
-            stats=stats,
-            output=output,
+            cycles=cycles, seconds=cycles / cfg.frequency_hz, stats=stats
         )
 
     def run_model(

@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.accelerators.base import Accelerator
 from repro.arch.config import AcceleratorConfig
 from repro.dataflows.base import Dataflow
-from repro.sparse.formats import CompressedMatrix, Layout
+from repro.sparse.formats import CompressedMatrix
 
 
 class FlexagonAccelerator(Accelerator):
@@ -40,15 +40,6 @@ class FlexagonAccelerator(Accelerator):
     def supported_dataflows(self) -> tuple[Dataflow, ...]:
         return tuple(Dataflow)
 
-    def choose_dataflow(
-        self,
-        a: CompressedMatrix,
-        b: CompressedMatrix,
-        *,
-        activation_layout: Layout | None = None,
-        produced_layout: Layout | None = None,
-    ) -> Dataflow:
+    def choose_dataflow(self, a: CompressedMatrix, b: CompressedMatrix) -> Dataflow:
         """Delegate the per-layer dataflow decision to the configured mapper."""
-        return self.mapper.select(
-            a, b, activation_layout=activation_layout, produced_layout=produced_layout
-        )
+        return self.mapper.select(a, b)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.accelerators.base import Accelerator
 from repro.dataflows.base import Dataflow
-from repro.sparse.formats import CompressedMatrix, Layout
+from repro.sparse.formats import CompressedMatrix
 
 
 class GammaLikeAccelerator(Accelerator):
@@ -22,15 +22,6 @@ class GammaLikeAccelerator(Accelerator):
     def supported_dataflows(self) -> tuple[Dataflow, ...]:
         return (Dataflow.GUST_M, Dataflow.GUST_N)
 
-    def choose_dataflow(
-        self,
-        a: CompressedMatrix,
-        b: CompressedMatrix,
-        *,
-        activation_layout: Layout | None = None,
-        produced_layout: Layout | None = None,
-    ) -> Dataflow:
-        """Pick the stationary variant; the family is always Gustavson's."""
-        if produced_layout is Layout.CSC:
-            return Dataflow.GUST_N
+    def choose_dataflow(self, a: CompressedMatrix, b: CompressedMatrix) -> Dataflow:
+        """The M-stationary variant: the family is always Gustavson."""
         return Dataflow.GUST_M

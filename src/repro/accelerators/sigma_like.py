@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.accelerators.base import Accelerator
 from repro.dataflows.base import Dataflow
-from repro.sparse.formats import CompressedMatrix, Layout
+from repro.sparse.formats import CompressedMatrix
 
 
 class SigmaLikeAccelerator(Accelerator):
@@ -22,20 +22,6 @@ class SigmaLikeAccelerator(Accelerator):
     def supported_dataflows(self) -> tuple[Dataflow, ...]:
         return (Dataflow.IP_M, Dataflow.IP_N)
 
-    def choose_dataflow(
-        self,
-        a: CompressedMatrix,
-        b: CompressedMatrix,
-        *,
-        activation_layout: Layout | None = None,
-        produced_layout: Layout | None = None,
-    ) -> Dataflow:
-        """Pick the stationary variant; the family is always Inner Product.
-
-        When the next layer needs the output in a particular layout
-        (``produced_layout``), the matching variant is selected — the only
-        degree of freedom a fixed-dataflow design has.
-        """
-        if produced_layout is Layout.CSC:
-            return Dataflow.IP_N
+    def choose_dataflow(self, a: CompressedMatrix, b: CompressedMatrix) -> Dataflow:
+        """The M-stationary variant: the family is always Inner Product."""
         return Dataflow.IP_M

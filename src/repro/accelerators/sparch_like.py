@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.accelerators.base import Accelerator
 from repro.dataflows.base import Dataflow
-from repro.sparse.formats import CompressedMatrix, Layout
+from repro.sparse.formats import CompressedMatrix
 
 
 class SparchLikeAccelerator(Accelerator):
@@ -23,15 +23,6 @@ class SparchLikeAccelerator(Accelerator):
     def supported_dataflows(self) -> tuple[Dataflow, ...]:
         return (Dataflow.OP_M, Dataflow.OP_N)
 
-    def choose_dataflow(
-        self,
-        a: CompressedMatrix,
-        b: CompressedMatrix,
-        *,
-        activation_layout: Layout | None = None,
-        produced_layout: Layout | None = None,
-    ) -> Dataflow:
-        """Pick the stationary variant; the family is always Outer Product."""
-        if produced_layout is Layout.CSC:
-            return Dataflow.OP_N
+    def choose_dataflow(self, a: CompressedMatrix, b: CompressedMatrix) -> Dataflow:
+        """The M-stationary variant: the family is always Outer Product."""
         return Dataflow.OP_M

@@ -59,6 +59,17 @@ def _overrides_tuple(
     return tuple(sorted((str(name), val) for name, val in items))
 
 
+def _overridden(
+    config: AcceleratorConfig, overrides: tuple[tuple[str, object], ...]
+) -> AcceleratorConfig:
+    """``config`` with ``overrides`` applied; overriding ``num_multipliers``
+    re-derives ``num_adders`` unless that is overridden too."""
+    fields_ = dict(overrides)
+    if "num_multipliers" in fields_ and "num_adders" not in fields_:
+        fields_["num_adders"] = fields_["num_multipliers"] - 1
+    return replace(config, **fields_) if fields_ else config
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A declarative (workloads x designs x config overrides) simulation grid.
@@ -133,6 +144,9 @@ class SweepSpec:
                     f"unknown config override {name!r}; expected one of "
                     f"{sorted(_OVERRIDABLE_CONFIG_FIELDS)}"
                 )
+        # Build the overridden Table 5 config once, so a bad geometry (a zero
+        # cache line, say) is a validation error, not a failure mid-sweep.
+        _overridden(AcceleratorConfig(), self.config_overrides)
         if self.scale is not None and self.scale <= 0:
             raise ValueError("scale must be positive")
         if self.max_layers_per_model is not None and self.max_layers_per_model < 1:
@@ -147,11 +161,10 @@ class SweepSpec:
         Returns the jobs plus one metadata dict per job (``model``, ``layer``,
         ``design``) that the response record uses to label result rows.
         """
-        overrides = dict(self.config_overrides)
-        if overrides:
-            if "num_multipliers" in overrides and "num_adders" not in overrides:
-                overrides["num_adders"] = overrides["num_multipliers"] - 1
-            settings = replace(settings, config=replace(settings.config, **overrides))
+        if self.config_overrides:
+            settings = replace(
+                settings, config=_overridden(settings.config, self.config_overrides)
+            )
 
         workloads: list[tuple[str, object, float, object]] = []  # (model, spec, scale, config)
         for name in self.layers:

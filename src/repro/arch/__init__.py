@@ -1,31 +1,22 @@
-"""Cycle-accounting models of Flexagon's on-chip hardware components.
-
-The subpackage contains the building blocks of Fig. 3a:
+"""Hardware parameters and the component models outside the engine.
 
 * :mod:`repro.arch.config` — the accelerator configuration (Table 5).
-* :mod:`repro.arch.distribution` — the Benes-style Distribution Network.
-* :mod:`repro.arch.multiplier` — the Multiplier Network (multiplier /
-  forwarder modes).
-* :mod:`repro.arch.mrn` — the Merger-Reduction Network (adder/comparator
-  tree), including a tick-level micro-simulator.
-* :mod:`repro.arch.memory` — the L1 memory organisation: stationary FIFO,
-  streaming set-associative cache, PSRAM and the DRAM model.
-* :mod:`repro.arch.controllers` — the unified tile filler/reader/writer
-  memory controllers of Fig. 11.
+* :mod:`repro.arch.memory.dram` — the off-chip DRAM traffic model the engine
+  charges.
+* :mod:`repro.arch.mrn` — a tick-level micro-simulation of the
+  Merger-Reduction Network, the check of the engine's closed-form merge cost
+  (``benchmarks/bench_ablation_mrn.py``).
+* :mod:`repro.arch.memory.cache` and :mod:`repro.arch.controllers.streaming`
+  — the per-line streaming cache and its fiber reader, the cache model of
+  the test oracle :class:`repro.accelerators.reference.ReferenceEngine`.
+
+The package itself imports only the configuration, so the product never
+loads the MRN micro-simulation or the oracle's cache model.
 """
 
 from repro.arch.config import AcceleratorConfig, default_config
-from repro.arch.distribution import DistributionNetwork
-from repro.arch.multiplier import MultiplierMode, MultiplierNetwork, MultiplierSwitch
-from repro.arch.mrn import MergerReductionNetwork, NodeMode
 
 __all__ = [
     "AcceleratorConfig",
     "default_config",
-    "DistributionNetwork",
-    "MultiplierMode",
-    "MultiplierNetwork",
-    "MultiplierSwitch",
-    "MergerReductionNetwork",
-    "NodeMode",
 ]

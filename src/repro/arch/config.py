@@ -78,6 +78,14 @@ class AcceleratorConfig:
             )
         if self.distribution_bandwidth < 1 or self.reduction_bandwidth < 1:
             raise ValueError("network bandwidths must be positive")
+        for name in (
+            "str_cache_bytes",
+            "str_cache_line_bytes",
+            "str_cache_associativity",
+            "psram_block_bytes",
+        ):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.str_cache_bytes % self.str_cache_line_bytes:
             raise ValueError("cache size must be a multiple of the line size")
         num_lines = self.str_cache_bytes // self.str_cache_line_bytes

@@ -1,20 +1,9 @@
-"""Unified memory controllers (Section 3.5, Fig. 11).
+"""Memory controllers (Section 3.5, Fig. 11).
 
-Rather than one controller per (dataflow, memory structure) pair — 30 logic
-modules — Flexagon uses five configurable controllers: a tile filler and a
-tile reader for the stationary operand, a tile filler and a tile reader for
-the streaming operand, and a tile writer for matrix C.  The classes here
-reproduce that split; the accelerator engine instantiates them per layer and
-drives them according to the configured dataflow.
+Only the streaming-operand tile reader is modelled as code:
+:mod:`repro.arch.controllers.streaming` drives the per-line streaming cache
+one fiber at a time for the test oracle
+:class:`repro.accelerators.reference.ReferenceEngine`.  The engine's kernels
+reproduce its accesses as batched line spans.  The package imports nothing,
+so importing a submodule loads only that submodule.
 """
-
-from repro.arch.controllers.stationary import StationaryBatch, StationaryTileReader
-from repro.arch.controllers.streaming import StreamingTileReader
-from repro.arch.controllers.writer import OutputTileWriter
-
-__all__ = [
-    "StationaryBatch",
-    "StationaryTileReader",
-    "StreamingTileReader",
-    "OutputTileWriter",
-]

@@ -1,34 +1,19 @@
-"""The L1 memory organisation of Flexagon (Section 3.4, Fig. 9).
+"""Memory models of Flexagon (Section 3.4, Fig. 9).
 
-Three customised structures, each matched to the access pattern of one
-operand class:
+* :mod:`repro.arch.memory.dram` — the off-chip HBM model every on-chip
+  structure fills from and drains to; the engine charges its traffic.
+* :mod:`repro.arch.memory.cache` — the per-line set-associative LRU model of
+  the streaming cache, kept for the test oracle.  The engine computes the
+  same hits in batches (:mod:`repro.engine_vec.cache_model`).
 
-* :class:`~repro.arch.memory.fifo.StationaryFifo` — sequential, read-once
-  accesses of the stationary matrix.
-* :class:`~repro.arch.memory.cache.StreamingCache` — a read-only
-  set-associative cache absorbing the (potentially irregular) accesses of the
-  streaming matrix.
-* :class:`~repro.arch.memory.psram.Psram` — the way-combining, k-tagged
-  partial-sum store with ``PartialWrite``/``Consume`` semantics.
-* :class:`~repro.arch.memory.write_buffer.WriteBuffer` — the output FIFO that
-  hides DRAM write latency.
-* :class:`~repro.arch.memory.dram.DramModel` — the off-chip HBM model that
-  every structure ultimately fills from / drains to.
+The engine models PSRAM occupancy analytically from fiber lengths; the
+stationary FIFO and the write buffer appear only as sizes in
+:class:`repro.arch.config.AcceleratorConfig`.
 """
 
 from repro.arch.memory.dram import DramModel, DramTrafficCounter
-from repro.arch.memory.fifo import StationaryFifo
-from repro.arch.memory.cache import CacheStats, StreamingCache
-from repro.arch.memory.psram import Psram, PsramStats
-from repro.arch.memory.write_buffer import WriteBuffer
 
 __all__ = [
     "DramModel",
     "DramTrafficCounter",
-    "StationaryFifo",
-    "StreamingCache",
-    "CacheStats",
-    "Psram",
-    "PsramStats",
-    "WriteBuffer",
 ]

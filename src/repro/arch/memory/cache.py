@@ -10,38 +10,18 @@ streaming operand with a read-only set-associative cache that operates on a
 
 The class below is an exact behavioural model: every element access is mapped
 to a relative line address, looked up in the proper set, and either hits or
-misses (allocating with LRU replacement).  The resulting miss count is what
-produces the Fig. 15 miss rates and the Fig. 16 off-chip traffic.
+misses (allocating with LRU replacement).  It is the cache model of the test
+oracle :class:`repro.accelerators.reference.ReferenceEngine`; the engine
+computes the same hits for a whole trace at once
+(:mod:`repro.engine_vec.cache_model`), and those misses produce the Fig. 15
+miss rates and the Fig. 16 off-chip traffic.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 
-
-@dataclass
-class CacheStats:
-    """Hit/miss counters for the streaming cache."""
-
-    accesses: int = 0
-    hits: int = 0
-    misses: int = 0
-    #: Bytes fetched from DRAM on misses.  Updated by whoever produces the
-    #: miss counts: :meth:`StreamingCache.access_byte` for walked accesses,
-    #: and the engine's closed-form Inner Product pass, which accounts its
-    #: analytically-derived misses directly.
-    miss_bytes: int = 0
-
-    @property
-    def miss_rate(self) -> float:
-        """Fraction of accesses that missed (0 when there were no accesses)."""
-        return self.misses / self.accesses if self.accesses else 0.0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of accesses that hit."""
-        return 1.0 - self.miss_rate if self.accesses else 0.0
+from repro.engine_vec.cache_model import CacheStats
 
 
 class StreamingCache:
@@ -84,8 +64,8 @@ class StreamingCache:
         self.element_bytes = element_bytes
         self.num_sets = num_lines // associativity
         # Each set is an OrderedDict of line_tag -> None, most recent last,
-        # built on the first probe: the engine's array kernels model most
-        # runs without probing, and a DSE geometry can have thousands of sets.
+        # built on the first probe: Inner Product walks never probe, and a
+        # DSE geometry can have thousands of sets.
         self._sets: list[OrderedDict] | None = None
         self.stats = CacheStats()
 

@@ -1,23 +1,13 @@
-"""The paper's primary contribution, assembled: mapper, tiling and scheduler.
+"""The mapper: the offline dataflow analysis of Fig. 3b (phase 1).
 
-* :mod:`repro.core.mapper` — the offline dataflow analysis of Fig. 3b
-  (phase 1): decide, per layer, which of the six dataflows to configure.
-* :mod:`repro.core.tiling` — the tiling scheme the mapper emits when an
-  operand does not fit in the on-chip memories.
-* :mod:`repro.core.scheduler` — end-to-end execution of a DNN (a chain of
-  SpMSpM layers) on any of the accelerator designs, including the
-  inter-layer format transitions of Table 4.
+* :mod:`repro.core.mapper` — decide, per layer, which of the six dataflows
+  to configure: a closed-form heuristic and an oracle that simulates every
+  candidate on the engine.
 """
 
 from repro.core.mapper import HeuristicMapper, OracleMapper
-from repro.core.tiling import TilingPlan, plan_tiling
-from repro.core.scheduler import DnnScheduler, LayerExecution
 
 __all__ = [
     "HeuristicMapper",
     "OracleMapper",
-    "TilingPlan",
-    "plan_tiling",
-    "DnnScheduler",
-    "LayerExecution",
 ]

@@ -46,30 +46,16 @@ class HeuristicMapper:
         self.config = config or default_config()
 
     # ------------------------------------------------------------------
-    def select(
-        self,
-        a: CompressedMatrix,
-        b: CompressedMatrix,
-        *,
-        activation_layout: Layout | None = None,
-        produced_layout: Layout | None = None,
-    ) -> Dataflow:
-        """Choose the dataflow for ``C = A x B``.
-
-        ``activation_layout`` is the layout the activations (operand A) arrive
-        in from the previous layer; when given, only dataflows that consume it
-        without an explicit conversion are considered.  ``produced_layout``
-        optionally constrains the layout C must be produced in (when the next
-        layer's needs are already known).
-        """
+    def select(self, a: CompressedMatrix, b: CompressedMatrix) -> Dataflow:
+        """Choose the dataflow for ``C = A x B``: the cheapest estimate, the
+        first in :class:`Dataflow` order on a tie."""
         estimates = self.estimate_costs(a, b)
-        candidates = _candidate_variants(activation_layout, produced_layout)
         best: tuple[float, Dataflow] | None = None
-        for dataflow in candidates:
+        for dataflow in Dataflow:
             cost = estimates[dataflow.dataflow_class].cost
             if best is None or cost < best[0]:
                 best = (cost, dataflow)
-        assert best is not None  # _candidate_variants never returns an empty list
+        assert best is not None
         return best[1]
 
     # ------------------------------------------------------------------
@@ -173,18 +159,10 @@ class OracleMapper:
             self._runner = trial_runner()
         return self._runner
 
-    def select(
-        self,
-        a: CompressedMatrix,
-        b: CompressedMatrix,
-        *,
-        activation_layout: Layout | None = None,
-        produced_layout: Layout | None = None,
-    ) -> Dataflow:
-        """Pick the fastest dataflow by simulating every legal candidate."""
+    def select(self, a: CompressedMatrix, b: CompressedMatrix) -> Dataflow:
+        """Pick the fastest dataflow by simulating all six."""
         from repro.runtime import ENGINE_DESIGN, SimJob
 
-        candidates = _candidate_variants(activation_layout, produced_layout)
         trials = self.runner.run(
             [
                 SimJob(
@@ -194,50 +172,12 @@ class OracleMapper:
                     b=b,
                     dataflow=dataflow,
                 )
-                for dataflow in candidates
+                for dataflow in Dataflow
             ]
         )
         best: tuple[float, Dataflow] | None = None
-        for dataflow, result in zip(candidates, trials):
+        for dataflow, result in zip(Dataflow, trials):
             if best is None or result.total_cycles < best[0]:
                 best = (result.total_cycles, dataflow)
         assert best is not None
         return best[1]
-
-
-def _candidate_variants(
-    activation_layout: Layout | None, produced_layout: Layout | None
-) -> list[Dataflow]:
-    """Dataflows compatible with the given activation/output layout constraints.
-
-    When both constraints are given but cannot be satisfied simultaneously,
-    the activation constraint wins (an output-side conversion would be the
-    next layer's problem); when nothing satisfies even the activation
-    constraint alone, all six dataflows are returned and the caller accepts
-    an explicit conversion.
-    """
-    candidates = list(Dataflow)
-    if activation_layout is not None:
-        filtered = [
-            d for d in candidates
-            if _required_activation_layout(d) is activation_layout
-        ]
-        if filtered:
-            candidates = filtered
-    if produced_layout is not None:
-        filtered = [d for d in candidates if _produced_layout(d) is produced_layout]
-        if filtered:
-            candidates = filtered
-    return candidates
-
-
-def _required_activation_layout(dataflow: Dataflow) -> Layout:
-    from repro.dataflows.transitions import required_activation_layout
-
-    return required_activation_layout(dataflow)
-
-
-def _produced_layout(dataflow: Dataflow) -> Layout:
-    from repro.dataflows.transitions import produced_layout
-
-    return produced_layout(dataflow)

@@ -10,7 +10,8 @@ quantities of a dataflow walk over the zero-copy CSR/CSC storage views
 Fidelity contract
 -----------------
 The kernels are **bit-equivalent** to the per-batch Python walk kept as the
-test oracle :class:`repro.accelerators.engine.ReferenceEngine`:
+test oracle :class:`repro.accelerators.reference.ReferenceEngine`, the one
+other model of the hardware, which no product path imports:
 for any operand pair, dataflow and configuration, the resulting
 :class:`~repro.metrics.results.LayerSimResult` — cycles (including the exact
 floating-point accumulation), traffic breakdowns, cache access/hit/miss
@@ -22,11 +23,14 @@ is approximated:
   are exact integers computed with vectorized prefix sums and grouped
   distinct-coordinate counts instead of per-element walks.
 * **Cache behaviour** is computed by an *offline but exact* LRU model
-  (:mod:`repro.engine_vec.cache_model`): the full line-address trace of a
-  layer is expanded from the fiber spans, and per-access hits are derived
-  from LRU stack distances (a batched per-set reuse-distance computation),
-  which provably reproduces the per-line walk of
-  :class:`~repro.arch.memory.cache.StreamingCache`.
+  (:mod:`repro.engine_vec.cache_model`): the line-address trace of a layer
+  is expanded from the fiber spans, and per-access hits are derived from LRU
+  stack distances (a batched per-set reuse-distance computation), which
+  provably reproduces the oracle's per-line
+  :class:`~repro.arch.memory.cache.StreamingCache`.  A trace longer than
+  ``kernels._MAX_TRACE_LINES`` is resolved in chunks, each prefixed with the
+  lines the cache holds after the previous one, so memory stays bounded and
+  the hits stay exact; there is no per-line fallback.
 * **Cycle accumulation order** is preserved: per-batch cycle terms are
   computed as float64 arrays with the same expression shapes and then summed
   in the walk's iteration order, so the floating-point results are
@@ -34,7 +38,7 @@ is approximated:
 * The **merging-phase model** (partial-fiber merge trees) is computed
   analytically from fiber lengths: as array code by
   :meth:`SpmspmEngine._merge_partial_fibers` for the kernels, and by the
-  row loop :meth:`ReferenceEngine._merge_partial_fibers` in the oracle.
+  row loop ``ReferenceEngine._merge_partial_fibers`` in the oracle.
   Inner Product's greedy fiber packing likewise has an array form
   (:func:`repro.engine_vec.kernels.pack_fiber_batches`) beside the oracle's
   loop.

@@ -1,8 +1,6 @@
-"""Batched, exact set-associative LRU cache model.
+"""Batched, exact set-associative LRU model of the streaming cache.
 
-The reference :class:`~repro.arch.memory.cache.StreamingCache` resolves one
-line address at a time against per-set ``OrderedDict`` LRU state.  This
-module computes the same hit/miss outcome for a *whole access trace at once*
+The engine's kernels resolve a layer's whole line-address trace at once
 with NumPy, using the classic stack-distance characterisation of LRU:
 
     an access to line ``t`` hits iff ``t`` has been accessed before and the
@@ -24,16 +22,48 @@ prefix rank ``H[i] = #{j < i : p[j] <= p[i]}`` is computed for all positions
 simultaneously with a bottom-up merge tree: at each level, elements in a
 right-hand block count their peers in the left sibling block with one
 segmented ``searchsorted``.  The whole trace therefore costs
-``O(n log^2 n)`` NumPy work with no per-access Python, and the result is
-*identical* to replaying the trace through ``StreamingCache``
-(``tests/test_engine_equivalence.py`` cross-checks random traces).
+``O(n log^2 n)`` NumPy work with no per-access Python.
+
+A trace too long for one call is resolved in chunks: :func:`lru_resident`
+gives the lines the cache holds after a chunk, and replaying them ahead of
+the next chunk rebuilds the exact LRU state (LRU keeps each set's ``W``
+most recently used lines).  The result is *identical* to replaying the
+trace through the test oracle's per-line
+:class:`~repro.arch.memory.cache.StreamingCache`
+(``tests/test_engine_equivalence.py`` cross-checks random traces, whole and
+chunked).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.sparse.formats import stable_order
+
+
+@dataclass
+class CacheStats:
+    """Hit/miss counters of the streaming cache over one layer."""
+
+    accesses: int = 0
+    hits: int = 0
+    misses: int = 0
+    #: Bytes fetched from DRAM on misses.  Updated by whoever produces the
+    #: miss counts: the kernels from the batched hits (and Inner Product's
+    #: closed-form passes), the oracle's per-line cache probe by probe.
+    miss_bytes: int = 0
+
+    @property
+    def miss_rate(self) -> float:
+        """Fraction of accesses that missed (0 when there were no accesses)."""
+        return self.misses / self.accesses if self.accesses else 0.0
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of accesses that hit."""
+        return 1.0 - self.miss_rate if self.accesses else 0.0
 
 
 def prefix_rank_leq(values: np.ndarray) -> np.ndarray:
@@ -99,6 +129,26 @@ def lru_hits(lines: np.ndarray, num_sets: int, associativity: int) -> np.ndarray
     return hits
 
 
+def lru_resident(lines: np.ndarray, num_sets: int, associativity: int) -> np.ndarray:
+    """Lines a cold LRU cache holds after ``lines``, least recently used first.
+
+    Per set, the ``associativity`` most recently used distinct lines (the
+    stack property of LRU).  Replayed in the returned order into a cold
+    cache, they rebuild each set's contents and recency order exactly.
+    """
+    lines = np.asarray(lines, dtype=np.int64)
+    # The first occurrence in the reversed trace is a line's last use.
+    distinct, from_end = np.unique(lines[::-1], return_index=True)
+    recent_first = distinct[np.argsort(from_end)]
+    sets = recent_first % num_sets
+    by_set = stable_order(sets, num_sets)  # per set, most recent first
+    set_sizes = np.bincount(sets, minlength=num_sets)
+    set_start = np.cumsum(set_sizes) - set_sizes
+    rank = np.empty(len(recent_first), dtype=np.int64)
+    rank[by_set] = np.arange(len(by_set)) - set_start[sets[by_set]]
+    return recent_first[rank < associativity][::-1]
+
+
 def _hits_setmajor(trace: np.ndarray, num_sets: int, associativity: int) -> np.ndarray:
     """Hits for a set-major-ordered trace (helper of :func:`lru_hits`)."""
     n = len(trace)
@@ -162,10 +212,12 @@ def fiber_line_spans(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-fiber-touch ``(first_line, line_count)`` arrays.
 
-    Mirrors :meth:`repro.arch.controllers.streaming.StreamingTileReader._access_span`:
-    a touch of ``count`` consecutive elements starting at element offset
+    A touch of ``count`` consecutive elements starting at element offset
     ``start`` probes every line from the one holding its first byte to the
-    one holding its last byte.  Touches with zero elements probe no lines.
+    one holding its last byte; touches with zero elements probe no lines.
+    The oracle's per-line reader
+    (:meth:`repro.arch.controllers.streaming.StreamingTileReader._access_span`)
+    probes the same lines one at a time.
     """
     starts = np.asarray(start_elements, dtype=np.int64)
     counts = np.asarray(element_counts, dtype=np.int64)

@@ -1,7 +1,8 @@
 """NumPy array kernels for the three dataflow walks.
 
 Each ``run_*`` function below is the vectorized twin of the corresponding
-``ReferenceEngine._run_*`` walk: it consumes the same
+walk of the test oracle
+(:class:`~repro.accelerators.reference.ReferenceEngine`): it consumes the same
 :class:`~repro.accelerators.engine._LayerContext` and produces **identical**
 statistics, traffic, DRAM counters and cycle counts (see the package
 docstring for the fidelity contract).  The kernels operate directly on the
@@ -16,7 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine_vec.cache_model import expand_spans, fiber_line_spans, lru_hits
+from repro.engine_vec.cache_model import (
+    expand_spans,
+    fiber_line_spans,
+    lru_hits,
+    lru_resident,
+)
 
 #: Expansion budget (elements) for grouped distinct-coordinate counting.
 _UNION_CHUNK_ELEMENTS = 1 << 21
@@ -131,43 +137,76 @@ def _flush_dram(counter, field: str, total: int, requests: int) -> None:
     counter.requests += int(requests)
 
 
-#: Upper bound on the materialized line-address trace, in int64 entries.
-#: The batched LRU path allocates roughly 6-10 trace-sized temporaries
-#: (expanded lines, sort orders, previous-occurrence and merge-tree buffers),
-#: so the cap is set to bound *peak* memory near ~0.5-1 GB, not just the
-#: trace itself.  Larger traces fall back to the reference per-line walk,
-#: which needs only O(cache) memory — slower, but it cannot exhaust memory
-#: on unscaled (REPRO_FULL_SCALE) layers.
+#: Upper bound on the line-address trace one :func:`lru_hits` call resolves,
+#: in int64 entries.  The batched LRU path allocates roughly 6-10
+#: trace-sized temporaries (expanded lines, sort orders, previous-occurrence
+#: and merge-tree buffers), so the cap bounds *peak* memory near ~0.5-1 GB,
+#: not just the trace itself.  A longer trace, as unscaled
+#: (REPRO_FULL_SCALE) layers can produce, is resolved in chunks of at most
+#: this many lines with the same hits (see :func:`_span_misses`).
 _MAX_TRACE_LINES = 1 << 23
+
+
+def _span_misses(
+    first_line: np.ndarray, line_counts: np.ndarray, num_sets: int, ways: int
+) -> np.ndarray:
+    """Per-span misses of the LRU line trace the ``(first_line, count)`` spans
+    expand to, in span order, starting from a cold cache.
+
+    The trace is resolved by the batched LRU model, in one call when it fits
+    :data:`_MAX_TRACE_LINES` and in chunks of that many lines otherwise.
+    Each chunk is prefixed with the lines the cache holds after the previous
+    one (:func:`lru_resident`): replayed into a cold cache they rebuild the
+    exact LRU state, so the chunk's hits are the ones the whole trace gives.
+    """
+    total_lines = int(line_counts.sum())
+    if total_lines <= _MAX_TRACE_LINES:
+        lines, line_span = expand_spans(first_line, line_counts)
+        hits = lru_hits(lines, num_sets, ways)
+        return np.bincount(line_span[~hits], minlength=len(line_counts))
+    misses = np.zeros(len(line_counts), dtype=np.int64)
+    ends = np.cumsum(line_counts)
+    resident = np.zeros(0, dtype=np.int64)
+    for lo in range(0, total_lines, _MAX_TRACE_LINES):
+        hi = min(lo + _MAX_TRACE_LINES, total_lines)
+        # The spans overlapping trace positions [lo, hi), clipped to them.
+        first = int(np.searchsorted(ends, lo, side="right"))
+        last = int(np.searchsorted(ends, hi, side="left"))
+        starts = first_line[first : last + 1].astype(np.int64)
+        counts = line_counts[first : last + 1].astype(np.int64)
+        skipped = lo - (int(ends[first]) - int(counts[0]))
+        starts[0] += skipped
+        counts[0] -= skipped
+        counts[-1] -= int(ends[last]) - hi
+        lines, line_span = expand_spans(starts, counts)
+        trace = np.concatenate((resident, lines))
+        hits = lru_hits(trace, num_sets, ways)[len(resident) :]
+        misses[first : last + 1] += np.bincount(
+            line_span[~hits], minlength=last + 1 - first
+        )
+        resident = lru_resident(trace, num_sets, ways)
+    return misses
 
 
 def _fiber_touch_misses(ctx, cfg, fibers: np.ndarray, nnzs: np.ndarray) -> np.ndarray:
     """Per-touch streaming-cache misses for an ordered fiber-touch sequence.
 
-    ``fibers``/``nnzs`` must already exclude empty fibers.  Uses the batched
-    LRU model when the full line trace fits the memory budget; otherwise
-    drives the context's reference reader touch by touch (bit-identical
-    either way).  Cache hit/miss *statistics* are updated here in both
-    paths, so callers must not account them again.
+    ``fibers``/``nnzs`` must already exclude empty fibers.  Cache hit/miss
+    *statistics* are updated here, so callers must not account them again.
     """
     first_line, line_counts = fiber_line_spans(
         ctx.streaming.pointers[fibers], nnzs, ctx.element_bytes, cfg.str_cache_line_bytes
     )
-    if int(line_counts.sum()) <= _MAX_TRACE_LINES:
-        lines, line_touch = expand_spans(first_line, line_counts)
-        hits = lru_hits(lines, ctx.cache.num_sets, cfg.str_cache_associativity)
-        misses = np.bincount(line_touch[~hits], minlength=len(fibers))
-        total_misses = int(misses.sum())
-        total_elements = int(nnzs.sum())
-        ctx.cache.stats.accesses += total_elements
-        ctx.cache.stats.misses += total_misses
-        ctx.cache.stats.hits += total_elements - total_misses
-        ctx.cache.stats.miss_bytes += total_misses * cfg.str_cache_line_bytes
-        return misses
-    reader = ctx.reader
-    return np.array(
-        [reader.touch_fiber(int(fiber)) for fiber in fibers], dtype=np.int64
+    misses = _span_misses(
+        first_line, line_counts, cfg.str_cache_sets, cfg.str_cache_associativity
     )
+    total_misses = int(misses.sum())
+    total_elements = int(nnzs.sum())
+    ctx.cache_stats.accesses += total_elements
+    ctx.cache_stats.misses += total_misses
+    ctx.cache_stats.hits += total_elements - total_misses
+    ctx.cache_stats.miss_bytes += total_misses * cfg.str_cache_line_bytes
+    return misses
 
 
 # ----------------------------------------------------------------------
@@ -176,7 +215,8 @@ def _fiber_touch_misses(ctx, cfg, fibers: np.ndarray, nnzs: np.ndarray) -> np.nd
 def pack_fiber_batches(
     pointers: np.ndarray, num_multipliers: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Array form of :func:`repro.accelerators.engine._pack_whole_fibers`.
+    """Array form of the oracle's greedy batch loop
+    (:func:`repro.accelerators.reference._pack_whole_fibers`).
 
     Returns ``(entry_m, entry_s, entry_e, entry_b, nb)``: the batches'
     ``(major_index, start, end)`` entries flattened in order, the batch of
@@ -217,7 +257,7 @@ def pack_fiber_batches(
 
 
 def run_inner_product(engine, ctx) -> None:
-    """Vectorized twin of :meth:`ReferenceEngine._run_inner_product`."""
+    """Vectorized twin of the oracle walk ``ReferenceEngine._run_inner_product``."""
     from repro.accelerators.engine import _lines_for
 
     cfg = engine.config
@@ -261,10 +301,10 @@ def run_inner_product(engine, ctx) -> None:
     )
     pass_misses[0] = streaming_lines
     total_misses = int(pass_misses.sum())
-    ctx.cache.stats.accesses += snnz * nb
-    ctx.cache.stats.misses += total_misses
-    ctx.cache.stats.hits += snnz * nb - total_misses
-    ctx.cache.stats.miss_bytes += total_misses * cfg.str_cache_line_bytes
+    ctx.cache_stats.accesses += snnz * nb
+    ctx.cache_stats.misses += total_misses
+    ctx.cache_stats.hits += snnz * nb - total_misses
+    ctx.cache_stats.miss_bytes += total_misses * cfg.str_cache_line_bytes
 
     total_sta = int(sta_b.sum())
     ctx.stats.stationary_iterations += nb
@@ -309,7 +349,7 @@ def run_inner_product(engine, ctx) -> None:
 # Outer Product
 # ----------------------------------------------------------------------
 def run_outer_product(engine, ctx) -> None:
-    """Vectorized twin of :meth:`ReferenceEngine._run_outer_product`."""
+    """Vectorized twin of the oracle walk ``ReferenceEngine._run_outer_product``."""
     cfg = engine.config
     a_csc = ctx.stationary
     b_row_nnz = ctx.b_row_nnz
@@ -395,7 +435,7 @@ def run_outer_product(engine, ctx) -> None:
 # Gustavson
 # ----------------------------------------------------------------------
 def run_gustavson(engine, ctx) -> None:
-    """Vectorized twin of :meth:`ReferenceEngine._run_gustavson`."""
+    """Vectorized twin of the oracle walk ``ReferenceEngine._run_gustavson``."""
     cfg = engine.config
     a_csr = ctx.stationary
     b_csr = ctx.streaming

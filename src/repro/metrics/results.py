@@ -8,11 +8,11 @@ derived property here.
 
 Every record is **JSON-round-trippable**: ``to_record()`` produces a plain
 dict of JSON-safe values (versioned by :data:`RESULT_SCHEMA_VERSION`) and
-``from_record()`` reconstructs an equivalent record, so results can cross
+``from_record()`` reconstructs an equal record, so results can cross
 process and service boundaries — the contract the :mod:`repro.api` response
-objects are built on.  The only field that does not survive the trip is a
-captured ``output`` matrix (it is deliberately dropped; results that must
-travel should be produced with ``capture_output=False``, the default).
+objects are built on.  A record carries counts, never the product matrix C:
+:func:`repro.dataflows.run_dataflow` and
+:func:`repro.sparse.reference.spgemm_reference` compute C.
 """
 
 from __future__ import annotations
@@ -143,9 +143,9 @@ class LayerSimResult:
     """Outcome of simulating one SpMSpM layer on one accelerator.
 
     The record is **immutable by contract**: the dataclass is frozen and
-    every post-construction adjustment (the scheduler folding conversion
-    overhead into a layer, the engine relabelling a mirrored run) goes
-    through :func:`dataclasses.replace` with freshly built components.  That
+    every post-construction adjustment (the engine relabelling a mirrored
+    run, a design relabelling a shared engine record) goes through
+    :func:`dataclasses.replace` with freshly built components.  That
     is what lets the batch runner hand the *same* record object to every
     duplicate slot of a batch — and to every consumer of a cached entry —
     without defensive deep copies.  The nested ``cycles``/``traffic``/
@@ -167,8 +167,6 @@ class LayerSimResult:
     str_cache_accesses: int = 0
     #: Operation counts accumulated by the datapath.
     stats: DataflowStats = field(default_factory=DataflowStats)
-    #: The produced output matrix (``None`` when output capture is disabled).
-    output: Optional[object] = None
     #: Optional label of the layer that was simulated.
     layer_name: str = ""
     #: Full off-chip traffic breakdown (``None`` for records produced by
@@ -181,7 +179,7 @@ class LayerSimResult:
         return self.cycles.total
 
     def to_record(self) -> dict[str, object]:
-        """JSON-safe dict form (a captured ``output`` matrix is dropped)."""
+        """JSON-safe dict form."""
         return {
             "schema": RESULT_SCHEMA_VERSION,
             "kind": "layer_result",
@@ -228,9 +226,11 @@ class ModelSimResult:
     accelerator: str
     model_name: str
     layer_results: list[LayerSimResult] = field(default_factory=list)
-    #: Explicit format conversions that had to be inserted between layers.
+    #: Explicit format conversions inserted between layers.  Always 0: the
+    #: mapper plans format variants globally (Section 3.3), so chains never
+    #: need one.  Kept because every record and response body carries it.
     explicit_conversions: int = 0
-    #: Extra off-chip bytes those conversions moved.
+    #: Extra off-chip bytes those conversions moved (always 0, as above).
     conversion_bytes: int = 0
 
     @property

@@ -3,8 +3,10 @@
 The package implements the compressed formats the paper builds on (CSR and
 CSC, Section 2.1), the *fiber* abstraction (a compressed row or column stored
 as a coordinate-sorted list of ``(coordinate, value)`` elements), synthetic
-sparse matrix generation with controllable sparsity patterns, format
-conversion and a dense reference implementation used for validation.
+sparse matrix generation with controllable sparsity patterns, and a dense
+reference implementation used for validation.  Layout flips, transposes and
+dense expansion are :class:`CompressedMatrix` methods (``with_layout``,
+``transposed``, ``to_dense``).
 """
 
 from repro.sparse.fiber import Element, Fiber
@@ -17,11 +19,6 @@ from repro.sparse.formats import (
     matrix_from_arrays,
     matrix_from_coo,
     matrix_from_fibers,
-)
-from repro.sparse.convert import (
-    change_layout,
-    to_dense,
-    transpose,
 )
 from repro.sparse.generate import (
     SparsityPattern,
@@ -45,9 +42,6 @@ __all__ = [
     "matrix_from_arrays",
     "matrix_from_coo",
     "matrix_from_fibers",
-    "change_layout",
-    "to_dense",
-    "transpose",
     "SparsityPattern",
     "random_sparse",
     "sparse_from_density_map",

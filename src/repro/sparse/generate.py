@@ -1,9 +1,10 @@
 """Synthetic sparse matrix generation.
 
 The paper evaluates on the weights and activations of eight pruned DNN models
-(Table 2).  We do not have the original pruned checkpoints, so — per the
-substitution policy in DESIGN.md — we generate synthetic matrices that match
-the published dimensions and sparsity ratios.  Several sparsity *patterns* are
+(Table 2).  The original pruned checkpoints are not available, and this
+reproduction's policy for an input it cannot obtain is a documented synthetic
+stand-in: matrices that match the published dimensions and sparsity ratios.
+Several sparsity *patterns* are
 provided because the relative behaviour of the dataflows depends not only on
 the sparsity degree but also on how the non-zeros cluster:
 

@@ -1,86 +1,12 @@
-"""Tests for the unified memory controllers (tile readers / writer, Fig. 11)."""
+"""Tests for the streaming-operand tile reader (Fig. 11), the oracle's cache driver."""
 
-import pytest
-
-from repro.arch.controllers import (
-    OutputTileWriter,
-    StationaryTileReader,
-    StreamingTileReader,
-)
+from repro.arch.controllers.streaming import StreamingTileReader
 from repro.arch.memory.cache import StreamingCache
-from repro.arch.memory.psram import Psram
-from repro.arch.memory.write_buffer import WriteBuffer
-from repro.dataflows import Dataflow
-from repro.sparse import Layout, random_sparse
-from repro.sparse.fiber import Element, Fiber
+from repro.sparse import random_sparse
 
 
 def make_cache():
     return StreamingCache(4096, 64, 4, element_bytes=4)
-
-
-class TestStationaryTileReaderInnerProduct:
-    def test_whole_fibers_packed(self):
-        a = random_sparse(12, 16, 0.3, seed=5)
-        reader = StationaryTileReader(Dataflow.IP_M, a, num_multipliers=8)
-        batches = list(reader.batches())
-        # Every non-empty fiber appears exactly once across batches.
-        seen_elements = sum(batch.num_elements for batch in batches)
-        assert seen_elements == a.nnz
-        assert reader.elements_read == a.nnz
-        for batch in batches:
-            assert batch.num_elements <= 8 or len(batch.entries) == 1
-
-    def test_long_fiber_is_chunked_alone(self):
-        a = random_sparse(2, 64, 0.9, seed=6)  # rows with ~57 nnz
-        reader = StationaryTileReader(Dataflow.IP_M, a, num_multipliers=8)
-        batches = list(reader.batches())
-        for batch in batches:
-            assert batch.num_elements <= 8
-            assert len(batch.entries) == 1
-
-    def test_empty_matrix_produces_no_batches(self):
-        a = random_sparse(4, 4, 0.0, seed=1)
-        reader = StationaryTileReader(Dataflow.IP_M, a, num_multipliers=4)
-        assert list(reader.batches()) == []
-
-
-class TestStationaryTileReaderOuterProduct:
-    def test_scalars_packed_in_column_order(self):
-        a = random_sparse(10, 12, 0.4, seed=7, layout=Layout.CSC)
-        reader = StationaryTileReader(Dataflow.OP_M, a, num_multipliers=16)
-        batches = list(reader.batches())
-        assert sum(b.num_elements for b in batches) == a.nnz
-        # No batch exceeds the array size.
-        assert all(b.num_elements <= 16 for b in batches)
-
-    def test_batch_groups_by_k(self):
-        a = random_sparse(6, 6, 0.5, seed=8, layout=Layout.CSC)
-        reader = StationaryTileReader(Dataflow.OP_M, a, num_multipliers=100)
-        (batch,) = list(reader.batches())
-        ks = [k for k, _ in batch.entries]
-        assert len(ks) == len(set(ks))
-        total = sum(fiber.nnz for _, fiber in batch.entries)
-        assert total == a.nnz
-
-
-class TestStationaryTileReaderGustavson:
-    def test_batches_never_mix_rows(self):
-        a = random_sparse(8, 20, 0.5, seed=9)
-        reader = StationaryTileReader(Dataflow.GUST_M, a, num_multipliers=4)
-        for batch in reader.batches():
-            assert len(batch.majors()) == 1
-            assert batch.num_elements <= 4
-
-    def test_all_elements_covered(self):
-        a = random_sparse(8, 20, 0.5, seed=10)
-        reader = StationaryTileReader(Dataflow.GUST_M, a, num_multipliers=4)
-        assert sum(b.num_elements for b in reader.batches()) == a.nnz
-
-    def test_invalid_multiplier_count(self):
-        a = random_sparse(4, 4, 0.5, seed=1)
-        with pytest.raises(ValueError):
-            StationaryTileReader(Dataflow.GUST_M, a, num_multipliers=0)
 
 
 class TestStreamingTileReader:
@@ -126,45 +52,3 @@ class TestStreamingTileReader:
         assert fiber.is_empty()
         assert misses == 0
         assert cache.stats.accesses == 0
-
-
-class TestOutputTileWriter:
-    def make_writer(self):
-        psram = Psram(2048, 64, 4, element_bytes=4)
-        buffer = WriteBuffer(256, element_bytes=4)
-        return OutputTileWriter(psram, buffer), psram, buffer
-
-    def test_final_elements_collected_into_fibers(self):
-        writer, _, buffer = self.make_writer()
-        writer.write_final(0, Element(3, 1.0))
-        writer.write_final(0, Element(1, 2.0))
-        writer.write_final(2, Element(0, -1.0))
-        fibers = writer.collected_fibers()
-        assert fibers[0] == Fiber([(1, 2.0), (3, 1.0)])
-        assert fibers[2] == Fiber([(0, -1.0)])
-        assert writer.stats.final_elements == 3
-        assert buffer.stats.writes == 3
-
-    def test_write_final_fiber(self):
-        writer, _, _ = self.make_writer()
-        fiber = Fiber([(0, 1.0), (5, 2.0)])
-        writer.write_final_fiber(7, fiber)
-        assert writer.collected_fibers()[7] == fiber
-
-    def test_partial_elements_go_to_psram(self):
-        writer, psram, _ = self.make_writer()
-        assert writer.write_partial(1, 0, Element(4, 2.0)) is True
-        assert psram.fiber_length(1, 0) == 1
-        assert writer.stats.partial_elements == 1
-
-    def test_psram_spill_counted(self):
-        psram = Psram(128, 64, 2, element_bytes=4)  # 1 block per set
-        writer = OutputTileWriter(psram, WriteBuffer(64))
-        assert writer.write_partial(0, 0, Element(0, 1.0)) is True
-        assert writer.write_partial(0, 1, Element(0, 1.0)) is False
-        assert writer.stats.psram_spills == 1
-
-    def test_flush_returns_drained_count(self):
-        writer, _, _ = self.make_writer()
-        writer.write_final(0, Element(0, 1.0))
-        assert writer.flush() == 1

@@ -1,19 +1,11 @@
-"""Tests for the core package: mapper, tiling and the DNN scheduler."""
+"""Tests for the core package: the heuristic and oracle mappers."""
 
 import pytest
 
-from repro.accelerators import (
-    FlexagonAccelerator,
-    GammaLikeAccelerator,
-    SigmaLikeAccelerator,
-    SparchLikeAccelerator,
-)
 from repro.arch.config import default_config
-from repro.core import DnnScheduler, HeuristicMapper, LayerExecution, OracleMapper, plan_tiling
-from repro.core.mapper import _candidate_variants
+from repro.core import HeuristicMapper, OracleMapper
 from repro.dataflows import Dataflow, DataflowClass
-from repro.dataflows.transitions import produced_layout, required_activation_layout
-from repro.sparse import Layout, random_sparse
+from repro.sparse import random_sparse
 from repro.workloads import get_representative_layer, materialize_layer
 
 CONFIG = default_config()
@@ -39,20 +31,6 @@ class TestHeuristicMapper:
         a, b = pair(seed=2)
         assert isinstance(mapper.select(a, b), Dataflow)
 
-    def test_activation_layout_restricts_candidates(self):
-        mapper = HeuristicMapper(CONFIG)
-        a, b = pair(seed=3)
-        for layout in (Layout.CSR, Layout.CSC):
-            chosen = mapper.select(a, b, activation_layout=layout)
-            assert required_activation_layout(chosen) is layout
-
-    def test_produced_layout_restricts_candidates(self):
-        mapper = HeuristicMapper(CONFIG)
-        a, b = pair(seed=4)
-        for layout in (Layout.CSR, Layout.CSC):
-            chosen = mapper.select(a, b, produced_layout=layout)
-            assert produced_layout(chosen) is layout
-
     def test_ip_friendly_layer_prefers_inner_product(self):
         """Small stationary operand + small streaming matrix => IP (SQ5-like)."""
         mapper = HeuristicMapper(CONFIG)
@@ -72,15 +50,6 @@ class TestHeuristicMapper:
         b = random_sparse(200, 2000, 0.5, seed=6)
         chosen = mapper.select(a, b)
         assert chosen.dataflow_class is not DataflowClass.INNER_PRODUCT
-
-    def test_candidate_variants_fallback_when_unsatisfiable(self):
-        # No dataflow produces CSR output AND consumes CSC activations with
-        # the same family restriction applied... but individually both filters
-        # are satisfiable, so the intersection should never be empty here.
-        candidates = _candidate_variants(Layout.CSC, Layout.CSR)
-        assert candidates  # never empty
-        for dataflow in candidates:
-            assert required_activation_layout(dataflow) is Layout.CSC
 
 
 class TestOracleMapper:
@@ -104,103 +73,3 @@ class TestOracleMapper:
             HeuristicMapper(CONFIG).select(a, b), a, b
         ).total_cycles
         assert oracle_cycles <= heuristic_cycles + 1e-9
-
-
-class TestTiling:
-    def test_small_layer_needs_one_tile(self):
-        a, b = pair(seed=9)
-        plan = plan_tiling(Dataflow.GUST_M, a, b, CONFIG)
-        assert plan.num_tiles == 1
-        assert plan.fits_on_chip(CONFIG)
-
-    def test_large_streaming_operand_tiles_along_streaming_dim(self):
-        config = default_config(str_cache_bytes=8 * 1024)
-        a = random_sparse(50, 100, 0.5, seed=10)
-        b = random_sparse(100, 2000, 0.5, seed=11)  # ~400 KB compressed
-        plan = plan_tiling(Dataflow.GUST_M, a, b, config)
-        assert plan.streaming_tiles > 1
-        assert plan.streaming_bytes_per_tile <= config.str_cache_bytes
-
-    def test_outer_product_psum_pressure_tiles_stationary_dim(self):
-        config = default_config(psram_bytes=16 * 1024)
-        a = random_sparse(200, 200, 0.5, seed=12)
-        b = random_sparse(200, 400, 0.5, seed=13)
-        plan = plan_tiling(Dataflow.OP_M, a, b, config)
-        assert plan.stationary_tiles > 1
-
-    def test_inner_product_has_no_psum_tiles(self):
-        a, b = pair(seed=14)
-        plan = plan_tiling(Dataflow.IP_M, a, b, CONFIG)
-        assert plan.psum_bytes_per_tile == 0
-        assert plan.stationary_tiles == 1
-
-
-class TestScheduler:
-    def _chain(self, num_layers=3, seed=20):
-        """A simple layer chain where C of layer i is A of layer i+1."""
-        layers = []
-        m, k = 40, 48
-        for i in range(num_layers):
-            n = 40 + 8 * i
-            a = random_sparse(m, k, 0.35, seed=seed + i)
-            b = random_sparse(k, n, 0.3, seed=seed + 100 + i)
-            layers.append(LayerExecution(a=a, b=b, name=f"layer{i}"))
-            k = n  # the next layer consumes this layer's output channels
-        return layers
-
-    def test_runs_all_layers(self):
-        scheduler = DnnScheduler(FlexagonAccelerator(CONFIG))
-        result = scheduler.run_model(self._chain(), model_name="toy")
-        assert result.model_name == "toy"
-        assert len(result.layer_results) == 3
-        assert result.total_cycles > 0
-
-    def test_flexagon_chains_without_conversions(self):
-        scheduler = DnnScheduler(FlexagonAccelerator(CONFIG))
-        result = scheduler.run_model(self._chain())
-        assert result.explicit_conversions == 0
-
-    def test_fixed_op_design_needs_conversions(self):
-        """An OP-only design needs CSC activations but produces CSR: every
-        layer after the first requires an explicit conversion (Table 4)."""
-        scheduler = DnnScheduler(
-            SparchLikeAccelerator(CONFIG), initial_activation_layout=Layout.CSC
-        )
-        result = scheduler.run_model(self._chain())
-        assert result.explicit_conversions == len(result.layer_results) - 1
-        assert result.conversion_bytes > 0
-
-    def test_conversion_overhead_can_be_disabled(self):
-        base = DnnScheduler(
-            SparchLikeAccelerator(CONFIG), initial_activation_layout=Layout.CSC
-        ).run_model(self._chain())
-        free = DnnScheduler(
-            SparchLikeAccelerator(CONFIG),
-            initial_activation_layout=Layout.CSC,
-            conversion_overhead_enabled=False,
-        ).run_model(self._chain())
-        assert free.conversion_bytes == 0
-        assert free.total_cycles < base.total_cycles
-
-    def test_forced_dataflows_respected(self):
-        scheduler = DnnScheduler(
-            FlexagonAccelerator(CONFIG),
-            forced_dataflows={0: Dataflow.OP_M, 2: Dataflow.IP_M},
-        )
-        result = scheduler.run_model(self._chain())
-        assert result.layer_results[0].dataflow is Dataflow.OP_M
-        assert result.layer_results[2].dataflow is Dataflow.IP_M
-
-    def test_dataflow_histogram(self):
-        scheduler = DnnScheduler(GammaLikeAccelerator(CONFIG))
-        result = scheduler.run_model(self._chain())
-        histogram = result.dataflow_histogram
-        assert sum(histogram.values()) == 3
-        assert all(d.dataflow_class is DataflowClass.GUSTAVSON for d in histogram)
-
-    def test_total_traffic_aggregates_layers(self):
-        scheduler = DnnScheduler(SigmaLikeAccelerator(CONFIG))
-        result = scheduler.run_model(self._chain())
-        assert result.total_traffic.onchip_bytes == sum(
-            layer.traffic.onchip_bytes for layer in result.layer_results
-        )

@@ -8,8 +8,8 @@ approximation: for any operands, dataflow and configuration, the full
 counters — must match the walk.  This suite sweeps randomized
 sparsities/shapes/seeds across all six dataflows and several cache
 geometries (including degenerate single-set caches), cross-checks the
-batched LRU model against the per-line reference cache, and compares a
-whole layer-wise figure grid computed both ways.
+batched LRU model, whole and in chunks, against the per-line reference
+cache, and compares a whole layer-wise figure grid computed both ways.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.accelerators.engine import ReferenceEngine, SpmspmEngine
+from repro.accelerators.engine import SpmspmEngine
+from repro.accelerators.reference import ReferenceEngine
 from repro.arch.config import default_config
 from repro.arch.memory.cache import StreamingCache
 from repro.dataflows.base import Dataflow
@@ -25,7 +26,6 @@ from repro.engine_vec.cache_model import lru_hits
 from repro.engine_vec import kernels
 from repro.sparse.formats import csr_from_dense
 from repro.sparse.generate import SparsityPattern, random_sparse
-from repro.sparse.reference import spgemm_reference
 
 # ----------------------------------------------------------------------
 # Property-style sweep: random layers x dataflows x geometries
@@ -101,20 +101,6 @@ def test_backends_bit_equal_across_dataflows_and_geometries(case):
             _assert_results_equal(r, v, (dataflow, config.num_multipliers))
 
 
-def test_backends_equal_output_matrix_and_reference_numerics():
-    a, b = _make_pair(LAYER_CASES[3])
-    golden = spgemm_reference(a, b)
-    for dataflow in Dataflow:
-        r = ReferenceEngine(CONFIGS[0]).run_layer(dataflow, a, b, capture_output=True)
-        v = SpmspmEngine(CONFIGS[0]).run_layer(dataflow, a, b, capture_output=True)
-        want = golden.with_layout(v.output.layout)
-        assert v.output == r.output
-        assert v.output.shape == want.shape
-        assert np.array_equal(v.output.pointers, want.pointers)
-        assert np.array_equal(v.output.indices, want.indices)
-        assert np.allclose(v.output.values, want.values)
-
-
 def test_vectorized_handles_empty_operands():
     a = csr_from_dense(np.zeros((4, 6)))
     b = csr_from_dense(np.zeros((6, 5)))
@@ -128,8 +114,9 @@ def test_vectorized_handles_empty_operands():
 # ----------------------------------------------------------------------
 # The batched LRU model against the reference per-line cache
 # ----------------------------------------------------------------------
-def test_batched_lru_matches_streaming_cache_on_random_traces():
+def test_batched_lru_matches_streaming_cache_on_random_traces(monkeypatch):
     rng = np.random.default_rng(7)
+    caps = np.random.default_rng(8)
     for _ in range(200):
         num_sets = int(rng.choice([1, 2, 4, 8, 64]))
         ways = int(rng.choice([1, 2, 4, 16]))
@@ -139,6 +126,11 @@ def test_batched_lru_matches_streaming_cache_on_random_traces():
         lines = rng.integers(0, int(rng.integers(1, 200)), size=n).astype(np.int64)
         walked = np.array([cache.access_byte(int(l) * line_bytes) for l in lines])
         assert np.array_equal(walked, lru_hits(lines, num_sets, ways))
+        # Once more in chunks of a small cap, each line its own span.
+        cap = int(caps.integers(1, 50))
+        monkeypatch.setattr(kernels, "_MAX_TRACE_LINES", cap)
+        misses = kernels._span_misses(lines, np.ones(n, dtype=np.int64), num_sets, ways)
+        assert np.array_equal(walked, misses == 0), cap
 
 
 def test_batched_lru_matches_fiber_touch_walk():
@@ -175,15 +167,20 @@ def test_batched_lru_matches_fiber_touch_walk():
     assert cache.stats.miss_bytes == cache.stats.misses * config.str_cache_line_bytes
 
 
-def test_trace_memory_fallback_is_bit_identical(monkeypatch):
-    """Over-budget traces fall back to the per-line walk, same results."""
-    monkeypatch.setattr(kernels, "_MAX_TRACE_LINES", 0)
+@pytest.mark.parametrize("cap", [1, 7, 64])
+def test_chunked_lru_traces_match_the_walk(monkeypatch, cap):
+    """Traces over the cap resolve in chunks, with the walk's records.
+
+    A 1-line cap makes every multi-line touch longer than a chunk, 7 puts
+    chunk boundaries inside touches, and 64 holds several touches per chunk.
+    """
+    monkeypatch.setattr(kernels, "_MAX_TRACE_LINES", cap)
     a, b = _make_pair(LAYER_CASES[3])
     for config in CONFIGS[:2]:
-        for dataflow in (Dataflow.OP_M, Dataflow.GUST_M, Dataflow.GUST_N):
+        for dataflow in (Dataflow.OP_M, Dataflow.OP_N, Dataflow.GUST_M, Dataflow.GUST_N):
             r = ReferenceEngine(config).run_layer(dataflow, a, b)
             v = SpmspmEngine(config).run_layer(dataflow, a, b)
-            _assert_results_equal(r, v, ("fallback", dataflow))
+            _assert_results_equal(r, v, ("chunked", cap, dataflow))
 
 
 def test_grouped_union_counts_scipy_and_numpy_paths_agree(monkeypatch):
@@ -224,7 +221,7 @@ def test_grouped_union_counts_scipy_and_numpy_paths_agree(monkeypatch):
 # Array forms of the packing and merge models against their loops
 # ----------------------------------------------------------------------
 def test_fiber_packing_matches_the_greedy_loop():
-    from repro.accelerators.engine import _pack_whole_fibers
+    from repro.accelerators.reference import _pack_whole_fibers
     from repro.sparse.formats import CompressedMatrix, Layout
 
     rng = np.random.default_rng(13)
@@ -292,7 +289,7 @@ def test_settings_record_without_engine_defaults():
 # miss_bytes satellite
 # ----------------------------------------------------------------------
 def test_cache_stats_miss_bytes_is_a_real_field():
-    from repro.arch.memory.cache import CacheStats
+    from repro.engine_vec.cache_model import CacheStats
 
     stats = CacheStats()
     assert stats.miss_bytes == 0
@@ -314,8 +311,8 @@ def test_engine_accounts_inner_product_miss_bytes(engine_class):
     engine = engine_class(config)
     ctx = engine._build_context(Dataflow.IP_M, a, b)
     engine._run_kernel(Dataflow.IP_M, ctx)
-    assert ctx.cache.stats.miss_bytes == ctx.cache.stats.misses * config.str_cache_line_bytes
-    assert ctx.cache.stats.miss_bytes == ctx.dram.traffic.str_read_bytes
+    assert ctx.cache_stats.miss_bytes == ctx.cache_stats.misses * config.str_cache_line_bytes
+    assert ctx.cache_stats.miss_bytes == ctx.dram.traffic.str_read_bytes
 
 
 # ----------------------------------------------------------------------

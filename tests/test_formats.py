@@ -15,7 +15,6 @@ from repro.sparse import (
     matrix_from_fibers,
     random_sparse,
 )
-from repro.sparse.convert import convert_with_cost, explicit_conversion_cost, transpose
 from repro.sparse.fiber import Fiber
 from repro.sparse.formats import (
     ELEMENT_BYTES,
@@ -152,7 +151,7 @@ class TestFiberAccess:
 class TestTransposeAndSize:
     def test_transpose_flips_shape_and_layout(self):
         m = random_sparse(5, 8, 0.3, seed=3)
-        t = transpose(m)
+        t = m.transposed()
         assert t.shape == (8, 5)
         assert t.layout is m.layout.other
         assert np.allclose(t.to_dense(), m.to_dense().T)
@@ -169,31 +168,6 @@ class TestTransposeAndSize:
     def test_density_and_sparsity_sum_to_one(self):
         m = random_sparse(10, 10, 0.37, seed=6)
         assert m.density + m.sparsity == pytest.approx(1.0)
-
-
-class TestConversionCost:
-    def test_same_layout_conversion_is_free(self):
-        m = random_sparse(6, 6, 0.4, seed=7)
-        converted, cost = convert_with_cost(m, m.layout)
-        assert converted is m
-        assert cost.bytes_moved == 0
-
-    def test_cross_layout_conversion_costs_traffic(self):
-        m = random_sparse(6, 6, 0.4, seed=8, layout=Layout.CSR)
-        converted, cost = convert_with_cost(m, Layout.CSC)
-        assert converted.layout is Layout.CSC
-        assert np.allclose(converted.to_dense(), m.to_dense())
-        assert cost.element_reads == m.nnz
-        assert cost.element_writes == m.nnz
-        assert cost.bytes_moved > 0
-
-    def test_explicit_cost_scales_with_nnz(self):
-        small = random_sparse(10, 10, 0.1, seed=9)
-        large = random_sparse(10, 10, 0.9, seed=9)
-        assert (
-            explicit_conversion_cost(large).bytes_moved
-            > explicit_conversion_cost(small).bytes_moved
-        )
 
 
 class TestGeneration:

@@ -1,72 +1,12 @@
-"""Tests for the L1 memory structures: FIFO, streaming cache, PSRAM, write buffer, DRAM."""
+"""Tests for the memory models: the oracle's streaming cache and the DRAM model."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch.memory import (
-    DramModel,
-    Psram,
-    StationaryFifo,
-    StreamingCache,
-    WriteBuffer,
-)
 from repro.arch.config import DramConfig
-
-
-# ----------------------------------------------------------------------
-# Stationary FIFO
-# ----------------------------------------------------------------------
-class TestStationaryFifo:
-    def test_push_pop_order(self):
-        fifo = StationaryFifo(4)
-        for value in (1, 2, 3):
-            fifo.push(value)
-        assert [fifo.pop(), fifo.pop(), fifo.pop()] == [1, 2, 3]
-
-    def test_capacity_enforced(self):
-        fifo = StationaryFifo(2)
-        fifo.push("a")
-        fifo.push("b")
-        assert fifo.is_full()
-        with pytest.raises(OverflowError):
-            fifo.push("c")
-
-    def test_underflow_counts_stall(self):
-        fifo = StationaryFifo(2)
-        with pytest.raises(LookupError):
-            fifo.pop()
-        assert fifo.stats.stall_events == 1
-
-    def test_push_fiber_partial(self):
-        fifo = StationaryFifo(3)
-        pushed = fifo.push_fiber([10, 20, 30, 40, 50])
-        assert pushed == 3
-        assert fifo.occupancy == 3
-
-    def test_drain(self):
-        fifo = StationaryFifo(4)
-        fifo.push_fiber([1, 2, 3])
-        assert fifo.drain() == [1, 2, 3]
-        assert fifo.is_empty()
-
-    def test_stats_and_peak_occupancy(self):
-        fifo = StationaryFifo(8)
-        fifo.push_fiber(range(5))
-        fifo.pop()
-        assert fifo.stats.pushes == 5
-        assert fifo.stats.pops == 1
-        assert fifo.stats.peak_occupancy == 5
-        assert fifo.free_slots == 4
-
-    def test_base_address_register(self):
-        fifo = StationaryFifo(4)
-        fifo.set_base_address(0x1000)
-        assert fifo.base_address == 0x1000
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            StationaryFifo(0)
+from repro.arch.memory.cache import StreamingCache
+from repro.arch.memory.dram import DramModel
 
 
 # ----------------------------------------------------------------------
@@ -191,144 +131,6 @@ class TestStreamingCache:
             cache.access_byte(offset)
         resident = sum(len(ways) for ways in cache._sets)
         assert resident <= cache.num_lines
-
-
-# ----------------------------------------------------------------------
-# PSRAM
-# ----------------------------------------------------------------------
-class TestPsram:
-    def make(self, capacity=1024, block=64, sets=4):
-        return Psram(capacity, block, sets, element_bytes=4)
-
-    def test_geometry(self):
-        psram = self.make()
-        assert psram.total_blocks == 16
-        assert psram.blocks_per_set == 4
-        assert psram.elements_per_block == 16
-
-    def test_invalid_geometry(self):
-        with pytest.raises(ValueError):
-            Psram(1000, 64, 4)
-        with pytest.raises(ValueError):
-            Psram(128, 64, 4)  # fewer blocks than sets
-        with pytest.raises(ValueError):
-            Psram(0, 64, 1)
-
-    def test_partial_write_then_consume_fifo_order(self):
-        psram = self.make()
-        for i in range(5):
-            assert psram.partial_write(row=1, k=3, element=("e", i))
-        consumed = [psram.consume(1, 3) for _ in range(5)]
-        assert consumed == [("e", i) for i in range(5)]
-
-    def test_fiber_length_tracks_unconsumed(self):
-        psram = self.make()
-        for i in range(3):
-            psram.partial_write(0, 7, i)
-        assert psram.fiber_length(0, 7) == 3
-        psram.consume(0, 7)
-        assert psram.fiber_length(0, 7) == 2
-
-    def test_consumed_block_is_freed(self):
-        psram = self.make(capacity=256, block=64, sets=1)  # 4 blocks, 16 elems each
-        for i in range(16):
-            psram.partial_write(0, 1, i)
-        assert psram.blocks_in_use() == 1
-        for _ in range(16):
-            psram.consume(0, 1)
-        assert psram.blocks_in_use() == 0
-
-    def test_fiber_spills_into_multiple_blocks(self):
-        psram = self.make(capacity=256, block=64, sets=1)
-        for i in range(20):  # > 16 elements per block
-            psram.partial_write(0, 1, i)
-        assert psram.blocks_in_use() == 2
-        assert psram.fiber_length(0, 1) == 20
-        assert list(psram.consume_fiber(0, 1)) == list(range(20))
-
-    def test_different_k_fibers_in_same_set(self):
-        psram = self.make()
-        psram.partial_write(0, 1, "a")
-        psram.partial_write(0, 2, "b")
-        assert sorted(psram.fiber_ks(0)) == [1, 2]
-        assert psram.consume(0, 2) == "b"
-        assert psram.consume(0, 1) == "a"
-
-    def test_rows_map_to_sets(self):
-        psram = self.make(sets=4)
-        assert psram.set_index(0) == 0
-        assert psram.set_index(5) == 1
-        psram.partial_write(0, 1, "x")
-        psram.partial_write(4, 1, "y")  # same set as row 0
-        assert psram.blocks_in_use() == 2
-
-    def test_spill_when_set_full(self):
-        psram = self.make(capacity=256, block=64, sets=2)  # 2 blocks per set
-        stored = [psram.partial_write(0, k, "v") for k in range(3)]
-        # Third distinct k needs a third block in set 0 -> spills.
-        assert stored == [True, True, False]
-        assert psram.stats.spilled_elements == 1
-
-    def test_consume_missing_fiber_raises(self):
-        psram = self.make()
-        with pytest.raises(LookupError):
-            psram.consume(0, 9)
-
-    def test_reset_clears_contents_keeps_stats(self):
-        psram = self.make()
-        psram.partial_write(0, 1, "x")
-        psram.reset()
-        assert psram.blocks_in_use() == 0
-        assert psram.stats.partial_writes == 1
-
-    def test_occupancy_bytes(self):
-        psram = self.make()
-        for i in range(6):
-            psram.partial_write(2, 0, i)
-        assert psram.occupancy_bytes() == 6 * 4
-
-    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=60))
-    @settings(max_examples=40, deadline=None)
-    def test_everything_written_onchip_can_be_consumed(self, writes):
-        psram = Psram(4096, 64, 4, element_bytes=4)
-        expected: dict[tuple[int, int], list[int]] = {}
-        for i, (row, k) in enumerate(writes):
-            if psram.partial_write(row, k, i):
-                expected.setdefault((row, k), []).append(i)
-        for (row, k), values in expected.items():
-            assert list(psram.consume_fiber(row, k)) == values
-
-
-# ----------------------------------------------------------------------
-# Write buffer
-# ----------------------------------------------------------------------
-class TestWriteBuffer:
-    def test_write_and_flush(self):
-        buffer = WriteBuffer(capacity_bytes=16, element_bytes=4)
-        for i in range(3):
-            assert buffer.write(i) is True
-        assert buffer.occupancy == 3
-        assert buffer.flush() == 3
-        assert buffer.occupancy == 0
-
-    def test_full_buffer_stalls_and_drains(self):
-        buffer = WriteBuffer(capacity_bytes=8, element_bytes=4)  # 2 elements
-        buffer.write("a")
-        buffer.write("b")
-        accepted = buffer.write("c")
-        assert accepted is False
-        assert buffer.stats.full_stalls == 1
-        assert buffer.occupancy == 2
-
-    def test_bytes_written_tracked(self):
-        buffer = WriteBuffer(capacity_bytes=8, element_bytes=4)
-        buffer.write("a")
-        buffer.flush()
-        assert buffer.stats.bytes_written == 4
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            WriteBuffer(0)
 
 
 # ----------------------------------------------------------------------

@@ -1,140 +1,16 @@
-"""Tests for the on-chip networks: distribution, multipliers and the MRN."""
+"""Tests for the Merger-Reduction Network (MRN) micro-simulation."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch.distribution import DistributionNetwork
 from repro.arch.mrn import (
     MergerReductionNetwork,
     NodeMode,
     merge_cycles,
     reduction_cycles,
 )
-from repro.arch.multiplier import MultiplierMode, MultiplierNetwork, MultiplierSwitch
-from repro.sparse.fiber import Element, Fiber
-
-
-# ----------------------------------------------------------------------
-# Distribution network
-# ----------------------------------------------------------------------
-class TestDistributionNetwork:
-    def test_benes_structure(self):
-        dn = DistributionNetwork(num_outputs=64, bandwidth=16)
-        assert dn.levels == 2 * 6 + 1
-        assert dn.num_switches == dn.levels * 32
-
-    def test_delivery_cycles_bandwidth_bound(self):
-        dn = DistributionNetwork(num_outputs=64, bandwidth=16)
-        assert dn.deliver(32) == pytest.approx(2.0)
-        assert dn.cycles_for(8) == pytest.approx(0.5)
-        assert dn.cycles_for(0) == 0.0
-
-    def test_delivery_modes_counted(self):
-        dn = DistributionNetwork(num_outputs=8, bandwidth=4)
-        dn.deliver(3, destinations=1)
-        dn.deliver(5, destinations=4)
-        dn.deliver(2, destinations=8)
-        assert dn.stats.unicasts == 3
-        assert dn.stats.multicasts == 5
-        assert dn.stats.broadcasts == 2
-        assert dn.stats.elements_delivered == 10
-
-    def test_multicast_cost_independent_of_fanout(self):
-        dn = DistributionNetwork(num_outputs=64, bandwidth=16)
-        assert dn.deliver(16, destinations=2) == dn.deliver(16, destinations=60)
-
-    def test_zero_elements_free(self):
-        dn = DistributionNetwork(num_outputs=4, bandwidth=2)
-        assert dn.deliver(0) == 0.0
-        assert dn.deliver(5, destinations=0) == 0.0
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            DistributionNetwork(0, 16)
-        with pytest.raises(ValueError):
-            DistributionNetwork(8, 0)
-        with pytest.raises(ValueError):
-            DistributionNetwork(8, 4).deliver(-1)
-
-
-# ----------------------------------------------------------------------
-# Multiplier network
-# ----------------------------------------------------------------------
-class TestMultiplierSwitch:
-    def test_multiplier_mode(self):
-        switch = MultiplierSwitch(0)
-        switch.configure(MultiplierMode.MULTIPLIER)
-        switch.load_stationary(3.0, coord=(1, 2))
-        out = switch.process(Element(7, 2.0))
-        assert out == Element(7, 6.0)
-        assert switch.stats.multiplications == 1
-
-    def test_forwarder_mode_passes_through(self):
-        switch = MultiplierSwitch(0)
-        switch.configure(MultiplierMode.FORWARDER)
-        element = Element(3, 1.5)
-        assert switch.process(element) == element
-        assert switch.stats.forwards == 1
-
-    def test_multiplier_without_stationary_value_raises(self):
-        switch = MultiplierSwitch(0)
-        switch.configure(MultiplierMode.MULTIPLIER)
-        with pytest.raises(RuntimeError):
-            switch.process(Element(0, 1.0))
-
-    def test_idle_switch_rejects_data(self):
-        switch = MultiplierSwitch(0)
-        with pytest.raises(RuntimeError):
-            switch.process(Element(0, 1.0))
-
-    def test_clear_stationary(self):
-        switch = MultiplierSwitch(0)
-        switch.load_stationary(2.0)
-        switch.clear_stationary()
-        assert switch.stationary_value is None
-
-
-class TestMultiplierNetwork:
-    def test_network_size_and_access(self):
-        mn = MultiplierNetwork(8)
-        assert len(mn) == 8
-        assert mn[3].index == 3
-
-    def test_configure_all(self):
-        mn = MultiplierNetwork(4)
-        mn.configure_all(MultiplierMode.FORWARDER)
-        assert all(s.mode is MultiplierMode.FORWARDER for s in mn.switches)
-
-    def test_load_stationary_elements_truncates(self):
-        mn = MultiplierNetwork(3)
-        loaded = mn.load_stationary_elements([(1.0, (0, 0)), (2.0, (0, 1)),
-                                              (3.0, (1, 0)), (4.0, (1, 1))])
-        assert loaded == 3
-        assert mn[0].stationary_value == 1.0
-        assert mn[2].stationary_value == 3.0
-
-    def test_load_fewer_clears_rest(self):
-        mn = MultiplierNetwork(4)
-        mn.load_stationary_elements([(1.0, None)] * 4)
-        mn.load_stationary_elements([(9.0, None)])
-        assert mn[0].stationary_value == 9.0
-        assert mn[1].stationary_value is None
-
-    def test_total_stats_aggregates(self):
-        mn = MultiplierNetwork(2)
-        mn.configure_all(MultiplierMode.MULTIPLIER)
-        mn[0].load_stationary(2.0)
-        mn[1].load_stationary(3.0)
-        mn[0].process(Element(0, 1.0))
-        mn[1].process(Element(1, 1.0))
-        totals = mn.total_stats()
-        assert totals.multiplications == 2
-        assert totals.stationary_loads == 2
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            MultiplierNetwork(0)
+from repro.sparse.fiber import Fiber
 
 
 # ----------------------------------------------------------------------

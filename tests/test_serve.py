@@ -161,6 +161,28 @@ class TestRouting:
             assert status == 400, payload
             assert json.loads(body)["kind"] == "error"
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "str_cache_bytes",
+            "str_cache_line_bytes",
+            "str_cache_associativity",
+            "psram_block_bytes",
+        ],
+    )
+    def test_zero_cache_geometry_is_400_before_admission(self, server, field):
+        body = {
+            "layers": ["R6"],
+            "designs": ["GAMMA-like"],
+            "scale": 0.05,
+            "config_overrides": [[field, 0]],
+        }
+        status, _headers, payload = request(
+            server, "POST", "/v1/sweep", body=json.dumps(body).encode()
+        )
+        assert status == 400, payload
+        assert field in json.loads(payload)["error"]
+
     def test_malformed_request_line_is_400(self, server):
         with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
             sock.sendall(b"NONSENSE\r\n\r\n")

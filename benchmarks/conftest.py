@@ -17,30 +17,36 @@ Environment knobs:
   pick the scale factor (default used by the benches: 2e6).
 * ``REPRO_MAX_LAYERS`` — cap on simulated layers per model (default 8).
 * ``REPRO_WORKERS`` — process-pool width; ``REPRO_WORKERS=1`` runs the
-  serial executor (see :mod:`repro.runtime.runner`).
+  serial executor under the local pool (see :mod:`repro.runtime.runner`).
 * ``REPRO_CACHE_DIR`` / ``REPRO_CACHE=0`` — result-cache directory / disable
   the persistent cache (see :mod:`repro.runtime.cache`).
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
+from repro import knobs
 from repro.api import Session
 from repro.experiments import default_settings
 from repro.runtime import default_runner
 
+
+def _knob_or(name: str, default):
+    """A registered knob's value, or ``default`` when it is unset or empty."""
+    value = knobs.get(name)
+    return default if value is None else value
+
+
 #: Defaults tuned so the whole benchmark suite completes in a few minutes.
-_BENCH_MAC_BUDGET = float(os.environ.get("REPRO_MAX_DENSE_MACS", 2e6))
-_BENCH_MAX_LAYERS = int(os.environ.get("REPRO_MAX_LAYERS", 8))
+_BENCH_MAC_BUDGET = _knob_or("REPRO_MAX_DENSE_MACS", 2e6)
+_BENCH_MAX_LAYERS = _knob_or("REPRO_MAX_LAYERS", 8)
 
 
 @pytest.fixture(scope="session")
 def settings():
     """Experiment settings shared by every benchmark in the session."""
-    if os.environ.get("REPRO_FULL_SCALE") == "1":
+    if knobs.get("REPRO_FULL_SCALE"):
         return default_settings(max_layers_per_model=_BENCH_MAX_LAYERS)
     return default_settings(
         max_dense_macs=_BENCH_MAC_BUDGET, max_layers_per_model=_BENCH_MAX_LAYERS

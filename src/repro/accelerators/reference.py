@@ -4,8 +4,8 @@
 and probes every streaming-cache line against the per-set LRU state of
 :class:`~repro.arch.memory.cache.StreamingCache`.  The NumPy kernels of
 :class:`~repro.accelerators.engine.SpmspmEngine` reproduce its records bit
-for bit.  Only the tests and ``scripts/bench_engine.py`` import this module:
-no product path does, so the product runs exactly one model of the hardware.
+for bit.  Only the tests import this module: no product path does, so the
+product runs exactly one model of the hardware.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ class ReferenceEngine(SpmspmEngine):
     Each dataflow is walked one multiplier batch at a time, driving the
     per-line cache model of :class:`StreamingTileReader` fiber by fiber.
     The runtime never selects it; ``tests/test_engine_equivalence.py``
-    asserts the kernels match it bit for bit and ``scripts/bench_engine.py``
-    times them against it.  It overrides :meth:`_run_kernel` and
-    :meth:`_merge_partial_fibers` (the row loop the array merge reproduces).
-    The walks, and the OP walk's merge, are called through the class, so
-    installing :meth:`_run_kernel` on :class:`SpmspmEngine` routes every
-    engine run of a sweep through the loops.
+    asserts the kernels match it bit for bit.  It overrides
+    :meth:`_run_kernel` and :meth:`_merge_partial_fibers` (the row loop the
+    array merge reproduces).  The walks, and the OP walk's merge, are called
+    through the class, so installing :meth:`_run_kernel` on
+    :class:`SpmspmEngine` routes every engine run of a sweep through the
+    loops (the equivalence suite's whole-grid comparison does this).
     """
 
     def _run_kernel(self, dataflow: Dataflow, ctx: _LayerContext) -> None:

@@ -31,7 +31,9 @@ arguments):
 
 * ``REPRO_WORKERS=N``    — process-pool width.  Default: the full
   ``os.cpu_count()``; set ``REPRO_WORKERS`` to cap it on shared machines.
-  ``REPRO_WORKERS=1`` (or ``parallel=False``) runs serially.
+  ``REPRO_WORKERS=1`` runs serially under the persistent pool; under
+  ``REPRO_POOL=remote`` it bounds the chunks in flight on the fabric to one.
+  ``parallel=False`` (``--serial``) runs serially in every mode.
 * ``REPRO_POOL``         — ``persistent`` (default: one process-wide pool
   reused across batches; see :mod:`repro.runtime.pool`) or ``remote``
   (dispatch chunks to the distributed fabric's pull queue, executed by
@@ -154,10 +156,14 @@ class BatchRunner:
         if schedule != "cost":
             raise ValueError(f"schedule must be 'cost', got {schedule!r}")
         self.max_workers = max_workers if max_workers is not None else _env_workers()
-        # ``None``: parallel whenever the pool has more than one worker.
-        self.parallel = (parallel is None or parallel) and self.max_workers > 1
         self.cache = _env_cache() if cache is _DEFAULT else cache
         self.pool_mode = pool_mode if pool_mode is not None else pool_mode_from_env()
+        # ``None``: parallel whenever the local pool has more than one worker,
+        # and always in remote mode, where ``max_workers`` only bounds the
+        # chunks in flight on the fabric.
+        self.parallel = (parallel is None or parallel) and (
+            self.max_workers > 1 or self.pool_mode == "remote"
+        )
         #: Default progress callback applied to every :meth:`run` call.
         self.on_result = on_result
         self.stats = RunnerStats()  # guarded-by: _stats_lock

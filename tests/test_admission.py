@@ -445,6 +445,9 @@ class TestSaturationSmoke:
             seen = {status for status, _h, _b in first_wave}
             assert seen <= {202, 429, 503}, f"unexpected statuses {seen}"
             assert 503 in seen  # 4×depth concurrent cold must overflow K
+            # ...after filling it: the pool bound was actually exercised.
+            accepted = sum(1 for status, _h, _b in first_wave if status == 202)
+            assert accepted >= depth, f"only {accepted} of {depth} slots filled"
             for status, headers, _body in first_wave:
                 if status in (429, 503):
                     assert int(headers["Retry-After"]) >= 1

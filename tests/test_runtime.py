@@ -663,8 +663,18 @@ class TestWorkerPool:
         with pytest.raises(ValueError, match="REPRO_POOL"):
             pool_mode_from_env()
 
-    @pytest.mark.parametrize("pool_mode", ["persistent", "remote"])
-    def test_both_pool_modes_match_serial_results(self, tmp_path, pool_mode):
+    @pytest.mark.parametrize(
+        ("pool_mode", "max_workers"),
+        [
+            pytest.param("persistent", 2, id="persistent"),
+            pytest.param("remote", 2, id="remote"),
+            pytest.param("persistent", 1, id="persistent-1-worker"),
+            pytest.param("remote", 1, id="remote-1-worker"),
+        ],
+    )
+    def test_both_pool_modes_match_serial_results(
+        self, tmp_path, pool_mode, max_workers
+    ):
         import contextlib
 
         from fabric_chaos import worker_fleet
@@ -684,11 +694,12 @@ class TestWorkerPool:
         serial = BatchRunner(parallel=False, cache=None).run(jobs)
         runner = BatchRunner(
             parallel=True,
-            max_workers=2,
+            max_workers=max_workers,
             cache=ResultCache(tmp_path / pool_mode),
             pool_mode=pool_mode,
         )
         workers = contextlib.nullcontext()
+        queue = None
         if pool_mode == "remote":
             # One in-process pull worker drains the shared coordinator's queue.
             queue = WorkQueue()
@@ -703,6 +714,9 @@ class TestWorkerPool:
         for design_serial, design_parallel in zip(serial, parallel):
             assert design_serial.cycles == design_parallel.cycles
             assert design_serial.stats == design_parallel.stats
+        if queue is not None:
+            # Remote mode dispatches at any width: the fleet ran the misses.
+            assert queue.snapshot()["completed_items"] > 0
 
 
 class TestCostModel:

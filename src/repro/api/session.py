@@ -299,15 +299,19 @@ class Session:
     def cache_stats(self) -> dict[str, object] | None:
         """Disk-cache layout telemetry plus the session runner's counters.
 
-        One batched scan of the cache directory (entry/byte totals, shard
-        count, scan wall-clock) under ``"cache"`` keys, and the runner's
-        lifetime counters — including the ``exec_seconds`` /
+        One scan of the cache directory (entry/byte totals, segment and
+        pack counts, scan wall-clock) under ``"cache"`` keys, with
+        ``write_failures``: the puts through this session's cache that
+        failed (this process's own writes; pool workers' are not counted).
+        The runner's lifetime counters — including the ``exec_seconds`` /
         ``cache_scan_seconds`` / ``peak_in_flight`` wall-clock telemetry —
-        under ``"runner"``.  ``None`` when the session runs without a cache.
+        go under ``"runner"``.  ``None`` when the session runs without a
+        cache.
         """
         if self.cache is None:
             return None
         report: dict[str, object] = self.cache.stats_report()
+        report["write_failures"] = self.cache.write_failures
         report["runner"] = self.stats.as_row()
         return report
 

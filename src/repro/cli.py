@@ -10,7 +10,7 @@ Subcommands::
     python -m repro worker http://host:8734   # claim + execute fabric work
     python -m repro cache stats               # entries + size (--json for wire form)
     python -m repro cache clear               # drop every entry
-    python -m repro cache prune --max-size-mb 64   # LRU-evict down to a bound
+    python -m repro cache prune --max-size-mb 64   # evict least recently written
     python -m repro cache prune --prefix dse-      # evict one key namespace
     python -m repro cache pull http://host:8734    # merge a peer's entries
     python -m repro list                      # figures, models, layers, designs
@@ -301,7 +301,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"cache directory : {cache.directory}")
         print(f"entries         : {entries}")
         print(f"size            : {report['size_bytes'] / 1e6:.2f} MB")
-        print(f"shard dirs      : {report['shard_dirs']}")
+        print(f"segments        : {report['segments']}")
+        print(f"packs           : {report['packs']}")
         print(f"scan            : {scan_seconds * 1e3:.2f} ms ({throughput:,.0f} entries/s)")
         return 0
     if args.cache_command == "clear":
@@ -544,11 +545,13 @@ def build_parser() -> argparse.ArgumentParser:
     cache_sub.add_parser("clear", help="drop every entry")
     prune = cache_sub.add_parser(
         "prune",
-        help="evict entries: LRU down to a size bound, by key prefix, or both",
+        help="evict entries: least recently written down to a size bound, "
+        "by key prefix, or both",
     )
     prune.add_argument(
         "--max-size-mb", type=float, default=None, metavar="N",
-        help="keep at most N megabytes of entries (oldest evicted first)",
+        help="keep at most N megabytes of entries (least recently written "
+        "evicted first)",
     )
     prune.add_argument(
         "--prefix", default=None, metavar="PREFIX",

@@ -213,7 +213,8 @@ def _keys_record(cache: ResultCache | None) -> dict:
 
 
 def _entry(cache: ResultCache | None, key: str) -> Response:
-    # Keys double as file names; only the content-hash alphabet may pass.
+    # The key comes from the request path: only the content-hash alphabet
+    # may pass, so a peer can ask for nothing but a cache entry.
     if not fabric_wire.is_content_key(key):
         return _error(404, f"not a cache key: {key!r}")
     blob = cache.get_blob(key) if cache is not None else None

@@ -8,8 +8,8 @@ their results in order, doing four things along the way:
 
 1. **Cache lookup** — jobs whose key is already in the
    :class:`~repro.runtime.cache.ResultCache` are never re-executed.  The
-   pre-dispatch scan is batched (:meth:`ResultCache.get_many`), one shard
-   listing per needed prefix instead of one ``stat`` + ``open`` per key.
+   pre-dispatch scan is batched (:meth:`ResultCache.get_many`): one index
+   refresh per batch, and a read only for the keys the index holds.
 2. **Deduplication** — identical jobs appearing more than once in a batch
    are executed once; result records are immutable by contract
    (:mod:`repro.metrics.results`), so the duplicates share one record.

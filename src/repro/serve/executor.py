@@ -208,11 +208,11 @@ class JobManager:
 
         No missing jobs means warm: every needed job is memoized or already
         in the result cache, so the request can be answered synchronously
-        with zero engine executions.  The probe never opens a cache entry —
-        :meth:`ResultCache.missing` works from shard listings alone.  The
-        grid size is what a cold job advertises as its progress ``total``:
-        the runner's ``on_result`` counts cache hits as instantly done, so
-        the denominator must be the whole grid, not just the misses.
+        with zero engine executions.  The probe never reads a cache entry —
+        :meth:`ResultCache.missing` queries the cache's index and pack
+        tables.  The grid size is what a cold job advertises as its progress
+        ``total``: the runner's ``on_result`` counts cache hits as instantly
+        done, so the denominator must be the whole grid, not just the misses.
         """
         jobs = self.session.required_jobs(request)
         if not jobs:

@@ -55,6 +55,16 @@ def _layer_job(design: str = "SIGMA-like", index: int = 0, **overrides) -> SimJo
     return SimJob(**kwargs)
 
 
+def _segments(directory):
+    """The cache's segment files under ``directory``, sorted."""
+    return sorted(directory.glob("*.seg"))
+
+
+def _packs(directory):
+    """The cache's pack files under ``directory``, sorted."""
+    return sorted(directory.glob("*.pack"))
+
+
 # ----------------------------------------------------------------------
 # SimJob construction and keys
 # ----------------------------------------------------------------------
@@ -168,23 +178,26 @@ class TestResultCache:
     def test_corrupt_entry_is_a_miss_and_gets_dropped(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = "12" * 32
-        path = cache.path_for(key)
-        path.parent.mkdir(parents=True)
-        path.write_bytes(b"not a pickle")
+        cache.put_blob(key, b"not a pickle")
         assert cache.get(key) is MISS
-        assert not path.exists()
+        assert key not in cache._memory
+        assert ResultCache(tmp_path).get(key) is MISS
+        # The rebuilt entry supersedes the dropped record for every reader.
+        cache.put(key, {"cycles": 3.0})
+        assert ResultCache(tmp_path).get(key) == {"cycles": 3.0}
 
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("34" * 32, 1)
         cache.put("56" * 32, 2)
-        stranded = cache.path_for("78" * 32).parent / "killed-writer.tmp"
-        stranded.parent.mkdir(parents=True, exist_ok=True)
-        stranded.write_bytes(b"partial")
+        # What a writer killed mid-record strands: a torn tail in its segment.
+        (segment,) = _segments(tmp_path)
+        with open(segment, "ab") as handle:
+            handle.write(b"RCS1partial")
         assert cache.clear() == 2
         assert cache.get("34" * 32) is MISS
         assert cache.entry_count() == 0
-        assert not stranded.exists()
+        assert _segments(tmp_path) == []
 
     def test_memory_level_is_bounded(self, tmp_path, monkeypatch):
         from repro.runtime import cache as cache_module
@@ -218,23 +231,29 @@ class TestResultCache:
     def test_missing_sees_the_memory_level(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("ab" * 32, 1)
-        cache.path_for("ab" * 32).unlink()  # only the memory level holds it now
+        ResultCache(tmp_path).clear()  # only the memory level holds it now
         assert cache.missing(["ab" * 32, "ef" * 32]) == ["ef" * 32]
 
     def test_stray_flat_entry_is_a_miss(self, tmp_path):
-        """A ``<dir>/<key>.pkl`` file outside every shard is not an entry."""
+        """Files that are not segments are not entries: neither a flat
+        ``<dir>/<key>.pkl`` nor the sharded ``<dir>/<xx>/<key>.pkl`` of the
+        per-entry layout, which reads as cold and is never deleted."""
         import pickle
 
         key = "cd" * 32
         flat = tmp_path / f"{key}.pkl"
         flat.write_bytes(pickle.dumps({"cycles": 7.0}))
+        sharded = tmp_path / key[:2] / f"{key}.pkl"
+        sharded.parent.mkdir()
+        sharded.write_bytes(pickle.dumps({"cycles": 7.0}))
         cache = ResultCache(tmp_path)
         assert cache.get(key) is MISS
         assert cache.get_many([key]) == {}
         assert cache.missing([key]) == [key]
         assert cache.keys() == []
         assert cache.entry_count() == 0
-        assert flat.exists() and not cache.path_for(key).exists()
+        assert cache.clear() == 0
+        assert flat.exists() and sharded.exists()
 
 
 class TestResultCacheConcurrentMutation:
@@ -267,7 +286,7 @@ class TestResultCacheConcurrentMutation:
                     if rng.random() < 0.6:
                         writer.put(key, {"value": key})
                     else:
-                        writer.path_for(key).unlink(missing_ok=True)
+                        writer.prune(prefix=key)  # evicts by compaction
             except BaseException as error:  # surfaced by the main thread
                 failures.append(error)
 
@@ -276,7 +295,7 @@ class TestResultCacheConcurrentMutation:
         try:
             for _ in range(150):
                 # Fresh instances: every probe is a pure disk probe, racing
-                # the writer's os.replace/unlink rather than its memory.
+                # the writer's appends and compactions rather than its memory.
                 reader = ResultCache(tmp_path)
                 absent = reader.missing(keys)
                 found = reader.get_many(keys)
@@ -335,11 +354,10 @@ class TestResultCachePrune:
     def _filled_cache(tmp_path, count=4):
         cache = ResultCache(tmp_path)
         keys = [f"{i:02d}" * 32 for i in range(count)]
-        for age, key in enumerate(keys):
+        # Write stamps strictly increase within a process, so writing in
+        # order ranks in order: keys[0] is the oldest, keys[-1] the newest.
+        for key in keys:
             cache.put(key, {"payload": "x" * 1000, "key": key})
-            # Pin distinct mtimes: keys[0] is the oldest, keys[-1] the newest.
-            path = cache.path_for(key)
-            os.utime(path, (1_000_000 + age, 1_000_000 + age))
         return cache, keys
 
     def test_evicts_oldest_entries_first(self, tmp_path):
@@ -391,6 +409,461 @@ class TestResultCachePrune:
     def test_rejects_negative_budget(self, tmp_path):
         with pytest.raises(ValueError, match="non-negative"):
             ResultCache(tmp_path).prune(-1)
+
+
+class TestResultCacheSegments:
+    """The segment store itself: compaction, handles, forks, bounded reads."""
+
+    def test_prune_rewrites_survivors_into_one_pack(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        keys = [f"{i:02d}" * 32 for i in range(6)]
+        for key in keys:
+            cache.put(key, {"key": key})
+        ResultCache(tmp_path).put("aa" * 32, "other instance, same segment")
+        cache.prune(prefix=keys[0])
+        assert _segments(tmp_path) == []
+        assert len(_packs(tmp_path)) == 1
+        fresh = ResultCache(tmp_path)
+        assert fresh.get(keys[0]) is MISS
+        assert fresh.get_many(keys[1:]) == {key: {"key": key} for key in keys[1:]}
+        # Compaction keeps the write stamps, so the rank order survives it.
+        entry_size = fresh.size_bytes() // fresh.entry_count()
+        fresh.prune(entry_size * (fresh.entry_count() - 1))
+        assert ResultCache(tmp_path).get(keys[1]) is MISS
+        assert ResultCache(tmp_path).get("aa" * 32) is not MISS
+
+    def test_a_forked_child_writes_its_own_segment(self, tmp_path):
+        import multiprocessing
+
+        cache = ResultCache(tmp_path)
+        cache.put("ab" * 32, "parent")
+        (parent_segment,) = _segments(tmp_path)
+        child = multiprocessing.get_context("fork").Process(
+            target=ResultCache(tmp_path).put, args=("cd" * 32, "child")
+        )
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        assert b"cd" * 32 not in parent_segment.read_bytes()
+        assert len(_segments(tmp_path)) == 2
+        assert {path.name.split("-")[0] for path in _segments(tmp_path)} == {
+            str(os.getpid()), str(child.pid)
+        }
+        assert ResultCache(tmp_path).get_many(["ab" * 32, "cd" * 32]) == {
+            "ab" * 32: "parent", "cd" * 32: "child"
+        }
+
+    def test_append_handles_stay_bounded(self, tmp_path):
+        import shutil
+
+        from repro.runtime import cache as cache_module
+
+        def open_segments():
+            fds = []
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    fds.append(os.readlink(f"/proc/self/fd/{fd}"))
+                except OSError:
+                    continue
+            return [target for target in fds if ".seg" in target]
+
+        limit = cache_module._APPEND_HANDLE_LIMIT
+        for index in range(limit + 4):
+            ResultCache(tmp_path / f"dir-{index}").put("ab" * 32, index)
+        assert len(open_segments()) <= limit
+        # Deleted directories do not keep their segments' space pinned once
+        # the process writes anywhere else.
+        for index in range(limit + 4):
+            shutil.rmtree(tmp_path / f"dir-{index}")
+        ResultCache(tmp_path / "after").put("ab" * 32, "after")
+        assert [target for target in open_segments() if "(deleted)" in target] == []
+
+    def test_concurrent_writer_threads_never_interleave_records(self, tmp_path):
+        """More writer threads than cores share one process segment under a
+        tiny switch interval: every record must read back whole."""
+        import threading
+
+        keys = [f"{i:04d}" * 16 for i in range(400)]
+        shards = [keys[n::8] for n in range(8)]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda part: [ResultCache(tmp_path).put(k, k * 4) for k in part],
+                    args=(part,),
+                )
+                for part in shards
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert len(_segments(tmp_path)) == 1
+        assert ResultCache(tmp_path).get_many(keys) == {key: key * 4 for key in keys}
+
+    def test_refresh_reads_headers_in_bounded_pieces(self, tmp_path, monkeypatch):
+        from repro.runtime import cache as cache_module
+
+        writer = ResultCache(tmp_path)
+        keys = [f"{i:04d}" * 16 for i in range(200)]
+        for key in keys:
+            writer.put_blob(key, os.urandom(3000))
+        writer.put_blob("ff" * 32, os.urandom(4 * cache_module._PIECE))
+        (segment,) = _segments(tmp_path)
+        reads: list[int] = []
+        real_pread = os.pread
+
+        def counting_pread(fd, size, offset):
+            reads.append(size)
+            return real_pread(fd, size, offset)
+
+        monkeypatch.setattr(cache_module.os, "pread", counting_pread)
+        assert ResultCache(tmp_path).entry_count() == len(keys) + 1
+        assert max(reads) <= cache_module._PIECE
+        # The big blob is skipped, not read.
+        assert sum(reads) < segment.stat().st_size
+
+
+class TestResultCacheMerge:
+    """Segments from many writers merge into packs, so a long-lived cache
+    directory stays a bounded number of files that readers never index
+    record by record."""
+
+    @staticmethod
+    def _one_segment_per_put(monkeypatch):
+        from repro.runtime import cache as cache_module
+
+        # Every append passes the size limit, so each put leaves an idle
+        # segment behind, as a finished run's processes do.
+        monkeypatch.setattr(cache_module, "_SEGMENT_BYTES", 1)
+        return cache_module
+
+    def test_idle_segments_merge_into_packs(self, tmp_path, monkeypatch):
+        cache_module = self._one_segment_per_put(monkeypatch)
+        keys = [f"{i:02d}" * 32 for i in range(3 * cache_module._MERGE_AT)]
+        cache = ResultCache(tmp_path)
+        for key in keys:
+            cache.put(key, {"key": key})
+            files = len(_segments(tmp_path)) + len(_packs(tmp_path))
+            assert files <= cache_module._MERGE_AT
+        assert _packs(tmp_path)
+        fresh = ResultCache(tmp_path)
+        assert fresh.get_many(keys) == {key: {"key": key} for key in keys}
+        assert fresh.entry_count() == len(keys)
+        assert fresh.missing(keys + ["ff" * 32]) == ["ff" * 32]
+
+    def test_concurrent_writer_processes_merging_lose_nothing(self, tmp_path, monkeypatch):
+        """More writer processes than cores, each leaving a segment behind
+        on every put, so merges race each other and the appends: every
+        entry must read back whole."""
+        import multiprocessing
+
+        self._one_segment_per_put(monkeypatch)
+        shards = [[f"{n}{i:03d}".ljust(64, "0") for i in range(60)] for n in range(6)]
+
+        def write(part):
+            cache = ResultCache(tmp_path)
+            for key in part:
+                cache.put(key, key)
+
+        context = multiprocessing.get_context("fork")
+        writers = [context.Process(target=write, args=(part,)) for part in shards]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=120)
+        assert [writer.exitcode for writer in writers] == [0] * len(writers)
+        keys = [key for part in shards for key in part]
+        assert ResultCache(tmp_path).get_many(keys) == {key: key for key in keys}
+
+    def test_a_live_writers_segment_is_not_merged(self, tmp_path, monkeypatch):
+        import fcntl
+        import hashlib
+
+        from repro.runtime.cache import _record
+
+        cache_module = self._one_segment_per_put(monkeypatch)
+        live = tmp_path / "1-live.seg"
+        key = b"ee" * 32
+        live.write_bytes(_record(key, b"live", 1, hashlib.sha256(key + b"live").digest()))
+        with open(live, "rb") as holder:
+            fcntl.flock(holder, fcntl.LOCK_EX)
+            cache = ResultCache(tmp_path)
+            for i in range(2 * cache_module._MERGE_AT):
+                cache.put(f"{i:02d}" * 32, i)
+            assert live.exists()
+        assert ResultCache(tmp_path).get_blob(key.decode()) == b"live"
+
+    def test_rewrites_keep_the_newest_record_across_a_merge(self, tmp_path, monkeypatch):
+        cache_module = self._one_segment_per_put(monkeypatch)
+        cache = ResultCache(tmp_path)
+        cache.put("ab" * 32, "old")
+        for i in range(cache_module._MERGE_AT):
+            cache.put(f"{i:02d}" * 32, i)
+        assert _packs(tmp_path)
+        cache.put("ab" * 32, "new")  # in a segment, newer than the pack's
+        assert ResultCache(tmp_path).get("ab" * 32) == "new"
+        for i in range(cache_module._MERGE_AT):
+            cache.put(f"{i:02d}" * 32, i)
+        assert ResultCache(tmp_path).get("ab" * 32) == "new"
+
+    def test_a_probe_reads_the_pack_table_not_its_records(self, tmp_path, monkeypatch):
+        cache_module = self._one_segment_per_put(monkeypatch)
+        cache = ResultCache(tmp_path)
+        for i in range(cache_module._MERGE_AT):
+            cache.put_blob(f"{i:02d}" * 32, os.urandom(20_000))
+        cache.put_blob("ee" * 32, b"small")  # opens a segment: the merge
+        (pack,) = _packs(tmp_path)
+        reads: list[int] = []
+        real_pread = os.pread
+
+        def counting_pread(fd, size, offset):
+            reads.append(size)
+            return real_pread(fd, size, offset)
+
+        monkeypatch.setattr(cache_module.os, "pread", counting_pread)
+        probe = ResultCache(tmp_path)
+        assert probe.missing(["ff" * 32, "00" * 32]) == ["ff" * 32]
+        # Footer and table: 33 bytes per record, not the 20 kB blobs.
+        assert sum(reads) < 40 * (cache_module._MERGE_AT + 2) + 1024
+        assert sum(reads) < pack.stat().st_size // 100
+
+    def test_a_torn_pack_is_ignored_then_removed(self, tmp_path, monkeypatch):
+        cache_module = self._one_segment_per_put(monkeypatch)
+        torn = tmp_path / "1-torn.pack"
+        torn.write_bytes(b"RCS1 what a merge that died leaves")
+        cache = ResultCache(tmp_path)
+        assert cache.entry_count() == 0
+        for i in range(cache_module._MERGE_AT):
+            cache.put(f"{i:02d}" * 32, i)
+        assert not torn.exists()
+        assert ResultCache(tmp_path).entry_count() == cache_module._MERGE_AT
+
+
+class TestResultCachePruneRewrites:
+    """``prune`` rewrites only what holds an evicted record, and frees
+    space even when nothing can be copied."""
+
+    @staticmethod
+    def _two_segments(tmp_path):
+        import multiprocessing
+
+        first = [f"{i:02d}" * 32 for i in range(4)]
+        second = [f"{i:02d}" * 32 for i in range(4, 8)]
+        cache = ResultCache(tmp_path)
+        for key in first:
+            cache.put(key, {"payload": "x" * 1000, "key": key})
+        # A second process's segment.
+        child = multiprocessing.get_context("fork").Process(
+            target=lambda: [ResultCache(tmp_path).put(key, {"payload": "x" * 1000, "key": key})
+                            for key in second]
+        )
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        return cache, first, second
+
+    def test_only_files_holding_an_evicted_record_are_rewritten(self, tmp_path):
+        cache, first, second = self._two_segments(tmp_path)
+        before = {path.name: path.stat().st_ino for path in _segments(tmp_path)}
+        cache.prune(prefix=second[0])
+        after = {path.name: path.stat().st_ino for path in _segments(tmp_path)}
+        assert len(after) == 1 and after.items() <= before.items()
+        fresh = ResultCache(tmp_path)
+        assert fresh.get(second[0]) is MISS
+        assert sorted(fresh.get_many(first + second[1:])) == sorted(first + second[1:])
+
+    def test_an_evicted_key_does_not_resurface_from_an_older_record(self, tmp_path):
+        cache, first, second = self._two_segments(tmp_path)
+        cache.put(second[0], {"payload": "newer", "key": second[0]})
+        cache.prune(prefix=second[0])
+        assert ResultCache(tmp_path).get(second[0]) is MISS
+        assert ResultCache(tmp_path).entry_count() == len(first + second) - 1
+
+    def test_cli_prune_frees_space_on_a_full_disk(self, tmp_path, monkeypatch, capsys):
+        import errno
+
+        from repro.cli import main
+
+        cache, first, second = self._two_segments(tmp_path)
+        # Evicting the three oldest leaves one survivor in the first segment,
+        # and copying it out fails: the segment goes anyway, survivor and all.
+        bound = cache.size_bytes() * 5 // 8
+        TestResultCacheFaults._deny_opens(monkeypatch, tmp_path, errno.ENOSPC, reads=False)
+        rc = main(["cache", "--cache-dir", str(tmp_path), "prune", "--max-size-mb", str(bound / 1e6)])
+        assert rc == 0
+        assert "pruned 4 entries" in capsys.readouterr().out
+        monkeypatch.undo()
+        fresh = ResultCache(tmp_path)
+        assert fresh.size_bytes() <= bound
+        assert fresh.get_many(first + second) == {
+            key: {"payload": "x" * 1000, "key": key} for key in second
+        }
+
+
+class TestResultCacheFaults:
+    """Every fault ends in correct bytes or a recompute: never an exception,
+    a hang or a wrong value."""
+
+    KEYS = ("a1" * 32, "b1" * 32, "c1" * 32)
+
+    def _three_records(self, tmp_path):
+        """Three records with recognisable blobs in one segment."""
+        cache = ResultCache(tmp_path)
+        for key, fill in zip(self.KEYS, b"ABC"):
+            cache.put_blob(key, bytes([fill]) * 500)
+        (segment,) = _segments(tmp_path)
+        return cache, segment
+
+    @staticmethod
+    def _flip(segment, offset):
+        data = bytearray(segment.read_bytes())
+        data[offset] ^= 0x01
+        segment.write_bytes(bytes(data))
+
+    def _assert_only_b_is_lost(self, tmp_path, cache):
+        fresh = ResultCache(tmp_path)
+        assert fresh.get_blob(self.KEYS[0]) == b"A" * 500
+        assert fresh.get_blob(self.KEYS[1]) is None
+        assert fresh.get_blob(self.KEYS[2]) == b"C" * 500
+        # The recompute's re-put reads back, even though it lands in the
+        # damaged segment.
+        cache.put_blob(self.KEYS[1], b"B" * 500)
+        assert ResultCache(tmp_path).get_blob(self.KEYS[1]) == b"B" * 500
+
+    def test_flipped_blob_byte_is_a_miss(self, tmp_path):
+        cache, segment = self._three_records(tmp_path)
+        self._flip(segment, segment.read_bytes().index(b"B" * 500) + 250)
+        fresh = ResultCache(tmp_path)
+        assert fresh.get(self.KEYS[1]) is MISS
+        assert fresh.get_many(list(self.KEYS)) == {}  # b"A"*500 is no pickle
+        self._assert_only_b_is_lost(tmp_path, cache)
+
+    def test_flipped_key_byte_never_serves_another_key(self, tmp_path):
+        cache, segment = self._three_records(tmp_path)
+        # "b1..." -> "b0...": the damaged record now names a plausible key.
+        self._flip(segment, segment.read_bytes().index(self.KEYS[1].encode()) + 1)
+        other = "b0" + self.KEYS[1][2:]
+        fresh = ResultCache(tmp_path)
+        assert fresh.get_blob(other) is None
+        assert fresh.missing([other]) == [other]
+        self._assert_only_b_is_lost(tmp_path, cache)
+
+    @pytest.mark.parametrize("field_offset", [8, 10, 13])  # key len, blob len low/high bytes
+    def test_flipped_length_byte_is_a_miss(self, tmp_path, field_offset):
+        from repro.runtime import cache as cache_module
+
+        cache, segment = self._three_records(tmp_path)
+        key_at = segment.read_bytes().index(self.KEYS[1].encode())
+        self._flip(segment, key_at - cache_module._HEADER_SIZE + field_offset)
+        self._assert_only_b_is_lost(tmp_path, cache)
+
+    def test_writer_killed_mid_record(self, tmp_path):
+        """A real writer SIGKILLed inside its append: complete records read
+        back, the torn one is a miss, and a re-put of it reads back."""
+        import signal
+
+        keys = [f"{i:02d}" * 32 for i in range(8)]
+        script = (
+            "import os, signal, sys\n"
+            "from repro.runtime import ResultCache\n"
+            "from repro.runtime import cache as cache_module\n"
+            "cache = ResultCache(sys.argv[1])\n"
+            "for key in sys.argv[2:-1]:\n"
+            "    cache.put(key, {'value': key})\n"
+            "real_write = os.write\n"
+            "def torn_write(fd, data):\n"
+            "    real_write(fd, data[: len(data) // 2])\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+            "cache_module.os.write = torn_write\n"
+            "cache.put(sys.argv[-1], {'value': sys.argv[-1]})\n"
+        )
+        writer = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path), *keys],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            timeout=120,
+        )
+        assert writer.returncode == -signal.SIGKILL
+        torn = keys[-1]
+        fresh = ResultCache(tmp_path)
+        assert fresh.get_many(keys) == {key: {"value": key} for key in keys[:-1]}
+        assert fresh.get(torn) is MISS
+        assert fresh.missing(keys) == [torn]
+        ResultCache(tmp_path).put(torn, {"value": torn})
+        assert ResultCache(tmp_path).get(torn) == {"value": torn}
+
+    def test_put_after_a_clear_elsewhere_lands(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put("ab" * 32, 1)
+        ResultCache(tmp_path).clear()
+        cache.put("cd" * 32, 2)
+        assert ResultCache(tmp_path).get("cd" * 32) == 2
+        # Another process's clear unlinks the segment under an open handle.
+        for segment in _segments(tmp_path):
+            segment.unlink()
+        cache.put("ef" * 32, 3)
+        assert ResultCache(tmp_path).get("ef" * 32) == 3
+
+    @staticmethod
+    def _deny_opens(monkeypatch, under, errno_code, *, reads=True):
+        """Fail every file creation under ``under``, and every read open
+        too when ``reads`` is set, with ``errno_code``."""
+        import builtins
+
+        from repro.runtime import cache as cache_module
+
+        def deny(path):
+            if str(path).startswith(str(under)):
+                raise OSError(errno_code, os.strerror(errno_code), str(path))
+
+        real_os_open, real_open = os.open, builtins.open
+
+        def denying_os_open(path, flags, *args, **kwargs):
+            if flags & os.O_CREAT:
+                deny(path)
+            return real_os_open(path, flags, *args, **kwargs)
+
+        def denying_open(path, *args, **kwargs):
+            if reads:
+                deny(path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", denying_os_open)
+        monkeypatch.setattr(cache_module, "open", denying_open, raising=False)
+
+    def test_eacces_on_segment_open(self, tmp_path, monkeypatch, capsys):
+        import errno
+
+        ResultCache(tmp_path / "readable").put("ab" * 32, "kept")
+        self._deny_opens(monkeypatch, tmp_path, errno.EACCES)
+        writer = ResultCache(tmp_path / "denied")
+        writer.put("cd" * 32, 1)
+        writer.put("ef" * 32, 2)
+        assert writer.get("cd" * 32) == 1  # the memory level still answers
+        assert writer.write_failures == 2
+        assert capsys.readouterr().err.count("[repro.cache]") == 1
+        reader = ResultCache(tmp_path / "readable")
+        assert reader.get("ab" * 32) is MISS
+        assert reader.get_many(["ab" * 32]) == {}
+        monkeypatch.undo()
+        assert ResultCache(tmp_path / "readable").get("ab" * 32) == "kept"
+
+    def test_enospc_puts_do_not_fail_a_run(self, tmp_path, monkeypatch, capsys):
+        import errno
+
+        jobs = [_layer_job("SIGMA-like"), _layer_job("Flexagon")]
+        expected = BatchRunner(parallel=False, cache=None).run(jobs)
+        self._deny_opens(monkeypatch, tmp_path, errno.ENOSPC, reads=False)
+        cache = ResultCache(tmp_path / "full")
+        runner = BatchRunner(parallel=False, cache=cache)
+        assert runner.run(jobs) == expected
+        assert runner.stats.executed == len(jobs)
+        assert cache.write_failures >= len(jobs)
+        assert capsys.readouterr().err.count("[repro.cache]") == 1
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,12 @@ an :class:`~repro.experiments.ExperimentSettings`, a
   answer involves **zero** simulator executions.
 * :meth:`Session.sweep` — run a declarative
   :class:`~repro.api.requests.SweepSpec` grid.
+* :meth:`Session.dse` — run a :class:`~repro.dse.explore.DseSpec`
+  design-space-exploration campaign into its Pareto report.
+* :meth:`Session.answer` — any of the three as its canonical response body:
+  a body rendered once over the same cache and settings is stored, and every
+  later answer is that one record read — no grid compile, no job keys, no
+  job entries read.
 * :meth:`Session.end_to_end` / :meth:`Session.layerwise` — the two shared
   experiment grids behind the paper's figures, memoized per session.
 * :meth:`Session.simulate` — ad-hoc simulation of one explicit operand pair
@@ -31,7 +37,7 @@ from repro.api.responses import (
     jsonify_rows,
     sweep_row,
 )
-from repro.dse.explore import DseSpec, collate_dse, dse_report_key
+from repro.dse.explore import DseSpec, collate_dse, report_key
 from repro.arch.config import AcceleratorConfig
 from repro.experiments.end_to_end import (
     EndToEndResults,
@@ -57,6 +63,43 @@ from repro.sparse.formats import CompressedMatrix
 
 #: Sentinel so ``cache=None`` can explicitly mean "run without a cache".
 _DEFAULT = object()
+
+#: A request any of the typed methods answers (a bare string is a figure id).
+Request = FigureQuery | SweepSpec | DseSpec
+
+
+def request_kind(request: Request) -> str:
+    """``"figure"``, ``"sweep"`` or ``"dse"``: the kind a stored body is
+    filed under (:func:`~repro.dse.explore.report_key`)."""
+    if isinstance(request, SweepSpec):
+        return "sweep"
+    if isinstance(request, DseSpec):
+        return "dse"
+    return "figure"
+
+
+class _ExecutionCounter:
+    """Per-call executed-job counter fed by run-progress callbacks.
+
+    The runner's ``on_result`` fires once after the cache scan and then once
+    per job executed in *that* ``run`` call, so counting invocations past
+    the first measures this request's own executions — unlike a delta over
+    the session-wide :class:`RunnerStats`, which concurrent requests on the
+    same session would corrupt.
+    """
+
+    def __init__(self, forward=None) -> None:
+        self.executed = 0
+        self._scan_seen = False
+        self._forward = forward
+
+    def __call__(self, done: int, total: int) -> None:
+        if self._scan_seen:
+            self.executed += 1
+        else:
+            self._scan_seen = True
+        if self._forward is not None:
+            self._forward(done, total)
 
 
 class Session:
@@ -244,29 +287,94 @@ class Session:
         exactly like a sweep, so cost scheduling, crash-resume, remote
         fan-out and the result cache all apply; a warm cache answers the
         whole campaign with zero engine executions.  The rendered report
-        body is persisted under :func:`dse_report_key` so the serving
-        front-end's ``GET /v1/dse/<key>`` route can answer byte-identically
-        without recollating — including campaigns originally run from the
-        CLI against the same cache directory.
+        body is stored under :func:`~repro.dse.explore.dse_report_key`, the
+        key :meth:`answer` reads, so ``GET /v1/dse/<key>`` and any later
+        :meth:`answer` serve it byte-identically without recollating —
+        including campaigns run from the CLI against the same cache
+        directory.
         """
+        result = self._dse(spec, on_result=on_result)
+        self._store("dse", spec.key(), result)
+        return result
+
+    def _dse(self, spec: DseSpec, *, on_result=None) -> DseResult:
         jobs, meta = spec.compile(self.settings)
         results = self.runner.run(jobs, on_result=on_result)
         report = collate_dse(spec, meta, results)
-        result = DseResult(
+        return DseResult(
             spec=spec.to_record(),
             rows=jsonify_rows(report["rows"]),
             points=jsonify_rows(report["points"]),
             frontier=report["frontier"],
             settings=self.settings.to_record(),
         )
-        if self.cache is not None:
-            body = (result.to_json() + "\n").encode()
-            self.cache.put_blob(dse_report_key(spec, self.settings), body)
-        return result
 
-    def required_jobs(
-        self, request: FigureQuery | SweepSpec | DseSpec | str
-    ) -> list[SimJob]:
+    def answer(self, request: Request | str, *, on_result=None) -> tuple[bytes, int]:
+        """``(body, executed)``: the canonical response body of ``request``.
+
+        The body is the response record's canonical JSON plus a newline —
+        the bytes ``python -m repro figure|sweep|dse`` prints and the serving
+        front-end sends.  When the cache holds a body stored for the same
+        request and settings (:meth:`stored_body`), that is the answer, with
+        0 executed: no grid is compiled, no job keyed and no job entry read.
+        Otherwise the request is rendered through :meth:`figure`,
+        :meth:`sweep` or :meth:`dse` and its body stored for the next call.
+
+        ``executed`` counts the jobs this call ran, from its own progress
+        stream, so concurrent answers on one session never bleed into each
+        other's count; ``on_result(done, total)`` observes that stream.
+
+        The two halves are public for the serving front-end, which probes
+        (:meth:`stored_body`) and renders (:meth:`render_body`) as separate
+        steps with its warmth check in between.
+        """
+        if isinstance(request, str):
+            request = FigureQuery(request)
+        kind = request_kind(request)
+        request_key = request.key()
+        body = self.stored_body(kind, request_key)
+        if body is not None:
+            return body, 0
+        return self.render_body(kind, request_key, request, on_result=on_result)
+
+    def stored_body(self, kind: str, request_key: str) -> bytes | None:
+        """The body :meth:`answer` stored for a request, or ``None``.
+
+        Addressed by the request's kind and content key under this session's
+        settings (:func:`~repro.dse.explore.report_key`); the read is
+        checksummed, so a damaged record is a miss and the next
+        :meth:`answer` renders it again.
+        """
+        if self.cache is None:
+            return None
+        return self.cache.get_blob(report_key(kind, request_key, self.settings))
+
+    def render_body(
+        self, kind: str, request_key: str, request: Request, *, on_result=None
+    ) -> tuple[bytes, int]:
+        """``(body, executed)`` rendered afresh, then stored with one put.
+
+        :meth:`answer` without the probe, for a caller that has already
+        found no stored body: ``request`` (of ``kind``, content key
+        ``request_key``) goes through :meth:`figure`, :meth:`sweep` or the
+        DSE render, and its canonical body is stored for the next
+        :meth:`answer` or :meth:`stored_body`.
+        """
+        render = {"figure": self.figure, "sweep": self.sweep, "dse": self._dse}[kind]
+        counter = _ExecutionCounter(on_result)
+        result = render(request, on_result=counter)
+        return self._store(kind, request_key, result), counter.executed
+
+    def _store(
+        self, kind: str, request_key: str, result: FigureResult | SweepResult | DseResult
+    ) -> bytes:
+        """Encode ``result`` as its canonical body and store it with one put."""
+        body = (result.to_json() + "\n").encode("utf-8")
+        if self.cache is not None:
+            self.cache.put_blob(report_key(kind, request_key, self.settings), body)
+        return body
+
+    def required_jobs(self, request: Request | str) -> list[SimJob]:
         """The simulation jobs answering ``request`` would submit right now.
 
         The serving front-end's warmth probe: combined with

@@ -11,14 +11,16 @@ Subcommands::
     python -m repro cache stats               # entries + size (--json for wire form)
     python -m repro cache clear               # drop every entry
     python -m repro cache prune --max-size-mb 64   # evict least recently written
-    python -m repro cache prune --prefix dse-      # evict one key namespace
+    python -m repro cache prune --prefix figure-   # drop stored figure bodies
     python -m repro cache pull http://host:8734    # merge a peer's entries
     python -m repro list                      # figures, models, layers, designs
 
-``figure`` and ``sweep`` write the canonical JSON of the response record to
-stdout (or ``-o FILE``): two invocations over the same settings and a warm
-cache produce byte-identical output, with zero jobs executed on the second
-run.  The job counters go to stderr so they never perturb the payload.
+``figure``, ``sweep`` and ``dse`` write the canonical JSON of the response
+record to stdout (or ``-o FILE``) through :meth:`Session.answer`: the first
+run stores the body in the result cache, and a second invocation over the
+same settings and cache reads that one record — byte-identical output, zero
+jobs submitted.  ``--table`` renders the typed result instead.  The job
+counters go to stderr so they never perturb the payload.
 """
 
 from __future__ import annotations
@@ -157,11 +159,12 @@ def _report_jobs(session: Session) -> None:
 # ----------------------------------------------------------------------
 def _cmd_figure(args: argparse.Namespace) -> int:
     session = _session_from_args(args)
-    result = session.figure(FigureQuery(args.figure))
+    query = FigureQuery(args.figure)
     if args.table:
+        result = session.figure(query)
         payload = format_table(result.rows, title=result.title)
     else:
-        payload = result.to_json() + "\n"
+        payload = session.answer(query)[0].decode("utf-8")
     _emit(args, payload)
     _report_jobs(session)
     return 0
@@ -209,11 +212,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         scale=args.scale,
         max_layers_per_model=args.max_layers,
     )
-    result = session.sweep(spec)
     if args.table:
+        result = session.sweep(spec)
         payload = format_table(result.rows, title=f"Sweep {spec.key()[:12]}")
     else:
-        payload = result.to_json() + "\n"
+        payload = session.answer(spec)[0].decode("utf-8")
     _emit(args, payload)
     _report_jobs(session)
     return 0
@@ -245,14 +248,14 @@ def _cmd_dse(args: argparse.Namespace) -> int:
         designs=args.designs or (),
         scale=args.scale,
     )
-    result = session.dse(spec)
     if args.table:
+        result = session.dse(spec)
         payload = format_table(result.points, title=f"DSE {spec.key()[:12]}")
         payload += "\nPareto frontiers:\n"
         for objective, names in sorted(result.frontier.items()):
             payload += f"  {objective}: {', '.join(names)}\n"
     else:
-        payload = result.to_json() + "\n"
+        payload = session.answer(spec)[0].decode("utf-8")
     _emit(args, payload)
     _report_jobs(session)
     return 0
@@ -555,8 +558,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prune.add_argument(
         "--prefix", default=None, metavar="PREFIX",
-        help="only consider keys starting with PREFIX (e.g. dse-); without "
-        "--max-size-mb every matching entry is evicted",
+        help="only consider keys starting with PREFIX (figure-, sweep- or dse- "
+        "for stored bodies); without --max-size-mb every matching entry is "
+        "evicted",
     )
     pull = cache_sub.add_parser(
         "pull",

@@ -16,6 +16,12 @@ deterministic and JSON-canonical, so the same campaign always renders to
 byte-identical report bodies — the property the warm ``GET /v1/dse/<key>``
 route and the CI smoke job assert.
 
+:func:`report_key` addresses every rendered response body in the result
+cache — figure, sweep and DSE report alike — so a repeat request of any kind
+is answered with one record read; :func:`dse_report_key` is its DSE form.
+Figure and sweep body keys also fold in :func:`grid_tables_digest`, the data
+tables their job grids are compiled from.
+
 Campaign identity (:meth:`DseSpec.key`) folds in each workload's *content*
 digest and each design point's full configuration record, never file paths,
 so keys agree across hosts that store the same matrices in different
@@ -24,10 +30,12 @@ places.
 
 from __future__ import annotations
 
+import enum
+import functools
 import hashlib
 import json
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 
 from repro.accelerators.area_power import performance_per_area
 from repro.dse.designs import default_design_points, design_point_names, get_design_point
@@ -252,27 +260,70 @@ def _pareto_front(points: list[Row], metric: str) -> list[str]:
 
 
 def dse_report_key(spec: DseSpec, settings: ExperimentSettings) -> str:
-    """Cache key of the rendered report body for (campaign, settings).
+    """Cache key of the rendered report body for (campaign, settings)."""
+    return report_key("dse", spec.key(), settings)
 
-    Prefixed ``dse-`` so campaign reports live in their own evictable
-    namespace (``python -m repro cache prune --prefix dse-``) and are
-    excluded from fabric anti-entropy (they re-render warm from the synced
-    per-job entries).  Both schema versions are folded in so a semantic
-    change in either the simulator or the record layout retires stale
-    bodies instead of serving them.
+
+def report_key(kind: str, request_key: str, settings: ExperimentSettings) -> str:
+    """Cache key of one rendered response body: ``<kind>-`` + a content hash.
+
+    ``kind`` is the request kind (``"figure"``, ``"sweep"`` or ``"dse"``) and
+    ``request_key`` the request's own content key (``FigureQuery.key()``,
+    ``SweepSpec.key()`` or ``DseSpec.key()``).  :meth:`Session.answer
+    <repro.api.session.Session.answer>` stores every body it renders under
+    this key and answers a repeat request with one record read.
+
+    The prefix gives each kind its own evictable namespace
+    (``python -m repro cache prune --prefix figure-|sweep-|dse-``) and keeps
+    bodies out of fabric anti-entropy, which replicates only 64-hex content
+    keys (a pulled peer re-renders warm from the per-job entries).  Both
+    schema versions and the settings record are folded in, so a semantic
+    change in the simulator, the record layout or the settings retires a
+    stale body instead of serving it.  A figure or sweep key also folds in
+    :func:`grid_tables_digest`, so editing a model, layer or CPU-baseline
+    entry retires its bodies just as it re-keys their jobs; a campaign key
+    already holds its workloads' content and design configurations, so the
+    DSE key does not.  Code is not in any key: after editing collation,
+    figure rows, static tables or the scale and sampling policy, drop the
+    bodies with ``cache prune --prefix``.
     """
-    return report_key_for(spec.key(), settings)
-
-
-def report_key_for(spec_key: str, settings: ExperimentSettings) -> str:
-    """:func:`dse_report_key` from a raw campaign key (the serve GET route,
-    which receives the key in the URL and never reconstructs the spec)."""
     payload = {
-        "kind": "dse-report",
-        "spec": spec_key,
+        "kind": f"{kind}-report",
+        "spec": request_key,
         "settings": settings.to_record(),
         "result_schema": RESULT_SCHEMA_VERSION,
         "cache_schema": CACHE_SCHEMA_VERSION,
     }
+    if kind != "dse":
+        payload["tables"] = grid_tables_digest()
     encoded = json.dumps(payload, sort_keys=True)
-    return "dse-" + hashlib.sha256(encoded.encode()).hexdigest()
+    return f"{kind}-" + hashlib.sha256(encoded.encode()).hexdigest()
+
+
+@functools.cache
+def grid_tables_digest() -> str:
+    """sha256 of the data tables figure and sweep job grids are built from.
+
+    The model registry (every layer and the Table 2 metadata), the nine
+    representative layers and the CPU baseline's record: inputs a job key
+    hashes (or a figure row reads) that no request key holds.  Computed
+    once per process (a few milliseconds).
+    """
+    from repro.accelerators.cpu import CpuConfig
+    from repro.workloads.models import MODEL_REGISTRY
+    from repro.workloads.representative import REPRESENTATIVE_LAYERS
+
+    def fields(value: object) -> object:
+        if isinstance(value, enum.Enum):
+            return value.value
+        if is_dataclass(value):
+            return vars(value)
+        raise TypeError(f"cannot canonicalise {type(value).__name__} for hashing")
+
+    tables = {
+        "models": MODEL_REGISTRY,
+        "layers": REPRESENTATIVE_LAYERS,
+        "cpu": CpuConfig(),
+    }
+    encoded = json.dumps(tables, sort_keys=True, default=fields)
+    return hashlib.sha256(encoded.encode()).hexdigest()

@@ -204,6 +204,9 @@ def _stats_record(queue: WorkQueue) -> dict:
 # ----------------------------------------------------------------------
 def _keys_record(cache: ResultCache | None) -> dict:
     keys = cache.keys() if cache is not None else []
+    # Only what /v1/cache/entry/ serves: a stored response body (a
+    # ``figure-``/``sweep-``/``dse-`` key) is rendered again by each peer.
+    keys = [key for key in keys if fabric_wire.is_content_key(key)]
     return {
         "kind": "cache_keys",
         "schema": RESULT_SCHEMA_VERSION,

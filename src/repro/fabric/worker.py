@@ -105,11 +105,12 @@ class RecordingCache(ResultCache):
     Handed to ``execute_chunk`` as the nested trial cache: puts *and* read
     hits both funnel through :meth:`_remember`/:meth:`_memory_get`, so
     ``recorded`` accumulates every nested result the chunk's execution
-    touched — including entries the worker's local cache already held from
-    an earlier chunk, which the coordinator may still be missing (e.g. when
-    that earlier upload was lost to a crash).  Uploading the touched set,
-    not just the fresh puts, is what keeps the coordinator's key inventory
-    identical to a local run's.
+    touched (the worker empties it before each chunk) — including entries
+    the worker's local cache already held from an earlier chunk, which the
+    coordinator may still be missing (e.g. when that earlier upload was
+    lost to a crash).  Uploading the touched set, not just the fresh puts,
+    is what keeps the coordinator's key inventory identical to a local
+    run's.
     """
 
     def __init__(self, directory) -> None:
@@ -264,6 +265,9 @@ class Worker:
         self.upload_backoff = resilience.Backoff.from_env(initial=poll_seconds)
         self.log = log
         self.report = WorkerReport()
+        #: The nested-result cache, built on the first claimed item and kept
+        #: (see :meth:`_trial_cache`).
+        self._recording: RecordingCache | None = None
 
     # ------------------------------------------------------------------
     def run(self) -> WorkerReport:
@@ -361,9 +365,7 @@ class Worker:
         )
         beater.start()
         try:
-            recording = (
-                RecordingCache(self.cache_dir) if self.cache_dir is not None else None
-            )
+            recording = self._trial_cache()
             outcomes, error = execute_chunk(jobs, trial_cache=recording)
         finally:
             heartbeat_stop.set()
@@ -410,6 +412,22 @@ class Worker:
             self._log(f"upload failed: {error}")
             resilience.pause(self.upload_backoff.next_delay(), self.stop)
         return True
+
+    def _trial_cache(self) -> RecordingCache | None:
+        """The worker's one :class:`RecordingCache`, with a fresh
+        ``recorded`` set for the item about to run.
+
+        Built on first use and kept, so the segment index and pack tables
+        are loaded once per worker, not once per item.  An entry an earlier
+        item left in the memory level is still recorded when this item
+        reads it, and so still uploaded as an extra.
+        """
+        if self.cache_dir is None:
+            return None
+        if self._recording is None:
+            self._recording = RecordingCache(self.cache_dir)
+        self._recording.recorded = {}
+        return self._recording
 
     def _log(self, message: str) -> None:
         if self.log is not None:

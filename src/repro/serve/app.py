@@ -27,10 +27,12 @@ carries them: work uploads are pickled payloads, so the fabric surface is
 strictly opt-in, and exposing it beyond loopback requires the shared
 ``REPRO_FABRIC_TOKEN`` secret (see :mod:`repro.fabric.api`).
 
-Request handling never blocks the event loop on simulation: warm responses
-are collated on a worker thread (``asyncio.to_thread``) and cold requests
-run as background :class:`~repro.serve.executor.ServeJob` tasks.  Responses
-carry a strong ``ETag`` derived from (request key, schema versions,
+Request handling never blocks the event loop on simulation: a request
+answered before over the same cache and settings is one stored-body read
+(:meth:`~repro.api.session.Session.stored_body`), other warm responses are
+collated on a worker thread (``asyncio.to_thread``) and stored, and cold
+requests run as background :class:`~repro.serve.executor.ServeJob` tasks.
+Responses carry a strong ``ETag`` derived from (request key, schema versions,
 settings) — see :func:`repro.serve.wire.request_etag` — and
 ``If-None-Match`` is answered with ``304`` before any work happens.  The
 ``X-Repro-Jobs-Executed`` header reports how many simulation jobs a response
@@ -287,39 +289,28 @@ class ServeApp:
         return await self._answer(request, "dse", spec, spec.key(), principal)
 
     async def _dse_report(self, request: Request, spec_key: str) -> Response:
-        """Serve one campaign's persisted Pareto report body, warm only.
+        """Serve one campaign's stored Pareto report body, warm only.
 
-        ``<key>`` is the campaign's :meth:`DseSpec.key`.  The stored body is
-        a deterministic function of (spec, settings, schema versions) — the
-        same bytes ``POST /v1/dse`` and the CLI emit — so it is served with
-        the same strong ETag and always reports zero executions.  A
-        campaign still in flight answers with its job envelope; an unknown
-        one is a 404 pointing at the POST route.
+        ``<key>`` is the campaign's :meth:`DseSpec.key`.  The body is the one
+        :meth:`Session.answer` (or :meth:`Session.dse`) stored for (campaign,
+        settings, schema versions) — the same bytes ``POST /v1/dse`` and the
+        CLI emit — so it is served with the same strong ETag and always
+        reports zero executions.  The route only reads: a campaign still in
+        flight answers with its job envelope, and one never run (or whose
+        body was pruned) is a 404 pointing at the POST route.
         """
         etag = wire.request_etag("dse", spec_key, self.session.settings)
         if wire.etag_matches(request.headers.get("if-none-match"), etag):
             return Response(status=304, headers={"ETag": etag})
-        if self.session.cache is not None:
-            from repro.dse.explore import report_key_for
-
-            report_key = report_key_for(spec_key, self.session.settings)
-            body = await asyncio.to_thread(self.session.cache.get_blob, report_key)
-            if body is not None:
-                return Response(
-                    status=200,
-                    body=body,
-                    headers={"ETag": etag, EXECUTED_HEADER: "0"},
-                )
+        body = await asyncio.to_thread(self.session.stored_body, "dse", spec_key)
+        if body is not None:
+            return self._body(body, etag)
         job = self.manager.get(spec_key)
         if job is not None:
             if not job.finished.is_set():
                 return self._job_envelope(job, status=202)
             if job.status == DONE and job.body is not None:
-                return Response(
-                    status=200,
-                    body=job.body,
-                    headers={"ETag": etag, EXECUTED_HEADER: "0"},
-                )
+                return self._body(job.body, etag)
         return self._error(
             404,
             f"no cached DSE report for {spec_key!r}; "
@@ -329,6 +320,17 @@ class ServeApp:
     async def _answer(
         self, request: Request, kind: str, obj, key: str, principal: Principal
     ) -> Response:
+        """Answer one figure, sweep or DSE request: stored, warm or cold.
+
+        In order, each step answering when it can: ``304`` on a matching
+        ``If-None-Match``; an identical request in flight (its job envelope)
+        or finished (its body); the body stored for this request and
+        settings (:meth:`Session.stored_body`, one record read, no grid
+        work); then the warmth probe (:meth:`JobManager.classify`) — warm
+        renders synchronously (:meth:`JobManager.render`, which stores the
+        body without probing for it again), and cold is admitted as a
+        background job that renders the same way.
+        """
         etag = wire.request_etag(kind, key, self.session.settings)
         if wire.etag_matches(request.headers.get("if-none-match"), etag):
             return Response(status=304, headers={"ETag": etag})
@@ -336,18 +338,16 @@ class ServeApp:
         # answers with its job envelope before any warmth probing — and a
         # finished one serves its stored body outright.  Responses are
         # deterministic functions of (request, settings), so the stored
-        # bytes can never go stale; this is also what spares a repeat
-        # request the probe's grid compile + key hashing.
+        # bytes can never go stale.
         job = self.manager.get(key)
         if job is not None:
             if not job.finished.is_set():
                 return self._job_envelope(job, status=202)
             if job.status == DONE and job.body is not None:
-                return Response(
-                    status=200,
-                    body=job.body,
-                    headers={"ETag": etag, EXECUTED_HEADER: "0"},
-                )
+                return self._body(job.body, etag)
+        body = await asyncio.to_thread(self.session.stored_body, kind, key)
+        if body is not None:
+            return self._body(body, etag)
         pending, grid_total = await asyncio.to_thread(self.manager.classify, obj)
         if pending:
             # Cold path.  The quota is charged *before* coalescing (the
@@ -375,12 +375,8 @@ class ServeApp:
             else:
                 self.admission.refund_cold(principal)
             return self._job_envelope(job, status=202)
-        body, executed = await asyncio.to_thread(self.manager.render, obj)
-        return Response(
-            status=200,
-            body=body,
-            headers={"ETag": etag, EXECUTED_HEADER: str(executed)},
-        )
+        body, executed = await asyncio.to_thread(self.manager.render, obj, key=key)
+        return self._body(body, etag, executed)
 
     # ------------------------------------------------------------------
     # Jobs
@@ -392,11 +388,7 @@ class ServeApp:
         status = job.status
         if status == DONE:
             assert job.body is not None and job.etag is not None
-            return Response(
-                status=200,
-                body=job.body,
-                headers={"ETag": job.etag, EXECUTED_HEADER: str(job.executed)},
-            )
+            return self._body(job.body, job.etag, job.executed)
         if status == FAILED:
             snapshot = job.snapshot()
             return self._json(
@@ -413,6 +405,12 @@ class ServeApp:
         )
 
     # ------------------------------------------------------------------
+    def _body(self, body: bytes, etag: str, executed: int = 0) -> Response:
+        """A ``200`` response body with its ETag and executed-job count."""
+        return Response(
+            status=200, body=body, headers={"ETag": etag, EXECUTED_HEADER: str(executed)}
+        )
+
     def _json(self, status: int, record: dict) -> Response:
         return Response(status=status, body=wire.dump_body(record))
 

@@ -1,18 +1,21 @@
 """Background job manager of the serving front-end.
 
-The split the server is built around: a request whose every simulation job
-is already in the result cache is **warm** and is answered in the request
-handler (zero engine executions — the collation work left is milliseconds);
+The split the server is built around: a request answered before over the
+same cache and settings has its body stored (:meth:`Session.answer`) and is
+served as one record read, before this module is consulted at all.  Of the
+rest, a request whose every simulation job is already in the result cache is
+**warm** and is rendered in the request handler (zero engine executions —
+keying, reading and collating the grid's entries, then storing the body);
 anything else is **cold** and runs as a background :class:`ServeJob`, with
 the client polling a ``/v1/jobs/<key>`` URL that streams the runner's
 ``on_result`` progress until the finished body is ready.
 
 Concurrent identical requests are **coalesced**: jobs are registered under
-the request's content key (:meth:`FigureQuery.key` / :meth:`SweepSpec.key`),
-so N clients asking for the same cold figure share one in-flight
-computation and one result.  Requests that are distinct but overlap (fig12
-and fig18 both need the end-to-end grid) still compute once, because grid
-computation is serialized and memoized inside the shared
+the request's content key (:meth:`FigureQuery.key` / :meth:`SweepSpec.key` /
+:meth:`DseSpec.key`), so N clients asking for the same cold figure share one
+in-flight computation and one result.  Requests that are distinct but
+overlap (fig12 and fig18 both need the end-to-end grid) still compute once,
+because grid computation is serialized and memoized inside the shared
 :class:`~repro.api.session.Session` — the second job blocks on the
 session's grid lock and then renders from the memo.
 
@@ -29,7 +32,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 
 from repro import knobs, resilience
 from repro.api.requests import FigureQuery, SweepSpec
-from repro.api.session import Session
+from repro.api.session import Request, Session, request_kind
 from repro.dse.explore import DseSpec
 from repro.runtime import SimJob
 
@@ -89,9 +92,10 @@ class ServeJob:
     def __init__(self, key: str, kind: str, request, total: int) -> None:
         #: Request content key (also the job's URL segment).
         self.key = key
-        #: ``"figure"`` or ``"sweep"``.
+        #: ``"figure"``, ``"sweep"`` or ``"dse"``.
         self.kind = kind
-        #: The :class:`FigureQuery` / :class:`SweepSpec` being answered.
+        #: The :class:`FigureQuery` / :class:`SweepSpec` / :class:`DseSpec`
+        #: being answered.
         self.request = request
         self._lock = threading.Lock()
         self._status = PENDING  # guarded-by: _lock
@@ -156,30 +160,6 @@ class ServeJob:
             return record
 
 
-class _ExecutionCounter:
-    """Per-call executed-job counter fed by run-progress callbacks.
-
-    The runner's ``on_result`` fires once after the cache scan and then once
-    per job executed in *that* ``run`` call, so counting invocations past
-    the first measures this request's own executions — unlike a delta over
-    the session-wide :class:`RunnerStats`, which concurrent requests on the
-    same session would corrupt.
-    """
-
-    def __init__(self, forward=None) -> None:
-        self.executed = 0
-        self._scan_seen = False
-        self._forward = forward
-
-    def __call__(self, done: int, total: int) -> None:
-        if self._scan_seen:
-            self.executed += 1
-        else:
-            self._scan_seen = True
-        if self._forward is not None:
-            self._forward(done, total)
-
-
 class JobManager:
     """Registry of background jobs over one shared :class:`Session`."""
 
@@ -206,13 +186,15 @@ class JobManager:
     ) -> tuple[list[SimJob], int]:
         """``(still-missing jobs, full grid size)`` for one request.
 
-        No missing jobs means warm: every needed job is memoized or already
-        in the result cache, so the request can be answered synchronously
-        with zero engine executions.  The probe never reads a cache entry —
-        :meth:`ResultCache.missing` queries the cache's index and pack
-        tables.  The grid size is what a cold job advertises as its progress
-        ``total``: the runner's ``on_result`` counts cache hits as instantly
-        done, so the denominator must be the whole grid, not just the misses.
+        Reached only by a request with no stored body (the router probes
+        :meth:`Session.stored_body` first).  No missing jobs means warm:
+        every needed job is memoized or already in the result cache, so the
+        request can be rendered synchronously with zero engine executions.
+        The probe never reads a cache entry — :meth:`ResultCache.missing`
+        queries the cache's index and pack tables.  The grid size is what a
+        cold job advertises as its progress ``total``: the runner's
+        ``on_result`` counts cache hits as instantly done, so the
+        denominator must be the whole grid, not just the misses.
         """
         jobs = self.session.required_jobs(request)
         if not jobs:
@@ -313,29 +295,28 @@ class JobManager:
         """Compute the job's response body; never raises (fails the job)."""
         job.start()
         try:
-            body, executed = self.render(job.request, on_result=job.progress)
+            body, executed = self.render(job.request, on_result=job.progress, key=job.key)
         except Exception as error:  # the failure belongs to the poller
             job.fail(f"{type(error).__name__}: {error}")
             return
         job.finish(body, etag, executed)
 
-    def render(self, request, on_result=None) -> tuple[bytes, int]:
+    def render(
+        self, request: Request, on_result=None, *, key: str | None = None
+    ) -> tuple[bytes, int]:
         """The response body for ``request``, plus jobs executed to build it.
 
-        The body is byte-identical to ``python -m repro figure|sweep``
-        output: the canonical JSON of the response record plus a trailing
-        newline.  The executed count comes from this call's own progress
-        stream (:class:`_ExecutionCounter`), so concurrent requests on the
-        shared session can never bleed into each other's telemetry.
+        Reached once the router has found no stored body for the request,
+        so it renders without probing again (:meth:`Session.render_body`)
+        and stores the body; ``key`` is the request's content key when the
+        caller already has it.  The body is byte-identical to
+        ``python -m repro figure|sweep|dse`` output.
         """
-        counter = _ExecutionCounter(on_result)
-        if isinstance(request, SweepSpec):
-            payload = self.session.sweep(request, on_result=counter).to_json()
-        elif isinstance(request, DseSpec):
-            payload = self.session.dse(request, on_result=counter).to_json()
-        else:
-            payload = self.session.figure(request, on_result=counter).to_json()
-        return (payload + "\n").encode("utf-8"), counter.executed
+        if key is None:
+            key = request.key()
+        return self.session.render_body(
+            request_kind(request), key, request, on_result=on_result
+        )
 
     def close(self) -> None:
         """Stop accepting jobs and drop queued ones.

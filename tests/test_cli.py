@@ -30,8 +30,12 @@ class TestFigureCommand:
         second_path = tmp_path / "second.json"
         assert main([*args, "-o", str(first_path)]) == 0
         assert "executed=0" not in capsys.readouterr().err
+        # Drop the stored body, so the second run renders from job entries.
+        cache = ["cache", "--cache-dir", str(tmp_path / "cache")]
+        assert main([*cache, "prune", "--prefix", "figure-"]) == 0
         assert main([*args, "-o", str(second_path)]) == 0
-        assert "executed=0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "executed=0" in err and "submitted=0" not in err
         assert first_path.read_bytes() == second_path.read_bytes()
 
     def test_table_rendering(self, capsys):

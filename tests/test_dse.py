@@ -605,6 +605,8 @@ class TestCliSurface:
         ]
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         assert cli_main(argv + ["-o", str(first)]) == 0
+        # Drop the stored report, so the second run re-renders from job entries.
+        assert cli_main(["cache", "prune", "--prefix", "dse-"]) == 0
         assert cli_main(argv + ["-o", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
         record = json.loads(first.read_bytes())

@@ -61,6 +61,7 @@ from repro.fabric import (
     set_shared_coordinator,
     wire,
 )
+from repro.fabric.worker import DirectClient, RecordingCache
 from repro.runtime import BatchRunner, ResultCache, SimJob, reset_shared_pool
 from repro.runtime.jobs import execute_chunk
 from repro.serve import BackgroundServer
@@ -881,7 +882,11 @@ class TestHttpFabric:
             report = pull_cache(pulled, url)
             assert report.remote_entries > 0 and report.skipped == 0
             assert report.fetched == report.remote_entries
-            assert sorted(pulled.keys()) == sorted(serve_cache.keys())
+            # Every entry but the rendered sweep body: a body key is not a
+            # content key, so it never replicates.
+            bodies = [key for key in serve_cache.keys() if key.startswith("sweep-")]
+            assert len(bodies) == 1
+            assert sorted(pulled.keys()) == sorted(set(serve_cache.keys()) - set(bodies))
             again = pull_cache(pulled, url)
             assert again.fetched == 0
             assert again.already_present == again.remote_entries
@@ -1087,3 +1092,75 @@ class TestFabricAuth:
         assert report.remote_entries == 1
         assert report.skipped == 1 and report.fetched == 0
         assert ResultCache(tmp_path).get_blob(key) is None
+
+
+# ----------------------------------------------------------------------
+# The worker's nested-result cache
+# ----------------------------------------------------------------------
+class _UploadLog:
+    """A queue client that keeps every upload record it forwards."""
+
+    def __init__(self, queue: WorkQueue) -> None:
+        self.inner = DirectClient(queue)
+        self.uploads: list[dict] = []
+
+    def claim(self, worker, max_items):
+        return self.inner.claim(worker, max_items)
+
+    def heartbeat(self, worker, item_ids):
+        return self.inner.heartbeat(worker, item_ids)
+
+    def complete(self, worker, record):
+        self.uploads.append(record)
+        return self.inner.complete(worker, record)
+
+
+class TestWorkerTrialCache:
+    def test_a_worker_builds_one_cache_for_every_item(self, tmp_path, monkeypatch):
+        built = []
+        original = RecordingCache.__init__
+
+        def counting(self, directory):
+            built.append(directory)
+            original(self, directory)
+
+        monkeypatch.setattr(RecordingCache, "__init__", counting)
+        queue = WorkQueue(lease_seconds=30)
+        futures = [
+            queue.submit_chunk([(job.key(), job)])
+            for job in (_job(index=index) for index in range(3))
+        ]
+        member = start_worker(queue, worker_id="one-cache", cache_dir=tmp_path / "w")
+        try:
+            for future in futures:
+                assert future.result(timeout=180)[1] is None
+        finally:
+            member.stop()
+        assert member.report.completed == 3
+        assert len(built) == 1
+
+    def test_memory_hits_of_an_earlier_item_are_still_uploaded(
+        self, tmp_path, monkeypatch
+    ):
+        job = _job(design="Flexagon")
+        queue = WorkQueue(lease_seconds=30)
+        log = _UploadLog(queue)
+        from_disk: list[str] = []
+        load = ResultCache._load
+
+        def spying_load(self, keys):
+            found = load(self, keys)
+            from_disk.extend(found)
+            return found
+
+        monkeypatch.setattr(ResultCache, "_load", spying_load)
+        member = start_worker(log, worker_id="memory-hits", cache_dir=tmp_path / "w")
+        try:
+            assert queue.submit_chunk([(job.key(), job)]).result(timeout=180)[1] is None
+            from_disk.clear()
+            assert queue.submit_chunk([(job.key(), job)]).result(timeout=180)[1] is None
+        finally:
+            member.stop()
+        first, second = ({e["key"]: e["data"] for e in u["extras"]} for u in log.uploads)
+        assert first and second == first  # the oracle's trials, both times
+        assert not set(second) & set(from_disk)  # read from the memory level

@@ -1,19 +1,22 @@
 """Drift lock: the keys that address cached and served bytes, pinned literally.
 
-A job key addresses a cache entry; an ETag and a ``dse-`` report key are
-hashes over the settings record and both schema versions.  A refactor that
-moves any of them silently orphans every warm cache and every client
-validator, so the digests below are literals.  Update one only together
-with the schema-version bump that makes the move deliberate.
+A job key addresses a cache entry; an ETag and a ``figure-``, ``sweep-`` or
+``dse-`` body key are hashes over the settings record and both schema
+versions (figure and sweep body keys also over the model, layer and CPU
+tables).  A refactor that moves any of them silently orphans every warm
+cache and every client validator, so the digests below are literals.
+Update one only together with the schema-version bump that makes the move
+deliberate.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.api import DseSpec, FigureQuery, dse_report_key
+from repro.api import DseSpec, FigureQuery, SweepSpec, dse_report_key
 from repro.arch.config import default_config
 from repro.dataflows.base import Dataflow
+from repro.dse.explore import report_key
 from repro.experiments.settings import ExperimentSettings
 from repro.runtime import SimJob
 from repro.serve import wire
@@ -26,6 +29,8 @@ PINNED = {
     "cpu_job": "41753ab2a046eb668b1fdbbc7edca63fd10ea4c29fd9e851e49369507757170a",
     "fig12_etag": '"c2d40bc42b49e49a8df15a41901c7859"',
     "dse_report_key": "dse-4b1186e82dd87c01ab954c0b36623837474b1f5ff30cee5e5be1c5c397947e7c",
+    "fig12_report_key": "figure-e304fbf231724b3408914390ebb5f9f71035523ca5062bce3d3aa22525646497",
+    "sweep_report_key": "sweep-ca50ea49491e6393a9959f254f67de92ac655e52fd151bcddc098923a7c467ce",
 }
 
 
@@ -55,6 +60,10 @@ def test_keys_match_their_pinned_digests():
         "fig12_etag": wire.request_etag("figure", FigureQuery("fig12").key(), settings),
         "dse_report_key": dse_report_key(
             DseSpec(workloads=("xf-prune-80",), designs=("base",)), settings
+        ),
+        "fig12_report_key": report_key("figure", FigureQuery("fig12").key(), settings),
+        "sweep_report_key": report_key(
+            "sweep", SweepSpec(layers=("R6",)).key(), settings
         ),
     }
     assert keys == PINNED

@@ -240,7 +240,9 @@ class TestLifecycle:
         assert headers["X-Repro-Jobs-Executed"] == "0"
         assert second == first
 
-        # ... and byte-identical to the CLI over the same settings + cache.
+        # ... and byte-identical to the CLI over the same settings + cache,
+        # rendered again from the job entries once the stored body is gone.
+        server.app.session.cache.prune(prefix="figure-")
         out = tmp_path / "cli-fig12.json"
         assert cli_main([
             "figure", "fig12", "--max-dense-macs", "5e4", "--max-layers", "1",
@@ -270,13 +272,16 @@ class TestLifecycle:
         assert again == result
 
     def test_fresh_server_over_the_same_cache_is_warm(self, server, cache_dir):
-        # Uses the fig12 results the lifecycle test above cached.
+        # Uses the fig12 results the lifecycle test above cached, without the
+        # stored body: the fresh server classifies the grid warm and renders.
         request(server, "GET", "/v1/figure/fig12")
         poll_job(server, "/v1/jobs/" + FigureQuery("fig12").key())
+        server.app.session.cache.prune(prefix="figure-")
         with BackgroundServer(micro_session(cache_dir)) as fresh:
             status, headers, _body = request(fresh, "GET", "/v1/figure/fig12")
             assert status == 200
             assert headers["X-Repro-Jobs-Executed"] == "0"
+            assert fresh.app.session.stats.submitted > 0
             assert fresh.app.session.stats.executed == 0
 
     def test_failed_job_reports_500(self, tmp_path):

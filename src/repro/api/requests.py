@@ -22,7 +22,9 @@ import hashlib
 import json
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, fields as dataclass_fields, replace
+from typing import ClassVar
 
+from repro.dse.explore import names_tuple
 from repro.experiments.end_to_end import sample_model_chain
 from repro.experiments.settings import ExperimentSettings
 from repro.arch.config import AcceleratorConfig
@@ -40,23 +42,18 @@ _OVERRIDABLE_CONFIG_FIELDS = frozenset(
 SWEEPABLE_DESIGNS = DESIGN_ORDER + (CPU_DESIGN,)
 
 
-def _names_tuple(value: str | Iterable[str] | None) -> tuple[str, ...]:
-    """Normalise a name list argument ("SQ", ["SQ", "V"], None) to a tuple."""
-    if value is None:
-        return ()
-    if isinstance(value, str):
-        return tuple(part.strip() for part in value.split(",") if part.strip())
-    return tuple(value)
-
-
 def _overrides_tuple(
     value: Mapping[str, object] | Iterable[tuple[str, object]] | None,
 ) -> tuple[tuple[str, object], ...]:
     """Normalise configuration overrides to a sorted tuple of pairs."""
     if value is None:
         return ()
-    items = value.items() if isinstance(value, Mapping) else value
-    return tuple(sorted((str(name), val) for name, val in items))
+    items = list(value.items() if isinstance(value, Mapping) else value)
+    try:
+        pairs = [(str(name), val) for name, val in items]
+    except TypeError:  # an item that is no pair at all (a number, null)
+        raise ValueError("config_overrides must be a list of [name, value] pairs") from None
+    return tuple(sorted(pairs))
 
 
 def _overridden(
@@ -83,6 +80,8 @@ class SweepSpec:
     produce hashable, order-canonical specs.
     """
 
+    #: The request kind: names the stored body, the ETag and the serve route.
+    kind: ClassVar[str] = "sweep"
     #: Designs to simulate (any of the four accelerators plus ``CPU-MKL``).
     designs: tuple[str, ...] = DESIGN_ORDER
     #: Table 2 model short names whose (sampled) layer chains to sweep.
@@ -103,9 +102,9 @@ class SweepSpec:
     max_layers_per_model: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "designs", _names_tuple(self.designs))
-        object.__setattr__(self, "models", _names_tuple(self.models))
-        object.__setattr__(self, "layers", _names_tuple(self.layers))
+        object.__setattr__(self, "designs", names_tuple(self.designs))
+        object.__setattr__(self, "models", names_tuple(self.models))
+        object.__setattr__(self, "layers", names_tuple(self.layers))
         object.__setattr__(
             self, "config_overrides", _overrides_tuple(self.config_overrides)
         )
@@ -216,9 +215,7 @@ class SweepSpec:
     @classmethod
     def from_record(cls, record: dict) -> "SweepSpec":
         """Inverse of :meth:`to_record`."""
-        fields_ = dict(record)
-        fields_["config_overrides"] = [tuple(pair) for pair in fields_["config_overrides"]]
-        return cls(**fields_)
+        return cls(**record)
 
     def key(self) -> str:
         """Stable content hash identifying this spec across processes."""
@@ -237,6 +234,7 @@ class FigureQuery:
     query for an unknown figure fails fast only at answer time.
     """
 
+    kind: ClassVar[str] = "figure"
     figure: str
 
     def __post_init__(self) -> None:
@@ -259,7 +257,7 @@ class FigureQuery:
         background jobs.  A ``"kind"`` discriminator inside the hashed
         payload keeps the two request kinds' key spaces disjoint.
         """
-        encoded = json.dumps({"kind": "figure", **self.to_record()}, sort_keys=True)
+        encoded = json.dumps({"kind": self.kind, **self.to_record()}, sort_keys=True)
         return hashlib.sha256(encoded.encode()).hexdigest()
 
 

@@ -65,17 +65,9 @@ from repro.sparse.formats import CompressedMatrix
 _DEFAULT = object()
 
 #: A request any of the typed methods answers (a bare string is a figure id).
+#: Each class carries its ``kind`` (``"figure"``, ``"sweep"`` or ``"dse"``):
+#: the typed method that renders it and the namespace its body is stored in.
 Request = FigureQuery | SweepSpec | DseSpec
-
-
-def request_kind(request: Request) -> str:
-    """``"figure"``, ``"sweep"`` or ``"dse"``: the kind a stored body is
-    filed under (:func:`~repro.dse.explore.report_key`)."""
-    if isinstance(request, SweepSpec):
-        return "sweep"
-    if isinstance(request, DseSpec):
-        return "dse"
-    return "figure"
 
 
 class _ExecutionCounter:
@@ -241,7 +233,7 @@ class Session:
         ``on_result(done, total)`` observes the underlying grid run live (the
         serving front-end streams it as job progress).
         """
-        if not isinstance(query, FigureQuery):
+        if isinstance(query, str):
             query = FigureQuery(query)
         definition = get_figure(query.figure)
         rows = self._figure_rows(definition, on_result)
@@ -298,6 +290,7 @@ class Session:
         return result
 
     def _dse(self, spec: DseSpec, *, on_result=None) -> DseResult:
+        """:meth:`dse` without the store (what :meth:`render_body` renders)."""
         jobs, meta = spec.compile(self.settings)
         results = self.runner.run(jobs, on_result=on_result)
         report = collate_dse(spec, meta, results)
@@ -330,12 +323,11 @@ class Session:
         """
         if isinstance(request, str):
             request = FigureQuery(request)
-        kind = request_kind(request)
         request_key = request.key()
-        body = self.stored_body(kind, request_key)
+        body = self.stored_body(request.kind, request_key)
         if body is not None:
             return body, 0
-        return self.render_body(kind, request_key, request, on_result=on_result)
+        return self.render_body(request, request_key, on_result=on_result)
 
     def stored_body(self, kind: str, request_key: str) -> bytes | None:
         """The body :meth:`answer` stored for a request, or ``None``.
@@ -350,20 +342,22 @@ class Session:
         return self.cache.get_blob(report_key(kind, request_key, self.settings))
 
     def render_body(
-        self, kind: str, request_key: str, request: Request, *, on_result=None
+        self, request: Request, request_key: str, *, on_result=None
     ) -> tuple[bytes, int]:
         """``(body, executed)`` rendered afresh, then stored with one put.
 
         :meth:`answer` without the probe, for a caller that has already
-        found no stored body: ``request`` (of ``kind``, content key
-        ``request_key``) goes through :meth:`figure`, :meth:`sweep` or the
-        DSE render, and its canonical body is stored for the next
-        :meth:`answer` or :meth:`stored_body`.
+        found no stored body: ``request`` (content key ``request_key``) goes
+        through the typed method its ``kind`` names — :meth:`figure`,
+        :meth:`sweep`, or :meth:`dse` without its own store — and its
+        canonical body is stored for the next :meth:`answer` or
+        :meth:`stored_body`.
         """
-        render = {"figure": self.figure, "sweep": self.sweep, "dse": self._dse}[kind]
+        # :meth:`dse` stores its own report; ``_dse`` is its render alone.
+        render = self._dse if request.kind == "dse" else getattr(self, request.kind)
         counter = _ExecutionCounter(on_result)
         result = render(request, on_result=counter)
-        return self._store(kind, request_key, result), counter.executed
+        return self._store(request.kind, request_key, result), counter.executed
 
     def _store(
         self, kind: str, request_key: str, result: FigureResult | SweepResult | DseResult
@@ -390,11 +384,12 @@ class Session:
         after the read and the "required" jobs all turn out to be cache
         hits, which the serving path handles anyway.
         """
-        if isinstance(request, (SweepSpec, DseSpec)):
+        if isinstance(request, str):
+            request = FigureQuery(request)
+        if request.kind != "figure":
             jobs, _meta = request.compile(self.settings)
             return jobs
-        query = request if isinstance(request, FigureQuery) else FigureQuery(request)
-        definition = get_figure(query.figure)
+        definition = get_figure(request.figure)
         if definition.kind == "end_to_end" and self._end_to_end is None:  # repro: allow[lock-discipline]
             return end_to_end_jobs(self.settings)[0]
         if definition.kind == "layerwise" and self._layerwise is None:  # repro: allow[lock-discipline]

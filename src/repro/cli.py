@@ -154,20 +154,24 @@ def _report_jobs(session: Session) -> None:
     )
 
 
+def _answer(args: argparse.Namespace, request, table) -> int:
+    """Emit ``request``'s JSON body, or ``table`` of its typed result."""
+    session = _session_from_args(args)
+    if args.table:
+        payload = table(getattr(session, request.kind)(request))
+    else:
+        payload = session.answer(request)[0].decode("utf-8")
+    _emit(args, payload)
+    _report_jobs(session)
+    return 0
+
+
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
 def _cmd_figure(args: argparse.Namespace) -> int:
-    session = _session_from_args(args)
     query = FigureQuery(args.figure)
-    if args.table:
-        result = session.figure(query)
-        payload = format_table(result.rows, title=result.title)
-    else:
-        payload = session.answer(query)[0].decode("utf-8")
-    _emit(args, payload)
-    _report_jobs(session)
-    return 0
+    return _answer(args, query, lambda r: format_table(r.rows, title=r.title))
 
 
 def _parse_override(text: str) -> tuple[str, object]:
@@ -203,7 +207,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.list_models:
         _print_sweepable_models()
         return 0
-    session = _session_from_args(args)
     spec = SweepSpec(
         designs=args.designs,
         models=args.models,
@@ -212,14 +215,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         scale=args.scale,
         max_layers_per_model=args.max_layers,
     )
-    if args.table:
-        result = session.sweep(spec)
-        payload = format_table(result.rows, title=f"Sweep {spec.key()[:12]}")
-    else:
-        payload = session.answer(spec)[0].decode("utf-8")
-    _emit(args, payload)
-    _report_jobs(session)
-    return 0
+    title = f"Sweep {spec.key()[:12]}"
+    return _answer(args, spec, lambda r: format_table(r.rows, title=title))
 
 
 def _cmd_dse(args: argparse.Namespace) -> int:
@@ -242,23 +239,20 @@ def _cmd_dse(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    session = _session_from_args(args)
     spec = DseSpec(
         workloads=args.workloads,
         designs=args.designs or (),
         scale=args.scale,
     )
-    if args.table:
-        result = session.dse(spec)
+
+    def table(result) -> str:
         payload = format_table(result.points, title=f"DSE {spec.key()[:12]}")
         payload += "\nPareto frontiers:\n"
         for objective, names in sorted(result.frontier.items()):
             payload += f"  {objective}: {', '.join(names)}\n"
-    else:
-        payload = session.answer(spec)[0].decode("utf-8")
-    _emit(args, payload)
-    _report_jobs(session)
-    return 0
+        return payload
+
+    return _answer(args, spec, table)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

@@ -171,11 +171,6 @@ class DataflowProperties:
     intersection: str | None
     merging: str | None
 
-    @property
-    def output_layout(self) -> Layout:
-        """Layout in which the dataflow naturally produces matrix C."""
-        return self.c_format
-
 
 DATAFLOW_PROPERTIES: dict[Dataflow, DataflowProperties] = {
     Dataflow.IP_M: DataflowProperties(

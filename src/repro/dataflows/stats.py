@@ -72,16 +72,6 @@ class DataflowStats:
         """Multiplications plus additions: the arithmetic the datapath executes."""
         return self.multiplications + self.additions
 
-    @property
-    def total_onchip_elements(self) -> int:
-        """Elements that cross the on-chip networks (inputs, psums both ways)."""
-        return (
-            self.stationary_elements_read
-            + self.streaming_elements_read
-            + self.psum_writes
-            + self.psum_reads
-        )
-
     def as_dict(self) -> dict[str, int]:
         """Plain-dict view used by the reporting helpers."""
         return {

@@ -36,6 +36,7 @@ import hashlib
 import json
 from collections.abc import Iterable
 from dataclasses import dataclass, is_dataclass
+from typing import ClassVar
 
 from repro.accelerators.area_power import performance_per_area
 from repro.dse.designs import default_design_points, design_point_names, get_design_point
@@ -45,8 +46,9 @@ from repro.metrics.results import RESULT_SCHEMA_VERSION, Row
 from repro.runtime import CACHE_SCHEMA_VERSION, SimJob
 
 
-def _names_tuple(value: str | Iterable[str] | None) -> tuple[str, ...]:
-    """Normalise a name list argument ("a,b", ["a", "b"], None) to a tuple."""
+def names_tuple(value: str | Iterable[str] | None) -> tuple[str, ...]:
+    """Normalise a name list argument ("a,b", ["a", "b"], None) to a tuple
+    (every request spec's list fields take either form)."""
     if value is None:
         return ()
     if isinstance(value, str):
@@ -71,13 +73,14 @@ class DseSpec:
     Matrix workloads always run their real operands unscaled.
     """
 
+    kind: ClassVar[str] = "dse"
     workloads: tuple[str, ...] = ()
     designs: tuple[str, ...] = ()
     scale: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "workloads", _names_tuple(self.workloads))
-        designs = _names_tuple(self.designs)
+        object.__setattr__(self, "workloads", names_tuple(self.workloads))
+        designs = names_tuple(self.designs)
         if not designs:
             designs = default_design_points()
         object.__setattr__(self, "designs", designs)
@@ -168,7 +171,7 @@ class DseSpec:
         disjoint from sweeps and figure queries.
         """
         payload = {
-            "kind": "dse",
+            "kind": self.kind,
             "workloads": [
                 {"name": name, "digest": get_workload(name).digest()}
                 for name in self.workloads

@@ -227,8 +227,3 @@ def offchip_traffic_rows(results: LayerwiseResults) -> list[Row]:
                 }
             )
     return rows
-
-
-def expected_layer_names() -> list[str]:
-    """The Table 6 layer names (re-exported for the benchmark assertions)."""
-    return representative_layer_names()

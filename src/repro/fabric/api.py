@@ -1,17 +1,21 @@
 """HTTP routes of the fabric, shared by every coordinator surface.
 
 Two listeners expose the work queue: the serving front-end
-(:mod:`repro.serve.app` mounts these routes next to its figure/sweep
-endpoints, so one port serves queries *and* feeds workers) and the
-standalone fabric listener a ``REPRO_POOL=remote`` CLI run starts on its
-own (:mod:`repro.fabric.coordinator`).  Both call :func:`dispatch_route`
-with their queue and cache, so the protocol cannot drift between surfaces.
+(:mod:`repro.serve.app` mounts these routes next to its query endpoints,
+so one port serves queries *and* feeds workers) and the standalone fabric
+listener a ``REPRO_POOL=remote`` CLI run starts on its own
+(:mod:`repro.fabric.coordinator`).  Both call :func:`dispatch_route` with
+their queue and cache, on the one connection loop of
+:func:`repro.serve.http.serve_connection`, so neither the protocol nor its
+framing, ``413`` and ``500`` answers can drift between surfaces.
 
 Routes::
 
     POST /v1/work/claim          {"worker": id, "max_items": n}
     POST /v1/work/heartbeat      {"worker": id, "items": [item ids]}
-    POST /v1/work/complete       a completion record (see fabric.queue)
+    POST /v1/work/complete       a completion record (see fabric.queue);
+                                 outcomes or extras that are no list, a
+                                 digest mismatch or a short count: 400
     GET  /v1/work/stats          queue telemetry snapshot
     GET  /v1/cache/keys          the coordinator cache's key inventory
     GET  /v1/cache/entry/<key>   one raw entry (octet-stream + digest header)
@@ -44,7 +48,7 @@ from repro.fabric.queue import FabricError, WorkQueue
 from repro.metrics.results import RESULT_SCHEMA_VERSION
 from repro.runtime.cache import ResultCache
 from repro.serve.http import Request, Response
-from repro.serve.wire import CONTENT_DIGEST_HEADER, dump_body, error_record
+from repro.serve.wire import CONTENT_DIGEST_HEADER, error_response, json_response
 
 #: Header carrying the shared fabric secret (lowercased form is what the
 #: parsed :class:`~repro.serve.http.Request` stores).
@@ -117,33 +121,33 @@ def dispatch_route(
         check_token(request)
         if path == "/v1/work/stats":
             if request.method != "GET":
-                return _error(405, "work stats is GET")
-            return _json(200, _stats_record(queue))
+                return error_response(405, "work stats is GET")
+            return json_response(200, _stats_record(queue))
         if path.startswith("/v1/work/"):
             if request.method != "POST":
-                return _error(405, "work endpoints are POST")
+                return error_response(405, "work endpoints are POST")
             try:
                 record = fabric_wire.parse_json_body(request.body)
             except ValueError as error:
-                return _error(400, str(error))
+                return error_response(400, str(error))
             if path == "/v1/work/claim":
                 return _claim(queue, record)
             if path == "/v1/work/heartbeat":
                 return _heartbeat(queue, record)
             if path == "/v1/work/complete":
                 return _complete(queue, record)
-            return _error(404, f"no work route {path!r}")
+            return error_response(404, f"no work route {path!r}")
         if path == "/v1/cache/keys":
             if request.method != "GET":
-                return _error(405, "cache keys is GET")
-            return _json(200, _keys_record(cache))
+                return error_response(405, "cache keys is GET")
+            return json_response(200, _keys_record(cache))
         if path.startswith("/v1/cache/entry/"):
             if request.method != "GET":
-                return _error(405, "cache entries are GET")
+                return error_response(405, "cache entries are GET")
             return _entry(cache, path.removeprefix("/v1/cache/entry/"))
-        return _error(404, f"no fabric route {path!r}")
+        return error_response(404, f"no fabric route {path!r}")
     except FabricError as error:
-        return _error(error.status, error.message)
+        return error_response(error.status, error.message)
 
 
 # ----------------------------------------------------------------------
@@ -154,9 +158,9 @@ def _claim(queue: WorkQueue, record: dict) -> Response:
     try:
         max_items = max(1, min(64, int(record.get("max_items", 1))))
     except (TypeError, ValueError):
-        return _error(400, "max_items must be an integer")
+        return error_response(400, "max_items must be an integer")
     items, outstanding = queue.claim(worker, max_items)
-    return _json(
+    return json_response(
         200,
         {
             "kind": "work_claim",
@@ -174,9 +178,9 @@ def _heartbeat(queue: WorkQueue, record: dict) -> Response:
     if not isinstance(item_ids, list) or not all(
         isinstance(item_id, str) for item_id in item_ids
     ):
-        return _error(400, "items must be a list of item ids")
+        return error_response(400, "items must be a list of item ids")
     outcome = queue.heartbeat(worker, item_ids)
-    return _json(
+    return json_response(
         200,
         {"kind": "work_heartbeat", "schema": RESULT_SCHEMA_VERSION, **outcome},
     )
@@ -185,7 +189,7 @@ def _heartbeat(queue: WorkQueue, record: dict) -> Response:
 def _complete(queue: WorkQueue, record: dict) -> Response:
     worker = str(record.get("worker") or "anonymous")
     outcome = queue.complete(worker, record)
-    return _json(
+    return json_response(
         200,
         {"kind": "work_complete", "schema": RESULT_SCHEMA_VERSION, **outcome},
     )
@@ -219,21 +223,13 @@ def _entry(cache: ResultCache | None, key: str) -> Response:
     # The key comes from the request path: only the content-hash alphabet
     # may pass, so a peer can ask for nothing but a cache entry.
     if not fabric_wire.is_content_key(key):
-        return _error(404, f"not a cache key: {key!r}")
+        return error_response(404, f"not a cache key: {key!r}")
     blob = cache.get_blob(key) if cache is not None else None
     if blob is None:
-        return _error(404, f"no cache entry {key}")
+        return error_response(404, f"no cache entry {key}")
     return Response(
         status=200,
         body=blob,
         content_type="application/octet-stream",
         headers={CONTENT_DIGEST_HEADER: fabric_wire.digest(blob)},
     )
-
-
-def _json(status: int, record: dict) -> Response:
-    return Response(status=status, body=dump_body(record))
-
-
-def _error(status: int, message: str) -> Response:
-    return _json(status, error_record(status, message))

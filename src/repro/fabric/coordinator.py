@@ -25,15 +25,18 @@ import sys
 import threading
 
 from repro import knobs
+from repro.fabric import api
 from repro.fabric.executor import RemoteExecutor
 from repro.fabric.queue import WorkQueue
 from repro.runtime.cache import ResultCache
 from repro.serve.http import (
-    HttpError,
+    Request,
+    Response,
+    ThreadedServer,
     body_bound_for_path,
-    encode_response,
-    read_request,
+    serve_connection,
 )
+from repro.serve.wire import error_response, health_record, json_response
 
 DEFAULT_FABRIC_PORT = 8735
 
@@ -57,7 +60,7 @@ class Coordinator:
         self.queue = queue if queue is not None else WorkQueue()
         self.executor = RemoteExecutor(self.queue)
         self.cache = cache if cache is not None else _env_cache()
-        self._listener: _FabricListener | None = None  # guarded-by: _lock
+        self._listener: ThreadedServer | None = None  # guarded-by: _lock
         self._lock = threading.Lock()
 
     @property
@@ -77,20 +80,19 @@ class Coordinator:
         ``REPRO_FABRIC_TOKEN`` is set — the work routes deserialize pickled
         uploads, so an open listener would be remote code execution.
         """
-        from repro.fabric.api import require_loopback_or_token
-
         bind_host = host or knobs.get("REPRO_FABRIC_HOST")
-        require_loopback_or_token(bind_host, surface="the fabric listener")
+        api.require_loopback_or_token(bind_host, surface="the fabric listener")
         with self._lock:
             if self._listener is None:
-                listener = _FabricListener(
-                    self,
+                listener = ThreadedServer(
+                    self._connection,
                     host=bind_host,
                     port=(
                         port
                         if port is not None
                         else knobs.get("REPRO_FABRIC_PORT")
                     ),
+                    name="repro-fabric",
                 )
                 listener.start()
                 self._listener = listener
@@ -109,133 +111,31 @@ class Coordinator:
         if listener is not None:
             listener.stop()
 
-
-class _FabricListener:
-    """A minimal asyncio HTTP server on its own thread, serving only the
-    fabric routes.  Deliberately smaller than the serve front-end: no ETags,
-    no background jobs — just the work-queue and cache-replication protocol
-    over the same request/response plumbing."""
-
-    def __init__(self, coordinator: Coordinator, host: str, port: int) -> None:
-        self.coordinator = coordinator
-        self.host = host
-        self.port = port
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> None:
-        self._thread = threading.Thread(
-            target=self._run, name="repro-fabric", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            raise self._startup_error
-
-    async def _handle(
+    async def _connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        # Late imports: api pulls in serve.wire, which the fabric package
-        # must not import at module load (serve.app imports repro.fabric).
-        from repro.fabric import api
-        from repro.serve.http import Response
-        from repro.serve.wire import dump_body, error_record, health_record
+        """One connection to the standalone listener: the serve port's own
+        loop (:func:`~repro.serve.http.serve_connection`), with only the
+        upload route admitting large bodies."""
+        await serve_connection(
+            reader, writer, self._route, error_response, max_body=body_bound_for_path
+        )
 
-        try:
-            while True:
-                keep_alive = False
-                try:
-                    # Per-route bound: only /v1/work/complete admits large
-                    # uploads; the other fabric routes parse tiny records.
-                    request = await read_request(
-                        reader, max_body=body_bound_for_path
-                    )
-                    if request is None:
-                        break
-                    keep_alive = not request.wants_close()
-                    path = request.path.rstrip("/") or "/"
-                    if path == "/healthz":
-                        response = Response(
-                            status=200, body=dump_body(health_record())
-                        )
-                    elif api.is_fabric_path(path):
-                        response = await asyncio.to_thread(
-                            api.dispatch_route,
-                            path,
-                            request,
-                            self.coordinator.queue,
-                            self.coordinator.cache,
-                        )
-                    else:
-                        response = Response(
-                            status=404,
-                            body=dump_body(
-                                error_record(404, f"no route for {request.path}")
-                            ),
-                        )
-                except HttpError as error:
-                    response = Response(
-                        status=error.status,
-                        body=dump_body(error_record(error.status, error.message)),
-                    )
-                writer.write(encode_response(response, keep_alive=keep_alive))
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+    async def _route(self, request: Request) -> Response:
+        """The standalone listener's routes: ``/healthz`` and the fabric's.
 
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            server = loop.run_until_complete(
-                asyncio.start_server(self._handle, self.host, self.port)
+        Deliberately smaller than the serve front-end — no ETags, no
+        background jobs, no API keys — and never through
+        :meth:`ServeApp.dispatch <repro.serve.app.ServeApp.dispatch>`.
+        """
+        path = request.path.rstrip("/") or "/"
+        if path == "/healthz":
+            return json_response(200, health_record())
+        if api.is_fabric_path(path):
+            return await asyncio.to_thread(
+                api.dispatch_route, path, request, self.queue, self.cache
             )
-        except BaseException as error:
-            self._startup_error = error
-            self._ready.set()
-            loop.close()
-            return
-        self.port = server.sockets[0].getsockname()[1]
-        self._ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            server.close()
-            # Cancel parked keep-alive handlers before wait_closed() — the
-            # same shutdown ordering BackgroundServer needs (wait_closed()
-            # blocks on open connections from Python 3.12.1 on).
-            tasks = asyncio.all_tasks(loop)
-            for task in tasks:
-                task.cancel()
-            if tasks:
-                loop.run_until_complete(
-                    asyncio.gather(*tasks, return_exceptions=True)
-                )
-            loop.run_until_complete(server.wait_closed())
-            loop.close()
-
-    def stop(self) -> None:
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=10)
+        return error_response(404, f"no route for {request.path}")
 
 
 # ----------------------------------------------------------------------

@@ -252,9 +252,10 @@ class WorkQueue:
     def complete(self, worker: str, record: dict) -> dict:
         """Accept (or reject) one completion upload.
 
-        Verification happens before any state changes: every blob's digest
-        is recomputed, outcomes and extras must unpickle, and the outcome
-        count must cover the chunk (exactly, unless the worker reports an
+        Verification happens before any state changes: outcomes and extras
+        must be lists, every blob's digest is recomputed, outcomes and
+        extras must unpickle, and the outcome count must cover the chunk
+        (exactly, unless the worker reports an
         execution error — then a completed prefix is legal, mirroring
         ``execute_chunk``'s crash-resume contract).  A verification failure
         requeues the item and raises :class:`FabricError` (the ``400``).
@@ -271,8 +272,14 @@ class WorkQueue:
         if error_text is not None and not isinstance(error_text, str):
             raise FabricError(400, "error must be a string or null")
         try:
+            outcome_records = record.get("outcomes", [])
+            extra_records = record.get("extras", [])
+            if not isinstance(outcome_records, list) or not isinstance(
+                extra_records, list
+            ):
+                raise wire.IntegrityError("outcomes and extras must be lists")
             outcomes = []
-            for blob_record in record.get("outcomes", ()):
+            for blob_record in outcome_records:
                 blob = wire.decode_blob(blob_record)
                 try:
                     outcomes.append(restricted_loads(blob))
@@ -281,7 +288,7 @@ class WorkQueue:
                         f"outcome does not unpickle: {err}"
                     ) from None
             extras: list[tuple[str, bytes]] = []
-            for extra in record.get("extras", ()):
+            for extra in extra_records:
                 key = extra.get("key") if isinstance(extra, dict) else None
                 if not isinstance(key, str) or not wire.is_content_key(key):
                     raise wire.IntegrityError("extra entry carries no valid key")

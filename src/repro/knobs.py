@@ -237,7 +237,7 @@ KNOBS: dict[str, Knob] = {
         ),
         _knob(
             "REPRO_RATE_LIMIT", None, _integer("REPRO_RATE_LIMIT", minimum=1),
-            "Figure/sweep requests allowed per key per window; unset disables rate limiting",
+            "Figure, sweep and DSE queries allowed per key per window; unset disables it",
         ),
         _knob(
             "REPRO_RATE_WINDOW", "60", _positive_float("REPRO_RATE_WINDOW"),

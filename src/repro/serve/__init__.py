@@ -1,7 +1,7 @@
 """``repro.serve`` — the async HTTP/JSON serving front-end.
 
-A stdlib-only (``asyncio``) server over the :mod:`repro.api` facade: figure
-and sweep requests arrive as HTTP, cache-warm ones are answered in
+A stdlib-only (``asyncio``) server over the :mod:`repro.api` facade: figure,
+sweep and DSE requests arrive as HTTP, cache-warm ones are answered in
 milliseconds with zero engine executions, and cold ones run as background
 jobs behind pollable ``202``s.  Start it with ``python -m repro serve`` or
 embed it::

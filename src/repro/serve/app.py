@@ -1,6 +1,7 @@
 """The async HTTP/JSON application: routes onto one shared ``Session``.
 
-Endpoints (all JSON; see the README's "Serving" section for curl examples):
+Endpoints (all JSON; see the README's "Serving" section for curl examples;
+every route but ``/healthz`` and the fabric's is a row of :data:`ROUTES`):
 
 ============================  =================================================
 ``GET /healthz``              liveness probe
@@ -8,7 +9,8 @@ Endpoints (all JSON; see the README's "Serving" section for curl examples):
 ``GET /v1/figure/<id>``       one figure's rows — ``200`` warm, ``202`` cold
 ``POST /v1/sweep``            a ``SweepSpec`` record — ``200`` warm, ``202`` cold
 ``POST /v1/dse``              a ``DseSpec`` record — ``200`` warm, ``202`` cold
-``GET /v1/dse/<key>``         a campaign's cached Pareto report (by spec key)
+``GET /v1/sweep/<key>``       a sweep's stored body (by spec key), read only
+``GET /v1/dse/<key>``         a campaign's stored Pareto report (by spec key)
 ``GET /v1/jobs/<key>``        poll a background job — ``202`` running, ``200`` done
 ``GET /v1/cache/stats``       result-cache + runner telemetry
 ``POST /v1/work/*``           the fabric's claim/heartbeat/complete protocol*
@@ -41,8 +43,9 @@ actually executed; a warm hit reports ``0``.
 **Admission control** (see the README's "Operations & resilience"): every
 non-fabric ``/v1/*`` route authenticates against the optional
 ``REPRO_API_KEYS`` registry (:mod:`repro.serve.auth`; ``401`` on failure,
-open when unset), figure/sweep requests pass the per-key rate limit and —
-when about to create a cold job — the daily cold quota
+open when unset), every figure, sweep and DSE query — stored, warm, cold
+or ``304`` — passes the per-key rate limit (job polls and stored-body reads
+never do) and, when about to create a cold job, the daily cold quota
 (:mod:`repro.serve.quota`; ``429`` with ``Retry-After``), and cold work
 past the job-pool depth bound or during shutdown drain is shed with
 ``503`` + ``Retry-After``.  Warm answers and job polls are never shed.
@@ -57,12 +60,12 @@ import asyncio
 import math
 import signal
 import sys
-import threading
 
 from repro import resilience
 from repro.api.figures import get_figure
-from repro.api.requests import FigureQuery
+from repro.api.requests import FigureQuery, SweepSpec
 from repro.api.session import Session
+from repro.dse.explore import DseSpec
 from repro.serve.auth import ANONYMOUS, AuthError, Principal
 from repro.serve.executor import (
     DONE,
@@ -77,12 +80,11 @@ from repro.serve.quota import AdmissionControl, Decision
 from repro.serve.http import (
     ALLOWED_METHODS,
     MAX_BODY_BYTES,
-    HttpError,
     Request,
     Response,
+    ThreadedServer,
     body_bound_for_path,
-    encode_response,
-    read_request,
+    serve_connection,
 )
 from repro.serve import wire
 
@@ -112,58 +114,15 @@ class ServeApp:
             getattr(session.runner, "pool_mode", None) == "remote"
         )
 
-    # ------------------------------------------------------------------
-    # Connection plumbing
-    # ------------------------------------------------------------------
     async def handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        try:
-            while True:
-                keep_alive = False
-                try:
-                    # Only a coordinator surface admits large bodies, and
-                    # then only on the upload route — every other route
-                    # keeps the tiny-JSON bound.
-                    request = await read_request(
-                        reader,
-                        max_body=(
-                            body_bound_for_path
-                            if self.fabric_routes
-                            else MAX_BODY_BYTES
-                        ),
-                    )
-                    if request is None:
-                        break
-                    keep_alive = not request.wants_close()
-                    response = await self._dispatch_bounded(request)
-                except HttpError as error:
-                    response = self._error(error.status, error.message)
-                except Exception as error:  # route bug: report, keep serving
-                    response = self._error(500, f"{type(error).__name__}: {error}")
-                writer.write(encode_response(response, keep_alive=keep_alive))
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client went away mid-exchange; nothing to answer
-        except asyncio.CancelledError:
-            # Server shutdown cancelled this handler (typically parked on a
-            # keep-alive read).  Ending normally keeps asyncio's stream
-            # callback from logging the cancellation as an error; the task
-            # is finished either way.
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            except asyncio.CancelledError:
-                # A cancelled handler stays cancelled: the await above
-                # re-raises even after the body absorbed the first
-                # delivery.  The transport is already closing.
-                pass
+        # Only a coordinator surface admits large bodies, and then only on
+        # the upload route — every other route keeps the tiny-JSON bound.
+        bound = body_bound_for_path if self.fabric_routes else MAX_BODY_BYTES
+        await serve_connection(
+            reader, writer, self._dispatch_bounded, wire.error_response, max_body=bound
+        )
 
     # ------------------------------------------------------------------
     # Routing
@@ -191,12 +150,12 @@ class ServeApp:
 
     async def dispatch(self, request: Request) -> Response:
         if request.method not in ALLOWED_METHODS:
-            return self._error(405, f"method {request.method} not allowed")
+            return wire.error_response(405, f"method {request.method} not allowed")
         path = request.path.rstrip("/") or "/"
         if path == "/healthz":
             # Always open and never rate-limited: liveness probes must work
             # without credentials, on a saturated or draining server too.
-            return self._json(200, wire.health_record())
+            return wire.json_response(200, wire.health_record())
         # Fabric routes (work queue + cache replication) delegate to the
         # shared handler so this surface and the standalone fabric listener
         # speak one protocol — but only when this session opted into remote
@@ -224,102 +183,84 @@ class ServeApp:
             try:
                 principal = self.admission.authenticate(request.headers)
             except AuthError as error:
-                response = self._error(401, str(error))
+                response = wire.error_response(401, str(error))
                 response.headers["WWW-Authenticate"] = "Bearer"
                 return response
-        if path in ("/v1/sweep", "/v1/dse") or path.startswith("/v1/figure/"):
-            # The rate limit prices the expensive request class (anything
-            # that may classify/render/simulate); job polls, warm DSE report
-            # reads and catalog reads stay cheap and unmetered.
+        route = path if path in ROUTES else next(
+            (r for r in ROUTES if r.endswith("/") and path.startswith(r)), None
+        )
+        if route is None:
+            return wire.error_response(404, f"no route for {request.path}")
+        method, metered, handler, request_type = ROUTES[route]
+        if metered:
             decision = self.admission.admit_request(principal)
             if not decision.allowed:
                 return self._limited(429, decision)
-        if path == "/v1/figures":
-            return self._json(200, wire.figures_record())
-        if path == "/v1/cache/stats":
-            report = await asyncio.to_thread(self.session.cache_stats)
-            return self._json(200, wire.cache_stats_record(report))
-        if path.startswith("/v1/figure/"):
-            if request.method != "GET":
-                return self._error(405, "figure queries are GET")
-            return await self._figure(
-                request, path.removeprefix("/v1/figure/"), principal
-            )
-        if path == "/v1/sweep":
-            if request.method != "POST":
-                return self._error(405, "sweeps are POST (a SweepSpec record)")
-            return await self._sweep(request, principal)
-        if path == "/v1/dse":
-            if request.method != "POST":
-                return self._error(405, "DSE campaigns are POST (a DseSpec record)")
-            return await self._dse(request, principal)
-        if path.startswith("/v1/dse/"):
-            if request.method != "GET":
-                return self._error(405, "DSE report reads are GET")
-            return await self._dse_report(request, path.removeprefix("/v1/dse/"))
-        if path.startswith("/v1/jobs/"):
-            return self._job(path.removeprefix("/v1/jobs/"))
-        return self._error(404, f"no route for {request.path}")
+        if method is not None and request.method != method:
+            return wire.error_response(405, f"{route} takes {method} requests")
+        argument = path.removeprefix(route)
+        return await handler(self, request, argument, principal, request_type)
+
+    async def _figures(self, request, argument, principal, request_type) -> Response:
+        return wire.json_response(200, wire.figures_record())
+
+    async def _cache_stats(self, request, argument, principal, request_type) -> Response:
+        report = await asyncio.to_thread(self.session.cache_stats)
+        return wire.json_response(200, wire.cache_stats_record(report))
 
     # ------------------------------------------------------------------
-    # Figure / sweep: warm-sync or cold-202
+    # Queries: stored, warm-sync or cold-202
     # ------------------------------------------------------------------
-    async def _figure(
-        self, request: Request, identifier: str, principal: Principal
+    async def _query(
+        self, request: Request, argument: str, principal: Principal, request_type
     ) -> Response:
-        try:
-            query = FigureQuery(identifier)
-            get_figure(query.figure)
-        except (ValueError, KeyError) as error:
-            return self._error(404, str(error).strip('"'))
-        return await self._answer(request, "figure", query, query.key(), principal)
+        """Answer a figure named by the path (unknown: ``404``) or a POSTed
+        sweep or DSE record (malformed: ``400``) through :meth:`_answer`."""
+        if argument:
+            try:
+                query = request_type(argument)
+                get_figure(query.figure)
+            except (ValueError, KeyError) as error:
+                return wire.error_response(404, str(error).strip('"'))
+        else:
+            try:
+                query = wire.spec_from_payload(request_type, request.body)
+            except ValueError as error:
+                return wire.error_response(400, str(error))
+        return await self._answer(request, query, principal)
 
-    async def _sweep(self, request: Request, principal: Principal) -> Response:
-        try:
-            spec = wire.sweep_spec_from_payload(request.body)
-        except ValueError as error:
-            return self._error(400, str(error))
-        return await self._answer(request, "sweep", spec, spec.key(), principal)
+    async def _stored(
+        self, request: Request, key: str, principal: Principal, request_type
+    ) -> Response:
+        """Serve the body stored for one sweep or DSE request, by its key.
 
-    async def _dse(self, request: Request, principal: Principal) -> Response:
-        try:
-            spec = wire.dse_spec_from_payload(request.body)
-        except ValueError as error:
-            return self._error(400, str(error))
-        return await self._answer(request, "dse", spec, spec.key(), principal)
-
-    async def _dse_report(self, request: Request, spec_key: str) -> Response:
-        """Serve one campaign's stored Pareto report body, warm only.
-
-        ``<key>`` is the campaign's :meth:`DseSpec.key`.  The body is the one
-        :meth:`Session.answer` (or :meth:`Session.dse`) stored for (campaign,
-        settings, schema versions) — the same bytes ``POST /v1/dse`` and the
-        CLI emit — so it is served with the same strong ETag and always
-        reports zero executions.  The route only reads: a campaign still in
+        ``key`` is the request's content key (:meth:`SweepSpec.key` /
+        :meth:`DseSpec.key`).  The body is the one :meth:`Session.answer`
+        (or :meth:`Session.dse`) stored for (request, settings, schema
+        versions) — the same bytes the POST route and the CLI emit — so it
+        is served with the same strong ETag and always reports zero
+        executions.  The route only reads: a request of this kind still in
         flight answers with its job envelope, and one never run (or whose
         body was pruned) is a 404 pointing at the POST route.
         """
-        etag = wire.request_etag("dse", spec_key, self.session.settings)
+        kind = request_type.kind
+        etag = wire.request_etag(kind, key, self.session.settings)
         if wire.etag_matches(request.headers.get("if-none-match"), etag):
             return Response(status=304, headers={"ETag": etag})
-        body = await asyncio.to_thread(self.session.stored_body, "dse", spec_key)
+        body = await asyncio.to_thread(self.session.stored_body, kind, key)
         if body is not None:
             return self._body(body, etag)
-        job = self.manager.get(spec_key)
-        if job is not None:
+        job = self.manager.get(key)
+        if job is not None and job.request.kind == kind:
             if not job.finished.is_set():
                 return self._job_envelope(job, status=202)
             if job.status == DONE and job.body is not None:
                 return self._body(job.body, etag)
-        return self._error(
-            404,
-            f"no cached DSE report for {spec_key!r}; "
-            "POST /v1/dse runs the campaign",
+        return wire.error_response(
+            404, f"no stored {kind} body for {key!r}; POST /v1/{kind} renders it"
         )
 
-    async def _answer(
-        self, request: Request, kind: str, obj, key: str, principal: Principal
-    ) -> Response:
+    async def _answer(self, request: Request, query, principal: Principal) -> Response:
         """Answer one figure, sweep or DSE request: stored, warm or cold.
 
         In order, each step answering when it can: ``304`` on a matching
@@ -331,7 +272,8 @@ class ServeApp:
         body without probing for it again), and cold is admitted as a
         background job that renders the same way.
         """
-        etag = wire.request_etag(kind, key, self.session.settings)
+        key = query.key()
+        etag = wire.request_etag(query.kind, key, self.session.settings)
         if wire.etag_matches(request.headers.get("if-none-match"), etag):
             return Response(status=304, headers={"ETag": etag})
         # Coalescing fast path: an identical request already in flight
@@ -345,10 +287,10 @@ class ServeApp:
                 return self._job_envelope(job, status=202)
             if job.status == DONE and job.body is not None:
                 return self._body(job.body, etag)
-        body = await asyncio.to_thread(self.session.stored_body, kind, key)
+        body = await asyncio.to_thread(self.session.stored_body, query.kind, key)
         if body is not None:
             return self._body(body, etag)
-        pending, grid_total = await asyncio.to_thread(self.manager.classify, obj)
+        pending, grid_total = await asyncio.to_thread(self.manager.classify, query)
         if pending:
             # Cold path.  The quota is charged *before* coalescing (the
             # admission decision must come first) and refunded whenever no
@@ -359,7 +301,7 @@ class ServeApp:
             if not decision.allowed:
                 return self._limited(429, decision)
             try:
-                job, created = self.manager.coalesce(key, kind, obj, grid_total)
+                job, created = self.manager.coalesce(key, query, grid_total)
             except (Draining, PoolSaturated) as refusal:
                 self.admission.refund_cold(principal)
                 return self._limited(
@@ -375,25 +317,22 @@ class ServeApp:
             else:
                 self.admission.refund_cold(principal)
             return self._job_envelope(job, status=202)
-        body, executed = await asyncio.to_thread(self.manager.render, obj, key=key)
+        body, executed = await asyncio.to_thread(self.manager.render, query, key=key)
         return self._body(body, etag, executed)
 
     # ------------------------------------------------------------------
     # Jobs
     # ------------------------------------------------------------------
-    def _job(self, key: str) -> Response:
+    async def _job(self, request, key: str, principal, request_type) -> Response:
         job = self.manager.get(key)
         if job is None:
-            return self._error(404, f"no such job {key!r}")
+            return wire.error_response(404, f"no such job {key!r}")
         status = job.status
         if status == DONE:
             assert job.body is not None and job.etag is not None
             return self._body(job.body, job.etag, job.executed)
         if status == FAILED:
-            snapshot = job.snapshot()
-            return self._json(
-                500, wire.error_record(500, snapshot.get("error", "job failed"))
-            )
+            return wire.error_response(500, job.snapshot().get("error", "job failed"))
         return self._job_envelope(job, status=202)
 
     def _job_envelope(self, job: ServeJob, *, status: int) -> Response:
@@ -410,12 +349,6 @@ class ServeApp:
         return Response(
             status=200, body=body, headers={"ETag": etag, EXECUTED_HEADER: str(executed)}
         )
-
-    def _json(self, status: int, record: dict) -> Response:
-        return Response(status=status, body=wire.dump_body(record))
-
-    def _error(self, status: int, message: str) -> Response:
-        return self._json(status, wire.error_record(status, message))
 
     def _limited(self, status: int, decision: Decision) -> Response:
         """A ``429``/``503`` refusal with precise backoff guidance.
@@ -436,6 +369,21 @@ class ServeApp:
         return Response(
             status=status, body=wire.dump_body(record), headers=headers
         )
+
+
+#: Every route but ``/healthz`` and the fabric's: path → (method or None
+#: for any, rate-metered, handler, the request class it answers or reads).
+#: A path ending in ``/`` passes the rest of the path to the handler.
+ROUTES = {
+    "/v1/figures": (None, False, ServeApp._figures, None),
+    "/v1/cache/stats": (None, False, ServeApp._cache_stats, None),
+    "/v1/figure/": ("GET", True, ServeApp._query, FigureQuery),
+    "/v1/sweep": ("POST", True, ServeApp._query, SweepSpec),
+    "/v1/dse": ("POST", True, ServeApp._query, DseSpec),
+    "/v1/sweep/": ("GET", False, ServeApp._stored, SweepSpec),
+    "/v1/dse/": ("GET", False, ServeApp._stored, DseSpec),
+    "/v1/jobs/": (None, False, ServeApp._job, None),
+}
 
 
 # ----------------------------------------------------------------------
@@ -509,7 +457,7 @@ def run_server(
     return 0
 
 
-class BackgroundServer:
+class BackgroundServer(ThreadedServer):
     """A server on its own event-loop thread (tests, benches, notebooks).
 
     ::
@@ -522,59 +470,11 @@ class BackgroundServer:
         self, session: Session, host: str = "127.0.0.1", port: int = 0
     ) -> None:
         self.app = ServeApp(session)
-        self.host = host
-        self.port = port
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
+        super().__init__(self.app.handle_connection, host, port, name="repro-serve")
 
     def __enter__(self) -> "BackgroundServer":
-        self._thread = threading.Thread(
-            target=self._run, name="repro-serve", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            raise self._startup_error
+        self.start()
         return self
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            server = loop.run_until_complete(
-                start_server(self.app, self.host, self.port)
-            )
-        except BaseException as error:
-            self._startup_error = error
-            self._ready.set()
-            loop.close()
-            return
-        self.port = server.sockets[0].getsockname()[1]
-        self._ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            server.close()
-            # Cancel handler tasks *before* wait_closed(): idle keep-alive
-            # connections park their handlers on a read, and on Python >=
-            # 3.12.1 wait_closed() blocks until every connection is gone —
-            # waiting first would deadlock on exactly the tasks this drains.
-            tasks = asyncio.all_tasks(loop)
-            for task in tasks:
-                task.cancel()
-            if tasks:
-                loop.run_until_complete(
-                    asyncio.gather(*tasks, return_exceptions=True)
-                )
-            loop.run_until_complete(server.wait_closed())
-            loop.close()
 
     def close(self, drain: float | None = None) -> None:
         """Graceful stop: drain in-flight jobs, then tear the loop down.
@@ -588,10 +488,7 @@ class BackgroundServer:
         self.app.manager.begin_drain()
         if window > 0:
             self.app.manager.drain(window)
-        if self._loop is not None and not self._loop.is_closed():
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=10)
+        self.stop()
         self.app.manager.close()
 
     def __exit__(self, *exc_info) -> None:

@@ -31,9 +31,7 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 
 from repro import knobs, resilience
-from repro.api.requests import FigureQuery, SweepSpec
-from repro.api.session import Request, Session, request_kind
-from repro.dse.explore import DseSpec
+from repro.api.session import Request, Session
 from repro.runtime import SimJob
 
 #: Job lifecycle states (the ``status`` field of the job envelope).
@@ -89,13 +87,11 @@ class Draining(RuntimeError):
 class ServeJob:
     """One background computation, addressed by its request's content key."""
 
-    def __init__(self, key: str, kind: str, request, total: int) -> None:
+    def __init__(self, key: str, request: Request, total: int) -> None:
         #: Request content key (also the job's URL segment).
         self.key = key
-        #: ``"figure"``, ``"sweep"`` or ``"dse"``.
-        self.kind = kind
         #: The :class:`FigureQuery` / :class:`SweepSpec` / :class:`DseSpec`
-        #: being answered.
+        #: being answered (its ``kind`` is the envelope's ``request_kind``).
         self.request = request
         self._lock = threading.Lock()
         self._status = PENDING  # guarded-by: _lock
@@ -149,7 +145,7 @@ class ServeJob:
         with self._lock:
             record: dict = {
                 "key": self.key,
-                "request_kind": self.kind,
+                "request_kind": self.request.kind,
                 "request": self.request.to_record(),
                 "status": self._status,
                 "done": self._done,
@@ -181,9 +177,7 @@ class JobManager:
     # ------------------------------------------------------------------
     # Warmth probe
     # ------------------------------------------------------------------
-    def classify(
-        self, request: FigureQuery | SweepSpec | DseSpec
-    ) -> tuple[list[SimJob], int]:
+    def classify(self, request: Request) -> tuple[list[SimJob], int]:
         """``(still-missing jobs, full grid size)`` for one request.
 
         Reached only by a request with no stored body (the router probes
@@ -213,7 +207,7 @@ class JobManager:
         with self._lock:
             return self._jobs.get(key)
 
-    def coalesce(self, key: str, kind: str, request, total: int) -> tuple[ServeJob, bool]:
+    def coalesce(self, key: str, request: Request, total: int) -> tuple[ServeJob, bool]:
         """The in-flight job for ``key``, creating one if none is running.
 
         Returns ``(job, created)``; ``created`` tells the caller to actually
@@ -238,7 +232,7 @@ class JobManager:
             )
             if depth >= self.max_depth:
                 raise PoolSaturated(depth)
-            job = ServeJob(key, kind, request, total)
+            job = ServeJob(key, request, total)
             self._jobs[key] = job
             self._evict_finished_locked()
             return job, True
@@ -312,10 +306,8 @@ class JobManager:
         caller already has it.  The body is byte-identical to
         ``python -m repro figure|sweep|dse`` output.
         """
-        if key is None:
-            key = request.key()
         return self.session.render_body(
-            request_kind(request), key, request, on_result=on_result
+            request, request.key() if key is None else key, on_result=on_result
         )
 
     def close(self) -> None:

@@ -1,9 +1,11 @@
-"""Minimal HTTP/1.1 plumbing for the serving front-end.
+"""Minimal HTTP/1.1 plumbing shared by the serve port and the fabric listener.
 
 A deliberately small, dependency-free layer over ``asyncio`` streams: parse
 one request (request line, headers, ``Content-Length`` body) into a
-:class:`Request`, encode a :class:`Response` back out, nothing more.  It
-supports exactly what the JSON API under :mod:`repro.serve.app` needs —
+:class:`Request`, encode a :class:`Response` back out, loop over one
+keep-alive connection (:func:`serve_connection`) and run a server on its own
+thread (:class:`ThreadedServer`); each listener brings only its routes.  It
+supports exactly what :mod:`repro.serve.app` needs —
 ``GET``/``POST``, keep-alive connections, bounded header/body sizes — and
 rejects everything else with a clean status code instead of guessing.
 
@@ -16,8 +18,10 @@ onto background threads only when a request is cache-cold.
 from __future__ import annotations
 
 import asyncio
+import threading
+import traceback
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Awaitable, Callable
 from urllib.parse import unquote
 
 #: Reason phrases for every status the app emits.
@@ -215,3 +219,115 @@ def encode_response(response: Response, *, keep_alive: bool) -> bytes:
     # A 304 carries headers only (RFC 9110 §15.4.5) — the body the client
     # already holds is, by the ETag contract, byte-identical.
     return head if response.status == 304 else head + response.body
+
+
+async def serve_connection(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    respond: Callable[[Request], Awaitable[Response]],
+    error: Callable[[int, str], Response],
+    *,
+    max_body: int | Callable[[str], int] = MAX_BODY_BYTES,
+) -> None:
+    """Answer requests on one keep-alive connection until it closes.
+
+    ``respond`` routes one request; ``error(status, message)`` answers a
+    framing error (then the connection closes) and a route that raised (a
+    ``500``; the connection keeps serving).
+    """
+    try:
+        while True:
+            keep_alive = False
+            try:
+                request = await read_request(reader, max_body=max_body)
+                if request is None:
+                    break
+                keep_alive = not request.wants_close()
+                response = await respond(request)
+            except HttpError as failure:
+                response = error(failure.status, failure.message)
+            except Exception as failure:  # route bug: report, keep serving
+                traceback.print_exc()
+                response = error(500, f"{type(failure).__name__}: {failure}")
+            writer.write(encode_response(response, keep_alive=keep_alive))
+            await writer.drain()
+            if not keep_alive:
+                break
+    except (ConnectionResetError, BrokenPipeError):
+        pass  # client went away mid-exchange; nothing to answer
+    except asyncio.CancelledError:
+        # Shutdown cancelled a handler parked on a keep-alive read; ending
+        # normally keeps asyncio from logging it as an error.
+        pass
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
+            pass  # a cancelled handler's await re-raises; it is closing anyway
+
+
+class ThreadedServer:
+    """An asyncio server running ``handle`` per connection on its own thread.
+
+    :meth:`start` returns once it listens (:attr:`port` is then the bound
+    port) and re-raises a bind failure; :meth:`stop` tears it down.
+    """
+
+    def __init__(self, handle, host: str = "127.0.0.1", port: int = 0, *, name: str):
+        self.host = host
+        self.port = port
+        self._handle = handle
+        self._name = name
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._thread: threading.Thread | None = None
+        self._ready = threading.Event()
+        self._startup_error: BaseException | None = None
+
+    @property
+    def url(self) -> str:
+        return f"http://{self.host}:{self.port}"
+
+    def start(self) -> None:
+        self._thread = threading.Thread(target=self._run, name=self._name, daemon=True)
+        self._thread.start()
+        self._ready.wait()
+        if self._startup_error is not None:
+            raise self._startup_error
+
+    def _run(self) -> None:
+        loop = asyncio.new_event_loop()
+        asyncio.set_event_loop(loop)
+        self._loop = loop
+        try:
+            server = loop.run_until_complete(
+                asyncio.start_server(self._handle, self.host, self.port)
+            )
+        except BaseException as error:
+            self._startup_error = error
+            self._ready.set()
+            loop.close()
+            return
+        self.port = server.sockets[0].getsockname()[1]
+        self._ready.set()
+        try:
+            loop.run_forever()
+        finally:
+            server.close()
+            # Cancel handlers *before* wait_closed(): idle keep-alive ones
+            # park on a read, and from Python 3.12.1 wait_closed() waits for
+            # every connection — waiting first would deadlock on them.
+            tasks = asyncio.all_tasks(loop)
+            for task in tasks:
+                task.cancel()
+            if tasks:
+                loop.run_until_complete(asyncio.gather(*tasks, return_exceptions=True))
+            loop.run_until_complete(server.wait_closed())
+            loop.close()
+
+    def stop(self) -> None:
+        """Stop the loop and join its thread (idempotent)."""
+        if self._loop is not None and not self._loop.is_closed():
+            self._loop.call_soon_threadsafe(self._loop.stop)
+        if self._thread is not None:
+            self._thread.join(timeout=10)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import fields
 
 from repro.api.figures import FIGURES
 from repro.api.responses import canonical_json
@@ -32,6 +33,7 @@ from repro.dse.workloads import get_workload, workload_names
 from repro.experiments.settings import ExperimentSettings
 from repro.metrics.results import RESULT_SCHEMA_VERSION
 from repro.runtime import CACHE_SCHEMA_VERSION
+from repro.serve.http import Response
 from repro.workloads.models import MODEL_REGISTRY
 from repro.workloads.representative import representative_layer_names
 
@@ -47,6 +49,16 @@ def dump_body(record: dict) -> bytes:
     exactly like the CLI's payloads, so the two surfaces stay comparable
     byte for byte)."""
     return (canonical_json(record) + "\n").encode("utf-8")
+
+
+def json_response(status: int, record: dict) -> Response:
+    """One record as a JSON response (both listeners' route bodies)."""
+    return Response(status=status, body=dump_body(record))
+
+
+def error_response(status: int, message: str) -> Response:
+    """An :func:`error_record` response (both listeners' error bodies)."""
+    return json_response(status, error_record(status, message))
 
 
 # ----------------------------------------------------------------------
@@ -158,68 +170,47 @@ def job_record(snapshot: dict) -> dict:
 # ----------------------------------------------------------------------
 # Requests off the wire
 # ----------------------------------------------------------------------
-def sweep_spec_from_payload(payload: bytes) -> SweepSpec:
-    """Parse a ``POST /v1/sweep`` body into a :class:`SweepSpec`.
+def spec_from_payload(
+    cls: type[SweepSpec] | type[DseSpec], payload: bytes
+) -> SweepSpec | DseSpec:
+    """Parse a ``POST /v1/sweep`` or ``POST /v1/dse`` body into ``cls``.
 
     Accepts a partial record — absent fields take the spec's defaults, so
-    ``{"layers": ["A2"]}`` is a valid body — and reports unknown fields and
-    malformed JSON as :class:`ValueError` (the router's ``400``).
+    ``{"layers": ["A2"]}`` is a valid sweep body — and reports malformed
+    JSON, unknown fields and wrong-typed ones as :class:`ValueError` (the
+    router's ``400``), each message naming the request ``kind``.
     """
     try:
         record = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise ValueError(f"malformed JSON body: {error}") from None
     if not isinstance(record, dict):
-        raise ValueError("sweep body must be a JSON object (a SweepSpec record)")
-    fields = dict(record)
-    known = set(SweepSpec.__dataclass_fields__)
-    unknown = sorted(set(fields) - known)
+        raise ValueError(
+            f"{cls.kind} body must be a JSON object (a {cls.__name__} record)"
+        )
+    known = {field.name for field in fields(cls)}
+    unknown = sorted(set(record) - known)
     if unknown:
         raise ValueError(
-            f"unknown sweep field(s) {', '.join(unknown)}; expected a subset "
-            f"of {sorted(known)}"
+            f"unknown {cls.kind} field(s) {', '.join(unknown)}; expected a "
+            f"subset of {sorted(known)}"
         )
-    overrides = fields.get("config_overrides")
-    if isinstance(overrides, list):
-        try:
-            fields["config_overrides"] = [tuple(pair) for pair in overrides]
-        except TypeError:
-            raise ValueError(
-                "config_overrides must be a list of [name, value] pairs"
-            ) from None
     try:
-        return SweepSpec(**fields)
+        return cls(**record)
     except TypeError as error:
         # A wrong-typed field (e.g. "layers": 3) is a client error like any
         # other validation failure, not a server fault.
-        raise ValueError(f"malformed sweep field: {error}") from None
+        raise ValueError(f"malformed {cls.kind} field: {error}") from None
+
+
+def sweep_spec_from_payload(payload: bytes) -> SweepSpec:
+    """Parse a ``POST /v1/sweep`` body (:func:`spec_from_payload`)."""
+    return spec_from_payload(SweepSpec, payload)
 
 
 def dse_spec_from_payload(payload: bytes) -> DseSpec:
-    """Parse a ``POST /v1/dse`` body into a :class:`DseSpec`.
-
-    Accepts a partial record — absent fields take the spec's defaults, so
-    ``{"workloads": ["xf-prune-80"]}`` is a valid body — and reports unknown
-    fields and malformed JSON as :class:`ValueError` (the router's ``400``).
-    """
-    try:
-        record = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise ValueError(f"malformed JSON body: {error}") from None
-    if not isinstance(record, dict):
-        raise ValueError("dse body must be a JSON object (a DseSpec record)")
-    fields = dict(record)
-    known = set(DseSpec.__dataclass_fields__)
-    unknown = sorted(set(fields) - known)
-    if unknown:
-        raise ValueError(
-            f"unknown dse field(s) {', '.join(unknown)}; expected a subset "
-            f"of {sorted(known)}"
-        )
-    try:
-        return DseSpec(**fields)
-    except TypeError as error:
-        raise ValueError(f"malformed dse field: {error}") from None
+    """Parse a ``POST /v1/dse`` body (:func:`spec_from_payload`)."""
+    return spec_from_payload(DseSpec, payload)
 
 
 # ----------------------------------------------------------------------

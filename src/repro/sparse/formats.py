@@ -201,11 +201,6 @@ class CompressedMatrix:
         """Number of stored elements in a given fiber, without materialising it."""
         return int(self.pointers[major_index + 1] - self.pointers[major_index])
 
-    def iter_fibers(self) -> Iterator[tuple[int, Fiber]]:
-        """Yield ``(major_index, fiber)`` pairs for every fiber, including empty ones."""
-        for major in range(self.major_dim):
-            yield major, self.fiber(major)
-
     def iter_nonempty_fibers(self) -> Iterator[tuple[int, Fiber]]:
         """Yield only the fibers that contain at least one element."""
         for major in range(self.major_dim):

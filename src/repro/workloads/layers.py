@@ -179,11 +179,6 @@ def effective_scale(specs: list[LayerSpec], max_dense_macs: float) -> float:
     return min(scale_for_budget(spec, max_dense_macs) for spec in specs)
 
 
-def compressed_mib(value_bytes: float) -> float:
-    """Convert bytes to MiB (for reporting against Table 2 / Table 6)."""
-    return value_bytes / (1024.0 * 1024.0)
-
-
 def round_up_pow2(value: int) -> int:
     """Smallest power of two >= value (used by sweep benchmarks)."""
     if value <= 1:

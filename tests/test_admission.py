@@ -255,9 +255,17 @@ class TestRateLimitOverHttp:
             assert record["status"] == 429
             assert record["retry_after"] > 0
             assert record["reset_at"] > 0
-            # Unmetered routes keep answering under the refusal.
+            # Every query route is metered, whatever its body or method...
+            assert request(server, "POST", "/v1/sweep", b"{}")[0] == 429
+            assert request(server, "POST", "/v1/dse", b"{}")[0] == 429
+            assert request(server, "GET", "/v1/sweep")[0] == 429
+            # ...and unmetered routes keep answering under the refusal:
+            # health, the catalog, job polls and stored-body reads.
             assert request(server, "GET", "/healthz")[0] == 200
             assert request(server, "GET", "/v1/figures")[0] == 200
+            assert request(server, "GET", "/v1/jobs/deadbeef")[0] == 404
+            assert request(server, "GET", "/v1/sweep/deadbeef")[0] == 404
+            assert request(server, "GET", "/v1/dse/deadbeef")[0] == 404
 
 
 class TestColdQuotaOverHttp:
@@ -303,9 +311,7 @@ def occupy_pool(server, slots: int):
     held = []
     for index in range(slots):
         spec = SweepSpec(layers=("SQ5",), designs=(DESIGNS[index % 4],), scale=0.5)
-        job, created = server.app.manager.coalesce(
-            f"held-{index}", "sweep", spec, total=1
-        )
+        job, created = server.app.manager.coalesce(f"held-{index}", spec, total=1)
         assert created
         held.append(job)
     return held

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from fabric_chaos import worker_fleet
-from repro.api import Session
+from repro.api import Session, SweepSpec
 from repro.cli import main as cli_main
 from repro.dse import designs as designs_module
 from repro.dse import workloads as workloads_module
@@ -489,41 +489,63 @@ class TestFabricEquivalence:
 # ----------------------------------------------------------------------
 # Serving surface
 # ----------------------------------------------------------------------
+#: Per stored-body kind: a cold request and the jobs it executes.
+LIFECYCLE = {
+    "dse": (CAMPAIGN, 2),
+    "sweep": (SweepSpec(layers=("A2",), designs=("SIGMA-like", "GAMMA-like"), scale=0.05), 2),
+}
+
+
+def cold_post_then_warm_get_by_key(tmp_path, kind):
+    spec, executed = LIFECYCLE[kind]
+    payload = json.dumps(spec.to_record()).encode()
+    with BackgroundServer(micro_session(tmp_path / "c")) as server:
+        status, _headers, body = request(server, "POST", f"/v1/{kind}", body=payload)
+        assert status == 202
+        envelope = json.loads(body)
+        assert envelope["request_kind"] == kind
+
+        status, headers, first = poll_job(server, envelope["url"])
+        assert status == 200
+        assert int(headers["X-Repro-Jobs-Executed"]) == executed
+        record = json.loads(first)
+        assert record["kind"] == kind
+
+        # Re-POSTing the identical request is warm.
+        status, headers, again = request(server, "POST", f"/v1/{kind}", body=payload)
+        assert status == 200
+        assert headers["X-Repro-Jobs-Executed"] == "0"
+        assert again == first
+
+        # The GET route serves the stored body by request key.
+        status, headers, stored = request(server, "GET", f"/v1/{kind}/{spec.key()}")
+        assert status == 200
+        assert headers["X-Repro-Jobs-Executed"] == "0"
+        assert stored == first
+        # A key of the other kind names nothing here.
+        other = "sweep" if kind == "dse" else "dse"
+        assert request(server, "GET", f"/v1/{other}/{spec.key()}")[0] == 404
+
+
+def unknown_key_is_404_with_guidance(tmp_path, kind):
+    with BackgroundServer(micro_session(tmp_path / "c")) as server:
+        status, _headers, body = request(server, "GET", f"/v1/{kind}/deadbeef")
+        assert status == 404
+        assert f"POST /v1/{kind}" in json.loads(body)["error"]
+
+
 class TestServeLifecycle:
     def test_cold_post_202_poll_200_then_warm_get_by_key(self, tmp_path):
-        payload = json.dumps(
-            {"workloads": ["xf-prune-80"], "designs": ["base", "xbar16"]}
-        ).encode()
-        with BackgroundServer(micro_session(tmp_path / "c")) as server:
-            status, _headers, body = request(server, "POST", "/v1/dse", body=payload)
-            assert status == 202
-            envelope = json.loads(body)
-            assert envelope["request_kind"] == "dse"
+        cold_post_then_warm_get_by_key(tmp_path, "dse")
 
-            status, headers, first = poll_job(server, envelope["url"])
-            assert status == 200
-            assert int(headers["X-Repro-Jobs-Executed"]) == 2
-            record = json.loads(first)
-            assert record["kind"] == "dse"
-
-            # Re-POSTing the identical campaign is warm.
-            status, headers, again = request(server, "POST", "/v1/dse", body=payload)
-            assert status == 200
-            assert headers["X-Repro-Jobs-Executed"] == "0"
-            assert again == first
-
-            # The GET route serves the stored report body by campaign key.
-            key = CAMPAIGN.key()
-            status, headers, stored = request(server, "GET", f"/v1/dse/{key}")
-            assert status == 200
-            assert headers["X-Repro-Jobs-Executed"] == "0"
-            assert stored == first
+    def test_cold_sweep_post_202_poll_200_then_warm_get_by_key(self, tmp_path):
+        cold_post_then_warm_get_by_key(tmp_path, "sweep")
 
     def test_unknown_report_key_is_404_with_guidance(self, tmp_path):
-        with BackgroundServer(micro_session(tmp_path / "c")) as server:
-            status, _headers, body = request(server, "GET", "/v1/dse/deadbeef")
-            assert status == 404
-            assert "POST /v1/dse" in json.loads(body)["error"]
+        unknown_key_is_404_with_guidance(tmp_path, "dse")
+
+    def test_unknown_sweep_key_is_404_with_guidance(self, tmp_path):
+        unknown_key_is_404_with_guidance(tmp_path, "sweep")
 
     def test_bad_dse_body_is_400(self, tmp_path):
         with BackgroundServer(micro_session(tmp_path / "c")) as server:

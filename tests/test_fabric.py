@@ -20,6 +20,7 @@ Covers the fabric's four contracts:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import http.client
 import json
@@ -34,6 +35,7 @@ import time
 import urllib.error
 import urllib.request
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -768,7 +770,73 @@ def _poll(server, url, deadline_seconds=120.0):
         time.sleep(0.05)
 
 
+@contextlib.contextmanager
+def _both_listeners(tmp_path, queue: WorkQueue):
+    """The two surfaces over one queue: a serve front-end in remote pool
+    mode and the standalone listener; yields one port-carrying handle each."""
+    coordinator = Coordinator(queue, cache=ResultCache(tmp_path / "coordinator"))
+    set_shared_coordinator(coordinator)  # the hygiene fixture closes it
+    url = coordinator.ensure_listener(port=0)
+    session = Session(
+        MICRO,
+        runner=BatchRunner(
+            parallel=True,
+            max_workers=2,
+            pool_mode="remote",
+            cache=ResultCache(tmp_path / "serve"),
+        ),
+    )
+    with BackgroundServer(session) as server:
+        yield [server, SimpleNamespace(port=int(url.rsplit(":", 1)[1]))]
+
+
 class TestHttpFabric:
+    @pytest.mark.parametrize("field, value", [("outcomes", 5), ("extras", None)])
+    def test_malformed_upload_is_rejected_on_both_listeners(
+        self, tmp_path, field, value
+    ):
+        """An upload whose outcomes or extras are no list is corrupt: a
+        ``400``, counted, and its lease released — on either surface."""
+        queue = WorkQueue(lease_seconds=30)
+        with _both_listeners(tmp_path, queue) as listeners:
+            for listener in listeners:
+                queue.submit_chunk(_chunk(1))
+                claim = json.dumps({"worker": "w1"}).encode()
+                status, _headers, body = _http(listener, "POST", "/v1/work/claim", claim)
+                assert status == 200, body
+                (item,) = json.loads(body)["items"]
+                upload = {
+                    "worker": "w1",
+                    **_completion(item, []),
+                    field: value,
+                }
+                status, _headers, body = _http(
+                    listener, "POST", "/v1/work/complete", json.dumps(upload).encode()
+                )
+                assert status == 400, body
+                assert "corrupt upload rejected" in json.loads(body)["error"]
+        snapshot = queue.snapshot()
+        assert snapshot["rejected_uploads"] == 2
+        assert snapshot["leased"] == 0 and snapshot["pending"] == 2
+
+    def test_a_failing_route_answers_500_on_both_listeners(
+        self, tmp_path, monkeypatch
+    ):
+        """A fabric route that raises is a ``500`` on either surface, and
+        the connection loop goes on serving."""
+        from repro.fabric import api
+
+        def broken(*_args):
+            raise RuntimeError("route bug")
+
+        monkeypatch.setattr(api, "dispatch_route", broken)
+        with _both_listeners(tmp_path, WorkQueue(lease_seconds=30)) as listeners:
+            for listener in listeners:
+                status, _headers, body = _http(listener, "GET", "/v1/work/stats")
+                assert status == 500
+                assert json.loads(body)["error"] == "RuntimeError: route bug"
+                assert _http(listener, "GET", "/healthz")[0] == 200
+
     def test_standalone_listener_speaks_the_whole_protocol(self, tmp_path):
         queue = WorkQueue(lease_seconds=30)
         cache = ResultCache(tmp_path / "coordinator")

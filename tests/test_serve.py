@@ -30,7 +30,8 @@ from repro.cli import main as cli_main
 from repro.experiments.settings import default_settings
 from repro.runtime import BatchRunner, ResultCache
 from repro.serve import BackgroundServer
-from repro.serve.wire import request_etag, sweep_spec_from_payload
+from repro.dse.explore import DseSpec
+from repro.serve.wire import dse_spec_from_payload, request_etag, sweep_spec_from_payload
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -80,6 +81,39 @@ def server(cache_dir):
         yield handle
 
 
+#: Per request kind: its parser, spec class, a valid body, a wrong-typed
+#: body and the field list its unknown-field message names.
+PARSERS = {
+    "sweep": (
+        sweep_spec_from_payload,
+        SweepSpec,
+        SWEEP_BODY,
+        {"layers": 3},
+        "['config_overrides', 'designs', 'layers', 'max_layers_per_model', "
+        "'models', 'scale']",
+    ),
+    "dse": (
+        dse_spec_from_payload,
+        DseSpec,
+        {"workloads": ["xf-prune-80"], "designs": ["base"]},
+        {"workloads": 3},
+        "['designs', 'scale', 'workloads']",
+    ),
+}
+
+
+def assert_client_errors(server, kind, parse, cases):
+    """Each ``(payload, message)`` is exactly ``parse``'s ValueError and the
+    ``400`` error of ``POST /v1/<kind>``."""
+    for payload, message in cases:
+        with pytest.raises(ValueError) as excinfo:
+            parse(payload)
+        assert str(excinfo.value) == message
+        status, _headers, body = request(server, "POST", f"/v1/{kind}", body=payload)
+        assert status == 400, payload
+        assert json.loads(body)["error"] == message
+
+
 # ----------------------------------------------------------------------
 # Wire format
 # ----------------------------------------------------------------------
@@ -118,23 +152,47 @@ class TestWireFormat:
             micro_session(cache_dir).stats.as_row()
         )
 
-    def test_sweep_payload_parsing(self):
-        spec = sweep_spec_from_payload(json.dumps(SWEEP_BODY).encode())
-        assert spec == SweepSpec(**SWEEP_BODY)
-        with pytest.raises(ValueError, match="malformed JSON"):
-            sweep_spec_from_payload(b"{nope")
-        with pytest.raises(ValueError, match="JSON object"):
-            sweep_spec_from_payload(b"[1, 2]")
-        with pytest.raises(ValueError, match="unknown sweep field"):
-            sweep_spec_from_payload(b'{"layers": ["A2"], "bogus": 1}')
+    @pytest.mark.parametrize("kind", PARSERS)
+    def test_sweep_payload_parsing(self, server, kind):
+        parse, spec_type, body, _wrong_typed, fields = PARSERS[kind]
+        assert parse(json.dumps(body).encode()) == spec_type(**body)
+        with pytest.raises(json.JSONDecodeError) as excinfo:
+            json.loads("{nope")
+        unknown = {**body, "bogus": 1}
+        cases = [
+            (b"{nope", f"malformed JSON body: {excinfo.value}"),
+            (
+                b"[1, 2]",
+                f"{kind} body must be a JSON object (a {spec_type.__name__} record)",
+            ),
+            (
+                json.dumps(unknown).encode(),
+                f"unknown {kind} field(s) bogus; expected a subset of {fields}",
+            ),
+        ]
+        assert_client_errors(server, kind, parse, cases)
 
-    def test_wrong_typed_sweep_fields_are_client_errors(self):
+    @pytest.mark.parametrize("kind", PARSERS)
+    def test_wrong_typed_sweep_fields_are_client_errors(self, server, kind):
         """Type confusion in a request body must surface as ValueError (a
         400 on the wire), never a TypeError (a 500)."""
-        with pytest.raises(ValueError, match="malformed sweep field"):
-            sweep_spec_from_payload(b'{"layers": 3}')
-        with pytest.raises(ValueError, match="name, value"):
-            sweep_spec_from_payload(b'{"layers": ["A2"], "config_overrides": [5]}')
+        parse, _spec_type, body, wrong_typed, _fields = PARSERS[kind]
+        cases = [
+            (
+                json.dumps(wrong_typed).encode(),
+                f"malformed {kind} field: 'int' object is not iterable",
+            ),
+        ]
+        if kind == "sweep":
+            # A pair that is no pair at all: the spec itself refuses it.
+            overrides = {**body, "config_overrides": [5]}
+            cases.append(
+                (
+                    json.dumps(overrides).encode(),
+                    "config_overrides must be a list of [name, value] pairs",
+                )
+            )
+        assert_client_errors(server, kind, parse, cases)
 
 
 # ----------------------------------------------------------------------

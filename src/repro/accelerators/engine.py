@@ -14,7 +14,10 @@ Modelling approach: the NumPy kernels of :mod:`repro.engine_vec.kernels`
 count the exact element streams each dataflow produces, run an exact LRU
 model of the set-associative streaming cache and an occupancy model of the
 PSRAM, and convert element counts into cycles with the configured bandwidth
-bounds:
+bounds.  They do it in two passes: a stream pass, which reads no pricing
+field of the configuration (bandwidths, DRAM, clock, outstanding misses,
+PSRAM capacity) and is memoized per operand pair, and a pricing pass per
+run, which applies those fields:
 
 * the Distribution Network injects at most ``distribution_bandwidth``
   elements per cycle,
@@ -33,7 +36,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -161,28 +165,42 @@ class SpmspmEngine:
         )
 
     def _run_kernel(self, dataflow: Dataflow, ctx: _LayerContext) -> None:
-        """Run the NumPy kernel of ``dataflow``'s family over ``ctx``.
+        """Price the stream record of ``dataflow`` over ``ctx``'s operands.
 
-        Looked up on the module per call, so a wrapper installed on
-        ``kernels.run_*`` (the per-layer trace) sees every run.
+        Every run prices a record.  The record comes from the NumPy stream
+        pass of ``dataflow``'s family and is memoized per live operand pair
+        (``ctx``'s CSR views, as :func:`output_row_nnz` is), dataflow and
+        :data:`_stream_key`, so configurations that differ only in pricing
+        fields share one stream pass for as long as the operands live.
+        The kernel is looked up on the module per call, so a wrapper
+        installed on ``kernels.run_*`` (the per-layer trace) sees every
+        stream pass.
         """
         kernel = {
             DataflowClass.INNER_PRODUCT: kernels.run_inner_product,
             DataflowClass.OUTER_PRODUCT: kernels.run_outer_product,
             DataflowClass.GUSTAVSON: kernels.run_gustavson,
         }[dataflow.dataflow_class]
-        kernel(self, ctx)
+        record = cached_derived(
+            ("stream", dataflow, _stream_key(self.config)),
+            lambda: kernel(self, ctx),
+            ctx.a_csr,
+            ctx.b_csr,
+        )
+        kernels.price(record, ctx)
 
     # ------------------------------------------------------------------
     # Merging-phase model (Outer Product)
     # ------------------------------------------------------------------
     def _merge_partial_fibers(
         self, ctx: _LayerContext, psum_rows: np.ndarray, psum_lens: np.ndarray
-    ) -> None:
-        """Model the OP merging phase from the list of partial fiber lengths.
+    ) -> kernels.OpMerge | None:
+        """The OP merging phase's stream pass, from the partial fiber lengths.
 
         Array form of the oracle's row loop
-        (:meth:`repro.accelerators.reference.ReferenceEngine._merge_partial_fibers`).
+        (:meth:`repro.accelerators.reference.ReferenceEngine._merge_partial_fibers`),
+        which :meth:`kernels.OpMerge.price` completes with the merging cycles
+        and the PSRAM spill; ``None`` when the layer made no partial fiber.
         A row with more non-empty partial fibers than tree leaves merges in
         passes: pass 0 takes the first ``leaves`` fibers, every later pass
         ``leaves - 1`` fresh ones plus the previous pass's result, truncated
@@ -194,7 +212,7 @@ class SpmspmEngine:
         """
         cfg = self.config
         if len(psum_rows) == 0:
-            return
+            return None
 
         # Empty partial fibers take no part in a merge.
         nonempty = psum_lens > 0
@@ -228,30 +246,12 @@ class SpmspmEngine:
         fresh_before[1:] = fresh_through[:-1]
         fresh_before[first_pass] = 0
         merged = np.minimum(fresh_before, ctx.c_row_nnz[rows[start]])
-        inputs = merged + fresh_through - fresh_before
-
-        total_merged = int(merged.sum())
-        ctx.stats.psum_writes += total_merged
-        ctx.traffic.psum_bytes += total_merged * ctx.element_bytes
-        ctx.stats.merge_passes += len(inputs)
-        total_merge_inputs = int(inputs.sum())
-        merge_cycles = kernels.ordered_sum(
-            inputs / cfg.reduction_bandwidth + ctx.tree_depth
+        return kernels.OpMerge(
+            merged=int(merged.sum()),
+            inputs=merged + fresh_through - fresh_before,
+            blocks=total_blocks_needed,
+            output_bytes=int(ctx.c_row_nnz.sum()) * ctx.element_bytes,
         )
-        ctx.stats.psum_reads += total_merge_inputs
-        ctx.traffic.psum_bytes += total_merge_inputs * ctx.element_bytes
-
-        # PSRAM occupancy: all partial fibers of the layer coexist before the
-        # merging phase starts; anything beyond the PSRAM capacity spills.
-        total_spilled_blocks = max(0, total_blocks_needed - cfg.psram_blocks)
-        spill_bytes = total_spilled_blocks * cfg.psram_block_bytes
-        if spill_bytes:
-            ctx.dram.spill_psums(spill_bytes)
-
-        output_bytes = int(ctx.c_row_nnz.sum()) * ctx.element_bytes
-        ctx.dram.write_output(output_bytes)
-        dram_cycles = (2 * spill_bytes + output_bytes) / ctx.dram.bytes_per_cycle
-        ctx.cycles.merging += max(merge_cycles, dram_cycles)
 
 
 # ----------------------------------------------------------------------
@@ -326,6 +326,20 @@ def _share_output_nnz(
         a_t.with_layout(Layout.CSR),
         b_t.with_layout(Layout.CSR),
     )
+
+
+#: ``config`` with its pricing fields normalised out: the values of every
+#: field of :class:`AcceleratorConfig` that :data:`kernels.PRICING_FIELDS`
+#: does not name.  A field added to the config later therefore keys the
+#: stream record until it is named as pricing: over-keying only costs
+#: sharing.
+_stream_key = operator.attrgetter(
+    *(
+        spec.name
+        for spec in fields(AcceleratorConfig)
+        if spec.name not in kernels.PRICING_FIELDS
+    )
+)
 
 
 def _lines_for(num_elements: int, ctx: _LayerContext) -> int:

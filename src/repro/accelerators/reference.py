@@ -29,10 +29,12 @@ class ReferenceEngine(SpmspmEngine):
     per-line cache model of :class:`StreamingTileReader` fiber by fiber.
     The runtime never selects it; ``tests/test_engine_equivalence.py``
     asserts the kernels match it bit for bit.  It overrides
-    :meth:`_run_kernel` and :meth:`_merge_partial_fibers` (the row loop the
-    array merge reproduces).  The walks, and the OP walk's merge, are called
-    through the class, so installing :meth:`_run_kernel` on
-    :class:`SpmspmEngine` routes every engine run of a sweep through the
+    :meth:`_run_kernel`, which walks into the context directly and never
+    reads or writes the engine's stream-record memo, and
+    :meth:`_merge_partial_fibers` (the row loop the array merge and
+    ``OpMerge.price`` reproduce together).  The walks, and the OP walk's
+    merge, are called through the class, so installing :meth:`_run_kernel`
+    on :class:`SpmspmEngine` routes every engine run of a sweep through the
     loops (the equivalence suite's whole-grid comparison does this).
     """
 

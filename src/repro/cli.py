@@ -414,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figure.add_argument(
         "figure", metavar="FIG",
-        help="figure identifier, e.g. fig12, fig13, table2 ('list' shows all)",
+        help="figure identifier, e.g. fig12, fig13, table2 "
+        "('python -m repro list' shows all)",
     )
     _add_output_args(figure)
     _add_settings_args(figure)

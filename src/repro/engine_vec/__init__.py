@@ -42,4 +42,29 @@ is approximated:
   Inner Product's greedy fiber packing likewise has an array form
   (:func:`repro.engine_vec.kernels.pack_fiber_batches`) beside the oracle's
   loop.
+
+Two passes
+----------
+Each kernel is split where the configuration enters:
+
+* The **stream pass** (``kernels.run_inner_product``,
+  ``run_outer_product``, ``run_gustavson`` and the OP merge model) returns
+  an immutable :class:`~repro.engine_vec.kernels.StreamRecord`: the exact
+  counts of the walk and its per-batch integer terms.  It is a function of
+  the operand pair, the dataflow and the configuration without its
+  **pricing fields** (:data:`~repro.engine_vec.kernels.PRICING_FIELDS`:
+  ``distribution_bandwidth``, ``reduction_bandwidth``, ``dram``,
+  ``frequency_hz``, ``dram_outstanding_misses`` and ``psram_bytes``), and
+  it reads none of them.
+* The **pricing pass** (:func:`~repro.engine_vec.kernels.price`) turns a
+  record and the pricing fields into the result: the cycles of every phase
+  in the walk's summation order, the DRAM traffic and requests, and the
+  PSRAM spills.
+
+``SpmspmEngine`` prices a record on every run and memoizes the record per
+live operand pair, dataflow and configuration with the pricing fields
+normalised out, for as long as the operands live, so design points that
+differ only in pricing fields share one stream pass.  Every other field
+keys the record: a field left unnamed only costs sharing.  The oracle
+never reads or writes that memo.
 """

@@ -1,37 +1,54 @@
-"""NumPy array kernels for the three dataflow walks.
+"""NumPy array kernels for the three dataflow walks, in two passes.
 
-Each ``run_*`` function below is the vectorized twin of the corresponding
+Each ``run_*`` function below is the **stream pass** of the corresponding
 walk of the test oracle
-(:class:`~repro.accelerators.reference.ReferenceEngine`): it consumes the same
-:class:`~repro.accelerators.engine._LayerContext` and produces **identical**
-statistics, traffic, DRAM counters and cycle counts (see the package
-docstring for the fidelity contract).  The kernels operate directly on the
-CSR/CSC storage arrays (``pointers`` / ``indices``), replace the per-element
-cache walk with the batched LRU model of
-:mod:`repro.engine_vec.cache_model`, and compute per-batch cycle terms as
-float64 arrays that are then accumulated in the walk's iteration order
-so the floating-point sums match bit for bit.
+(:class:`~repro.accelerators.reference.ReferenceEngine`): it consumes a
+:class:`~repro.accelerators.engine._LayerContext` and returns a
+:class:`StreamRecord` — the walk's exact counts and its per-batch integer
+terms — without reading any of the :data:`PRICING_FIELDS`.  :func:`price`,
+the **pricing pass**, turns a record and those fields into the layer's
+statistics, traffic, DRAM counters, PSRAM spills and cycle counts,
+**identical** to the oracle's (see the package docstring for the fidelity
+contract).  The kernels operate directly on the CSR/CSC storage arrays
+(``pointers`` / ``indices``), replace the per-element cache walk with the
+batched LRU model of :mod:`repro.engine_vec.cache_model`, and the pricing
+pass computes per-batch cycle terms as float64 arrays that are then
+accumulated in the walk's iteration order so the floating-point sums match
+bit for bit.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import dataclass, field, replace
 
+import numpy as np
+from scipy import sparse
+
+from repro.arch.memory.dram import DramTrafficCounter
+from repro.dataflows.stats import DataflowStats
 from repro.engine_vec.cache_model import (
+    CacheStats,
     expand_spans,
     fiber_line_spans,
     lru_hits,
     lru_resident,
 )
+from repro.metrics.results import TrafficBreakdown
 
-#: Expansion budget (elements) for grouped distinct-coordinate counting.
-_UNION_CHUNK_ELEMENTS = 1 << 21
-
-try:  # SciPy is optional: its C spgemm makes the structure-only pass faster,
-    # but the NumPy fallback computes the very same exact integer counts.
-    from scipy import sparse as _scipy_sparse
-except ImportError:  # pragma: no cover - depends on the environment
-    _scipy_sparse = None
+#: The :class:`~repro.arch.config.AcceleratorConfig` fields only the
+#: pricing pass reads.  No stream pass reads them, so design points that
+#: differ in nothing else share one :class:`StreamRecord`; every other field
+#: keys the record.
+PRICING_FIELDS = frozenset(
+    {
+        "distribution_bandwidth",
+        "reduction_bandwidth",
+        "dram",
+        "frequency_hz",
+        "dram_outstanding_misses",
+        "psram_bytes",
+    }
+)
 
 
 # ----------------------------------------------------------------------
@@ -65,76 +82,230 @@ def grouped_union_counts(
 
     ``ks`` lists B fibers in group-major order (``groups`` must be
     non-decreasing); the result is exact — equivalent to
-    ``len(np.unique(concatenate(fiber coords)))`` per group.  With SciPy
-    available the count is the structural row-nnz of a boolean spgemm
-    (selector-matrix x B); otherwise fiber coordinate slices are expanded in
-    bounded-size batches of whole groups, so peak memory stays bounded even
-    for large products.  Both paths produce the same exact integers.
+    ``len(np.unique(concatenate(fiber coords)))`` per group.  The count is
+    the structural row-nnz of a SciPy spgemm (selector matrix x B).
 
     With ``minor_counts`` the result is ``(per_group, per_minor)``, where
     ``per_minor[c]`` is the number of groups whose union holds coordinate
     ``c``: the column counts of the same structural product.
     """
-    out = np.zeros(num_groups, dtype=np.int64)
-    per_minor = np.zeros(minor_dim, dtype=np.int64)
     nk = len(ks)
     if nk == 0 or minor_dim == 0:
-        return (out, per_minor) if minor_counts else out
+        out = np.zeros(num_groups, dtype=np.int64)
+        return (out, np.zeros(minor_dim, dtype=np.int64)) if minor_counts else out
     ks = np.asarray(ks, dtype=np.int64)
     groups = np.asarray(groups, dtype=np.int64)
-    if _scipy_sparse is not None:
-        k_dim = len(b_pointers) - 1
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(groups, minlength=num_groups))))
-        selector = _scipy_sparse.csr_matrix(
-            (np.ones(nk, dtype=np.int64), ks, indptr), shape=(num_groups, k_dim)
-        )
-        b_struct = _scipy_sparse.csr_matrix(
-            (np.ones(len(b_indices), dtype=np.int64), b_indices, b_pointers),
-            shape=(k_dim, minor_dim),
-        )
-        # The product's sparsity structure is the per-group union of B fibers
-        # (scipy's symbolic pass; explicit zeros are never produced since all
-        # inputs are positive), so indptr differences are the distinct counts.
-        product = selector @ b_struct
-        out = np.diff(product.indptr).astype(np.int64)
-        if minor_counts:
-            return out, np.bincount(product.indices, minlength=minor_dim).astype(np.int64)
-        return out
-    counts = b_pointers[ks + 1] - b_pointers[ks]
-    # Slice boundaries in ``ks`` space: never split a group across slices
-    # (a coordinate present on both sides would be counted twice).
-    group_change = np.flatnonzero(np.concatenate(([True], groups[1:] != groups[:-1])))
-    group_sizes = np.add.reduceat(counts, group_change)
-    cum = np.cumsum(group_sizes)
-    start_group = 0
-    num_chunks = len(group_change)
-    while start_group < num_chunks:
-        base = cum[start_group - 1] if start_group else 0
-        end_group = int(np.searchsorted(cum, base + _UNION_CHUNK_ELEMENTS, side="left")) + 1
-        end_group = max(start_group + 1, min(end_group, num_chunks))
-        lo = group_change[start_group]
-        hi = group_change[end_group] if end_group < num_chunks else nk
-        sl_ks = ks[lo:hi]
-        sl_groups = groups[lo:hi]
-        sl_counts = counts[lo:hi]
-        cols, of = expand_spans(b_pointers[sl_ks], sl_counts)
-        if len(cols):
-            coords = b_indices[cols]
-            keys = sl_groups[of] * np.int64(minor_dim) + coords
-            unique_keys = np.unique(keys)
-            out += np.bincount(unique_keys // np.int64(minor_dim), minlength=num_groups)
-            if minor_counts:
-                per_minor += np.bincount(
-                    unique_keys % np.int64(minor_dim), minlength=minor_dim
-                )
-        start_group = end_group
-    return (out, per_minor) if minor_counts else out
+    k_dim = len(b_pointers) - 1
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(groups, minlength=num_groups))))
+    selector = sparse.csr_matrix(
+        (np.ones(nk, dtype=np.int64), ks, indptr), shape=(num_groups, k_dim)
+    )
+    b_struct = sparse.csr_matrix(
+        (np.ones(len(b_indices), dtype=np.int64), b_indices, b_pointers),
+        shape=(k_dim, minor_dim),
+    )
+    # The product's sparsity structure is the per-group union of B fibers
+    # (scipy's symbolic pass; explicit zeros are never produced since all
+    # inputs are positive), so indptr differences are the distinct counts.
+    product = selector @ b_struct
+    out = np.diff(product.indptr).astype(np.int64)
+    if minor_counts:
+        return out, np.bincount(product.indices, minlength=minor_dim).astype(np.int64)
+    return out
 
 
-def _flush_dram(counter, field: str, total: int, requests: int) -> None:
+def _flush_dram(counter, stream: str, total: int, requests: int) -> None:
     """Credit bulk traffic to one DRAM stream, mirroring per-call accounting."""
-    setattr(counter.traffic, field, getattr(counter.traffic, field) + int(total))
+    setattr(counter.traffic, stream, getattr(counter.traffic, stream) + int(total))
     counter.requests += int(requests)
+
+
+def _cache_stats(accesses: int, misses: int, line_bytes: int) -> CacheStats:
+    return CacheStats(
+        accesses=accesses,
+        hits=accesses - misses,
+        misses=misses,
+        miss_bytes=misses * line_bytes,
+    )
+
+
+def _empty() -> np.ndarray:
+    return np.zeros(0, dtype=np.int64)
+
+
+def _read_only(*arrays) -> None:
+    for array in arrays:
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+
+
+# ----------------------------------------------------------------------
+# Stream records and the pricing pass
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class OpMerge:
+    """Outer Product's merging phase as the stream pass leaves it."""
+
+    #: Partial-sum elements written back between the passes of a row.
+    merged: int
+    #: Merge-tree inputs of every pass, row-major (the oracle loop's order).
+    inputs: np.ndarray
+    #: PSRAM blocks all partial fibers of the layer need together.
+    blocks: int
+    #: Bytes of C written off chip after the merge.
+    output_bytes: int
+
+    def __post_init__(self) -> None:
+        _read_only(self.inputs)
+
+    def price(self, ctx) -> None:
+        """Account the whole merging phase into ``ctx``: its counts, the
+        output write, the PSRAM spill and the merging cycles."""
+        cfg = ctx.config
+        total_inputs = int(self.inputs.sum())
+        ctx.stats.psum_writes += self.merged
+        ctx.stats.psum_reads += total_inputs
+        ctx.stats.merge_passes += len(self.inputs)
+        ctx.traffic.psum_bytes += (self.merged + total_inputs) * ctx.element_bytes
+        merge_cycles = ordered_sum(self.inputs / cfg.reduction_bandwidth + ctx.tree_depth)
+
+        # PSRAM occupancy: all partial fibers of the layer coexist before the
+        # merging phase starts; anything beyond the PSRAM capacity spills.
+        spill_bytes = max(0, self.blocks - cfg.psram_blocks) * cfg.psram_block_bytes
+        if spill_bytes:
+            ctx.dram.spill_psums(spill_bytes)
+        ctx.dram.write_output(self.output_bytes)
+        dram_cycles = (2 * spill_bytes + self.output_bytes) / ctx.dram.bytes_per_cycle
+        ctx.cycles.merging += max(merge_cycles, dram_cycles)
+
+
+@dataclass(frozen=True)
+class RowMerges:
+    """Gustavson's final merges: one entry per row whose partial fibers went
+    through the PSRAM, in row order."""
+
+    #: Partial-sum elements read back from the PSRAM.
+    inputs: np.ndarray
+    #: Bytes of the row of C written off chip.
+    output_bytes: np.ndarray
+    #: PSRAM blocks the row's partial fibers occupy.
+    blocks: np.ndarray
+
+    def __post_init__(self) -> None:
+        _read_only(self.inputs, self.output_bytes, self.blocks)
+
+    def price(self, ctx) -> None:
+        """Account the final merges into ``ctx``: their counts, output
+        writes, PSRAM spills and merging cycles."""
+        cfg = ctx.config
+        eb = ctx.element_bytes
+        bpc = ctx.dram.bytes_per_cycle
+        total_inputs = int(self.inputs.sum())
+        ctx.stats.psum_reads += total_inputs
+        ctx.traffic.psum_bytes += total_inputs * eb
+        ctx.stats.merge_passes += len(self.inputs)
+        _flush_dram(
+            ctx.dram,
+            "output_write_bytes",
+            int(self.output_bytes.sum()),
+            int(np.count_nonzero(self.output_bytes)),
+        )
+        spill_bytes = np.maximum(0, self.blocks - cfg.psram_blocks) * cfg.psram_block_bytes
+        total_spill = int(spill_bytes.sum())
+        if total_spill:
+            _flush_dram(
+                ctx.dram,
+                "psum_spill_bytes",
+                total_spill,
+                int(np.count_nonzero(spill_bytes)),
+            )
+
+        # Per row, max(compute, dram) followed by the spill penalty when the
+        # row overflowed the PSRAM — interleaved in row order to reproduce
+        # the reference's accumulation sequence.
+        rows = len(self.inputs)
+        merge_main = np.maximum(
+            self.inputs / cfg.reduction_bandwidth + ctx.tree_depth, self.output_bytes / bpc
+        )
+        interleaved = np.empty(2 * rows, dtype=np.float64)
+        interleaved[0::2] = merge_main
+        interleaved[1::2] = 2 * spill_bytes / bpc
+        keep = np.empty(2 * rows, dtype=bool)
+        keep[0::2] = True
+        keep[1::2] = spill_bytes > 0
+        ctx.cycles.merging = ordered_sum(interleaved[keep], ctx.cycles.merging)
+
+
+@dataclass(frozen=True)
+class StreamRecord:
+    """What one dataflow walk yields before any pricing field is read.
+
+    Immutable by contract, with read-only arrays: the engine memoizes one
+    record per live operand pair, dataflow and stream configuration, and
+    every design point that shares them prices the same record.  The
+    per-batch arrays hold one entry per stationary batch, in walk order.
+    """
+
+    #: Operation counts, on-chip traffic and streaming-cache counters of the
+    #: stationary and streaming phases.
+    stats: DataflowStats = field(default_factory=DataflowStats)
+    traffic: TrafficBreakdown = field(default_factory=TrafficBreakdown)
+    cache: CacheStats = field(default_factory=CacheStats)
+    #: Their off-chip reads and output writes, and how many requests those
+    #: took.
+    dram: DramTrafficCounter = field(default_factory=DramTrafficCounter)
+    dram_requests: int = 0
+    #: Stationary elements loaded per batch.
+    sta: np.ndarray = field(default_factory=_empty)
+    #: Elements the distribution network delivers per batch (Inner Product
+    #: streams the whole streaming operand every batch: one count).
+    distributed: np.ndarray | int = field(default_factory=_empty)
+    #: Elements the reduction network takes per batch.
+    reduced: np.ndarray = field(default_factory=_empty)
+    #: Off-chip bytes per batch: cache misses and output writes.
+    dram_bytes: np.ndarray = field(default_factory=_empty)
+    #: Misses per batch that expose DRAM latency (Gustavson's gathers only).
+    exposed_misses: np.ndarray | None = None
+    #: Cycles every batch adds on top: the reduction tree's depth or one.
+    batch_overhead: int = 1
+    #: The merging phase, which prices itself (Outer Product, Gustavson).
+    merge: OpMerge | RowMerges | None = None
+
+    def __post_init__(self) -> None:
+        _read_only(
+            self.sta, self.distributed, self.reduced, self.dram_bytes, self.exposed_misses
+        )
+
+
+def price(record: StreamRecord, ctx) -> None:
+    """The pricing pass: fill a fresh ``ctx`` from ``record`` and the
+    pricing fields of ``ctx.config``.
+
+    The counters are copies of the record's; the cycles of each phase are
+    summed in the walk's order; the merging phase, if any, prices itself.
+    """
+    cfg = ctx.config
+    bpc = ctx.dram.bytes_per_cycle
+    ctx.stats = replace(record.stats)
+    ctx.traffic = replace(record.traffic)
+    ctx.cache_stats = replace(record.cache)
+    ctx.dram.traffic = replace(record.dram)
+    ctx.dram.requests = record.dram_requests
+
+    sta = record.sta
+    ctx.cycles.stationary = ordered_sum(
+        np.maximum(sta / cfg.distribution_bandwidth, (sta * ctx.element_bytes) / bpc)
+    )
+    compute = np.maximum(
+        record.distributed / cfg.distribution_bandwidth,
+        record.reduced / cfg.reduction_bandwidth,
+    )
+    dram = record.dram_bytes / bpc
+    if record.exposed_misses is not None:
+        dram = dram + record.exposed_misses * cfg.exposed_miss_latency_cycles
+    ctx.cycles.streaming = ordered_sum(np.maximum(compute, dram) + record.batch_overhead)
+    if record.merge is not None:
+        record.merge.price(ctx)
 
 
 #: Upper bound on the line-address trace one :func:`lru_hits` call resolves,
@@ -191,22 +362,14 @@ def _span_misses(
 def _fiber_touch_misses(ctx, cfg, fibers: np.ndarray, nnzs: np.ndarray) -> np.ndarray:
     """Per-touch streaming-cache misses for an ordered fiber-touch sequence.
 
-    ``fibers``/``nnzs`` must already exclude empty fibers.  Cache hit/miss
-    *statistics* are updated here, so callers must not account them again.
+    ``fibers``/``nnzs`` must already exclude empty fibers.
     """
     first_line, line_counts = fiber_line_spans(
         ctx.streaming.pointers[fibers], nnzs, ctx.element_bytes, cfg.str_cache_line_bytes
     )
-    misses = _span_misses(
+    return _span_misses(
         first_line, line_counts, cfg.str_cache_sets, cfg.str_cache_associativity
     )
-    total_misses = int(misses.sum())
-    total_elements = int(nnzs.sum())
-    ctx.cache_stats.accesses += total_elements
-    ctx.cache_stats.misses += total_misses
-    ctx.cache_stats.hits += total_elements - total_misses
-    ctx.cache_stats.miss_bytes += total_misses * cfg.str_cache_line_bytes
-    return misses
 
 
 # ----------------------------------------------------------------------
@@ -256,15 +419,15 @@ def pack_fiber_batches(
     return entry_m, entry_s, entry_e, entry_b, nb
 
 
-def run_inner_product(engine, ctx) -> None:
-    """Vectorized twin of the oracle walk ``ReferenceEngine._run_inner_product``."""
+def run_inner_product(engine, ctx) -> StreamRecord:
+    """Stream pass of the oracle walk ``ReferenceEngine._run_inner_product``."""
     from repro.accelerators.engine import _lines_for
 
     cfg = engine.config
     a_csr = ctx.a_csr
     b_row_nnz = ctx.b_row_nnz
     eb = ctx.element_bytes
-    bpc = ctx.dram.bytes_per_cycle
+    line_bytes = cfg.str_cache_line_bytes
     snnz = int(ctx.streaming.nnz)
     streaming_lines = _lines_for(snnz, ctx)
     fits_in_cache = snnz * eb <= cfg.str_cache_bytes
@@ -272,9 +435,9 @@ def run_inner_product(engine, ctx) -> None:
     entry_m, entry_s, entry_e, entry_b, nb = pack_fiber_batches(
         a_csr.pointers, cfg.num_multipliers
     )
-    ctx.stats.output_elements = int(ctx.c_row_nnz.sum())
+    output_elements = int(ctx.c_row_nnz.sum())
     if nb == 0:
-        return
+        return StreamRecord(stats=DataflowStats(output_elements=output_elements))
 
     # Effectual multiplications per entry via a prefix sum over the element
     # positions of A (every stored (m, k) meets nnz(B[k, :]) streamed elems).
@@ -301,156 +464,141 @@ def run_inner_product(engine, ctx) -> None:
     )
     pass_misses[0] = streaming_lines
     total_misses = int(pass_misses.sum())
-    ctx.cache_stats.accesses += snnz * nb
-    ctx.cache_stats.misses += total_misses
-    ctx.cache_stats.hits += snnz * nb - total_misses
-    ctx.cache_stats.miss_bytes += total_misses * cfg.str_cache_line_bytes
+    miss_bytes_b = pass_misses * line_bytes
+    out_bytes_b = out_b * eb
 
     total_sta = int(sta_b.sum())
-    ctx.stats.stationary_iterations += nb
-    ctx.stats.stationary_elements_read += total_sta
-    ctx.traffic.sta_bytes += total_sta * eb
-    _flush_dram(ctx.dram, "sta_read_bytes", total_sta * eb, int(np.count_nonzero(sta_b)))
-
-    ctx.stats.streaming_elements_read += snnz * nb
-    ctx.traffic.str_bytes += snnz * eb * nb
-    miss_bytes_b = pass_misses * cfg.str_cache_line_bytes
-    _flush_dram(
-        ctx.dram,
-        "str_read_bytes",
-        total_misses * cfg.str_cache_line_bytes,
-        int(np.count_nonzero(miss_bytes_b)),
-    )
-
-    ctx.stats.multiplications += int(mults_b.sum())
-    ctx.stats.additions += int(np.maximum(0, mults_b - out_b).sum())
-    ctx.stats.intersection_probes += snnz * int(rows_b.sum())
-
-    out_bytes_b = out_b * eb
-    _flush_dram(
-        ctx.dram,
-        "output_write_bytes",
-        int(out_bytes_b.sum()),
-        int(np.count_nonzero(out_bytes_b)),
-    )
-
-    ctx.cycles.stationary = ordered_sum(
-        np.maximum(sta_b / cfg.distribution_bandwidth, (sta_b * eb) / bpc),
-        ctx.cycles.stationary,
-    )
-    compute_b = np.maximum(snnz / cfg.distribution_bandwidth, out_b / cfg.reduction_bandwidth)
-    dram_b = (miss_bytes_b + out_bytes_b) / bpc
-    ctx.cycles.streaming = ordered_sum(
-        np.maximum(compute_b, dram_b) + ctx.tree_depth, ctx.cycles.streaming
+    total_mults = int(mults_b.sum())
+    return StreamRecord(
+        stats=DataflowStats(
+            multiplications=total_mults,
+            intersection_probes=snnz * int(rows_b.sum()),
+            additions=int(np.maximum(0, mults_b - out_b).sum()),
+            stationary_elements_read=total_sta,
+            streaming_elements_read=snnz * nb,
+            output_elements=output_elements,
+            stationary_iterations=nb,
+        ),
+        traffic=TrafficBreakdown(sta_bytes=total_sta * eb, str_bytes=snnz * eb * nb),
+        cache=_cache_stats(snnz * nb, total_misses, line_bytes),
+        dram=DramTrafficCounter(
+            sta_read_bytes=total_sta * eb,
+            str_read_bytes=total_misses * line_bytes,
+            output_write_bytes=int(out_bytes_b.sum()),
+        ),
+        dram_requests=int(
+            np.count_nonzero(sta_b)
+            + np.count_nonzero(miss_bytes_b)
+            + np.count_nonzero(out_bytes_b)
+        ),
+        sta=sta_b,
+        distributed=snnz,
+        reduced=out_b,
+        dram_bytes=miss_bytes_b + out_bytes_b,
+        batch_overhead=ctx.tree_depth,
     )
 
 
 # ----------------------------------------------------------------------
 # Outer Product
 # ----------------------------------------------------------------------
-def run_outer_product(engine, ctx) -> None:
-    """Vectorized twin of the oracle walk ``ReferenceEngine._run_outer_product``."""
+def run_outer_product(engine, ctx) -> StreamRecord:
+    """Stream pass of the oracle walk ``ReferenceEngine._run_outer_product``."""
     cfg = engine.config
     a_csc = ctx.stationary
     b_row_nnz = ctx.b_row_nnz
     eb = ctx.element_bytes
-    bpc = ctx.dram.bytes_per_cycle
+    line_bytes = cfg.str_cache_line_bytes
     counts = np.diff(a_csc.pointers)
     ks_all = np.repeat(np.arange(a_csc.major_dim, dtype=np.int64), counts)
     ms_all = np.asarray(a_csc.indices, dtype=np.int64)
     psum_rows = ms_all
     psum_lens = b_row_nnz[ks_all]
 
-    n = len(ks_all)
-    if n:
-        P = cfg.num_multipliers
-        positions = np.arange(n, dtype=np.int64)
-        batch_of = positions // P
-        nb = int(batch_of[-1]) + 1
-        sta_b = np.bincount(batch_of, minlength=nb)
-
-        # One fiber touch per distinct k per batch; ks_all is non-decreasing,
-        # so "distinct within batch" is "differs from predecessor or starts a
-        # batch", and the touch order matches np.unique's ascending order.
-        is_touch = np.empty(n, dtype=bool)
-        is_touch[0] = True
-        np.not_equal(ks_all[1:], ks_all[:-1], out=is_touch[1:])
-        is_touch[::P] = True
-        touch_k = ks_all[is_touch]
-        touch_b = batch_of[is_touch]
-        touch_nnz = ctx.streaming_fiber_nnz[touch_k]
-
-        streamed_b = np.zeros(nb, dtype=np.int64)
-        np.add.at(streamed_b, touch_b, touch_nnz)
-        boundaries = np.concatenate((np.arange(0, n, P, dtype=np.int64), [n]))
-        mult_prefix = np.concatenate(([0], np.cumsum(psum_lens)))
-        mults_b = mult_prefix[boundaries[1:]] - mult_prefix[boundaries[:-1]]
-
-        active = touch_nnz > 0
-        miss_per_touch = _fiber_touch_misses(
-            ctx, cfg, touch_k[active], touch_nnz[active]
-        )
-        miss_b = np.zeros(nb, dtype=np.int64)
-        np.add.at(miss_b, touch_b[active], miss_per_touch)
-        total_misses = int(miss_per_touch.sum())
-        total_streamed = int(streamed_b.sum())
-
-        ctx.stats.stationary_iterations += nb
-        ctx.stats.stationary_elements_read += n
-        ctx.traffic.sta_bytes += n * eb
-        _flush_dram(ctx.dram, "sta_read_bytes", n * eb, int(np.count_nonzero(sta_b)))
-
-        total_mults = int(mults_b.sum())
-        ctx.stats.streaming_elements_read += total_streamed
-        ctx.traffic.str_bytes += total_streamed * eb
-        ctx.stats.multiplications += total_mults
-        ctx.stats.psum_writes += total_mults
-        ctx.traffic.psum_bytes += total_mults * eb
-
-        miss_bytes_b = miss_b * cfg.str_cache_line_bytes
-        _flush_dram(
-            ctx.dram,
-            "str_read_bytes",
-            total_misses * cfg.str_cache_line_bytes,
-            int(np.count_nonzero(miss_bytes_b)),
-        )
-
-        ctx.cycles.stationary = ordered_sum(
-            np.maximum(sta_b / cfg.distribution_bandwidth, (sta_b * eb) / bpc),
-            ctx.cycles.stationary,
-        )
-        compute_b = np.maximum(
-            streamed_b / cfg.distribution_bandwidth, mults_b / cfg.reduction_bandwidth
-        )
-        ctx.cycles.streaming = ordered_sum(
-            np.maximum(compute_b, miss_bytes_b / bpc) + 1, ctx.cycles.streaming
-        )
-
     # The merging phase: the array form of the reference walk's row loop.
-    engine._merge_partial_fibers(ctx, psum_rows, psum_lens)
-    ctx.stats.output_elements = int(ctx.c_row_nnz.sum())
+    merge = engine._merge_partial_fibers(ctx, psum_rows, psum_lens)
+    output_elements = int(ctx.c_row_nnz.sum())
+    n = len(ks_all)
+    if n == 0:
+        return StreamRecord(stats=DataflowStats(output_elements=output_elements))
+
+    P = cfg.num_multipliers
+    positions = np.arange(n, dtype=np.int64)
+    batch_of = positions // P
+    nb = int(batch_of[-1]) + 1
+    sta_b = np.bincount(batch_of, minlength=nb)
+
+    # One fiber touch per distinct k per batch; ks_all is non-decreasing,
+    # so "distinct within batch" is "differs from predecessor or starts a
+    # batch", and the touch order matches np.unique's ascending order.
+    is_touch = np.empty(n, dtype=bool)
+    is_touch[0] = True
+    np.not_equal(ks_all[1:], ks_all[:-1], out=is_touch[1:])
+    is_touch[::P] = True
+    touch_k = ks_all[is_touch]
+    touch_b = batch_of[is_touch]
+    touch_nnz = ctx.streaming_fiber_nnz[touch_k]
+
+    streamed_b = np.zeros(nb, dtype=np.int64)
+    np.add.at(streamed_b, touch_b, touch_nnz)
+    boundaries = np.concatenate((np.arange(0, n, P, dtype=np.int64), [n]))
+    mult_prefix = np.concatenate(([0], np.cumsum(psum_lens)))
+    mults_b = mult_prefix[boundaries[1:]] - mult_prefix[boundaries[:-1]]
+
+    active = touch_nnz > 0
+    miss_per_touch = _fiber_touch_misses(ctx, cfg, touch_k[active], touch_nnz[active])
+    miss_b = np.zeros(nb, dtype=np.int64)
+    np.add.at(miss_b, touch_b[active], miss_per_touch)
+    total_misses = int(miss_per_touch.sum())
+    total_streamed = int(streamed_b.sum())
+    total_mults = int(mults_b.sum())
+    miss_bytes_b = miss_b * line_bytes
+
+    return StreamRecord(
+        stats=DataflowStats(
+            multiplications=total_mults,
+            psum_writes=total_mults,
+            stationary_elements_read=n,
+            streaming_elements_read=total_streamed,
+            output_elements=output_elements,
+            stationary_iterations=nb,
+        ),
+        traffic=TrafficBreakdown(
+            sta_bytes=n * eb, str_bytes=total_streamed * eb, psum_bytes=total_mults * eb
+        ),
+        cache=_cache_stats(int(touch_nnz[active].sum()), total_misses, line_bytes),
+        dram=DramTrafficCounter(
+            sta_read_bytes=n * eb, str_read_bytes=total_misses * line_bytes
+        ),
+        dram_requests=int(np.count_nonzero(sta_b) + np.count_nonzero(miss_bytes_b)),
+        sta=sta_b,
+        distributed=streamed_b,
+        reduced=mults_b,
+        dram_bytes=miss_bytes_b,
+        merge=merge,
+    )
 
 
 # ----------------------------------------------------------------------
 # Gustavson
 # ----------------------------------------------------------------------
-def run_gustavson(engine, ctx) -> None:
-    """Vectorized twin of the oracle walk ``ReferenceEngine._run_gustavson``."""
+def run_gustavson(engine, ctx) -> StreamRecord:
+    """Stream pass of the oracle walk ``ReferenceEngine._run_gustavson``."""
     cfg = engine.config
     a_csr = ctx.stationary
     b_csr = ctx.streaming
     b_row_nnz = ctx.b_row_nnz
     eb = ctx.element_bytes
-    bpc = ctx.dram.bytes_per_cycle
+    line_bytes = cfg.str_cache_line_bytes
     P = cfg.num_multipliers
 
     a_ptr = np.asarray(a_csr.pointers)
     a_idx = np.asarray(a_csr.indices, dtype=np.int64)
     row_nnz = np.diff(a_ptr)
     rows = np.flatnonzero(row_nnz)
-    ctx.stats.output_elements = int(ctx.c_row_nnz.sum())
+    output_elements = int(ctx.c_row_nnz.sum())
     if len(rows) == 0:
-        return
+        return StreamRecord(stats=DataflowStats(output_elements=output_elements))
 
     # Chunk layout: each non-empty row is cut into ceil(nnz/P) chunks of up
     # to P stationary scalars, processed row-major (the reference loop order).
@@ -471,8 +619,8 @@ def run_gustavson(engine, ctx) -> None:
 
     chunk_bounds = np.concatenate(([0], np.cumsum(sta_b)))
     nnz_prefix = np.concatenate(([0], np.cumsum(touch_nnz)))
+    # Every streamed element is multiplied once: one array for both networks.
     streamed_b = nnz_prefix[chunk_bounds[1:]] - nnz_prefix[chunk_bounds[:-1]]
-    mults_b = streamed_b
 
     active = touch_nnz > 0
     miss_per_touch = _fiber_touch_misses(ctx, cfg, ks[active], touch_nnz[active])
@@ -496,99 +644,58 @@ def run_gustavson(engine, ctx) -> None:
             b_csr.minor_dim,
         )
     out_bytes_b = np.where(multi_b, 0, ctx.c_row_nnz[chunk_row]) * eb
-
-    total_sta = int(sta_b.sum())
-    ctx.stats.stationary_iterations += nchunks
-    ctx.stats.stationary_elements_read += total_sta
-    ctx.stats.intersection_probes += total_sta
-    ctx.traffic.sta_bytes += total_sta * eb
-    _flush_dram(ctx.dram, "sta_read_bytes", total_sta * eb, int(np.count_nonzero(sta_b)))
-
-    ctx.stats.streaming_elements_read += total_streamed
-    ctx.traffic.str_bytes += total_streamed * eb
-    ctx.stats.multiplications += int(mults_b.sum())
-    ctx.stats.merge_passes += nchunks
-
-    total_chunk_out = int(chunk_out.sum())
-    ctx.stats.psum_writes += total_chunk_out
-    ctx.traffic.psum_bytes += total_chunk_out * eb
-    _flush_dram(
-        ctx.dram,
-        "output_write_bytes",
-        int(out_bytes_b.sum()),
-        int(np.count_nonzero(out_bytes_b)),
-    )
-    miss_bytes_b = miss_b * cfg.str_cache_line_bytes
-    _flush_dram(
-        ctx.dram,
-        "str_read_bytes",
-        total_misses * cfg.str_cache_line_bytes,
-        int(np.count_nonzero(miss_bytes_b)),
-    )
-
-    ctx.cycles.stationary = ordered_sum(
-        np.maximum(sta_b / cfg.distribution_bandwidth, (sta_b * eb) / bpc),
-        ctx.cycles.stationary,
-    )
-    compute_b = np.maximum(
-        streamed_b / cfg.distribution_bandwidth, mults_b / cfg.reduction_bandwidth
-    )
-    dram_b = (miss_bytes_b + out_bytes_b) / bpc + miss_b * cfg.exposed_miss_latency_cycles
-    ctx.cycles.streaming = ordered_sum(
-        np.maximum(compute_b, dram_b) + 1, ctx.cycles.streaming
-    )
+    miss_bytes_b = miss_b * line_bytes
 
     # Final merge of the per-chunk partial fibers of every multi-chunk row.
-    if not np.any(multi_b):
-        return
-    multi_rows = rows[row_nnz[rows] > P]
-    nmulti = len(multi_rows)
-    out_prefix = np.concatenate(([0], np.cumsum(chunk_out)))
-    row_first_chunk = np.concatenate(
-        ([0], np.cumsum(chunks_per_row)))
-    multi_mask_rows = row_nnz[rows] > P
-    starts = row_first_chunk[:-1][multi_mask_rows]
-    ends = row_first_chunk[1:][multi_mask_rows]
-    total_in = out_prefix[ends] - out_prefix[starts]
-
-    total_inputs = int(total_in.sum())
-    ctx.stats.psum_reads += total_inputs
-    ctx.traffic.psum_bytes += total_inputs * eb
-    ctx.stats.merge_passes += nmulti
-
-    row_out_bytes = ctx.c_row_nnz[multi_rows] * eb
-    _flush_dram(
-        ctx.dram,
-        "output_write_bytes",
-        int(row_out_bytes.sum()),
-        int(np.count_nonzero(row_out_bytes)),
-    )
-
-    # PSRAM occupancy per row: blocks of every chunk's partial fiber.
-    blocks_per_chunk = np.ceil(chunk_out / cfg.psram_elements_per_block).astype(np.int64)
-    blocks_prefix = np.concatenate(([0], np.cumsum(blocks_per_chunk)))
-    row_blocks = blocks_prefix[ends] - blocks_prefix[starts]
-    spill_bytes = np.maximum(0, row_blocks - cfg.psram_blocks) * cfg.psram_block_bytes
-    total_spill = int(spill_bytes.sum())
-    if total_spill:
-        _flush_dram(
-            ctx.dram,
-            "psum_spill_bytes",
-            total_spill,
-            int(np.count_nonzero(spill_bytes)),
+    merge = None
+    if np.any(multi_b):
+        multi_row = row_nnz[rows] > P
+        row_first_chunk = np.concatenate(([0], np.cumsum(chunks_per_row)))
+        starts = row_first_chunk[:-1][multi_row]
+        ends = row_first_chunk[1:][multi_row]
+        out_prefix = np.concatenate(([0], np.cumsum(chunk_out)))
+        # PSRAM occupancy per row: blocks of every chunk's partial fiber.
+        blocks_per_chunk = np.ceil(chunk_out / cfg.psram_elements_per_block).astype(np.int64)
+        blocks_prefix = np.concatenate(([0], np.cumsum(blocks_per_chunk)))
+        merge = RowMerges(
+            inputs=out_prefix[ends] - out_prefix[starts],
+            output_bytes=ctx.c_row_nnz[rows[multi_row]] * eb,
+            blocks=blocks_prefix[ends] - blocks_prefix[starts],
         )
 
-    # Merging cycles: per row, max(compute, dram) followed by the spill
-    # penalty when the row overflowed the PSRAM — interleaved in row order
-    # to reproduce the reference's accumulation sequence.
-    merge_main = np.maximum(
-        total_in / cfg.reduction_bandwidth + ctx.tree_depth, row_out_bytes / bpc
+    total_sta = int(sta_b.sum())
+    total_chunk_out = int(chunk_out.sum())
+    return StreamRecord(
+        stats=DataflowStats(
+            multiplications=total_streamed,
+            intersection_probes=total_sta,
+            psum_writes=total_chunk_out,
+            stationary_elements_read=total_sta,
+            streaming_elements_read=total_streamed,
+            output_elements=output_elements,
+            stationary_iterations=nchunks,
+            merge_passes=nchunks,
+        ),
+        traffic=TrafficBreakdown(
+            sta_bytes=total_sta * eb,
+            str_bytes=total_streamed * eb,
+            psum_bytes=total_chunk_out * eb,
+        ),
+        cache=_cache_stats(int(touch_nnz[active].sum()), total_misses, line_bytes),
+        dram=DramTrafficCounter(
+            sta_read_bytes=total_sta * eb,
+            str_read_bytes=total_misses * line_bytes,
+            output_write_bytes=int(out_bytes_b.sum()),
+        ),
+        dram_requests=int(
+            np.count_nonzero(sta_b)
+            + np.count_nonzero(out_bytes_b)
+            + np.count_nonzero(miss_bytes_b)
+        ),
+        sta=sta_b,
+        distributed=streamed_b,
+        reduced=streamed_b,
+        dram_bytes=miss_bytes_b + out_bytes_b,
+        exposed_misses=miss_b,
+        merge=merge,
     )
-    merge_spill = 2 * spill_bytes / bpc
-    interleaved = np.empty(2 * nmulti, dtype=np.float64)
-    interleaved[0::2] = merge_main
-    interleaved[1::2] = merge_spill
-    keep = np.empty(2 * nmulti, dtype=bool)
-    keep[0::2] = True
-    keep[1::2] = spill_bytes > 0
-    ctx.cycles.merging = ordered_sum(interleaved[keep], ctx.cycles.merging)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import weakref
-from typing import Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -323,12 +323,12 @@ class CompressedMatrix:
 _DERIVED_CACHE: dict[tuple, tuple] = {}
 
 
-def cached_derived(kind: str, build, *owners):
-    """Memoize ``build()`` per live ``owners`` instance tuple.
+def cached_derived(kind: Hashable, build, *owners):
+    """Memoize ``build()`` per ``kind`` and live ``owners`` instance tuple.
 
     Shared by the layout/transpose views below and by derived per-pair
-    structure elsewhere (e.g. the engine's output-row counts), so the
-    subtle id+weakref eviction logic exists exactly once.
+    structure elsewhere (the engine's output-row counts and stream
+    records), so the subtle id+weakref eviction logic exists exactly once.
     """
     # ``id`` here is only a *memo* key for the per-instance derived value —
     # it never reaches a content digest (key paths that traverse a derived

@@ -172,13 +172,6 @@ def scale_for_budget(spec: LayerSpec, max_dense_macs: float) -> float:
     return (max_dense_macs / spec.dense_macs) ** (1.0 / 3.0)
 
 
-def effective_scale(specs: list[LayerSpec], max_dense_macs: float) -> float:
-    """One common scale factor for a set of layers (the largest one's budget)."""
-    if not specs:
-        return 1.0
-    return min(scale_for_budget(spec, max_dense_macs) for spec in specs)
-
-
 def round_up_pow2(value: int) -> int:
     """Smallest power of two >= value (used by sweep benchmarks)."""
     if value <= 1:

@@ -48,6 +48,13 @@ class TestFigureCommand:
         assert main(["figure", "fig99", "--no-cache"]) == 2
         assert "known figures" in capsys.readouterr().err
 
+    def test_help_names_the_command_that_lists_figures(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["figure", "--help"])
+        assert "'python -m repro list' shows all" in " ".join(capsys.readouterr().out.split())
+        assert main(["list"]) == 0
+        assert "fig12" in capsys.readouterr().out
+
 
 class TestSweepCommand:
     def test_sweep_with_overrides(self, capsys):

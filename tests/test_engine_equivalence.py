@@ -10,18 +10,23 @@ sparsities/shapes/seeds across all six dataflows and several cache
 geometries (including degenerate single-set caches), cross-checks the
 batched LRU model, whole and in chunks, against the per-line reference
 cache, and compares a whole layer-wise figure grid computed both ways.
+It also checks that configurations which share a memoized stream record
+price it into the records fresh operands give, and that they do share it.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from repro.accelerators.engine import SpmspmEngine
 from repro.accelerators.reference import ReferenceEngine
-from repro.arch.config import default_config
+from repro.arch.config import AcceleratorConfig, DramConfig, default_config
 from repro.arch.memory.cache import StreamingCache
-from repro.dataflows.base import Dataflow
+from repro.dataflows.base import Dataflow, DataflowClass
+from repro.dse.designs import BUILTIN_DESIGN_POINTS, get_design_point
 from repro.engine_vec.cache_model import lru_hits
 from repro.engine_vec import kernels
 from repro.sparse.formats import csr_from_dense
@@ -183,9 +188,7 @@ def test_chunked_lru_traces_match_the_walk(monkeypatch, cap):
             _assert_results_equal(r, v, ("chunked", cap, dataflow))
 
 
-def test_grouped_union_counts_scipy_and_numpy_paths_agree(monkeypatch):
-    if kernels._scipy_sparse is None:
-        pytest.skip("scipy not installed: only the NumPy fallback exists here")
+def test_grouped_union_counts_match_per_group_set_unions():
     rng = np.random.default_rng(5)
     b = random_sparse(50, 70, 0.2, seed=9)
     ks = np.sort(rng.integers(0, 50, size=200)).astype(np.int64)
@@ -195,12 +198,8 @@ def test_grouped_union_counts_scipy_and_numpy_paths_agree(monkeypatch):
         np.asarray(b.pointers, dtype=np.int64),
         ks, groups, 12, b.ncols,
     )
-    fast = kernels.grouped_union_counts(*args)
-    fast_minor = kernels.grouped_union_counts(*args, minor_counts=True)
-    monkeypatch.setattr(kernels, "_scipy_sparse", None)
-    slow = kernels.grouped_union_counts(*args)
-    slow_minor = kernels.grouped_union_counts(*args, minor_counts=True)
-    assert np.array_equal(fast, slow)
+    per_group = kernels.grouped_union_counts(*args)
+    per_group_too, per_minor = kernels.grouped_union_counts(*args, minor_counts=True)
     # Against a straightforward per-group set union.
     expected = np.zeros(12, dtype=np.int64)
     expected_minor = np.zeros(b.ncols, dtype=np.int64)
@@ -210,11 +209,10 @@ def test_grouped_union_counts_scipy_and_numpy_paths_agree(monkeypatch):
             cols.update(b.indices[b.pointers[k]:b.pointers[k + 1]].tolist())
         expected[g] = len(cols)
         expected_minor[sorted(cols)] += 1
-    assert np.array_equal(fast, expected)
-    for per_group, per_minor in (fast_minor, slow_minor):
-        assert np.array_equal(per_group, expected)
-        assert np.array_equal(per_minor, expected_minor)
-        assert per_minor.dtype == np.int64
+    assert np.array_equal(per_group, expected)
+    assert np.array_equal(per_group_too, expected)
+    assert np.array_equal(per_minor, expected_minor)
+    assert per_minor.dtype == np.int64
 
 
 # ----------------------------------------------------------------------
@@ -247,6 +245,7 @@ def test_fiber_packing_matches_the_greedy_loop():
 
 
 def test_merge_model_matches_the_row_loop():
+    """The array merge, priced by ``OpMerge.price``, against the row loop."""
     a, b = _make_pair(LAYER_CASES[2])
     rng = np.random.default_rng(17)
     for trial in range(400):
@@ -261,10 +260,15 @@ def test_merge_model_matches_the_row_loop():
         psum_lens = rng.integers(0, int(rng.choice([1, 4, 60])), size=n).astype(np.int64)
         c_row_nnz = rng.integers(0, 80, size=num_rows).astype(np.int64)
         outcomes = []
-        for merge in (ReferenceEngine._merge_partial_fibers, SpmspmEngine._merge_partial_fibers):
+        for vectorized in (False, True):
             ctx = engine._build_context(Dataflow.OP_M, a, b)
             ctx.c_row_nnz = c_row_nnz
-            merge(engine, ctx, psum_rows, psum_lens)
+            if vectorized:
+                merge = SpmspmEngine._merge_partial_fibers(engine, ctx, psum_rows, psum_lens)
+                if merge is not None:
+                    merge.price(ctx)
+            else:
+                ReferenceEngine._merge_partial_fibers(engine, ctx, psum_rows, psum_lens)
             outcomes.append((ctx.stats, ctx.traffic, ctx.cycles, ctx.dram.traffic,
                              ctx.dram.requests))
         assert outcomes[0] == outcomes[1], trial
@@ -337,3 +341,103 @@ def test_layerwise_grid_equal_under_both_backends(monkeypatch):
         for design, result in per_design.items():
             other = vec.results[layer][design]
             _assert_results_equal(result, other, (layer, design))
+
+
+# ----------------------------------------------------------------------
+# Shared stream records: exact, and actually shared
+# ----------------------------------------------------------------------
+#: One change per field of the Table 5 configuration.  Every field the
+#: engine reads must change the records of the operands below.
+PERTURBATIONS = {
+    "num_multipliers": {"num_multipliers": 32, "num_adders": 31},
+    "distribution_bandwidth": {"distribution_bandwidth": 4},
+    "reduction_bandwidth": {"reduction_bandwidth": 4},
+    "word_bits": {"word_bits": 64},
+    "l1_latency_cycles": {"l1_latency_cycles": 2},
+    "sta_fifo_bytes": {"sta_fifo_bytes": 512},
+    "str_cache_bytes": {"str_cache_bytes": 256 * 1024},
+    "str_cache_line_bytes": {"str_cache_line_bytes": 64},
+    "str_cache_associativity": {"str_cache_associativity": 4},
+    "str_cache_banks": {"str_cache_banks": 8},
+    "psram_bytes": {"psram_bytes": 512 * 1024},
+    "psram_block_bytes": {"psram_block_bytes": 64},
+    "psram_banks": {"psram_banks": 8},
+    "write_buffer_bytes": {"write_buffer_bytes": 1024},
+    "dram_outstanding_misses": {"dram_outstanding_misses": 2},
+    "frequency_hz": {"frequency_hz": 1e9},
+    "dram.access_time_ns": {"dram": DramConfig(access_time_ns=25.0)},
+    "dram.bandwidth_bytes_per_s": {"dram": DramConfig(bandwidth_bytes_per_s=64e9)},
+    "dram.size_bytes": {"dram": DramConfig(size_bytes=8 * 1024**3)},
+}
+
+#: Fields no model of the engine reads (``num_adders`` is fixed by
+#: ``num_multipliers`` and moves with it above).
+UNREAD = {
+    "l1_latency_cycles",
+    "sta_fifo_bytes",
+    "str_cache_banks",
+    "psram_banks",
+    "write_buffer_bytes",
+    "dram.size_bytes",
+}
+
+
+def _sharing_pair():
+    """Operands whose streaming matrix outgrows the 1 MiB Table 5 cache, so
+    its size, lines and ways all matter; their OP merge spills the PSRAM."""
+    a = random_sparse(32, 512, 0.05, pattern=SparsityPattern.ROW_SKEWED, seed=21)
+    b = random_sparse(512, 2048, 0.45, pattern=SparsityPattern.ROW_SKEWED, seed=22)
+    return a, b
+
+
+def _six(config, a, b):
+    engine = SpmspmEngine(config)
+    return [engine.run_layer(dataflow, a, b) for dataflow in Dataflow]
+
+
+def test_shared_stream_records_price_like_fresh_operands():
+    """Every built-in design point and every one-field change of ``base``,
+    run over one operand pair (each stream record computed once and shared
+    by whichever configurations its key admits), equals the same run over
+    fresh copies of the operands, whose memo is cold."""
+    names = {spec.name for spec in fields(AcceleratorConfig)} - {"num_adders", "dram"}
+    names |= {f"dram.{spec.name}" for spec in fields(DramConfig)}
+    assert set(PERTURBATIONS) == names  # a new config field needs a change here
+    base = get_design_point("base").config
+    shared_a, shared_b = _sharing_pair()
+    base_records = _six(base, shared_a, shared_b)
+    configs = [(point.name, point.config) for point in BUILTIN_DESIGN_POINTS]
+    configs += [(name, replace(base, **change)) for name, change in PERTURBATIONS.items()]
+    for name, config in configs:
+        shared = _six(config, shared_a, shared_b)
+        fresh = _six(config, *_sharing_pair())
+        for dataflow, got, want in zip(Dataflow, shared, fresh):
+            _assert_results_equal(want, got, (name, dataflow))
+        if name in PERTURBATIONS:
+            moved = shared != base_records
+            assert moved == (name not in UNREAD), name
+
+
+def test_one_stream_pass_per_stream_class(monkeypatch):
+    """``base`` and ``3d-x2`` differ in DRAM only, the two ``mem-c256k``
+    points in PSRAM only: two stream passes per dataflow serve all four."""
+    calls = {kind: 0 for kind in DataflowClass}
+    for kind, name in (
+        (DataflowClass.INNER_PRODUCT, "run_inner_product"),
+        (DataflowClass.OUTER_PRODUCT, "run_outer_product"),
+        (DataflowClass.GUSTAVSON, "run_gustavson"),
+    ):
+        def counted(engine, ctx, kernel=getattr(kernels, name), kind=kind):
+            calls[kind] += 1
+            return kernel(engine, ctx)
+
+        monkeypatch.setattr(kernels, name, counted)
+    configs = [
+        get_design_point(name).config
+        for name in ("base", "3d-x2", "mem-c256k-p128k", "mem-c256k-p512k")
+    ]
+    a, b = _make_pair(LAYER_CASES[7])
+    for dataflow in Dataflow:
+        for config in configs:
+            SpmspmEngine(config).run_layer(dataflow, a, b)
+        assert calls[dataflow.dataflow_class] == 2 * (1 + dataflow.is_n_stationary), dataflow

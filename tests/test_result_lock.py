@@ -8,7 +8,13 @@ silently.  This suite pins sha256 digests of:
 * the storage arrays of generated operands, in both layouts and through
   both layout flips, including one matrix wider than ``2**16``;
 * the result records of the engine on three representative layers, under
-  two configurations and all six dataflows.
+  two configurations and all six dataflows;
+* the result record of every design (Flexagon through its oracle mapper,
+  the three fixed-dataflow baselines and the CPU baseline) on the same
+  three layers;
+* a DSE slice: two built-in workloads under every built-in design point,
+  compiled by :meth:`DseSpec.compile` and run serially over one shared
+  materialisation, the way a worker runs one chunk.
 
 A failure names every case that moved.  Update a digest only together with
 the ``CACHE_SCHEMA_VERSION`` bump that makes the move deliberate.
@@ -18,10 +24,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 
 from repro.accelerators.engine import SpmspmEngine
 from repro.arch.config import default_config
 from repro.dataflows.base import Dataflow
+from repro.dse.designs import default_design_points
+from repro.dse.explore import DseSpec
+from repro.experiments.settings import ExperimentSettings
+from repro.runtime.jobs import CPU_DESIGN, DESIGN_ORDER, SimJob, execute_job
 from repro.sparse.formats import Layout
 from repro.sparse.generate import SparsityPattern, random_sparse
 from repro.workloads.layers import materialize_layer
@@ -90,10 +101,58 @@ RESULTS = {
     "R4/tiny/GUST_N": "470818ceba5013a66d2b4815a1a65d36d9d857476be9ca1da206bd6b07aa25b2",
 }
 
+DESIGNS = {
+    "SQ5/SIGMA-like": "2e3314ef510484ab0508cebd9d91440e348995d65debb2fbd9c0d06a1e6ba02d",
+    "SQ5/SpArch-like": "71a96e1c1dc79ca6baa5166954d0a0a0d3342aa8e456d47b47034441c51eb2e4",
+    "SQ5/GAMMA-like": "b9e739450c24494898ab505413ed9c75cc500ba19bb72ae3b06c5f9a8525e279",
+    "SQ5/Flexagon": "777483deb0c5bb8ad8af53613d7cba6ccb5d8c3be44565d1b5e80bb96f7fdc84",
+    "SQ5/CPU-MKL": "0b944bb14bdb387d37bb00897f37a9d66252642476e92464c9639cd0894a692a",
+    "SQ11/SIGMA-like": "b466a7f2836b008d8577db8f8b2b7fe778748686b944d2ae6b3e6012afd0a435",
+    "SQ11/SpArch-like": "9fd36d13d11e89695d1791d27db4e6b63fb7803b1fa206d7cd6a4be1c9b29b25",
+    "SQ11/GAMMA-like": "cc01c2d7add222bca4a01f63c9350a5cf0990f896245dd6e781660f35c81ebe1",
+    "SQ11/Flexagon": "357cc73529827643a9dbd4953aade17fa7a0cec63b8b0dc3b8062e7367a9f76f",
+    "SQ11/CPU-MKL": "82986b71d0da2250813dc63734747f1a8dd6a30df16ff9d2d474f4fc6f344799",
+    "R4/SIGMA-like": "7e372132bd3980c363bdfcff818542e433bb04eb8dafe7d18e77a1847d496cf2",
+    "R4/SpArch-like": "f38cad9e2b74776969935892bf0a360880b4cc857a72ff6b1428fde32818a826",
+    "R4/GAMMA-like": "1f31b4563eaca83bc8b5149a19e750ce0dcc2e7213ac8f0707deed37a0df9987",
+    "R4/Flexagon": "37908375465ca67dafa90e73b29ff168a7ef866ede2f1cb3b7dcea2346023092",
+    "R4/CPU-MKL": "b9e53ce5bc284610a120a93f6598e8fcc541705369c929c1aeb97ac8f797101c",
+}
+
+DSE = {
+    "xf-prune-80/base": "c86ae30d01cb1b83516c6abe91901afda91a6349193092a7076a5ebc325d7626",
+    "xf-prune-80/xbar16": "a4e5211347dc0a95b16d6b47248ad04b2755127c5675b7d7308e62c4f1d7d558",
+    "xf-prune-80/xbar32": "9d1e65fbb131672bdfaff31e6b928c7fc86dd25d7bd39fffe02a9a9e55c59fa2",
+    "xf-prune-80/xbar128": "56b4c084d0dfe6f5e2e0ae998750cc923fe9a55a33201c7ebd871a5169658b85",
+    "xf-prune-80/mem-c256k-p128k": "c86ae30d01cb1b83516c6abe91901afda91a6349193092a7076a5ebc325d7626",
+    "xf-prune-80/mem-c256k-p512k": "c86ae30d01cb1b83516c6abe91901afda91a6349193092a7076a5ebc325d7626",
+    "xf-prune-80/mem-c4096k-p128k": "c86ae30d01cb1b83516c6abe91901afda91a6349193092a7076a5ebc325d7626",
+    "xf-prune-80/mem-c4096k-p512k": "c86ae30d01cb1b83516c6abe91901afda91a6349193092a7076a5ebc325d7626",
+    "xf-prune-80/3d-x2": "50bd46cfc91b63da4a9278b02435084d2ed12b742e15c71e328a010395f6e13f",
+    "xf-prune-80/3d-x4": "ca687aee08d165e7b083dc08843db74a43980f4c279f5e2e2a713b527f6feccd",
+    "xf-prune-80/3d-x8": "c21c2e7af0d868a8ce7753d805865a46c754d682934d89da75f0f112f02a4e2d",
+    "gnn-cora/base": "7f464161d818c057b79cfaf488d2cd93db849e1f7ec7ec6fd5d0f6c7f9a949f4",
+    "gnn-cora/xbar16": "c7cb2b2fe504b6419ff9866aa3833f7b93faf5a20a4d41dfa86708eb580ff2cc",
+    "gnn-cora/xbar32": "a3e63426eb6e6ef548fbc6ed30ac66646d37ffe8bcad0fd7fedc9a4a88c32911",
+    "gnn-cora/xbar128": "822499fd2dbfef9ca943803406c42b8a6c5ce921080198aa70226d3ee223e6da",
+    "gnn-cora/mem-c256k-p128k": "7f464161d818c057b79cfaf488d2cd93db849e1f7ec7ec6fd5d0f6c7f9a949f4",
+    "gnn-cora/mem-c256k-p512k": "7f464161d818c057b79cfaf488d2cd93db849e1f7ec7ec6fd5d0f6c7f9a949f4",
+    "gnn-cora/mem-c4096k-p128k": "7f464161d818c057b79cfaf488d2cd93db849e1f7ec7ec6fd5d0f6c7f9a949f4",
+    "gnn-cora/mem-c4096k-p512k": "7f464161d818c057b79cfaf488d2cd93db849e1f7ec7ec6fd5d0f6c7f9a949f4",
+    "gnn-cora/3d-x2": "7f464161d818c057b79cfaf488d2cd93db849e1f7ec7ec6fd5d0f6c7f9a949f4",
+    "gnn-cora/3d-x4": "7f464161d818c057b79cfaf488d2cd93db849e1f7ec7ec6fd5d0f6c7f9a949f4",
+    "gnn-cora/3d-x8": "7f464161d818c057b79cfaf488d2cd93db849e1f7ec7ec6fd5d0f6c7f9a949f4",
+}
+
 CONFIGS = {
     "default": default_config(),
     "tiny": default_config(num_multipliers=8, str_cache_bytes=2048, psram_bytes=2048),
 }
+
+#: The DSE slice: two workloads (one transformer, one GNN) under every
+#: built-in design point, at the scale a 4e6-MAC budget gives them.
+DSE_SPEC = DseSpec(workloads=("xf-prune-80", "gnn-cora"))
+DSE_SETTINGS = ExperimentSettings(max_dense_macs=4e6)
 
 
 def _matrix_digest(matrix) -> str:
@@ -139,6 +198,43 @@ def result_digests() -> dict[str, str]:
     return digests
 
 
+def _record_digest(result) -> str:
+    # CpuRunResult has no to_record(); its fields are plain numbers.
+    record = result.to_record() if hasattr(result, "to_record") else asdict(result)
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+
+
+def design_digests() -> dict[str, str]:
+    digests = {}
+    for spec in REPRESENTATIVE_LAYERS[:3]:
+        for design in DESIGN_ORDER + (CPU_DESIGN,):
+            job = SimJob(
+                design=design,
+                config=default_config(),
+                spec=spec,
+                scale=0.1,
+                layer_name=spec.name,
+            )
+            # No trial cache: every engine run of the oracle executes here.
+            result = execute_job(job, trial_cache=None)
+            digests[f"{spec.name}/{design}"] = _record_digest(result)
+    return digests
+
+
+def dse_digests() -> dict[str, str]:
+    jobs, meta = DSE_SPEC.compile(DSE_SETTINGS)
+    digests = {}
+    shared = {}
+    for job, entry in zip(jobs, meta):
+        # Consecutive jobs of one workload get the same operand objects, so
+        # the engine's per-pair memos carry over from point to point.
+        operands = shared.setdefault(entry["workload"], job.operands())
+        assert all(x is y for x, y in zip(job.operands(), operands))
+        result = execute_job(job, trial_cache=None)
+        digests[f"{entry['workload']}/{entry['design_point']}"] = _record_digest(result)
+    return digests
+
+
 def _moved(pinned: dict[str, str], measured: dict[str, str]) -> list[str]:
     return sorted(
         name for name in pinned.keys() | measured.keys()
@@ -156,3 +252,12 @@ def test_matrix_wider_than_radix_bound_is_pinned():
 
 def test_engine_result_records_are_pinned():
     assert _moved(RESULTS, result_digests()) == []
+
+
+def test_every_design_record_is_pinned():
+    assert _moved(DESIGNS, design_digests()) == []
+
+
+def test_dse_slice_records_are_pinned():
+    assert DSE_SPEC.designs == default_design_points()
+    assert _moved(DSE, dse_digests()) == []

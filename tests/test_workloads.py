@@ -13,11 +13,7 @@ from repro.workloads import (
     list_models,
     materialize_layer,
 )
-from repro.workloads.layers import (
-    effective_scale,
-    layer_summary,
-    scale_for_budget,
-)
+from repro.workloads.layers import layer_summary, scale_for_budget
 from repro.workloads.representative import (
     FAVOURED_DATAFLOW_CLASS,
     REPRESENTATIVE_LAYERS,
@@ -75,13 +71,6 @@ class TestLayerSpec:
         scale = scale_for_budget(spec, budget)
         assert 0 < scale <= 1.0
         assert spec.scaled(scale).dense_macs <= budget * 1.2  # rounding slack
-
-    def test_effective_scale_uses_largest_layer(self):
-        small = LayerSpec("s", m=10, k=10, n=10, sparsity_a=0.5, sparsity_b=0.5)
-        large = LayerSpec("l", m=1000, k=1000, n=1000, sparsity_a=0.5, sparsity_b=0.5)
-        scale = effective_scale([small, large], max_dense_macs=1e6)
-        assert scale == scale_for_budget(large, 1e6)
-        assert effective_scale([], 1e6) == 1.0
 
 
 class TestMaterialization:

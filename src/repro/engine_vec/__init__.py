@@ -22,15 +22,20 @@ is approximated:
 * **Operation counts** (multiplications, merge inputs, union/output sizes)
   are exact integers computed with vectorized prefix sums and grouped
   distinct-coordinate counts instead of per-element walks.
-* **Cache behaviour** is computed by an *offline but exact* LRU model
-  (:mod:`repro.engine_vec.cache_model`): the line-address trace of a layer
-  is expanded from the fiber spans, and per-access hits are derived from LRU
-  stack distances (a batched per-set reuse-distance computation), which
-  provably reproduces the oracle's per-line
-  :class:`~repro.arch.memory.cache.StreamingCache`.  A trace longer than
-  ``kernels._MAX_TRACE_LINES`` is resolved in chunks, each prefixed with the
-  lines the cache holds after the previous one, so memory stays bounded and
-  the hits stay exact; there is no per-line fallback.
+* **Cache behaviour** is computed *offline but exactly*
+  (:mod:`repro.engine_vec.cache_model`), on one of two paths chosen by the
+  streaming operand and the cache alone.  When the operand's lines fit
+  (``ceil(nnz x element_bytes / line_bytes) <= sets x ways``), nothing is
+  ever evicted, and each fiber touch misses on the lines no earlier touch
+  reached, counted from the touched fibers' line ranges with no line trace.
+  Otherwise the layer's line-address trace is expanded from the fiber spans,
+  and per-access hits are derived from LRU stack distances (a batched
+  per-set reuse-distance computation).  Both provably reproduce the
+  oracle's per-line :class:`~repro.arch.memory.cache.StreamingCache`.  A
+  trace longer than ``kernels._MAX_TRACE_LINES`` is resolved in chunks,
+  each prefixed with the lines the cache holds after the previous one, so
+  memory stays bounded and the hits stay exact; there is no per-line
+  fallback.
 * **Cycle accumulation order** is preserved: per-batch cycle terms are
   computed as float64 arrays with the same expression shapes and then summed
   in the walk's iteration order, so the floating-point results are

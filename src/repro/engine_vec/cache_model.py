@@ -1,37 +1,53 @@
-"""Batched, exact set-associative LRU model of the streaming cache.
+"""Exact set-associative LRU model of the streaming cache, in two regimes.
 
-The engine's kernels resolve a layer's whole line-address trace at once
-with NumPy, using the classic stack-distance characterisation of LRU:
+The engine's kernels resolve all of a layer's fiber touches against the
+streaming cache at once, with NumPy and no per-access Python.  Which of two
+exact paths they take follows from the streaming operand and the cache
+alone:
 
-    an access to line ``t`` hits iff ``t`` has been accessed before and the
-    number of **distinct** lines of the same set accessed since ``t``'s
-    previous access is smaller than the associativity ``W``.
+* **The operand fits** (its ``L`` lines number at most ``sets x ways``).
+  An operand's lines are consecutive, so no set ever maps more than
+  ``ceil(L / sets) <= ways`` of them and nothing is ever evicted: an access
+  misses exactly when no earlier access reached its line.
+  :func:`first_touch_misses` counts those compulsory misses per touch from
+  the touched fibers' line ranges, in ``O(touches + L)``, with no line
+  trace and no sort.
 
-Counting those distinct reuse intervals is reduced to an order-statistics
-problem.  Arrange the trace set-major (stable sort by set index, so each
-set's accesses stay in program order and occupy a contiguous block).  Let
-``p[i]`` be the position of the previous access to the same line (``-1`` for
-first accesses).  Because every position ``j <= p[i]`` trivially satisfies
-``p[j] < j <= p[i]``, and every position inside the reuse window
-``(p[i], i)`` belongs to the same set block, the distinct count is
+* **It does not fit.**  The touches expand into a line-address trace, and
+  :func:`lru_hits` resolves it with the classic stack-distance
+  characterisation of LRU (Mattson et al., 1970):
 
-    ``C[i] = #{j < i : p[j] <= p[i]} - (p[i] + 1)``
+      an access to line ``t`` hits iff ``t`` has been accessed before and
+      the number of **distinct** lines of the same set accessed since
+      ``t``'s previous access is smaller than the associativity ``W``.
 
-— the number of *window-first* occurrences inside the reuse interval.  The
-prefix rank ``H[i] = #{j < i : p[j] <= p[i]}`` is computed for all positions
-simultaneously with a bottom-up merge tree: at each level, elements in a
-right-hand block count their peers in the left sibling block with one
-segmented ``searchsorted``.  The whole trace therefore costs
-``O(n log^2 n)`` NumPy work with no per-access Python.
+  Counting those distinct reuse intervals is reduced to an
+  order-statistics problem.  Arrange the trace set-major (stable sort by
+  set index, so each set's accesses stay in program order and occupy a
+  contiguous block).  Let ``p[i]`` be the position of the previous access
+  to the same line (``-1`` for first accesses).  Because every position
+  ``j <= p[i]`` trivially satisfies ``p[j] < j <= p[i]``, and every
+  position inside the reuse window ``(p[i], i)`` belongs to the same set
+  block, the distinct count is
+
+      ``C[i] = #{j < i : p[j] <= p[i]} - (p[i] + 1)``
+
+  — the number of *window-first* occurrences inside the reuse interval.
+  Only sets whose distinct lines outnumber their ways need it.  The prefix
+  rank ``H[i] = #{j < i : p[j] <= p[i]}`` comes from a bottom-up merge tree
+  (:func:`prefix_rank_leq`) that carries each level's sorted blocks
+  forward: a level is one stable merge of sibling runs, in which every
+  element of a right-hand run gains the left-run elements placed before
+  it.  The ``ceil(log2 n)`` levels cost ``O(n log n)`` in all.
 
 A trace too long for one call is resolved in chunks: :func:`lru_resident`
 gives the lines the cache holds after a chunk, and replaying them ahead of
 the next chunk rebuilds the exact LRU state (LRU keeps each set's ``W``
-most recently used lines).  The result is *identical* to replaying the
+most recently used lines).  Either path is *identical* to replaying the
 trace through the test oracle's per-line
 :class:`~repro.arch.memory.cache.StreamingCache`
 (``tests/test_engine_equivalence.py`` cross-checks random traces, whole and
-chunked).
+chunked, and operands on both sides of the fits boundary).
 """
 
 from __future__ import annotations
@@ -69,41 +85,50 @@ class CacheStats:
 def prefix_rank_leq(values: np.ndarray) -> np.ndarray:
     """``H[i] = #{j < i : values[j] <= values[i]}`` for every position ``i``.
 
-    ``values`` must be a 1-D int64 array with entries in ``[-1, len(values))``
-    (the range previous-occurrence indices live in).
+    ``values`` must be a 1-D integer array shorter than ``2**31``, with
+    entries in ``[-1, len(values))`` (the range previous-occurrence indices
+    live in).
+
+    A bottom-up merge tree over aligned blocks of ``1, 2, 4, ...``
+    positions, with no padding.  Each level's blocks stay sorted by value
+    (ties in position order), and the next level merges sibling pairs with
+    one stable argsort of ``(pair, value)`` keys: those keys are already
+    sorted runs, so the sort merges them instead of sorting again.  An
+    element from the right run of its pair gains the left-run elements the
+    merge puts before it: its left sibling's values ``<=`` its own.
     """
     n = len(values)
     rank = np.zeros(n, dtype=np.int64)
     if n <= 1:
         return rank
-    # Shift into [0, n] so block offsets can be encoded multiplicatively.
-    vals = values.astype(np.int64) + 1
-    sentinel = np.int64(n + 1)  # greater than every real value and query
-    mult = np.int64(n + 2)
-    npow = 1 << (n - 1).bit_length()
-    buf = np.full(npow, sentinel, dtype=np.int64)
-    buf[:n] = vals
-    pos = np.arange(n, dtype=np.int64)
-    # Level of size-1 blocks: each odd position counts its left neighbour.
-    odd = np.arange(1, n, 2)
-    rank[odd] += vals[odd - 1] <= vals[odd]
-    size = 2
-    while size < npow:
-        nblocks = npow // size
-        # Only left (even) siblings are ever searched, so only they are
-        # sorted.  Encoding the sibling-pair id into the values lets one
-        # global searchsorted perform an independent binary search per block.
-        left_sorted = np.sort(buf.reshape(nblocks, size)[0::2], axis=1)
-        encoded = (
-            left_sorted + (np.arange(nblocks // 2, dtype=np.int64) * mult)[:, None]
-        ).ravel()
-        block = pos // size
-        right = (block & 1) == 1
-        pair = block[right] // 2
-        queries = vals[right] + pair * mult
-        inserted = np.searchsorted(encoded, queries, side="right")
-        rank[right] += inserted - pair * size
-        size *= 2
+    value_bits = n.bit_length()  # values + 1 lie in [0, n]
+    slot = np.arange(n, dtype=np.int64)
+    # Per slot of the sorted blocks: the ``pair << value_bits | value`` key,
+    # and the original position (high half) beside the rank so far (low half).
+    key = np.add(values, 1, dtype=np.int64)
+    carried = slot << 32
+    gain = np.empty(n, dtype=np.int64)
+    size, level = 1, 0
+    while size < n:
+        key &= (1 << value_bits) - 1
+        np.right_shift(slot, level + 1, out=gain)
+        gain <<= value_bits
+        key |= gain
+        source = np.argsort(key, kind="stable")  # merged slot -> slot it came from
+        key = key[source]
+        carried = carried[source]
+        # Merged offset minus offset in the right run: the left-run elements
+        # before it.  Only elements from a right run (bit ``level`` of their
+        # slot) gain them.
+        np.subtract(slot, source, out=gain)
+        gain += size
+        source >>= level
+        source &= 1
+        gain *= source
+        carried += gain
+        size <<= 1
+        level += 1
+    rank[carried >> 32] = carried & 0xFFFFFFFF
     return rank
 
 
@@ -123,9 +148,9 @@ def lru_hits(lines: np.ndarray, num_sets: int, associativity: int) -> np.ndarray
     # and in program order.  LRU state is per set, so accesses to different
     # sets commute and this reordering preserves every hit/miss outcome.
     order = stable_order(lines % num_sets, num_sets)
-    trace = lines[order]
+    tags, sets = np.divmod(lines[order], num_sets)
     hits = np.empty(n, dtype=bool)
-    hits[order] = _hits_setmajor(trace, num_sets, associativity)
+    hits[order] = _hits_setmajor(tags, sets, num_sets, associativity)
     return hits
 
 
@@ -149,40 +174,82 @@ def lru_resident(lines: np.ndarray, num_sets: int, associativity: int) -> np.nda
     return recent_first[rank < associativity][::-1]
 
 
-def _hits_setmajor(trace: np.ndarray, num_sets: int, associativity: int) -> np.ndarray:
-    """Hits for a set-major-ordered trace (helper of :func:`lru_hits`)."""
-    n = len(trace)
-    prev = _previous_occurrence(trace)
+def _hits_setmajor(
+    tags: np.ndarray, sets: np.ndarray, num_sets: int, associativity: int
+) -> np.ndarray:
+    """Hits of a set-major trace given as its lines' ``(tag, set)`` pairs
+    (helper of :func:`lru_hits`)."""
+    prev = _previous_occurrence(tags, sets)
     hits = prev >= 0
     # A set whose distinct working set fits its ways never evicts, so every
     # non-first access hits — only overflowing sets need stack distances.
-    first_lines = trace[prev < 0]
-    distinct_per_set = np.bincount(first_lines % num_sets, minlength=num_sets)
+    distinct_per_set = np.bincount(sets[~hits], minlength=num_sets)
     if int(distinct_per_set.max()) <= associativity:
         return hits
-    over = distinct_per_set[trace % num_sets] > associativity
-    sub_trace = trace[over]
+    over = distinct_per_set[sets] > associativity
     # Dropping the accesses of other (whole) sets leaves each remaining
-    # set's subsequence intact, so reuse windows are unchanged.
-    sub_prev = _previous_occurrence(sub_trace)
-    distinct_between = prefix_rank_leq(sub_prev) - sub_prev - 1
-    hits[over] = (sub_prev >= 0) & (distinct_between < associativity)
+    # set's subsequence intact, so reuse windows are unchanged; previous
+    # occurrences move to their positions in the sub-trace.
+    sub_prev = prev[over]
+    reused = sub_prev >= 0
+    sub_prev[reused] = (np.cumsum(over) - 1)[sub_prev[reused]]
+    del prev  # the merge tree's temporaries are the peak
+    distinct_between = prefix_rank_leq(sub_prev)
+    distinct_between -= sub_prev + 1
+    hits[over] = reused & (distinct_between < associativity)
     return hits
 
 
-def _previous_occurrence(trace: np.ndarray) -> np.ndarray:
-    """Index of the previous access to the same line (-1 for first accesses).
+def _previous_occurrence(tags: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Index of the previous access to the same line (-1 for first accesses)
+    in a set-major trace.
 
-    Equal line addresses imply equal sets, so sorting by address groups
-    repeat accesses while the stable order keeps them chronological.
+    A stable sort by tag keeps the set-major order within each tag, so one
+    line's accesses (one tag, one set) end up adjacent and chronological.
+    Tags span ``num_sets`` times fewer values than lines, so the sort is a
+    16-bit radix sort whenever fewer than ``2**16`` tags occur.
     """
-    n = len(trace)
-    by_line = stable_order(trace, int(trace.max()) + 1 if n else 0)
-    grouped = trace[by_line]
-    prev = np.full(n, -1, dtype=np.int64)
+    by_line = stable_order(tags, int(tags.max()) + 1)
+    grouped = tags[by_line]
     same = grouped[1:] == grouped[:-1]
+    grouped = sets[by_line]
+    same &= grouped[1:] == grouped[:-1]
+    prev = np.full(len(tags), -1, dtype=np.int64)
     prev[by_line[1:][same]] = by_line[:-1][same]
     return prev
+
+
+def first_touch_misses(
+    fibers: np.ndarray, pointers: np.ndarray, element_bytes: int, line_bytes: int
+) -> np.ndarray:
+    """Per-touch misses of a cache that holds the whole operand.
+
+    ``fibers`` is an ordered sequence of touches of non-empty fibers of a
+    compressed operand with ``pointers``.  Nothing is ever evicted, so a
+    touch misses on the lines of its fiber that no earlier touch reached:
+    each line is charged to its first toucher.  Exact whenever the
+    operand's lines fit the cache (see the module docstring).
+    """
+    touches = len(fibers)
+    if touches == 0:
+        return np.zeros(0, dtype=np.int64)
+    # Each fiber's first touch; ``touches`` for fibers never touched.
+    first = np.full(len(pointers) - 1, touches, dtype=np.int64)
+    np.minimum.at(first, fibers, np.arange(touches, dtype=np.int64))
+    touched = np.flatnonzero(first < touches)
+    # The lines of each touched fiber (as :func:`fiber_line_spans` maps
+    # them), one entry per line, in storage order.  Lines never decrease
+    # along it, and a fiber that starts on the line its predecessor ends on
+    # shares that line: its entry continues the line instead of opening one.
+    first_line = pointers[touched] * element_bytes // line_bytes
+    last_line = (pointers[touched + 1] * element_bytes - 1) // line_bytes
+    line_counts = last_line - first_line + 1
+    owner = np.repeat(first[touched], line_counts)
+    new_line = np.ones(len(owner), dtype=bool)
+    fiber_start = np.cumsum(line_counts) - line_counts
+    new_line[fiber_start[1:]] = first_line[1:] != last_line[:-1]
+    first_toucher = np.minimum.reduceat(owner, np.flatnonzero(new_line))
+    return np.bincount(first_toucher, minlength=touches)
 
 
 def expand_spans(

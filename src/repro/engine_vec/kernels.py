@@ -11,15 +11,16 @@ statistics, traffic, DRAM counters, PSRAM spills and cycle counts,
 **identical** to the oracle's (see the package docstring for the fidelity
 contract).  The kernels operate directly on the CSR/CSC storage arrays
 (``pointers`` / ``indices``), replace the per-element cache walk with the
-batched LRU model of :mod:`repro.engine_vec.cache_model`, and the pricing
-pass computes per-batch cycle terms as float64 arrays that are then
-accumulated in the walk's iteration order so the floating-point sums match
-bit for bit.
+streaming-cache model of :mod:`repro.engine_vec.cache_model` (compulsory
+misses when the streaming operand fits the cache, the batched LRU model
+otherwise), and the pricing pass computes per-batch cycle terms as float64
+arrays that are then accumulated in the walk's iteration order so the
+floating-point sums match bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -30,6 +31,7 @@ from repro.engine_vec.cache_model import (
     CacheStats,
     expand_spans,
     fiber_line_spans,
+    first_touch_misses,
     lru_hits,
     lru_resident,
 )
@@ -55,17 +57,16 @@ PRICING_FIELDS = frozenset(
 # Shared helpers
 # ----------------------------------------------------------------------
 def ordered_sum(values: np.ndarray, initial: float = 0.0) -> float:
-    """Sum ``values`` left to right with scalar float adds.
+    """Sum ``values`` left to right, one float add at a time.
 
     ``np.sum`` uses pairwise accumulation, which is *not* bit-identical to
-    the reference engine's sequential ``+=`` loop; this helper restores the
-    exact accumulation order (the arrays hold one term per batch/row, so the
-    Python loop is tiny compared to the per-element work it replaces).
+    the reference engine's sequential ``+=`` loop; ``np.add.accumulate``
+    adds in exactly that order, so its last partial sum is the loop's total.
     """
-    total = initial
-    for value in values.tolist():
-        total += value
-    return total
+    terms = np.empty(len(values) + 1, dtype=np.float64)
+    terms[0] = initial
+    terms[1:] = values
+    return float(np.add.accumulate(terms)[-1])
 
 
 def grouped_union_counts(
@@ -127,6 +128,11 @@ def _cache_stats(accesses: int, misses: int, line_bytes: int) -> CacheStats:
         misses=misses,
         miss_bytes=misses * line_bytes,
     )
+
+
+def _copy(counters):
+    """A fresh copy of a counter dataclass (``dataclasses.replace``, cheaper)."""
+    return type(counters)(**vars(counters))
 
 
 def _empty() -> np.ndarray:
@@ -286,10 +292,10 @@ def price(record: StreamRecord, ctx) -> None:
     """
     cfg = ctx.config
     bpc = ctx.dram.bytes_per_cycle
-    ctx.stats = replace(record.stats)
-    ctx.traffic = replace(record.traffic)
-    ctx.cache_stats = replace(record.cache)
-    ctx.dram.traffic = replace(record.dram)
+    ctx.stats = _copy(record.stats)
+    ctx.traffic = _copy(record.traffic)
+    ctx.cache_stats = _copy(record.cache)
+    ctx.dram.traffic = _copy(record.dram)
     ctx.dram.requests = record.dram_requests
 
     sta = record.sta
@@ -309,12 +315,15 @@ def price(record: StreamRecord, ctx) -> None:
 
 
 #: Upper bound on the line-address trace one :func:`lru_hits` call resolves,
-#: in int64 entries.  The batched LRU path allocates roughly 6-10
-#: trace-sized temporaries (expanded lines, sort orders, previous-occurrence
-#: and merge-tree buffers), so the cap bounds *peak* memory near ~0.5-1 GB,
-#: not just the trace itself.  A longer trace, as unscaled
-#: (REPRO_FULL_SCALE) layers can produce, is resolved in chunks of at most
-#: this many lines with the same hits (see :func:`_span_misses`).
+#: in int64 entries.  Besides the expanded lines and their span indices, a
+#: call holds up to about a dozen trace-sized int64 arrays at once: the
+#: set-major order, tags and sets; the sub-trace's previous occurrences;
+#: and the merge tree's slots, keys, carried ranks, gains, sort order and
+#: one gathered copy.  So the cap bounds *peak* memory, not just the trace:
+#: one call on a 2**23-line trace with every set over-full measured 0.72 GB
+#: above the process before it (NumPy 2.4, 2 vCPUs).  A longer trace, as
+#: unscaled (REPRO_FULL_SCALE) layers can produce, is resolved in chunks of
+#: at most this many lines with the same hits (see :func:`_span_misses`).
 _MAX_TRACE_LINES = 1 << 23
 
 
@@ -359,13 +368,35 @@ def _span_misses(
     return misses
 
 
+def _streaming_fits(ctx) -> bool:
+    """Whether the streaming operand's lines fit the streaming cache.
+
+    Its lines are consecutive, so then no set ever maps more than ``ways``
+    of them.  The config makes ``sets x ways x line_bytes`` the cache's
+    size, so this is also ``nnz x element_bytes <= str_cache_bytes``.
+    """
+    from repro.accelerators.engine import _lines_for
+
+    cfg = ctx.config
+    lines = _lines_for(int(ctx.streaming.nnz), ctx)
+    return lines <= cfg.str_cache_sets * cfg.str_cache_associativity
+
+
 def _fiber_touch_misses(ctx, cfg, fibers: np.ndarray, nnzs: np.ndarray) -> np.ndarray:
     """Per-touch streaming-cache misses for an ordered fiber-touch sequence.
 
-    ``fibers``/``nnzs`` must already exclude empty fibers.
+    ``fibers``/``nnzs`` must already exclude empty fibers.  An operand that
+    fits the cache is never evicted from, so its touches miss only on lines
+    no earlier touch reached (:func:`first_touch_misses`); any other runs
+    the LRU model over its expanded line trace.
     """
+    pointers = ctx.streaming.pointers
+    if _streaming_fits(ctx):
+        return first_touch_misses(
+            fibers, pointers, ctx.element_bytes, cfg.str_cache_line_bytes
+        )
     first_line, line_counts = fiber_line_spans(
-        ctx.streaming.pointers[fibers], nnzs, ctx.element_bytes, cfg.str_cache_line_bytes
+        pointers[fibers], nnzs, ctx.element_bytes, cfg.str_cache_line_bytes
     )
     return _span_misses(
         first_line, line_counts, cfg.str_cache_sets, cfg.str_cache_associativity
@@ -430,7 +461,7 @@ def run_inner_product(engine, ctx) -> StreamRecord:
     line_bytes = cfg.str_cache_line_bytes
     snnz = int(ctx.streaming.nnz)
     streaming_lines = _lines_for(snnz, ctx)
-    fits_in_cache = snnz * eb <= cfg.str_cache_bytes
+    fits_in_cache = _streaming_fits(ctx)
 
     entry_m, entry_s, entry_e, entry_b, nb = pack_fiber_batches(
         a_csr.pointers, cfg.num_multipliers

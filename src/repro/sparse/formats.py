@@ -254,22 +254,53 @@ class CompressedMatrix:
         Matrices are treated as immutable once built, so the converted view
         is memoized per instance: the engine (and the mapper's candidate
         trials) can re-request the CSR/CSC view of the same operand without
-        paying the conversion again.
+        paying the conversion again.  A matrix and its transposed view share
+        their storage, and each one's conversion is the transposed view of
+        the other's, so a storage is converted once for both.
         """
         if layout is self.layout:
             return self
-        return cached_derived(layout.value, lambda: self._convert_layout(layout), self)
+        return cached_derived(layout.value, self._converted, self)
 
-    def _convert_layout(self, layout: Layout) -> "CompressedMatrix":
-        major_dim = self.major_dim
-        counts = np.diff(self.pointers)
-        majors = np.repeat(np.arange(major_dim, dtype=np.int64), counts)
-        if self.layout.major_is_row:
-            rows, cols = majors, self.indices
-        else:
-            rows, cols = self.indices, majors
-        return matrix_from_arrays(
-            self.nrows, self.ncols, rows, cols, self.values, layout=layout
+    def _converted(self) -> "CompressedMatrix":
+        # Memoized per storage arrays, never per matrix, so the memo keeps
+        # neither this matrix nor its transposed twin alive.
+        twin = cached_derived(
+            ("converted", self.minor_dim),
+            self._convert_layout,
+            self.pointers,
+            self.indices,
+            self.values,
+        )
+        return twin if twin.layout is not self.layout else twin.transposed()
+
+    def _convert_layout(self) -> "CompressedMatrix":
+        """This matrix in the other layout, by one stable pass on the minor index.
+
+        Storage is canonical (fibers in major order, coordinates strictly
+        increasing within each), so ordering the entries stably by minor
+        index lists every new fiber's entries by increasing major index.
+        Explicit zeros, which only a directly built matrix can hold, are
+        dropped, as every constructor drops them.
+        """
+        majors = np.repeat(
+            np.arange(self.major_dim, dtype=np.int64), np.diff(self.pointers)
+        )
+        minors, values = self.indices, self.values
+        nonzero = values != 0.0
+        if not nonzero.all():
+            majors, minors, values = majors[nonzero], minors[nonzero], values[nonzero]
+        order = stable_order(minors, self.minor_dim)
+        pointers = np.zeros(self.minor_dim + 1, dtype=np.int64)
+        np.cumsum(np.bincount(minors, minlength=self.minor_dim), out=pointers[1:])
+        return CompressedMatrix(
+            self.nrows,
+            self.ncols,
+            self.layout.other,
+            pointers,
+            majors[order],
+            values[order],
+            validate=False,
         )
 
     def transposed(self) -> "CompressedMatrix":
@@ -316,10 +347,11 @@ class CompressedMatrix:
 # Per-instance derived-value memoization
 # ----------------------------------------------------------------------
 #: ``(kind, id(owner), ...) -> ((weakref(owner), ...), value)``.  Keyed by
-#: ``id`` because ``CompressedMatrix`` defines ``__eq__`` without
-#: ``__hash__``; the weakref callbacks evict an entry when any owner is
-#: collected, so a recycled id can never alias.  Values keep their owners
-#: alive only through this table, and the table never outlives the owners.
+#: ``id`` because neither ``CompressedMatrix`` (``__eq__`` without
+#: ``__hash__``) nor an ndarray owner hashes; the weakref callbacks evict an
+#: entry when any owner is collected, so a recycled id can never alias.
+#: Values keep their owners alive only through this table, and the table
+#: never outlives the owners.
 _DERIVED_CACHE: dict[tuple, tuple] = {}
 
 

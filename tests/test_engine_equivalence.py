@@ -27,9 +27,9 @@ from repro.arch.config import AcceleratorConfig, DramConfig, default_config
 from repro.arch.memory.cache import StreamingCache
 from repro.dataflows.base import Dataflow, DataflowClass
 from repro.dse.designs import BUILTIN_DESIGN_POINTS, get_design_point
-from repro.engine_vec.cache_model import lru_hits
+from repro.engine_vec.cache_model import lru_hits, prefix_rank_leq
 from repro.engine_vec import kernels
-from repro.sparse.formats import csr_from_dense
+from repro.sparse.formats import csr_from_dense, matrix_from_arrays
 from repro.sparse.generate import SparsityPattern, random_sparse
 
 # ----------------------------------------------------------------------
@@ -172,20 +172,113 @@ def test_batched_lru_matches_fiber_touch_walk():
     assert cache.stats.miss_bytes == cache.stats.misses * config.str_cache_line_bytes
 
 
+def _count_lru_calls(monkeypatch) -> list[int]:
+    """Record the trace length of every ``kernels.lru_hits`` call."""
+    traces = []
+    lru = kernels.lru_hits
+
+    def counted(lines, num_sets, associativity):
+        traces.append(len(lines))
+        return lru(lines, num_sets, associativity)
+
+    monkeypatch.setattr(kernels, "lru_hits", counted)
+    return traces
+
+
 @pytest.mark.parametrize("cap", [1, 7, 64])
 def test_chunked_lru_traces_match_the_walk(monkeypatch, cap):
     """Traces over the cap resolve in chunks, with the walk's records.
 
     A 1-line cap makes every multi-line touch longer than a chunk, 7 puts
     chunk boundaries inside touches, and 64 holds several touches per chunk.
+    Both operands overflow the single-set cache, so its four runs take the
+    LRU path; under ``default_config()`` every operand fits and none does.
     """
     monkeypatch.setattr(kernels, "_MAX_TRACE_LINES", cap)
-    a, b = _make_pair(LAYER_CASES[3])
+    traces = _count_lru_calls(monkeypatch)
+    a, b = _make_pair(LAYER_CASES[5])
     for config in CONFIGS[:2]:
         for dataflow in (Dataflow.OP_M, Dataflow.OP_N, Dataflow.GUST_M, Dataflow.GUST_N):
             r = ReferenceEngine(config).run_layer(dataflow, a, b)
             v = SpmspmEngine(config).run_layer(dataflow, a, b)
             _assert_results_equal(r, v, ("chunked", cap, dataflow))
+    # More traces than runs, none longer than the resident lines plus a chunk.
+    assert len(traces) > 4
+    assert max(traces) <= 16 + cap
+
+
+def _operand_of(nnz: int, shape: tuple[int, int], seed: int):
+    """A CSR operand with exactly ``nnz`` stored elements."""
+    rng = np.random.default_rng(seed)
+    flat = rng.choice(shape[0] * shape[1], size=nnz, replace=False)
+    rows, cols = np.divmod(flat, shape[1])
+    return matrix_from_arrays(*shape, rows, cols, rng.uniform(0.5, 1.5, size=nnz))
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["fits", "one-line-over"])
+@pytest.mark.parametrize("config", CONFIGS[1:3], ids=["one-set", "16-set"])
+def test_the_fits_boundary_picks_the_path_and_keeps_the_walks_records(
+    monkeypatch, config, over
+):
+    """A streaming operand of exactly ``sets x ways`` lines takes the
+    compulsory-miss path; one line longer, the LRU model.  Both match the
+    walk.  The N-stationary runs stream A, the M-stationary ones B, so both
+    operands get the same size."""
+    traces = _count_lru_calls(monkeypatch)
+    capacity = config.str_cache_sets * config.str_cache_associativity
+    per_line = config.str_cache_line_bytes // config.element_bytes
+    nnz = capacity * per_line + over  # one more element opens one more line
+    a = _operand_of(nnz, (48, 48), seed=1)
+    b = _operand_of(nnz, (48, 48), seed=2)
+    for dataflow in (Dataflow.OP_M, Dataflow.OP_N, Dataflow.GUST_M, Dataflow.GUST_N):
+        before = len(traces)
+        r = ReferenceEngine(config).run_layer(dataflow, a, b)
+        v = SpmspmEngine(config).run_layer(dataflow, a, b)
+        _assert_results_equal(r, v, ("fits boundary", over, dataflow))
+        assert len(traces) - before == over, dataflow
+
+
+def _brute_prefix_rank(values: np.ndarray, positions) -> np.ndarray:
+    return np.array(
+        [np.count_nonzero(values[:i] <= values[i]) for i in positions], dtype=np.int64
+    )
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, 2, 3, *(2**k + d for k in (2, 3, 5, 9) for d in (-1, 1))]
+)
+def test_prefix_rank_leq_matches_a_brute_force_count(n):
+    rng = np.random.default_rng(n)
+    for high in (0, min(2, n), n):  # all first accesses, many ties, the full range
+        values = rng.integers(-1, high, size=n)
+        assert np.array_equal(
+            prefix_rank_leq(values), _brute_prefix_rank(values, range(n))
+        ), high
+
+
+def test_prefix_rank_leq_holds_past_two_to_the_21():
+    """One length above ``2**21``, checked at the merge tree's block
+    boundaries and at random positions."""
+    n = 2**21 + 3
+    rng = np.random.default_rng(21)
+    values = rng.integers(-1, n, size=n)
+    edges = [0, 1, 2, 2**20 - 1, 2**20, 2**20 + 1, 2**21 - 1, 2**21, n - 1]
+    positions = np.concatenate((edges, rng.integers(0, n, size=24)))
+    got = prefix_rank_leq(values)[positions]
+    assert np.array_equal(got, _brute_prefix_rank(values, positions))
+
+
+@pytest.mark.parametrize("terms", [0, 1, 2, 10**5])
+def test_ordered_sum_adds_like_the_loop(terms):
+    rng = np.random.default_rng(terms)
+    values = rng.normal(size=terms) * 10.0 ** rng.integers(-8, 9, size=terms)
+    for initial in (0.0, float(rng.normal()) * 1e6):
+        total = initial
+        for value in values.tolist():
+            total += value
+        got = kernels.ordered_sum(values, initial)
+        assert type(got) is float
+        assert got.hex() == total.hex(), initial
 
 
 def test_grouped_union_counts_match_per_group_set_unions():

@@ -1,5 +1,7 @@
 """Unit and property tests for the CSR/CSC compressed matrix formats."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -298,3 +300,73 @@ class TestRadixOrderedConstructor:
         # A lone -0.0 is dropped like any other zero.
         lone = matrix_from_arrays(1, 2, np.array([0]), np.array([1]), np.array([-0.0]))
         assert lone.nnz == 0
+
+
+class TestLayoutConversion:
+    @staticmethod
+    def _by_coo(matrix, layout):
+        """The conversion through the COO constructor, entry by entry."""
+        majors = np.repeat(np.arange(matrix.major_dim), np.diff(matrix.pointers))
+        rows, cols = (
+            (majors, matrix.indices) if matrix.layout.major_is_row else (matrix.indices, majors)
+        )
+        return matrix_from_arrays(
+            matrix.nrows, matrix.ncols, rows, cols, matrix.values, layout=layout
+        )
+
+    @pytest.mark.parametrize("layout", list(Layout), ids=str)
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (9, 13), (120, 70), (3, 70000), (70000, 2)], ids=str
+    )
+    def test_matches_the_coo_constructor_bit_for_bit(self, shape, layout):
+        rng = np.random.default_rng(shape[0] * 11 + shape[1])
+        for density in (0.0, 0.001, 0.3):
+            nnz = int(density * shape[0] * shape[1])
+            flat = rng.choice(shape[0] * shape[1], size=min(nnz, 5000), replace=False)
+            rows, cols = np.divmod(flat, shape[1])
+            values = rng.normal(size=len(flat))
+            m = matrix_from_arrays(*shape, rows, cols, values, layout=layout)
+            for view in (m, m.transposed()):
+                got = view.with_layout(view.layout.other)
+                assert _storage_bytes(got) == _storage_bytes(
+                    self._by_coo(view, view.layout.other)
+                )
+                got._validate()
+
+    def test_explicit_zeros_of_a_direct_build_are_dropped(self):
+        m = CompressedMatrix(2, 3, Layout.CSR, [0, 2, 3], [0, 2, 1], [1.5, 0.0, -0.0])
+        csc = m.with_layout(Layout.CSC)
+        assert _storage_bytes(csc) == _storage_bytes(self._by_coo(m, Layout.CSC))
+        assert csc.nnz == 1
+
+    def test_a_storage_is_converted_once(self, monkeypatch):
+        calls = []
+        convert = CompressedMatrix._convert_layout
+
+        def counting(matrix):
+            calls.append(matrix)
+            return convert(matrix)
+
+        monkeypatch.setattr(CompressedMatrix, "_convert_layout", counting)
+        m = random_sparse(30, 20, 0.3, seed=9)
+        t = m.transposed()
+        t_csr = t.with_layout(Layout.CSR)
+        m_csc = m.with_layout(Layout.CSC)
+        assert len(calls) == 1
+        # The later conversion is the transposed view of the earlier one, and
+        # each stays memoized per instance.
+        assert m_csc is t_csr.transposed()
+        assert m.with_layout(Layout.CSC) is m_csc
+        assert t.with_layout(Layout.CSR) is t_csr
+        assert np.array_equal(t_csr.to_dense(), m.to_dense().T)
+
+    def test_the_memo_keeps_no_operand_alive(self):
+        m = matrix_from_arrays(
+            40, 30, np.arange(40) % 40, np.arange(40) % 30, np.arange(1.0, 41.0)
+        )
+        t = m.transposed()
+        converted = t.with_layout(Layout.CSR), m.with_layout(Layout.CSC)
+        refs = [weakref.ref(a) for c in converted for a in (c.pointers, c.indices)]
+        refs.append(weakref.ref(m.indices))
+        del m, t, converted
+        assert all(ref() is None for ref in refs)

@@ -4,9 +4,10 @@ Three drift modes between the wire protocol and its documentation are
 checked:
 
 1. **Route table.**  Every route literal mounted in ``serve/app.py`` or
-   ``fabric/api.py`` (strings starting ``/v1/`` plus ``/healthz``) must
-   appear in that module's docstring — the docstring *is* the documented
-   route table, so an undocumented route cannot be mounted silently.
+   ``fabric/api.py``, or split between them in ``httpd.py`` (strings
+   starting ``/v1/`` plus ``/healthz``), must appear in that module's
+   docstring — the docstring *is* the documented route table, so an
+   undocumented route cannot be mounted silently.
 2. **Knob docs.**  Every ``REPRO_*`` name declared in ``repro/knobs.py``
    must appear in the README — the knobs table is generated from the
    registry (``python -m repro.analyze --knobs-table``), and this closes
@@ -33,7 +34,7 @@ from repro.analyze.core import Finding, Module, Project, emit
 RULE = "wire-hygiene"
 
 #: Modules whose docstring doubles as the documented route table.
-ROUTE_MODULES = ("serve/app.py", "fabric/api.py")
+ROUTE_MODULES = ("serve/app.py", "fabric/api.py", "repro/httpd.py")
 
 #: (label, module suffix, version constant, class filter or None=every class)
 SCHEMA_SOURCES = (

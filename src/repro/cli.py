@@ -288,7 +288,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         if args.json:
             # The same serializer the server's /v1/cache/stats endpoint
             # uses, so dashboards scrape one format from either surface.
-            from repro.serve.wire import cache_stats_record, dump_body
+            from repro.httpd import dump_body
+            from repro.serve.wire import cache_stats_record
 
             sys.stdout.buffer.write(dump_body(cache_stats_record(report)))
             return 0
@@ -356,7 +357,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def _cmd_list(args: argparse.Namespace) -> int:
     what = args.what
     if args.json:
-        from repro.serve.wire import catalog_record, dump_body, figures_record
+        from repro.httpd import dump_body
+        from repro.serve.wire import catalog_record, figures_record
 
         record = figures_record() if what == "figures" else catalog_record()
         if what in ("models", "layers", "designs", "workloads"):

@@ -36,6 +36,7 @@ import hashlib
 import json
 from collections.abc import Iterable
 from dataclasses import dataclass, is_dataclass
+from types import MappingProxyType
 from typing import ClassVar
 
 from repro.accelerators.area_power import performance_per_area
@@ -293,14 +294,32 @@ def report_key(kind: str, request_key: str, settings: ExperimentSettings) -> str
     payload = {
         "kind": f"{kind}-report",
         "spec": request_key,
-        "settings": settings.to_record(),
+        "settings": _settings_record(settings),
         "result_schema": RESULT_SCHEMA_VERSION,
         "cache_schema": CACHE_SCHEMA_VERSION,
     }
     if kind != "dse":
         payload["tables"] = grid_tables_digest()
-    encoded = json.dumps(payload, sort_keys=True)
+    # ``default=dict`` encodes each read-only level as the dict it wraps.
+    encoded = json.dumps(payload, sort_keys=True, default=dict)
     return f"{kind}-" + hashlib.sha256(encoded.encode()).hexdigest()
+
+
+@functools.lru_cache(maxsize=16)
+def _settings_record(settings: ExperimentSettings) -> MappingProxyType:
+    """``settings.to_record()``, memoised by value and read-only at every
+    level: a server keys every body under one settings value, and no
+    caller can edit the record the next key is built from."""
+
+    def read_only(record: dict) -> MappingProxyType:
+        return MappingProxyType(
+            {
+                name: read_only(value) if isinstance(value, dict) else value
+                for name, value in record.items()
+            }
+        )
+
+    return read_only(settings.to_record())
 
 
 @functools.cache

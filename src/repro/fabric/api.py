@@ -6,7 +6,7 @@ so one port serves queries *and* feeds workers) and the standalone fabric
 listener a ``REPRO_POOL=remote`` CLI run starts on its own
 (:mod:`repro.fabric.coordinator`).  Both call :func:`dispatch_route` with
 their queue and cache, on the one connection loop of
-:func:`repro.serve.http.serve_connection`, so neither the protocol nor its
+:func:`repro.httpd.serve_connection`, so neither the protocol nor its
 framing, ``413`` and ``500`` answers can drift between surfaces.
 
 Routes::
@@ -45,13 +45,18 @@ import hmac
 from repro import knobs
 from repro.fabric import wire as fabric_wire
 from repro.fabric.queue import FabricError, WorkQueue
+from repro.httpd import (
+    CONTENT_DIGEST_HEADER,
+    Request,
+    Response,
+    error_response,
+    json_response,
+)
 from repro.metrics.results import RESULT_SCHEMA_VERSION
 from repro.runtime.cache import ResultCache
-from repro.serve.http import Request, Response
-from repro.serve.wire import CONTENT_DIGEST_HEADER, error_response, json_response
 
 #: Header carrying the shared fabric secret (lowercased form is what the
-#: parsed :class:`~repro.serve.http.Request` stores).
+#: parsed :class:`~repro.httpd.Request` stores).
 TOKEN_HEADER = "X-Repro-Fabric-Token"
 
 #: Bind addresses that are reachable from the local host only.
@@ -100,23 +105,13 @@ def require_loopback_or_token(host: str, *, surface: str) -> None:
     )
 
 
-def is_fabric_path(path: str) -> bool:
-    """Whether ``path`` belongs to the fabric's route family (the serve
-    router's delegation test)."""
-    return (
-        path.startswith("/v1/work/")
-        or path == "/v1/cache/keys"
-        or path.startswith("/v1/cache/entry/")
-    )
-
-
 def dispatch_route(
     path: str, request: Request, queue: WorkQueue, cache: ResultCache | None
 ) -> Response:
     """Answer one fabric-route request (the caller already matched the
-    prefix with :func:`is_fabric_path`).  Runs synchronously — the async
-    listeners call it via ``asyncio.to_thread`` since completions write to
-    disk and uploads are CPU-bound to verify."""
+    prefix with :func:`repro.httpd.is_fabric_path`).  Runs synchronously —
+    the async listeners call it via ``asyncio.to_thread`` since completions
+    write to disk and uploads are CPU-bound to verify."""
     try:
         check_token(request)
         if path == "/v1/work/stats":

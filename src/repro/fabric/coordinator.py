@@ -28,15 +28,18 @@ from repro import knobs
 from repro.fabric import api
 from repro.fabric.executor import RemoteExecutor
 from repro.fabric.queue import WorkQueue
-from repro.runtime.cache import ResultCache
-from repro.serve.http import (
+from repro.httpd import (
     Request,
     Response,
     ThreadedServer,
     body_bound_for_path,
+    error_response,
+    health_record,
+    is_fabric_path,
+    json_response,
     serve_connection,
 )
-from repro.serve.wire import error_response, health_record, json_response
+from repro.runtime.cache import ResultCache
 
 DEFAULT_FABRIC_PORT = 8735
 
@@ -115,7 +118,7 @@ class Coordinator:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """One connection to the standalone listener: the serve port's own
-        loop (:func:`~repro.serve.http.serve_connection`), with only the
+        loop (:func:`~repro.httpd.serve_connection`), with only the
         upload route admitting large bodies."""
         await serve_connection(
             reader, writer, self._route, error_response, max_body=body_bound_for_path
@@ -131,7 +134,7 @@ class Coordinator:
         path = request.path.rstrip("/") or "/"
         if path == "/healthz":
             return json_response(200, health_record())
-        if api.is_fabric_path(path):
+        if is_fabric_path(path):
             return await asyncio.to_thread(
                 api.dispatch_route, path, request, self.queue, self.cache
             )

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from repro import resilience
 from repro.fabric import wire
 from repro.fabric.unpickle import UnpickleError, restricted_loads
+from repro.httpd import CONTENT_DIGEST_HEADER
 from repro.runtime.cache import ResultCache
-from repro.serve.wire import CONTENT_DIGEST_HEADER
 
 #: Transport-level failures worth retrying.  ``HTTPError`` is an
 #: ``OSError`` subclass but represents a *delivered* answer, so retry

@@ -9,6 +9,16 @@ supports exactly what :mod:`repro.serve.app` needs —
 ``GET``/``POST``, keep-alive connections, bounded header/body sizes — and
 rejects everything else with a clean status code instead of guessing.
 
+Both listeners also share their JSON bodies (:func:`json_response`,
+:func:`error_response`, :func:`health_record`) and the split between the
+fabric's route family — ``/v1/work/*``, ``/v1/cache/keys`` and
+``/v1/cache/entry/<key>`` — and everything else (:func:`is_fabric_path`),
+of which only ``/v1/work/complete`` admits a large body
+(:func:`body_bound_for_path`).  This module sits outside
+:mod:`repro.serve` and :mod:`repro.fabric` so that neither package loads
+the other: a worker process never imports the query front-end, and a plain
+query server never imports the fabric.
+
 ``http.server`` is avoided on purpose: its threading model would put one OS
 thread behind every connection, while the asyncio front-end keeps thousands
 of idle keep-alive connections cheap and pushes the actual simulation work
@@ -23,6 +33,9 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable
 from urllib.parse import unquote
+
+from repro.api.responses import canonical_json
+from repro.metrics.results import RESULT_SCHEMA_VERSION
 
 #: Reason phrases for every status the app emits.
 REASONS = {
@@ -110,6 +123,59 @@ class Response:
     content_type: str = "application/json; charset=utf-8"
 
 
+# ----------------------------------------------------------------------
+# What both listeners answer alike
+# ----------------------------------------------------------------------
+#: Response header carrying a raw cache entry's SHA-256 (the fabric's
+#: ``/v1/cache/entry/<key>`` replication route); the ``cache pull`` client
+#: verifies the body against it before storing anything.
+CONTENT_DIGEST_HEADER = "X-Repro-Content-SHA256"
+
+
+def dump_body(record: dict) -> bytes:
+    """Encode one record as a canonical JSON body (newline-terminated,
+    exactly like the CLI's payloads, so the two surfaces stay comparable
+    byte for byte)."""
+    return (canonical_json(record) + "\n").encode("utf-8")
+
+
+def json_response(status: int, record: dict) -> Response:
+    """One record as a JSON response (both listeners' route bodies)."""
+    return Response(status=status, body=dump_body(record))
+
+
+def error_record(status: int, message: str) -> dict:
+    """Body of every non-2xx JSON response."""
+    return {
+        "kind": "error",
+        "schema": RESULT_SCHEMA_VERSION,
+        "status": status,
+        "error": message,
+    }
+
+
+def error_response(status: int, message: str) -> Response:
+    """An :func:`error_record` response (both listeners' error bodies)."""
+    return json_response(status, error_record(status, message))
+
+
+def health_record() -> dict:
+    """Body of ``GET /healthz`` on either listener."""
+    return {"kind": "health", "schema": RESULT_SCHEMA_VERSION, "status": "ok"}
+
+
+def is_fabric_path(path: str) -> bool:
+    """Whether ``path`` belongs to the fabric's route family: the work
+    queue (``/v1/work/*``) and cache replication (``/v1/cache/keys``,
+    ``/v1/cache/entry/<key>``).  The serve router delegates these and
+    exempts them from API-key auth; the standalone listener serves them."""
+    return (
+        path.startswith("/v1/work/")
+        or path == "/v1/cache/keys"
+        or path.startswith("/v1/cache/entry/")
+    )
+
+
 async def read_request(
     reader: asyncio.StreamReader,
     *,
@@ -191,16 +257,14 @@ async def _discard_body(reader: asyncio.StreamReader, length: int) -> None:
     after :data:`DRAIN_SECONDS` so a slow sender cannot hold the handler.
     """
 
-    async def drain() -> None:
-        remaining = length
-        while remaining > 0:
-            chunk = await reader.read(min(remaining, DRAIN_CHUNK_BYTES))
-            if not chunk:
-                return
-            remaining -= len(chunk)
-
+    remaining = length
     try:
-        await asyncio.wait_for(drain(), timeout=DRAIN_SECONDS)
+        async with asyncio.timeout(DRAIN_SECONDS):
+            while remaining > 0:
+                chunk = await reader.read(min(remaining, DRAIN_CHUNK_BYTES))
+                if not chunk:
+                    return
+                remaining -= len(chunk)
     except TimeoutError:
         pass
 

@@ -29,16 +29,25 @@ carries them: work uploads are pickled payloads, so the fabric surface is
 strictly opt-in, and exposing it beyond loopback requires the shared
 ``REPRO_FABRIC_TOKEN`` secret (see :mod:`repro.fabric.api`).
 
-Request handling never blocks the event loop on simulation: a request
+Request handling never blocks the event loop on simulation.  A request
 answered before over the same cache and settings is one stored-body read
-(:meth:`~repro.api.session.Session.stored_body`), other warm responses are
-collated on a worker thread (``asyncio.to_thread``) and stored, and cold
-requests run as background :class:`~repro.serve.executor.ServeJob` tasks.
-Responses carry a strong ``ETag`` derived from (request key, schema versions,
-settings) — see :func:`repro.serve.wire.request_etag` — and
-``If-None-Match`` is answered with ``304`` before any work happens.  The
-``X-Repro-Jobs-Executed`` header reports how many simulation jobs a response
-actually executed; a warm hit reports ``0``.
+(:meth:`~repro.api.session.Session.stored_body`), made on the loop itself
+in the same turn as the routing: it is bounded, a hit in the cache's memory
+level or one index refresh (a directory listing, a ``stat`` per segment
+file and a scan of the records appended since the last look, roughly 1 ms
+per MB appended on a 2-vCPU host) plus one ``pread`` checked by its CRC and
+sha256.  The refresh holds the cache's index lock while it scans, so a job
+thread refreshing the same cache can hold a stored read, and the loop, for
+as long as its own scan takes.  Everything else that touches the disk or
+the grid runs on a worker thread (``asyncio.to_thread``): the warmth probe,
+warm renders (which store their body), cache stats, the fabric routes and
+the drain.  Cold requests run as background
+:class:`~repro.serve.executor.ServeJob` tasks.  Responses carry a strong
+``ETag`` derived from (request key, schema versions, settings) — see
+:func:`repro.serve.wire.request_etag`, which hashes the server's fixed
+settings once — and ``If-None-Match`` is answered with ``304`` before any
+work happens.  The ``X-Repro-Jobs-Executed`` header reports how many
+simulation jobs a response actually executed; a warm hit reports ``0``.
 
 **Admission control** (see the README's "Operations & resilience"): every
 non-fabric ``/v1/*`` route authenticates against the optional
@@ -49,7 +58,8 @@ never do) and, when about to create a cold job, the daily cold quota
 (:mod:`repro.serve.quota`; ``429`` with ``Retry-After``), and cold work
 past the job-pool depth bound or during shutdown drain is shed with
 ``503`` + ``Retry-After``.  Warm answers and job polls are never shed.
-Each request runs under the ``REPRO_REQUEST_DEADLINE`` wall budget;
+Each request runs under the ``REPRO_REQUEST_DEADLINE`` wall budget
+(``asyncio.timeout`` around the dispatch, in the connection's own task);
 ``SIGTERM`` (or :meth:`BackgroundServer.close`) drains in-flight jobs for
 ``REPRO_DRAIN_SECONDS`` while refusing new cold work.
 """
@@ -66,6 +76,20 @@ from repro.api.figures import get_figure
 from repro.api.requests import FigureQuery, SweepSpec
 from repro.api.session import Session
 from repro.dse.explore import DseSpec
+from repro.httpd import (
+    ALLOWED_METHODS,
+    MAX_BODY_BYTES,
+    Request,
+    Response,
+    ThreadedServer,
+    body_bound_for_path,
+    dump_body,
+    error_response,
+    health_record,
+    is_fabric_path,
+    json_response,
+    serve_connection,
+)
 from repro.serve.auth import ANONYMOUS, AuthError, Principal
 from repro.serve.executor import (
     DONE,
@@ -77,15 +101,6 @@ from repro.serve.executor import (
     ServeJob,
 )
 from repro.serve.quota import AdmissionControl, Decision
-from repro.serve.http import (
-    ALLOWED_METHODS,
-    MAX_BODY_BYTES,
-    Request,
-    Response,
-    ThreadedServer,
-    body_bound_for_path,
-    serve_connection,
-)
 from repro.serve import wire
 
 #: Telemetry header: simulation jobs executed to produce this response.
@@ -121,20 +136,23 @@ class ServeApp:
         # the upload route — every other route keeps the tiny-JSON bound.
         bound = body_bound_for_path if self.fabric_routes else MAX_BODY_BYTES
         await serve_connection(
-            reader, writer, self._dispatch_bounded, wire.error_response, max_body=bound
+            reader, writer, self._dispatch_bounded, error_response, max_body=bound
         )
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
     async def _dispatch_bounded(self, request: Request) -> Response:
-        """Run :meth:`dispatch` under the per-request wall deadline."""
+        """Run :meth:`dispatch` under the per-request wall deadline.
+
+        ``asyncio.timeout`` cancels the dispatch inside the connection's
+        own task, so a request costs no extra Task, timer and waiter.
+        """
         if self.request_deadline is None:
             return await self.dispatch(request)
         try:
-            return await asyncio.wait_for(
-                self.dispatch(request), timeout=self.request_deadline
-            )
+            async with asyncio.timeout(self.request_deadline):
+                return await self.dispatch(request)
         except TimeoutError:
             return self._limited(
                 503,
@@ -150,63 +168,59 @@ class ServeApp:
 
     async def dispatch(self, request: Request) -> Response:
         if request.method not in ALLOWED_METHODS:
-            return wire.error_response(405, f"method {request.method} not allowed")
+            return error_response(405, f"method {request.method} not allowed")
         path = request.path.rstrip("/") or "/"
         if path == "/healthz":
             # Always open and never rate-limited: liveness probes must work
             # without credentials, on a saturated or draining server too.
-            return wire.json_response(200, wire.health_record())
+            return json_response(200, health_record())
         # Fabric routes (work queue + cache replication) delegate to the
         # shared handler so this surface and the standalone fabric listener
         # speak one protocol — but only when this session opted into remote
         # pool mode; otherwise the paths fall through to the 404 below.
         # They are excluded from API-key auth either way: the fabric has its
-        # own shared-token gate.  Imported lazily: repro.fabric imports this
-        # module's siblings at load, so a top-level import would cycle.
-        fabric_path = False
-        if path.startswith("/v1/"):
-            from repro.fabric import api as fabric_api
+        # own shared-token gate.  The fabric is imported only to delegate,
+        # so a plain query server never loads it.
+        fabric_path = is_fabric_path(path)
+        if fabric_path and self.fabric_routes:
+            from repro.fabric import api as fabric_api, shared_queue
 
-            fabric_path = fabric_api.is_fabric_path(path)
-            if fabric_path and self.fabric_routes:
-                from repro.fabric import shared_queue
-
-                return await asyncio.to_thread(
-                    fabric_api.dispatch_route,
-                    path,
-                    request,
-                    shared_queue(),
-                    self.session.cache,
-                )
+            return await asyncio.to_thread(
+                fabric_api.dispatch_route,
+                path,
+                request,
+                shared_queue(),
+                self.session.cache,
+            )
         principal = ANONYMOUS
         if path.startswith("/v1/") and not fabric_path:
             try:
                 principal = self.admission.authenticate(request.headers)
             except AuthError as error:
-                response = wire.error_response(401, str(error))
+                response = error_response(401, str(error))
                 response.headers["WWW-Authenticate"] = "Bearer"
                 return response
         route = path if path in ROUTES else next(
             (r for r in ROUTES if r.endswith("/") and path.startswith(r)), None
         )
         if route is None:
-            return wire.error_response(404, f"no route for {request.path}")
+            return error_response(404, f"no route for {request.path}")
         method, metered, handler, request_type = ROUTES[route]
         if metered:
             decision = self.admission.admit_request(principal)
             if not decision.allowed:
                 return self._limited(429, decision)
         if method is not None and request.method != method:
-            return wire.error_response(405, f"{route} takes {method} requests")
+            return error_response(405, f"{route} takes {method} requests")
         argument = path.removeprefix(route)
         return await handler(self, request, argument, principal, request_type)
 
     async def _figures(self, request, argument, principal, request_type) -> Response:
-        return wire.json_response(200, wire.figures_record())
+        return json_response(200, wire.figures_record())
 
     async def _cache_stats(self, request, argument, principal, request_type) -> Response:
         report = await asyncio.to_thread(self.session.cache_stats)
-        return wire.json_response(200, wire.cache_stats_record(report))
+        return json_response(200, wire.cache_stats_record(report))
 
     # ------------------------------------------------------------------
     # Queries: stored, warm-sync or cold-202
@@ -221,12 +235,12 @@ class ServeApp:
                 query = request_type(argument)
                 get_figure(query.figure)
             except (ValueError, KeyError) as error:
-                return wire.error_response(404, str(error).strip('"'))
+                return error_response(404, str(error).strip('"'))
         else:
             try:
                 query = wire.spec_from_payload(request_type, request.body)
             except ValueError as error:
-                return wire.error_response(400, str(error))
+                return error_response(400, str(error))
         return await self._answer(request, query, principal)
 
     async def _stored(
@@ -239,15 +253,16 @@ class ServeApp:
         (or :meth:`Session.dse`) stored for (request, settings, schema
         versions) — the same bytes the POST route and the CLI emit — so it
         is served with the same strong ETag and always reports zero
-        executions.  The route only reads: a request of this kind still in
-        flight answers with its job envelope, and one never run (or whose
-        body was pruned) is a 404 pointing at the POST route.
+        executions.  The route only reads (on the loop, like every stored
+        read): a request of this kind still in flight answers with its job
+        envelope, and one never run (or whose body was pruned) is a 404
+        pointing at the POST route.
         """
         kind = request_type.kind
         etag = wire.request_etag(kind, key, self.session.settings)
         if wire.etag_matches(request.headers.get("if-none-match"), etag):
             return Response(status=304, headers={"ETag": etag})
-        body = await asyncio.to_thread(self.session.stored_body, kind, key)
+        body = self.session.stored_body(kind, key)
         if body is not None:
             return self._body(body, etag)
         job = self.manager.get(key)
@@ -256,7 +271,7 @@ class ServeApp:
                 return self._job_envelope(job, status=202)
             if job.status == DONE and job.body is not None:
                 return self._body(job.body, etag)
-        return wire.error_response(
+        return error_response(
             404, f"no stored {kind} body for {key!r}; POST /v1/{kind} renders it"
         )
 
@@ -266,11 +281,12 @@ class ServeApp:
         In order, each step answering when it can: ``304`` on a matching
         ``If-None-Match``; an identical request in flight (its job envelope)
         or finished (its body); the body stored for this request and
-        settings (:meth:`Session.stored_body`, one record read, no grid
-        work); then the warmth probe (:meth:`JobManager.classify`) — warm
-        renders synchronously (:meth:`JobManager.render`, which stores the
-        body without probing for it again), and cold is admitted as a
-        background job that renders the same way.
+        settings (:meth:`Session.stored_body`, one record read on the loop,
+        no grid work); then the warmth probe (:meth:`JobManager.classify`,
+        on a worker thread) — warm renders there too
+        (:meth:`JobManager.render`, which stores the body without probing
+        for it again), and cold is admitted as a background job that
+        renders the same way.
         """
         key = query.key()
         etag = wire.request_etag(query.kind, key, self.session.settings)
@@ -287,7 +303,7 @@ class ServeApp:
                 return self._job_envelope(job, status=202)
             if job.status == DONE and job.body is not None:
                 return self._body(job.body, etag)
-        body = await asyncio.to_thread(self.session.stored_body, query.kind, key)
+        body = self.session.stored_body(query.kind, key)
         if body is not None:
             return self._body(body, etag)
         pending, grid_total = await asyncio.to_thread(self.manager.classify, query)
@@ -326,20 +342,20 @@ class ServeApp:
     async def _job(self, request, key: str, principal, request_type) -> Response:
         job = self.manager.get(key)
         if job is None:
-            return wire.error_response(404, f"no such job {key!r}")
+            return error_response(404, f"no such job {key!r}")
         status = job.status
         if status == DONE:
             assert job.body is not None and job.etag is not None
             return self._body(job.body, job.etag, job.executed)
         if status == FAILED:
-            return wire.error_response(500, job.snapshot().get("error", "job failed"))
+            return error_response(500, job.snapshot().get("error", "job failed"))
         return self._job_envelope(job, status=202)
 
     def _job_envelope(self, job: ServeJob, *, status: int) -> Response:
         record = wire.job_record(job.snapshot())
         return Response(
             status=status,
-            body=wire.dump_body(record),
+            body=dump_body(record),
             headers={"Location": record["url"], "Retry-After": "1"},
         )
 
@@ -367,7 +383,7 @@ class ServeApp:
         if reset_at is not None:
             headers["X-Repro-Reset"] = f"{reset_at:.3f}"
         return Response(
-            status=status, body=wire.dump_body(record), headers=headers
+            status=status, body=dump_body(record), headers=headers
         )
 
 

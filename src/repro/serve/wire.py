@@ -3,8 +3,10 @@
 Every machine-readable body the serving front-end emits — and the
 ``python -m repro cache stats --json`` / ``list --json`` CLI outputs — is
 built here, so dashboards scraping the CLI and clients of ``/v1/...`` read
-one format.  Records follow the same conventions as the response records of
-:mod:`repro.api.responses`: a ``kind`` discriminator, the
+one format; the error and health bodies it shares with the fabric listener,
+and their encoder :func:`~repro.httpd.dump_body`, live in
+:mod:`repro.httpd`.  Records follow the same conventions as the response
+records of :mod:`repro.api.responses`: a ``kind`` discriminator, the
 :data:`~repro.metrics.results.RESULT_SCHEMA_VERSION` stamp, and canonical
 (sorted-key, strict) JSON so equal records are byte-identical on the wire.
 
@@ -20,55 +22,27 @@ across server instances and restarts, and honoured with ``304`` on
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import fields
 
 from repro.api.figures import FIGURES
-from repro.api.responses import canonical_json
 from repro.api.requests import SWEEPABLE_DESIGNS, SweepSpec
 from repro.dse.designs import design_point_names, get_design_point
 from repro.dse.explore import DseSpec
 from repro.dse.workloads import get_workload, workload_names
 from repro.experiments.settings import ExperimentSettings
+from repro.httpd import error_record
 from repro.metrics.results import RESULT_SCHEMA_VERSION
 from repro.runtime import CACHE_SCHEMA_VERSION
-from repro.serve.http import Response
 from repro.workloads.models import MODEL_REGISTRY
 from repro.workloads.representative import representative_layer_names
-
-
-#: Response header carrying a raw cache entry's SHA-256 (the fabric's
-#: ``/v1/cache/entry/<key>`` replication route); the ``cache pull`` client
-#: verifies the body against it before storing anything.
-CONTENT_DIGEST_HEADER = "X-Repro-Content-SHA256"
-
-
-def dump_body(record: dict) -> bytes:
-    """Encode one record as a canonical JSON body (newline-terminated,
-    exactly like the CLI's payloads, so the two surfaces stay comparable
-    byte for byte)."""
-    return (canonical_json(record) + "\n").encode("utf-8")
-
-
-def json_response(status: int, record: dict) -> Response:
-    """One record as a JSON response (both listeners' route bodies)."""
-    return Response(status=status, body=dump_body(record))
-
-
-def error_response(status: int, message: str) -> Response:
-    """An :func:`error_record` response (both listeners' error bodies)."""
-    return json_response(status, error_record(status, message))
 
 
 # ----------------------------------------------------------------------
 # Records
 # ----------------------------------------------------------------------
-def health_record() -> dict:
-    """Body of ``GET /healthz``."""
-    return {"kind": "health", "schema": RESULT_SCHEMA_VERSION, "status": "ok"}
-
-
 def figures_record() -> dict:
     """Body of ``GET /v1/figures``: every answerable figure/table."""
     return {
@@ -124,16 +98,6 @@ def cache_stats_record(report: dict | None) -> dict:
     record["runner"] = cache.pop("runner", None)
     record["cache"] = cache
     return record
-
-
-def error_record(status: int, message: str) -> dict:
-    """Body of every non-2xx JSON response."""
-    return {
-        "kind": "error",
-        "schema": RESULT_SCHEMA_VERSION,
-        "status": status,
-        "error": message,
-    }
 
 
 def limit_record(
@@ -216,8 +180,14 @@ def dse_spec_from_payload(payload: bytes) -> DseSpec:
 # ----------------------------------------------------------------------
 # ETags
 # ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=16)
 def settings_key(settings: ExperimentSettings) -> str:
-    """Stable content hash of one settings value (an ETag ingredient)."""
+    """Stable content hash of one settings value (an ETag ingredient).
+
+    Memoised by value (the settings are frozen and hash by their fields),
+    so a server hashes its fixed settings record once, not on every
+    request; equal settings share one digest whichever instance asks.
+    """
     encoded = json.dumps(settings.to_record(), sort_keys=True)
     return hashlib.sha256(encoded.encode()).hexdigest()
 

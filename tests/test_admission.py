@@ -8,7 +8,8 @@ Two layers of coverage:
   admission knobs set through the environment, asserting the status-code
   contract end to end: ``401`` vs open, ``429`` with ``Retry-After`` on
   rate/quota exhaustion, ``503`` shedding past the pool depth and during
-  drain, warm answers unaffected throughout, and the saturation smoke —
+  drain and past the request deadline (the connection then keeps serving),
+  warm answers unaffected throughout, and the saturation smoke —
   4×depth concurrent cold requests produce only ``202``/``429``/``503``,
   every refusal carries ``Retry-After``, and retried requests converge to
   bytes identical to a serial run.
@@ -27,10 +28,10 @@ import pytest
 
 from repro.api import Session, SweepSpec
 from repro.experiments.settings import default_settings
+from repro.httpd import Request, Response
 from repro.runtime import BatchRunner, ResultCache
-from repro.serve import BackgroundServer, ServeApp
+from repro.serve import BackgroundServer, JobManager, ServeApp
 from repro.serve.auth import ANONYMOUS, AuthError, KeyRegistry, hash_key
-from repro.serve.http import Request, Response
 from repro.serve.quota import AdmissionControl, ColdQuota, SlidingWindow
 
 MICRO = default_settings(max_dense_macs=5e4, max_layers_per_model=1)
@@ -517,6 +518,38 @@ class TestRequestDeadline:
         monkeypatch.setenv("REPRO_REQUEST_DEADLINE", "0")
         app = ServeApp(micro_session(tmp_path / "cache"))
         assert app.request_deadline is None
+
+
+class TestRequestDeadlineOverHttp:
+    def test_a_deadline_in_a_thread_step_is_a_503_and_the_connection_lives(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_REQUEST_DEADLINE", "0.05")
+        classify = JobManager.classify
+
+        def slow_classify(self, query):
+            time.sleep(0.3)
+            return classify(self, query)
+
+        monkeypatch.setattr(JobManager, "classify", slow_classify)
+        with BackgroundServer(micro_session(tmp_path / "cache")) as server:
+            connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+            try:
+                connection.request("GET", "/v1/figure/table3")
+                response = connection.getresponse()
+                body = response.read()
+                assert response.status == 503
+                assert int(response.getheader("Retry-After")) >= 1
+                assert "deadline" in json.loads(body)["error"]
+                assert response.getheader("Connection") == "keep-alive"
+                sock = connection.sock
+                connection.request("GET", "/healthz")
+                health = connection.getresponse()
+                assert health.status == 200
+                assert json.loads(health.read())["status"] == "ok"
+                assert connection.sock is sock  # the same keep-alive connection
+            finally:
+                connection.close()
 
 
 class TestAdmissionFromEnv:

@@ -10,8 +10,9 @@ Covers the contracts of the one body store every request kind shares:
   ``SimJob.key`` call, no ``BatchRunner.run`` call.  Other settings render
   their own body, and a damaged body is rendered again.
 * **Serving** — a fresh server answers stored figure, sweep and DSE
-  requests without reaching the warmth probe, and renders a warm request
-  with no stored body after one key and one probe, storing it.
+  requests without reaching the warmth probe or a worker thread, and
+  renders a warm request with no stored body after one key and one probe,
+  both on a worker thread, storing it.
 * **Replication** — the cache inventory lists content keys only, so
   ``cache pull`` copies no body; a pulled peer renders its own bodies from
   the pulled job entries.
@@ -19,6 +20,7 @@ Covers the contracts of the one body store every request kind shares:
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 import functools
 import json
@@ -276,13 +278,19 @@ class TestServedFromTheStore:
         def no_probe(self, request_):
             raise AssertionError("a stored answer must not be classified")
 
+        def no_thread(func, /, *args, **kwargs):
+            raise AssertionError(f"a stored answer hopped to a thread for {func}")
+
         monkeypatch.setattr(JobManager, "classify", no_probe)
+        # The stored read runs on the event loop: no route below may hop.
+        monkeypatch.setattr(asyncio, "to_thread", no_thread)
         sweep = json.dumps(REQUESTS["sweep"].to_record()).encode()
         campaign = json.dumps(REQUESTS["dse"].to_record()).encode()
         with BackgroundServer(micro_session(directory)) as server:
             for kind, method, path, payload in [
                 ("figure", "GET", "/v1/figure/fig12", None),
                 ("sweep", "POST", "/v1/sweep", sweep),
+                ("sweep", "GET", f"/v1/sweep/{REQUESTS['sweep'].key()}", None),
                 ("dse", "POST", "/v1/dse", campaign),
                 ("dse", "GET", f"/v1/dse/{REQUESTS['dse'].key()}", None),
             ]:
@@ -315,6 +323,14 @@ class TestServedFromTheStore:
         counted(type(request_), "key")
         counted(ResultCache, "get_blob")
         counted(ResultCache, "put_blob")
+        offloaded = []
+        to_thread = asyncio.to_thread
+
+        async def recording(func, /, *args, **kwargs):
+            offloaded.append(func.__name__)
+            return await to_thread(func, *args, **kwargs)
+
+        monkeypatch.setattr(asyncio, "to_thread", recording)
         if kind == "figure":
             method, path, payload = "GET", "/v1/figure/fig12", None
         else:
@@ -327,6 +343,7 @@ class TestServedFromTheStore:
             assert body == bodies[kind]
             assert server.app.session.stats.submitted > 0  # rendered from entries
         assert calls == {"key": 1, "get_blob": 1, "put_blob": 1}
+        assert offloaded == ["classify", "render"]  # the probe and render only
         assert micro_session(copy).stored_body(kind, request_.key()) == body
 
 

@@ -64,10 +64,10 @@ from repro.fabric import (
     wire,
 )
 from repro.fabric.worker import DirectClient, RecordingCache
+from repro.httpd import CONTENT_DIGEST_HEADER
 from repro.runtime import BatchRunner, ResultCache, SimJob, reset_shared_pool
 from repro.runtime.jobs import execute_chunk
 from repro.serve import BackgroundServer
-from repro.serve.wire import CONTENT_DIGEST_HEADER
 from repro.workloads.representative import REPRESENTATIVE_LAYERS
 
 #: Same micro budgets as tests/test_serve.py, so every grid stays tiny.
@@ -1065,7 +1065,7 @@ class TestHttpFabric:
 class TestFabricAuth:
     def test_dispatch_requires_the_token_when_configured(self, monkeypatch):
         from repro.fabric import api
-        from repro.serve.http import Request
+        from repro.httpd import Request
 
         queue = WorkQueue(lease_seconds=30)
 

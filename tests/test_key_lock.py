@@ -7,6 +7,10 @@ tables).  A refactor that moves any of them silently orphans every warm
 cache and every client validator, so the digests below are literals.
 Update one only together with the schema-version bump that makes the move
 deliberate.
+
+The settings' share of an ETag and a body key is memoised per settings
+value, so the last two tests pin what such a memo must keep: equal settings
+share their keys, and a settings value never lends its keys to another.
 """
 
 from __future__ import annotations
@@ -67,3 +71,34 @@ def test_keys_match_their_pinned_digests():
         ),
     }
     assert keys == PINNED
+
+
+def _fig12_keys(settings: ExperimentSettings) -> tuple[str, str]:
+    """The fig12 ETag and body key under ``settings``."""
+    request_key = FigureQuery("fig12").key()
+    return (
+        wire.request_etag("figure", request_key, settings),
+        report_key("figure", request_key, settings),
+    )
+
+
+def test_equal_settings_share_their_keys_and_a_changed_field_moves_them():
+    first, second = ExperimentSettings(), ExperimentSettings()
+    assert first is not second and first == second
+    pinned = (PINNED["fig12_etag"], PINNED["fig12_report_key"])
+    assert _fig12_keys(first) == _fig12_keys(second) == pinned
+    etag, body_key = _fig12_keys(ExperimentSettings(seed_salt=1))
+    assert etag != pinned[0] and body_key != pinned[1]
+
+
+def test_settings_dropped_in_turn_never_lend_their_keys():
+    # CPython gives a new object the address of one just freed, so a memo
+    # keyed by ``id`` would answer a new settings value with an old one's keys.
+    etags, body_keys = set(), set()
+    for salt in range(32):
+        settings = ExperimentSettings(seed_salt=salt)
+        etag, body_key = _fig12_keys(settings)
+        del settings
+        etags.add(etag)
+        body_keys.add(body_key)
+    assert len(etags) == len(body_keys) == 32

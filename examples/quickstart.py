@@ -1,54 +1,28 @@
-"""Quickstart: multiply two sparse matrices with every dataflow and on Flexagon.
+"""Quickstart: simulate one sparse layer on Flexagon and the baselines.
 
 Run with::
 
     python examples/quickstart.py
 
-The script builds a random sparse matrix pair, executes the six SpMSpM
-dataflows functionally (checking them against a reference SpGEMM), then
-simulates the same layer on the Flexagon accelerator and the three
-fixed-dataflow baselines through the public :class:`repro.api.Session`
-facade — one job batch through the batched runtime, so re-running the
-script answers the simulations from the persistent result cache — printing
-cycles, traffic and the dataflow the mapper picked.
+The script builds a random sparse matrix pair and simulates the layer on
+the Flexagon accelerator and the three fixed-dataflow baselines through the
+public :class:`repro.api.Session` facade — one job batch through the
+batched runtime, so re-running the script answers the simulations from the
+persistent result cache — printing cycles, traffic and the dataflow the
+mapper picked.
 """
 
-from repro import Dataflow, Session, random_sparse, run_dataflow
+from repro import Session, random_sparse
 from repro.metrics import format_table
 from repro.runtime import DESIGN_ORDER
-from repro.sparse import matrices_allclose, spgemm_reference
 
 
 def main() -> None:
     # A small sparse layer: C[200, 150] = A[200, 180] x B[180, 150].
     a = random_sparse(200, 180, density=0.25, seed=1)
     b = random_sparse(180, 150, density=0.20, seed=2)
-    reference = spgemm_reference(a, b)
-    print(f"A: {a.shape}, nnz={a.nnz}   B: {b.shape}, nnz={b.nnz}   "
-          f"C: {reference.shape}, nnz={reference.nnz}")
+    print(f"A: {a.shape}, nnz={a.nnz}   B: {b.shape}, nnz={b.nnz}")
 
-    # ------------------------------------------------------------------
-    # 1. The six dataflows, functionally.
-    # ------------------------------------------------------------------
-    rows = []
-    for dataflow in Dataflow:
-        result = run_dataflow(dataflow, a, b, num_multipliers=64)
-        assert matrices_allclose(result.output, reference), dataflow
-        rows.append(
-            {
-                "dataflow": dataflow.informal_name,
-                "output layout": str(result.output.layout),
-                "multiplications": result.stats.multiplications,
-                "psum writes": result.stats.psum_writes,
-                "merge comparisons": result.stats.merge_comparisons,
-            }
-        )
-    print()
-    print(format_table(rows, title="Functional execution of the six dataflows"))
-
-    # ------------------------------------------------------------------
-    # 2. The same layer on the simulated accelerators.
-    # ------------------------------------------------------------------
     # The session's design registry configures Flexagon with the oracle
     # mapper (the same policy the experiment harness evaluates), so its
     # choice here is the proven-best dataflow rather than the heuristic's.

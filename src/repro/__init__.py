@@ -10,11 +10,11 @@ Public API layers (README, "Repository layout", lists every package):
 * :mod:`repro.api` — **the public facade**: :class:`Session`,
   declarative :class:`SweepSpec`/:class:`FigureQuery` requests, typed
   JSON-round-trippable responses, and the ``python -m repro`` CLI.
-* :mod:`repro.sparse` — compressed formats (CSR/CSC), fibers, generators.
-* :mod:`repro.dataflows` — the six SpMSpM dataflows and their taxonomy.
-* :mod:`repro.arch` — the accelerator configuration (Table 5), the DRAM
-  model, the MRN micro-simulation, and the test oracle's per-line streaming
-  cache.
+* :mod:`repro.sparse` — compressed formats (CSR/CSC) and generators.
+* :mod:`repro.dataflows` — the six SpMSpM dataflows: taxonomy, transitions
+  and operation counters.
+* :mod:`repro.arch` — the accelerator configuration (Table 5) and the DRAM
+  model.
 * :mod:`repro.accelerators` — Flexagon plus the SIGMA-like, SpArch-like,
   GAMMA-like and CPU baselines, and the area/power model.
 * :mod:`repro.core` — the mapper (per-layer dataflow analysis).
@@ -27,26 +27,23 @@ __version__ = "1.1.0"
 
 from repro.sparse import (
     CompressedMatrix,
-    Fiber,
     Layout,
     csr_from_dense,
     csc_from_dense,
     random_sparse,
 )
-from repro.dataflows import Dataflow, DataflowClass, run_dataflow
+from repro.dataflows import Dataflow, DataflowClass
 from repro.api import FigureQuery, Session, SweepSpec
 
 __all__ = [
     "__version__",
     "CompressedMatrix",
-    "Fiber",
     "Layout",
     "csr_from_dense",
     "csc_from_dense",
     "random_sparse",
     "Dataflow",
     "DataflowClass",
-    "run_dataflow",
     "FigureQuery",
     "Session",
     "SweepSpec",

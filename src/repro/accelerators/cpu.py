@@ -74,7 +74,7 @@ class CpuMklLikeBaseline:
 
         The work counts are exact (computed from the operand structure); only
         their translation into cycles is a model.  The product itself is not
-        computed: :func:`repro.sparse.reference.spgemm_reference` gives C.
+        computed.
         """
         if a.ncols != b.nrows:
             raise ValueError(f"inner dimensions do not match: {a.shape} x {b.shape}")
@@ -106,22 +106,6 @@ class CpuMklLikeBaseline:
         cycles = serial_cycles / effective_cores
         return CpuRunResult(
             cycles=cycles, seconds=cycles / cfg.frequency_hz, stats=stats
-        )
-
-    def run_model(
-        self, layers: list[tuple[CompressedMatrix, CompressedMatrix]]
-    ) -> CpuRunResult:
-        """Run a whole chain of layers and aggregate cycles and work counts."""
-        total_cycles = 0.0
-        total_stats = DataflowStats()
-        for a, b in layers:
-            layer = self.run_layer(a, b)
-            total_cycles += layer.cycles
-            total_stats = total_stats.merged_with(layer.stats)
-        return CpuRunResult(
-            cycles=total_cycles,
-            seconds=total_cycles / self.config.frequency_hz,
-            stats=total_stats,
         )
 
 

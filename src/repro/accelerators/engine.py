@@ -28,8 +28,8 @@ run, which applies those fields:
 The per-phase time is the maximum of the compute-bound and memory-bound
 terms, the standard first-order throughput model for streaming accelerators.
 The per-batch Python walk the kernels reproduce bit for bit is the test
-oracle :class:`repro.accelerators.reference.ReferenceEngine`, which no
-product path imports.
+oracle ``ReferenceEngine`` (``tests/oracles/reference_engine.py``), outside
+the package.
 """
 
 from __future__ import annotations
@@ -198,7 +198,8 @@ class SpmspmEngine:
         """The OP merging phase's stream pass, from the partial fiber lengths.
 
         Array form of the oracle's row loop
-        (:meth:`repro.accelerators.reference.ReferenceEngine._merge_partial_fibers`),
+        (``ReferenceEngine._merge_partial_fibers`` in
+        ``tests/oracles/reference_engine.py``),
         which :meth:`kernels.OpMerge.price` completes with the merging cycles
         and the PSRAM spill; ``None`` when the layer made no partial fiber.
         A row with more non-empty partial fibers than tree leaves merges in

@@ -108,11 +108,6 @@ class AcceleratorConfig:
         return (self.str_cache_bytes // self.str_cache_line_bytes) // self.str_cache_associativity
 
     @property
-    def str_cache_elements_per_line(self) -> int:
-        """Elements that fit in one streaming-cache line."""
-        return self.str_cache_line_bytes // self.element_bytes
-
-    @property
     def psram_blocks(self) -> int:
         """Total number of PSRAM blocks."""
         return self.psram_bytes // self.psram_block_bytes
@@ -121,11 +116,6 @@ class AcceleratorConfig:
     def psram_elements_per_block(self) -> int:
         """Elements that fit in one PSRAM block."""
         return self.psram_block_bytes // self.element_bytes
-
-    @property
-    def sta_fifo_elements(self) -> int:
-        """Elements that fit in the stationary FIFO."""
-        return self.sta_fifo_bytes // self.element_bytes
 
     @property
     def dram_latency_cycles(self) -> int:

@@ -2,13 +2,11 @@
 
 * :mod:`repro.arch.memory.dram` — the off-chip HBM model every on-chip
   structure fills from and drains to; the engine charges its traffic.
-* :mod:`repro.arch.memory.cache` — the per-line set-associative LRU model of
-  the streaming cache, kept for the test oracle.  The engine computes the
-  same hits in batches (:mod:`repro.engine_vec.cache_model`).
 
-The engine models PSRAM occupancy analytically from fiber lengths; the
-stationary FIFO and the write buffer appear only as sizes in
-:class:`repro.arch.config.AcceleratorConfig`.
+The engine computes the streaming cache's hits in batches
+(:mod:`repro.engine_vec.cache_model`) and models PSRAM occupancy
+analytically from fiber lengths; the stationary FIFO and the write buffer
+appear only as sizes in :class:`repro.arch.config.AcceleratorConfig`.
 """
 
 from repro.arch.memory.dram import DramModel, DramTrafficCounter

@@ -122,7 +122,3 @@ class DramModel:
         if streamed:
             return self.latency_cycles + transfer
         return self.latency_cycles + transfer
-
-    def total_transfer_cycles(self) -> float:
-        """Bandwidth-limited cycles for all recorded traffic (no overlap)."""
-        return self.cycles_for(self.traffic.total_bytes)

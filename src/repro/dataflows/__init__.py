@@ -1,14 +1,17 @@
-"""Functional implementations of the six SpMSpM dataflows (Section 2.2).
+"""The six SpMSpM dataflows as the engine and the mapper see them (Section 2.2).
 
-Each dataflow module executes the SpMSpM computation exactly as the loop nest
-of Fig. 2 prescribes, produces the output matrix in the format Table 3
-specifies, and records the operation counts (multiplications, intersections,
-partial-sum writes/reads, merge comparisons) that the accelerator models later
-turn into cycles and traffic.
+* :mod:`repro.dataflows.base` — the taxonomy: the six loop orders, their
+  families and their Table 3 properties (operand and output formats,
+  intersection and merging units).
+* :mod:`repro.dataflows.transitions` — which dataflow may follow which
+  without an explicit format conversion (Table 4).
+* :mod:`repro.dataflows.stats` — the operation counters (multiplications,
+  intersections, partial-sum writes/reads, merge comparisons) every engine
+  run records and the accelerator models turn into cycles and traffic.
 
-These implementations are the *algorithmic ground truth* for the hardware
-models: the accelerators consume the same element streams, so any divergence
-between the two layers is a bug.
+The engine computes those counts from the operand structure without
+executing the product; the tests check them against functional
+implementations of the six dataflows kept outside the package.
 """
 
 from repro.dataflows.base import (
@@ -19,10 +22,6 @@ from repro.dataflows.base import (
     taxonomy_table,
 )
 from repro.dataflows.stats import DataflowStats
-from repro.dataflows.inner_product import run_inner_product
-from repro.dataflows.outer_product import run_outer_product
-from repro.dataflows.gustavson import run_gustavson
-from repro.dataflows.runner import run_dataflow
 from repro.dataflows.transitions import (
     TransitionTable,
     requires_explicit_conversion,
@@ -36,10 +35,6 @@ __all__ = [
     "DATAFLOW_PROPERTIES",
     "taxonomy_table",
     "DataflowStats",
-    "run_inner_product",
-    "run_outer_product",
-    "run_gustavson",
-    "run_dataflow",
     "TransitionTable",
     "requires_explicit_conversion",
     "transition_table",

@@ -78,43 +78,9 @@ class Dataflow(enum.Enum):
         """The full Table 3 row for this dataflow."""
         return DATAFLOW_PROPERTIES[self]
 
-    @property
-    def needs_merging(self) -> bool:
-        """OP and Gust produce partial sums that must be merged; IP does not."""
-        return self.dataflow_class is not DataflowClass.INNER_PRODUCT
-
-    @property
-    def needs_intersection(self) -> bool:
-        """IP and Gust intersect operands; OP multiplies every pair blindly."""
-        return self.dataflow_class is not DataflowClass.OUTER_PRODUCT
-
     def mirrored(self) -> "Dataflow":
         """Return the same family with the opposite stationary dimension."""
         return _MIRROR[self]
-
-    @classmethod
-    def from_name(cls, name: str) -> "Dataflow":
-        """Parse names such as ``"IP_M"``, ``"Gust(N)"`` or ``"MKN"``."""
-        normalized = name.strip().upper().replace("(", "_").replace(")", "").replace("-", "_")
-        aliases = {
-            "IP_M": cls.IP_M,
-            "IP_N": cls.IP_N,
-            "OP_M": cls.OP_M,
-            "OP_N": cls.OP_N,
-            "GUST_M": cls.GUST_M,
-            "GUST_N": cls.GUST_N,
-            "GUSTAVSON_M": cls.GUST_M,
-            "GUSTAVSON_N": cls.GUST_N,
-            "MNK": cls.IP_M,
-            "KMN": cls.OP_M,
-            "MKN": cls.GUST_M,
-            "NMK": cls.IP_N,
-            "KNM": cls.OP_N,
-            "NKM": cls.GUST_N,
-        }
-        if normalized not in aliases:
-            raise ValueError(f"unknown dataflow name: {name!r}")
-        return aliases[normalized]
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.informal_name

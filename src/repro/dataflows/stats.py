@@ -1,10 +1,9 @@
-"""Operation-count statistics gathered while executing a dataflow.
+"""Operation-count statistics of one dataflow execution.
 
-The functional dataflow implementations in this package record, element by
-element, how much work each phase of the accelerator would have to perform.
-The hardware models in :mod:`repro.accelerators` convert these counts (plus
-cache and PSRAM behaviour) into cycles and traffic, so the fields below mirror
-the quantities the paper's evaluation plots:
+Every engine run records how much work each phase of the accelerator
+performs.  The hardware models in :mod:`repro.accelerators` convert these
+counts (plus cache and PSRAM behaviour) into cycles and traffic, so the
+fields below mirror the quantities the paper's evaluation plots:
 
 * effectual multiplications (the work the Multiplier Network performs),
 * intersection probes (the work of aligning operands in IP / Gust),
@@ -15,7 +14,7 @@ the quantities the paper's evaluation plots:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -66,34 +65,3 @@ class DataflowStats:
             stationary_iterations=self.stationary_iterations + other.stationary_iterations,
             merge_passes=self.merge_passes + other.merge_passes,
         )
-
-    @property
-    def total_compute_ops(self) -> int:
-        """Multiplications plus additions: the arithmetic the datapath executes."""
-        return self.multiplications + self.additions
-
-    def as_dict(self) -> dict[str, int]:
-        """Plain-dict view used by the reporting helpers."""
-        return {
-            "multiplications": self.multiplications,
-            "intersection_probes": self.intersection_probes,
-            "psum_writes": self.psum_writes,
-            "psum_reads": self.psum_reads,
-            "merge_comparisons": self.merge_comparisons,
-            "additions": self.additions,
-            "stationary_elements_read": self.stationary_elements_read,
-            "streaming_elements_read": self.streaming_elements_read,
-            "output_elements": self.output_elements,
-            "stationary_iterations": self.stationary_iterations,
-            "merge_passes": self.merge_passes,
-        }
-
-
-@dataclass
-class DataflowResult:
-    """The outcome of running one functional dataflow execution."""
-
-    #: The product matrix, in the output layout Table 3 prescribes.
-    output: "object"
-    #: Operation counters accumulated during the run.
-    stats: DataflowStats = field(default_factory=DataflowStats)

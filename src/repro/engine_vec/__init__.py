@@ -5,13 +5,13 @@ the array kernels of :mod:`repro.engine_vec.kernels`.  They compute the
 quantities of a dataflow walk over the zero-copy CSR/CSC storage views
 (``pointers`` / ``indices`` / ``values``) of
 :class:`~repro.sparse.formats.CompressedMatrix`, never materialising
-``Fiber`` / ``Element`` objects or walking one multiplier batch at a time.
+per-element fiber objects or walking one multiplier batch at a time.
 
 Fidelity contract
 -----------------
 The kernels are **bit-equivalent** to the per-batch Python walk kept as the
-test oracle :class:`repro.accelerators.reference.ReferenceEngine`, the one
-other model of the hardware, which no product path imports:
+test oracle ``ReferenceEngine`` (``tests/oracles/reference_engine.py``), the
+one other model of the hardware, outside the package:
 for any operand pair, dataflow and configuration, the resulting
 :class:`~repro.metrics.results.LayerSimResult` — cycles (including the exact
 floating-point accumulation), traffic breakdowns, cache access/hit/miss
@@ -31,7 +31,7 @@ is approximated:
   Otherwise the layer's line-address trace is expanded from the fiber spans,
   and per-access hits are derived from LRU stack distances (a batched
   per-set reuse-distance computation).  Both provably reproduce the
-  oracle's per-line :class:`~repro.arch.memory.cache.StreamingCache`.  A
+  oracle's per-line ``StreamingCache`` (``tests/oracles/cache.py``).  A
   trace longer than ``kernels._MAX_TRACE_LINES`` is resolved in chunks,
   each prefixed with the lines the cache holds after the previous one, so
   memory stays bounded and the hits stay exact; there is no per-line

@@ -44,10 +44,10 @@ A trace too long for one call is resolved in chunks: :func:`lru_resident`
 gives the lines the cache holds after a chunk, and replaying them ahead of
 the next chunk rebuilds the exact LRU state (LRU keeps each set's ``W``
 most recently used lines).  Either path is *identical* to replaying the
-trace through the test oracle's per-line
-:class:`~repro.arch.memory.cache.StreamingCache`
-(``tests/test_engine_equivalence.py`` cross-checks random traces, whole and
-chunked, and operands on both sides of the fits boundary).
+trace through the test oracle's per-line ``StreamingCache`` in
+``tests/oracles/cache.py`` (``tests/test_engine_equivalence.py``
+cross-checks random traces, whole and chunked, and operands on both sides
+of the fits boundary).
 """
 
 from __future__ import annotations
@@ -75,11 +75,6 @@ class CacheStats:
     def miss_rate(self) -> float:
         """Fraction of accesses that missed (0 when there were no accesses)."""
         return self.misses / self.accesses if self.accesses else 0.0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of accesses that hit."""
-        return 1.0 - self.miss_rate if self.accesses else 0.0
 
 
 def prefix_rank_leq(values: np.ndarray) -> np.ndarray:
@@ -282,9 +277,8 @@ def fiber_line_spans(
     A touch of ``count`` consecutive elements starting at element offset
     ``start`` probes every line from the one holding its first byte to the
     one holding its last byte; touches with zero elements probe no lines.
-    The oracle's per-line reader
-    (:meth:`repro.arch.controllers.streaming.StreamingTileReader._access_span`)
-    probes the same lines one at a time.
+    The oracle's per-line reader (``StreamingTileReader._access_span`` in
+    ``tests/oracles/streaming.py``) probes the same lines one at a time.
     """
     starts = np.asarray(start_elements, dtype=np.int64)
     counts = np.asarray(element_counts, dtype=np.int64)

@@ -1,8 +1,8 @@
 """NumPy array kernels for the three dataflow walks, in two passes.
 
 Each ``run_*`` function below is the **stream pass** of the corresponding
-walk of the test oracle
-(:class:`~repro.accelerators.reference.ReferenceEngine`): it consumes a
+walk of the test oracle (``ReferenceEngine`` in
+``tests/oracles/reference_engine.py``): it consumes a
 :class:`~repro.accelerators.engine._LayerContext` and returns a
 :class:`StreamRecord` — the walk's exact counts and its per-batch integer
 terms — without reading any of the :data:`PRICING_FIELDS`.  :func:`price`,
@@ -410,7 +410,7 @@ def pack_fiber_batches(
     pointers: np.ndarray, num_multipliers: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Array form of the oracle's greedy batch loop
-    (:func:`repro.accelerators.reference._pack_whole_fibers`).
+    (``_pack_whole_fibers`` in ``tests/oracles/reference_engine.py``).
 
     Returns ``(entry_m, entry_s, entry_e, entry_b, nb)``: the batches'
     ``(major_index, start, end)`` entries flattened in order, the batch of

@@ -7,7 +7,7 @@ without pulling in any plotting dependency.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 def format_table(
@@ -59,29 +59,3 @@ def _fmt(value: object, float_format: str) -> str:
         return float_format.format(value)
     return str(value)
 
-
-def histogram_line(counts: Mapping[str, int], width: int = 40) -> str:
-    """Render a one-line textual histogram (used by the Fig. 1 bench)."""
-    total = sum(counts.values())
-    if total == 0:
-        return "(no data)"
-    parts = []
-    for key, count in counts.items():
-        bar = "#" * max(1, int(round(width * count / total))) if count else ""
-        parts.append(f"{key}: {count:4d} {bar}")
-    return "\n".join(parts)
-
-
-def series_to_rows(
-    series: Mapping[str, Iterable[float]], index_name: str, index: Iterable[object]
-) -> list[dict[str, object]]:
-    """Convert ``{series_name: values}`` plus an index into table rows."""
-    index = list(index)
-    rows: list[dict[str, object]] = []
-    for i, idx in enumerate(index):
-        row: dict[str, object] = {index_name: idx}
-        for name, values in series.items():
-            values = list(values)
-            row[name] = values[i] if i < len(values) else ""
-        rows.append(row)
-    return rows

@@ -10,9 +10,9 @@ Every record is **JSON-round-trippable**: ``to_record()`` produces a plain
 dict of JSON-safe values (versioned by :data:`RESULT_SCHEMA_VERSION`) and
 ``from_record()`` reconstructs an equal record, so results can cross
 process and service boundaries — the contract the :mod:`repro.api` response
-objects are built on.  A record carries counts, never the product matrix C:
-:func:`repro.dataflows.run_dataflow` and
-:func:`repro.sparse.reference.spgemm_reference` compute C.
+objects are built on.  A record carries counts, never the product matrix C;
+the tests compute C with the functional dataflows and the reference SpGEMM
+in ``tests/oracles/``.
 """
 
 from __future__ import annotations
@@ -237,22 +237,6 @@ class ModelSimResult:
     def total_cycles(self) -> float:
         """Sum of layer cycles plus any conversion overhead already folded in."""
         return sum(layer.total_cycles for layer in self.layer_results)
-
-    @property
-    def total_traffic(self) -> TrafficBreakdown:
-        """Aggregate traffic over all layers."""
-        total = TrafficBreakdown()
-        for layer in self.layer_results:
-            total = total.merged_with(layer.traffic)
-        return total
-
-    @property
-    def dataflow_histogram(self) -> dict[Dataflow, int]:
-        """How many layers ran under each dataflow (Fig. 1-style summary)."""
-        histogram: dict[Dataflow, int] = {}
-        for layer in self.layer_results:
-            histogram[layer.dataflow] = histogram.get(layer.dataflow, 0) + 1
-        return histogram
 
     def to_record(self) -> dict[str, object]:
         """JSON-safe dict form."""

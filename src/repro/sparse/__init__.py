@@ -1,15 +1,13 @@
 """Sparse matrix substrate used by every other subsystem in the repository.
 
 The package implements the compressed formats the paper builds on (CSR and
-CSC, Section 2.1), the *fiber* abstraction (a compressed row or column stored
-as a coordinate-sorted list of ``(coordinate, value)`` elements), synthetic
-sparse matrix generation with controllable sparsity patterns, and a dense
-reference implementation used for validation.  Layout flips, transposes and
-dense expansion are :class:`CompressedMatrix` methods (``with_layout``,
-``transposed``, ``to_dense``).
+CSC, Section 2.1) and synthetic sparse matrix generation with controllable
+sparsity patterns.  A *fiber* — one compressed row (CSR) or column (CSC) —
+is a slice of a matrix's storage arrays (``fiber_nnz``, ``iter_elements``).
+Layout flips, transposes and dense expansion are :class:`CompressedMatrix`
+methods (``with_layout``, ``transposed``, ``to_dense``).
 """
 
-from repro.sparse.fiber import Element, Fiber
 from repro.sparse.formats import (
     CompressedMatrix,
     Layout,
@@ -18,22 +16,14 @@ from repro.sparse.formats import (
     empty_matrix,
     matrix_from_arrays,
     matrix_from_coo,
-    matrix_from_fibers,
 )
 from repro.sparse.generate import (
     SparsityPattern,
     random_sparse,
     sparse_from_density_map,
 )
-from repro.sparse.reference import (
-    dense_matmul,
-    matrices_allclose,
-    spgemm_reference,
-)
 
 __all__ = [
-    "Element",
-    "Fiber",
     "CompressedMatrix",
     "Layout",
     "csr_from_dense",
@@ -41,11 +31,7 @@ __all__ = [
     "empty_matrix",
     "matrix_from_arrays",
     "matrix_from_coo",
-    "matrix_from_fibers",
     "SparsityPattern",
     "random_sparse",
     "sparse_from_density_map",
-    "dense_matmul",
-    "spgemm_reference",
-    "matrices_allclose",
 ]

@@ -1,10 +1,11 @@
-"""Compressed matrix formats (CSR / CSC) built on top of fibers.
+"""Compressed matrix formats (CSR / CSC).
 
 The paper treats CSR and CSC as one compression method viewed along two
 different major axes (Section 2.1): three one-dimensional tensors — a pointer
 vector, an index vector and a data vector.  ``CompressedMatrix`` captures that
-directly and exposes the matrix as a sequence of fibers along its major axis,
-which is how every dataflow in the accelerator consumes it.
+directly: fiber ``i`` (a row in CSR, a column in CSC) is the slice
+``pointers[i]:pointers[i + 1]`` of the index and data vectors, which is how
+every dataflow in the accelerator consumes it.
 """
 
 from __future__ import annotations
@@ -14,14 +15,6 @@ import weakref
 from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
-
-from repro.sparse.fiber import Element, Fiber
-
-#: Bytes used by one element on chip: a 32-bit word holds value + coordinate
-#: (Table 5, "Total Word Size (Value+Coordinate) 32 bits").
-ELEMENT_BYTES = 4
-#: Bytes used by one pointer entry in the pointer vector.
-POINTER_BYTES = 4
 
 
 def _frozen(array_like, dtype) -> np.ndarray:
@@ -169,43 +162,12 @@ class CompressedMatrix:
         """Fraction of zero entries, in ``[0, 1]`` (the paper reports this in %)."""
         return 1.0 - self.density
 
-    def compressed_size_bytes(self) -> int:
-        """On-chip footprint: data + index + pointer vectors.
-
-        Values and coordinates each use :data:`ELEMENT_BYTES` /2 in hardware
-        (packed 32-bit word per element); here we charge one packed word per
-        element plus the pointer vector, matching how the paper reports
-        compressed matrix sizes.
-        """
-        return self.nnz * ELEMENT_BYTES + (self.major_dim + 1) * POINTER_BYTES
-
     # ------------------------------------------------------------------
     # Fiber access
     # ------------------------------------------------------------------
-    def fiber(self, major_index: int) -> Fiber:
-        """Return the fiber (compressed row or column) at ``major_index``."""
-        if not 0 <= major_index < self.major_dim:
-            raise IndexError(
-                f"fiber index {major_index} out of range for major dim {self.major_dim}"
-            )
-        start = int(self.pointers[major_index])
-        end = int(self.pointers[major_index + 1])
-        fiber = Fiber()
-        fiber._elements = [
-            Element(int(c), float(v))
-            for c, v in zip(self.indices[start:end], self.values[start:end])
-        ]
-        return fiber
-
     def fiber_nnz(self, major_index: int) -> int:
         """Number of stored elements in a given fiber, without materialising it."""
         return int(self.pointers[major_index + 1] - self.pointers[major_index])
-
-    def iter_nonempty_fibers(self) -> Iterator[tuple[int, Fiber]]:
-        """Yield only the fibers that contain at least one element."""
-        for major in range(self.major_dim):
-            if self.fiber_nnz(major):
-                yield major, self.fiber(major)
 
     def iter_elements(self) -> Iterator[tuple[int, int, float]]:
         """Yield ``(row, col, value)`` triples in major-axis order."""
@@ -217,22 +179,6 @@ class CompressedMatrix:
                     yield major, int(minor), float(value)
                 else:
                     yield int(minor), major, float(value)
-
-    def row(self, r: int) -> Fiber:
-        """Return row ``r`` as a fiber regardless of layout (may be O(nnz) for CSC)."""
-        if self.layout.major_is_row:
-            return self.fiber(r)
-        return Fiber(
-            ((c, v) for rr, c, v in self.iter_elements() if rr == r), sort=True
-        )
-
-    def col(self, c: int) -> Fiber:
-        """Return column ``c`` as a fiber regardless of layout (may be O(nnz) for CSR)."""
-        if not self.layout.major_is_row:
-            return self.fiber(c)
-        return Fiber(
-            ((r, v) for r, cc, v in self.iter_elements() if cc == c), sort=True
-        )
 
     # ------------------------------------------------------------------
     # Conversions
@@ -513,33 +459,6 @@ def matrix_from_arrays(
     return CompressedMatrix(
         nrows, ncols, layout, pointers, minor, summed, validate=False
     )
-
-
-def matrix_from_fibers(
-    nrows: int,
-    ncols: int,
-    fibers: dict[int, Fiber],
-    layout: Layout = Layout.CSR,
-) -> CompressedMatrix:
-    """Build a compressed matrix from a mapping of major index to fiber."""
-    major_dim = nrows if layout.major_is_row else ncols
-    minor_dim = ncols if layout.major_is_row else nrows
-    pointers = [0] * (major_dim + 1)
-    indices: list[int] = []
-    values: list[float] = []
-    for major in range(major_dim):
-        fiber = fibers.get(major)
-        if fiber is not None:
-            for coord, value in fiber:
-                if coord >= minor_dim:
-                    raise ValueError(
-                        f"coordinate {coord} outside minor dimension {minor_dim}"
-                    )
-                if value != 0.0:
-                    indices.append(coord)
-                    values.append(value)
-        pointers[major + 1] = len(indices)
-    return CompressedMatrix(nrows, ncols, layout, pointers, indices, values)
 
 
 def csr_from_dense(dense: np.ndarray, tolerance: float = 0.0) -> CompressedMatrix:

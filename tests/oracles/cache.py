@@ -11,7 +11,7 @@ streaming operand with a read-only set-associative cache that operates on a
 The class below is an exact behavioural model: every element access is mapped
 to a relative line address, looked up in the proper set, and either hits or
 misses (allocating with LRU replacement).  It is the cache model of the test
-oracle :class:`repro.accelerators.reference.ReferenceEngine`; the engine
+oracle :class:`oracles.reference_engine.ReferenceEngine`; the engine
 computes the same hits for a whole trace at once
 (:mod:`repro.engine_vec.cache_model`), and those misses produce the Fig. 15
 miss rates and the Fig. 16 off-chip traffic.
@@ -75,11 +75,6 @@ class StreamingCache:
         """Total number of cache lines."""
         return self.num_sets * self.associativity
 
-    @property
-    def elements_per_line(self) -> int:
-        """Matrix elements per cache line."""
-        return self.line_bytes // self.element_bytes
-
     # ------------------------------------------------------------------
     def access_element(self, element_offset: int) -> bool:
         """Access the element at ``element_offset`` within the streaming matrix.
@@ -108,35 +103,6 @@ class StreamingCache:
         if len(ways) > self.associativity:
             ways.popitem(last=False)
         return False
-
-    def access_range(self, start_element: int, num_elements: int) -> int:
-        """Access ``num_elements`` consecutive elements; return the number of misses."""
-        misses = 0
-        for i in range(num_elements):
-            if not self.access_element(start_element + i):
-                misses += 1
-        return misses
-
-    def contains_line_of(self, element_offset: int) -> bool:
-        """True when the line holding ``element_offset`` is resident (no side effects)."""
-        if self._sets is None:
-            return False
-        line_addr = (element_offset * self.element_bytes) // self.line_bytes
-        return line_addr in self._sets[line_addr % self.num_sets]
-
-    def invalidate(self) -> None:
-        """Drop all resident lines (used when the streaming operand changes)."""
-        self._sets = None
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss counters, keeping the resident lines."""
-        self.stats = CacheStats()
-
-    # ------------------------------------------------------------------
-    @property
-    def miss_traffic_bytes(self) -> int:
-        """Bytes fetched from DRAM: one full line per miss."""
-        return self.stats.misses * self.line_bytes
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

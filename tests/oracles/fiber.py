@@ -16,12 +16,19 @@ below provides exactly the operations those components need:
 * sorted intersection (what the Inner-Product dataflow needs to align
   effectual operands), and
 * dot product of two fibers (a full Inner-Product reduction).
+
+The functions at the end read a :class:`~repro.sparse.formats.CompressedMatrix`
+as fibers (:func:`fiber_of`, :func:`row_of`, :func:`col_of`,
+:func:`iter_nonempty_fibers`) and build one from them
+(:func:`matrix_from_fibers`).
 """
 
 from __future__ import annotations
 
 import heapq
 from typing import Iterable, Iterator, NamedTuple, Sequence
+
+from repro.sparse.formats import CompressedMatrix, Layout
 
 
 class Element(NamedTuple):
@@ -289,3 +296,74 @@ def _accumulate_sorted(elements: list[Element]) -> list[Element]:
         else:
             out.append(element)
     return out
+
+
+# ----------------------------------------------------------------------
+# Compressed matrices as fibers
+# ----------------------------------------------------------------------
+def fiber_of(matrix: CompressedMatrix, major_index: int) -> Fiber:
+    """Return the fiber (compressed row or column) at ``major_index``."""
+    if not 0 <= major_index < matrix.major_dim:
+        raise IndexError(
+            f"fiber index {major_index} out of range for major dim {matrix.major_dim}"
+        )
+    start = int(matrix.pointers[major_index])
+    end = int(matrix.pointers[major_index + 1])
+    fiber = Fiber()
+    fiber._elements = [
+        Element(int(c), float(v))
+        for c, v in zip(matrix.indices[start:end], matrix.values[start:end])
+    ]
+    return fiber
+
+
+def iter_nonempty_fibers(matrix: CompressedMatrix) -> Iterator[tuple[int, Fiber]]:
+    """Yield only the fibers that contain at least one element."""
+    for major in range(matrix.major_dim):
+        if matrix.fiber_nnz(major):
+            yield major, fiber_of(matrix, major)
+
+
+def row_of(matrix: CompressedMatrix, r: int) -> Fiber:
+    """Return row ``r`` as a fiber regardless of layout (may be O(nnz) for CSC)."""
+    if matrix.layout.major_is_row:
+        return fiber_of(matrix, r)
+    return Fiber(
+        ((c, v) for rr, c, v in matrix.iter_elements() if rr == r), sort=True
+    )
+
+
+def col_of(matrix: CompressedMatrix, c: int) -> Fiber:
+    """Return column ``c`` as a fiber regardless of layout (may be O(nnz) for CSR)."""
+    if not matrix.layout.major_is_row:
+        return fiber_of(matrix, c)
+    return Fiber(
+        ((r, v) for r, cc, v in matrix.iter_elements() if cc == c), sort=True
+    )
+
+
+def matrix_from_fibers(
+    nrows: int,
+    ncols: int,
+    fibers: dict[int, Fiber],
+    layout: Layout = Layout.CSR,
+) -> CompressedMatrix:
+    """Build a compressed matrix from a mapping of major index to fiber."""
+    major_dim = nrows if layout.major_is_row else ncols
+    minor_dim = ncols if layout.major_is_row else nrows
+    pointers = [0] * (major_dim + 1)
+    indices: list[int] = []
+    values: list[float] = []
+    for major in range(major_dim):
+        fiber = fibers.get(major)
+        if fiber is not None:
+            for coord, value in fiber:
+                if coord >= minor_dim:
+                    raise ValueError(
+                        f"coordinate {coord} outside minor dimension {minor_dim}"
+                    )
+                if value != 0.0:
+                    indices.append(coord)
+                    values.append(value)
+        pointers[major + 1] = len(indices)
+    return CompressedMatrix(nrows, ncols, layout, pointers, indices, values)

@@ -12,10 +12,11 @@ one cluster pass.
 
 from __future__ import annotations
 
-from repro.dataflows.merge_util import merge_tree_counted
-from repro.dataflows.stats import DataflowResult, DataflowStats
-from repro.sparse.fiber import Fiber
-from repro.sparse.formats import CompressedMatrix, Layout, matrix_from_fibers
+from oracles.fiber import Fiber, fiber_of, matrix_from_fibers
+from oracles.merge_util import merge_tree_counted
+from oracles.result import DataflowResult
+from repro.dataflows.stats import DataflowStats
+from repro.sparse.formats import CompressedMatrix, Layout
 
 
 def run_gustavson(
@@ -58,7 +59,7 @@ def run_gustavson(
     output_fibers: dict[int, Fiber] = {}
 
     for m in range(a_rows.major_dim):
-        a_fiber = a_rows.fiber(m)
+        a_fiber = fiber_of(a_rows, m)
         if a_fiber.is_empty():
             continue
         elements = list(a_fiber)
@@ -74,7 +75,7 @@ def run_gustavson(
                 # Leader-follower intersection: the stationary coordinate k
                 # fetches the whole fiber B[k, :].
                 stats.intersection_probes += 1
-                b_fiber = b_rows.fiber(k)
+                b_fiber = fiber_of(b_rows, k)
                 if b_fiber.is_empty():
                     continue
                 stats.streaming_elements_read += b_fiber.nnz

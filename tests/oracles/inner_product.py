@@ -13,7 +13,9 @@ when the intersection is sparse (many streamed elements produce no work).
 
 from __future__ import annotations
 
-from repro.dataflows.stats import DataflowResult, DataflowStats
+from oracles.fiber import fiber_of
+from oracles.result import DataflowResult
+from repro.dataflows.stats import DataflowStats
 from repro.sparse.formats import CompressedMatrix, Layout, matrix_from_coo
 
 
@@ -63,13 +65,13 @@ def run_inner_product(
 
     for batch in stationary_batches:
         stats.stationary_iterations += 1
-        batch_fibers = {m: (a_rows.fiber(m) if chunk is None else chunk)
+        batch_fibers = {m: (fiber_of(a_rows, m) if chunk is None else chunk)
                         for m, chunk in batch}
         stats.stationary_elements_read += sum(f.nnz for f in batch_fibers.values())
         # The whole streaming matrix passes by once per stationary batch.
         stats.streaming_elements_read += b_nnz
         for n in range(b_cols.major_dim):
-            b_fiber = b_cols.fiber(n)
+            b_fiber = fiber_of(b_cols, n)
             if b_fiber.is_empty():
                 continue
             for m, a_fiber in batch_fibers.items():
@@ -120,7 +122,7 @@ def _pack_rows(
             if current:
                 batches.append(current)
                 current, used = [], 0
-            fiber = a_rows.fiber(m)
+            fiber = fiber_of(a_rows, m)
             elements = list(fiber)
             for start in range(0, len(elements), num_multipliers):
                 chunk_fiber = type(fiber)(

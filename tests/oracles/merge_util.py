@@ -11,7 +11,7 @@ functional dataflow statistics line up with what the cycle model charges.
 
 from __future__ import annotations
 
-from repro.sparse.fiber import Element, Fiber
+from oracles.fiber import Element, Fiber
 
 
 def merge_two_counted(a: Fiber, b: Fiber) -> tuple[Fiber, int, int]:

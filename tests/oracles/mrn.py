@@ -15,8 +15,9 @@ This module provides two levels of modelling:
   configurations, and is what the unit tests validate the analytical model
   against.
 * :func:`reduction_cycles` / :func:`merge_cycles` — closed-form cycle
-  estimates (pipelined tree throughput limited by the configured bandwidth)
-  used by the accelerator-level cycle accounting for large workloads.
+  estimates (pipelined tree throughput limited by the configured bandwidth),
+  the form the engine charges for a merge pass
+  (:meth:`repro.engine_vec.kernels.OpMerge.price`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from repro.sparse.fiber import Element, Fiber
+from oracles.fiber import Element, Fiber
 
 
 class NodeMode(enum.Enum):
@@ -82,11 +83,6 @@ class MergerReductionNetwork:
         self.stats = MrnStats()
 
     # ------------------------------------------------------------------
-    @property
-    def num_nodes(self) -> int:
-        """Total adder/comparator nodes (``num_leaves - 1``)."""
-        return self.num_leaves - 1
-
     def configure(self, mode: NodeMode) -> None:
         """Put every node in the same mode (how the control logic configures phases)."""
         for level in self.nodes:
@@ -250,26 +246,6 @@ class MergerReductionNetwork:
         cycles = max(1, math.ceil(math.log2(max(2, len(values)))))
         self.stats.cycles += cycles
         return total, cycles
-
-    def reduce_clusters(self, clusters: list[list[float]]) -> tuple[list[float], int]:
-        """Reduce several independent clusters mapped onto disjoint leaf groups.
-
-        All clusters reduce in parallel (the FAN/ART-style flexibility SIGMA
-        relies on); the cycle cost is the depth of the largest cluster.
-        """
-        if sum(len(c) for c in clusters) > self.num_leaves:
-            raise ValueError("clusters do not fit in the tree leaves")
-        sums: list[float] = []
-        worst = 0
-        for cluster in clusters:
-            value, cycles = self.reduce(cluster)
-            # reduce() already charged per-cluster cycles; parallel clusters
-            # overlap, so undo the serial accumulation and charge the max below.
-            self.stats.cycles -= cycles
-            worst = max(worst, cycles)
-            sums.append(value)
-        self.stats.cycles += worst
-        return sums, worst
 
 
 # ----------------------------------------------------------------------

@@ -14,10 +14,11 @@ can dwarf the final output size.
 
 from __future__ import annotations
 
-from repro.dataflows.merge_util import merge_tree_counted
-from repro.dataflows.stats import DataflowResult, DataflowStats
-from repro.sparse.fiber import Fiber
-from repro.sparse.formats import CompressedMatrix, Layout, matrix_from_fibers
+from oracles.fiber import Fiber, fiber_of, matrix_from_fibers
+from oracles.merge_util import merge_tree_counted
+from oracles.result import DataflowResult
+from repro.dataflows.stats import DataflowStats
+from repro.sparse.formats import CompressedMatrix, Layout
 
 
 def run_outer_product(
@@ -69,7 +70,7 @@ def run_outer_product(
     stationary_elements = [
         (int(row_coord), k, float(value))
         for k in range(a_cols.major_dim)
-        for row_coord, value in a_cols.fiber(k)
+        for row_coord, value in fiber_of(a_cols, k)
     ]
 
     for start in range(0, len(stationary_elements), num_multipliers):
@@ -81,7 +82,7 @@ def run_outer_product(
         distinct_ks = {k for _, k, _ in batch}
         stats.streaming_elements_read += sum(b_rows.fiber_nnz(k) for k in distinct_ks)
         for m, k, a_value in batch:
-            b_fiber = b_rows.fiber(k)
+            b_fiber = fiber_of(b_rows, k)
             if b_fiber.is_empty():
                 continue
             psum_fiber = b_fiber.scaled(a_value)

@@ -2,10 +2,10 @@
 
 :class:`ReferenceEngine` walks each dataflow one multiplier batch at a time
 and probes every streaming-cache line against the per-set LRU state of
-:class:`~repro.arch.memory.cache.StreamingCache`.  The NumPy kernels of
+:class:`~oracles.cache.StreamingCache`.  The NumPy kernels of
 :class:`~repro.accelerators.engine.SpmspmEngine` reproduce its records bit
-for bit.  Only the tests import this module: no product path does, so the
-product runs exactly one model of the hardware.
+for bit.  It lives outside the package, so the product runs exactly one
+model of the hardware.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ import math
 
 import numpy as np
 
+from oracles.cache import StreamingCache
+from oracles.streaming import StreamingTileReader
 from repro.accelerators.engine import SpmspmEngine, _LayerContext, _lines_for
-from repro.arch.controllers.streaming import StreamingTileReader
-from repro.arch.memory.cache import StreamingCache
 from repro.dataflows.base import Dataflow, DataflowClass
 from repro.engine_vec.cache_model import expand_spans
 from repro.sparse.formats import CompressedMatrix

@@ -1,29 +1,23 @@
-"""Dispatch helper that runs any of the six dataflows by name."""
+"""Dispatch helper that runs any of the six functional dataflows."""
 
 from __future__ import annotations
 
+from oracles.gustavson import run_gustavson
+from oracles.inner_product import run_inner_product
+from oracles.outer_product import run_outer_product
+from oracles.result import DataflowResult
 from repro.dataflows.base import Dataflow, DataflowClass
-from repro.dataflows.gustavson import run_gustavson
-from repro.dataflows.inner_product import run_inner_product
-from repro.dataflows.outer_product import run_outer_product
-from repro.dataflows.stats import DataflowResult
 from repro.sparse.formats import CompressedMatrix
 
 
 def run_dataflow(
-    dataflow: Dataflow | str,
+    dataflow: Dataflow,
     a: CompressedMatrix,
     b: CompressedMatrix,
     *,
     num_multipliers: int = 64,
 ) -> DataflowResult:
-    """Execute ``C = A x B`` using the requested dataflow variant.
-
-    ``dataflow`` may be a :class:`Dataflow` member or any name accepted by
-    :meth:`Dataflow.from_name` (e.g. ``"IP_M"``, ``"Gust(N)"``, ``"KMN"``).
-    """
-    if isinstance(dataflow, str):
-        dataflow = Dataflow.from_name(dataflow)
+    """Execute ``C = A x B`` using the requested dataflow variant."""
     n_stationary = dataflow.is_n_stationary
     runners = {
         DataflowClass.INNER_PRODUCT: run_inner_product,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from oracles.fiber import fiber_of
 from repro.sparse.formats import CompressedMatrix, Layout, matrix_from_coo
 
 
@@ -39,8 +40,8 @@ def spgemm_reference(
     triples: list[tuple[int, int, float]] = []
     for m in range(a_rows.nrows):
         accumulator: dict[int, float] = {}
-        for k, a_val in a_rows.fiber(m):
-            for n, b_val in b_rows.fiber(k):
+        for k, a_val in fiber_of(a_rows, m):
+            for n, b_val in fiber_of(b_rows, k):
                 accumulator[n] = accumulator.get(n, 0.0) + a_val * b_val
         triples.extend((m, n, v) for n, v in accumulator.items() if v != 0.0)
     return matrix_from_coo(a.nrows, b.ncols, triples, layout=layout)

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.arch.memory.cache import StreamingCache
-from repro.sparse.fiber import Fiber
+from oracles.cache import StreamingCache
 from repro.sparse.formats import CompressedMatrix
 
 
@@ -41,28 +40,14 @@ class StreamingTileReader:
         """Element offset of the fiber's first element within the matrix storage."""
         return int(self.matrix.pointers[fiber_index])
 
-    def read_fiber(self, fiber_index: int) -> tuple[Fiber, int]:
-        """Read one fiber through the cache.
-
-        Returns ``(fiber, misses)``.  Consecutive elements of a fiber share
-        cache lines, so the cache is probed once per distinct line while the
-        per-element accesses are still accounted in the hit/miss statistics
-        (a line hit serves every element in it).
-        """
-        nnz = self.matrix.fiber_nnz(fiber_index)
-        fiber = self.matrix.fiber(fiber_index)
-        if nnz == 0:
-            return fiber, 0
-        misses = self._access_span(self.fiber_offset(fiber_index), nnz)
-        self.stats.fiber_reads += 1
-        self.stats.elements_read += nnz
-        return fiber, misses
-
     def touch_fiber(self, fiber_index: int) -> int:
-        """Drive the cache for a fiber read without materialising the fiber.
+        """Drive the cache for one fiber read; return its misses.
 
-        Used on re-streaming passes where the engine already holds the fiber
-        contents and only the cache behaviour matters.  Returns the misses.
+        Consecutive elements of a fiber share cache lines, so the cache is
+        probed once per distinct line while the per-element accesses are
+        still accounted in the hit/miss statistics (a line hit serves every
+        element in it).  The walk already holds the fiber's contents; only
+        the cache behaviour matters.
         """
         nnz = self.matrix.fiber_nnz(fiber_index)
         if nnz == 0:
@@ -71,13 +56,6 @@ class StreamingTileReader:
         self.stats.fiber_reads += 1
         self.stats.elements_read += nnz
         return misses
-
-    def read_all_sequential(self) -> int:
-        """Stream the entire matrix once, in storage order; return total misses."""
-        total_misses = 0
-        for fiber_index in range(self.matrix.major_dim):
-            total_misses += self.touch_fiber(fiber_index)
-        return total_misses
 
     # ------------------------------------------------------------------
     def _access_span(self, start_element: int, num_elements: int) -> int:

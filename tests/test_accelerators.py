@@ -129,14 +129,6 @@ class TestCpuBaseline:
         result = cpu.run_layer(*pair(seed=8))
         assert result.seconds == pytest.approx(result.cycles / 1e9)
 
-    def test_model_run_aggregates(self):
-        cpu = CpuMklLikeBaseline()
-        layers = [pair(seed=10), pair(seed=11)]
-        total = cpu.run_model(layers)
-        assert total.cycles == pytest.approx(
-            sum(cpu.run_layer(a, b).cycles for a, b in layers)
-        )
-
     def test_shape_mismatch_rejected(self):
         a = random_sparse(4, 5, 0.5, seed=1)
         b = random_sparse(6, 4, 0.5, seed=2)

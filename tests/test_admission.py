@@ -394,7 +394,11 @@ class TestSaturationSmoke:
         requests — every answer is 202/429/503, refusals carry
         ``Retry-After``, warm requests keep answering throughout, and
         honouring Retry-After converges every request to bytes identical
-        to a serial run."""
+        to a serial run.
+
+        Admitted cold jobs wait until the whole first wave has been
+        answered: a micro job finishes in milliseconds, so without the
+        hold a burst spread wider than that would never fill the pool."""
         depth = 2
         monkeypatch.setenv("REPRO_JOB_POOL_DEPTH", str(depth))
         specs = [("A2", design) for design in DESIGNS] + [
@@ -433,6 +437,16 @@ class TestSaturationSmoke:
                         request(server, "POST", "/v1/sweep", warm)[0]
                     )
 
+            # Every cold job admitted from here on stays in flight until the
+            # first wave is in, so the burst overflows the depth bound.
+            release = threading.Event()
+            run_job = JobManager.run_job
+
+            def held_run_job(manager, job, etag):
+                release.wait(timeout=60)
+                run_job(manager, job, etag)
+
+            monkeypatch.setattr(JobManager, "run_job", held_run_job)
             warm_thread = threading.Thread(target=hammer_warm, daemon=True)
             warm_thread.start()
             try:
@@ -446,6 +460,7 @@ class TestSaturationSmoke:
                         )
                     )
             finally:
+                release.set()
                 stop_warm.set()
                 warm_thread.join(timeout=30)
 

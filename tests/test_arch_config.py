@@ -30,10 +30,8 @@ class TestDefaults:
         cfg = default_config()
         assert cfg.element_bytes == 4
         assert cfg.str_cache_sets == (1024**2 // 128) // 16
-        assert cfg.str_cache_elements_per_line == 32
         assert cfg.psram_blocks == 256 * 1024 // 128
         assert cfg.psram_elements_per_block == 32
-        assert cfg.sta_fifo_elements == 64
         # 100 ns at 800 MHz is 80 cycles.
         assert cfg.dram_latency_cycles == 80
         assert cfg.dram_bytes_per_cycle == pytest.approx(256e9 / 800e6)

@@ -2,10 +2,11 @@
 
 import pytest
 
+from oracles.reference_engine import _pack_whole_fibers
+from oracles.runner import run_dataflow
 from repro.accelerators.engine import SpmspmEngine
-from repro.accelerators.reference import _pack_whole_fibers
 from repro.arch.config import default_config
-from repro.dataflows import Dataflow, run_dataflow
+from repro.dataflows import Dataflow
 from repro.sparse import Layout, random_sparse
 
 ALL_DATAFLOWS = list(Dataflow)

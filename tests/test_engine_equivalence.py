@@ -21,10 +21,10 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from oracles.cache import StreamingCache
+from oracles.reference_engine import ReferenceEngine
 from repro.accelerators.engine import SpmspmEngine
-from repro.accelerators.reference import ReferenceEngine
 from repro.arch.config import AcceleratorConfig, DramConfig, default_config
-from repro.arch.memory.cache import StreamingCache
 from repro.dataflows.base import Dataflow, DataflowClass
 from repro.dse.designs import BUILTIN_DESIGN_POINTS, get_design_point
 from repro.engine_vec.cache_model import lru_hits, prefix_rank_leq
@@ -140,7 +140,7 @@ def test_batched_lru_matches_streaming_cache_on_random_traces(monkeypatch):
 
 def test_batched_lru_matches_fiber_touch_walk():
     """Span-shaped traces (whole-fiber touches), as the engine produces them."""
-    from repro.arch.controllers.streaming import StreamingTileReader
+    from oracles.streaming import StreamingTileReader
     from repro.engine_vec.cache_model import expand_spans, fiber_line_spans
 
     rng = np.random.default_rng(11)
@@ -312,7 +312,7 @@ def test_grouped_union_counts_match_per_group_set_unions():
 # Array forms of the packing and merge models against their loops
 # ----------------------------------------------------------------------
 def test_fiber_packing_matches_the_greedy_loop():
-    from repro.accelerators.reference import _pack_whole_fibers
+    from oracles.reference_engine import _pack_whole_fibers
     from repro.sparse.formats import CompressedMatrix, Layout
 
     rng = np.random.default_rng(13)

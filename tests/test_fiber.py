@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sparse import Element, Fiber
+from oracles.fiber import Element, Fiber
 
 
 def fiber_strategy(max_coord=64, max_len=20):

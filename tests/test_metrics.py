@@ -16,7 +16,6 @@ from repro.metrics import (
     geometric_mean,
     speedup,
 )
-from repro.metrics.reporting import histogram_line, series_to_rows
 
 
 class TestPhaseCycles:
@@ -58,16 +57,6 @@ class TestModelSimResult:
         result = ModelSimResult(accelerator="X", model_name="toy")
         result.layer_results = [self._layer(100), self._layer(50, Dataflow.GUST_M)]
         assert result.total_cycles == 150
-        assert result.total_traffic.str_bytes == 20
-
-    def test_dataflow_histogram(self):
-        result = ModelSimResult(accelerator="X", model_name="toy")
-        result.layer_results = [
-            self._layer(1), self._layer(1), self._layer(1, Dataflow.GUST_M),
-        ]
-        histogram = result.dataflow_histogram
-        assert histogram[Dataflow.IP_M] == 2
-        assert histogram[Dataflow.GUST_M] == 1
 
 
 class TestAggregations:
@@ -119,13 +108,3 @@ class TestReporting:
 
     def test_markdown_empty(self):
         assert format_markdown_table([]) == "(empty)\n"
-
-    def test_histogram_line(self):
-        text = histogram_line({"IP": 3, "OP": 1, "Gust": 0})
-        assert "IP" in text and "#" in text
-        assert histogram_line({}) == "(no data)"
-
-    def test_series_to_rows(self):
-        rows = series_to_rows({"s1": [1, 2], "s2": [3]}, "idx", ["x", "y"])
-        assert rows[0] == {"idx": "x", "s1": 1, "s2": 3}
-        assert rows[1]["s2"] == ""

@@ -1,8 +1,8 @@
 """Property-style equivalence tests: every dataflow vs the dense reference.
 
-The three dataflow families (six variants) in :mod:`repro.dataflows` are the
+The three dataflow families (six variants) in :mod:`oracles.runner` are the
 algorithmic ground truth the hardware models consume; this suite pins them to
-the dense-numpy reference in :mod:`repro.sparse.reference` across a grid of
+the dense-numpy reference in :mod:`oracles.spgemm` across a grid of
 random sparsities, seeds, shapes and non-zero patterns, so a runtime or
 engine refactor can never silently change *what* is being computed.
 """
@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dataflows import Dataflow, run_dataflow
+from oracles.runner import run_dataflow
+from oracles.spgemm import dense_matmul, matrices_allclose, spgemm_reference
+from repro.dataflows import Dataflow
 from repro.sparse import random_sparse
 from repro.sparse.generate import SparsityPattern
-from repro.sparse.reference import dense_matmul, matrices_allclose, spgemm_reference
 
 #: (m, k, n) shapes: square, wide, tall and degenerate inner dimension.
 SHAPES = ((24, 24, 24), (17, 31, 9), (40, 6, 33))

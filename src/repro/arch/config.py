@@ -8,7 +8,30 @@ merge network and the memory controllers).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+import numbers
+from dataclasses import asdict, dataclass, field, fields, replace
+
+#: The numeric field annotations, and the type each such field is stored as.
+_NUMERIC_TYPES = {"int": int, "float": float, "float | None": float}
+
+
+def coerce_numeric_fields(instance) -> None:
+    """Store every numeric field of a frozen dataclass as its declared type.
+
+    Equal numbers spelled differently (``8e8`` and ``800000000``) compare and
+    hash alike, so the memos keyed by value (``runtime.jobs._config_blob``,
+    ``wire.settings_key``) would hand one spelling's JSON to the other, and a
+    content key would depend on what the process keyed first.  A value that
+    is no number, or a non-integral one for an ``int`` field, is rejected.
+    """
+    for spec in fields(instance):
+        kind = _NUMERIC_TYPES.get(spec.type)
+        value = getattr(instance, spec.name)
+        if kind is None or value is None:
+            continue
+        if not isinstance(value, numbers.Real) or (kind is int and not float(value).is_integer()):
+            raise ValueError(f"{spec.name} must be {spec.type}, got {value!r}")
+        object.__setattr__(instance, spec.name, kind(value))
 
 
 @dataclass(frozen=True)
@@ -21,6 +44,9 @@ class DramConfig:
     access_time_ns: float = 100.0
     #: Sustained bandwidth in bytes per second (256 GB/s in Table 5).
     bandwidth_bytes_per_s: float = 256e9
+
+    def __post_init__(self) -> None:
+        coerce_numeric_fields(self)
 
 
 @dataclass(frozen=True)
@@ -69,6 +95,7 @@ class AcceleratorConfig:
     dram: DramConfig = field(default_factory=DramConfig)
 
     def __post_init__(self) -> None:
+        coerce_numeric_fields(self)
         if self.num_multipliers < 1:
             raise ValueError("num_multipliers must be positive")
         if self.num_adders != self.num_multipliers - 1:

@@ -4,9 +4,9 @@ The paper attaches the accelerator to an HBM 2.0 DRAM simulated with SST; the
 quantities its evaluation actually uses are the off-chip traffic volume
 (Fig. 16) and the time the memory-bound phases spend waiting for DRAM
 bandwidth/latency.  :class:`DramModel` therefore tracks bytes read and written
-per logical stream and converts them into cycle costs with a simple
-latency + bandwidth model, which is what determines the memory-bound phase
-durations in the accelerator models.
+per logical stream and gives the bandwidth that prices them in cycles; the
+latency a miss exposes is the configuration's
+``exposed_miss_latency_cycles``.
 """
 
 from __future__ import annotations
@@ -44,27 +44,14 @@ class DramTrafficCounter:
         """Total off-chip traffic (the quantity of Fig. 16)."""
         return self.total_read_bytes + self.total_write_bytes
 
-    def merged_with(self, other: "DramTrafficCounter") -> "DramTrafficCounter":
-        """Element-wise sum of two counters."""
-        return DramTrafficCounter(
-            sta_read_bytes=self.sta_read_bytes + other.sta_read_bytes,
-            str_read_bytes=self.str_read_bytes + other.str_read_bytes,
-            output_write_bytes=self.output_write_bytes + other.output_write_bytes,
-            psum_spill_bytes=self.psum_spill_bytes + other.psum_spill_bytes,
-        )
-
 
 @dataclass
 class DramModel:
-    """Latency + bandwidth cost model for the off-chip memory."""
+    """Traffic counters and bandwidth of the off-chip memory."""
 
     config: DramConfig = field(default_factory=DramConfig)
     frequency_hz: float = 800e6
     traffic: DramTrafficCounter = field(default_factory=DramTrafficCounter)
-    #: Number of individual requests issued (each pays the access latency once,
-    #: but requests to a streaming interface are pipelined so only a fraction
-    #: is exposed; see :meth:`cycles_for`).
-    requests: int = 0
 
     # ------------------------------------------------------------------
     # Recording traffic
@@ -92,33 +79,11 @@ class DramModel:
     def _record(self, nbytes: int) -> None:
         if nbytes < 0:
             raise ValueError("traffic must be non-negative")
-        if nbytes:
-            self.requests += 1
 
     # ------------------------------------------------------------------
     # Cost model
     # ------------------------------------------------------------------
     @property
-    def latency_cycles(self) -> int:
-        """Access latency of one request in core cycles."""
-        return int(round(self.config.access_time_ns * 1e-9 * self.frequency_hz))
-
-    @property
     def bytes_per_cycle(self) -> float:
         """Sustained DRAM bandwidth per core cycle."""
         return self.config.bandwidth_bytes_per_s / self.frequency_hz
-
-    def cycles_for(self, nbytes: int, *, streamed: bool = True) -> float:
-        """Cycles needed to transfer ``nbytes``.
-
-        ``streamed`` requests overlap their latency with the transfer of the
-        previous request (the tile fillers prefetch ahead), so only one
-        latency is exposed; non-streamed (pointer-chasing) requests pay the
-        latency per request.
-        """
-        if nbytes <= 0:
-            return 0.0
-        transfer = nbytes / self.bytes_per_cycle
-        if streamed:
-            return self.latency_cycles + transfer
-        return self.latency_cycles + transfer

@@ -45,23 +45,3 @@ class DataflowStats:
     #: Number of merge passes that had to respill because a row had more
     #: partial fibers than tree leaves.
     merge_passes: int = 0
-
-    def merged_with(self, other: "DataflowStats") -> "DataflowStats":
-        """Return the element-wise sum of two stats records."""
-        return DataflowStats(
-            multiplications=self.multiplications + other.multiplications,
-            intersection_probes=self.intersection_probes + other.intersection_probes,
-            psum_writes=self.psum_writes + other.psum_writes,
-            psum_reads=self.psum_reads + other.psum_reads,
-            merge_comparisons=self.merge_comparisons + other.merge_comparisons,
-            additions=self.additions + other.additions,
-            stationary_elements_read=(
-                self.stationary_elements_read + other.stationary_elements_read
-            ),
-            streaming_elements_read=(
-                self.streaming_elements_read + other.streaming_elements_read
-            ),
-            output_elements=self.output_elements + other.output_elements,
-            stationary_iterations=self.stationary_iterations + other.stationary_iterations,
-            merge_passes=self.merge_passes + other.merge_passes,
-        )

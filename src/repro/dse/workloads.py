@@ -19,10 +19,10 @@ the workload axis in two directions:
 Both kinds register by name (:func:`register_workload`) so a
 :class:`~repro.dse.explore.DseSpec` — and the ``python -m repro dse`` CLI —
 can sweep them like the paper's models.  Cache identity always derives from
-*content*: a matrix workload is keyed by the SHA-256 of its loaded operand
-arrays, a synthetic one by its generator parameters — never by a file path,
-so two hosts loading the same matrix from different directories share cache
-entries.
+*content*: a matrix workload is keyed by the SHA-256 of its loaded operands'
+structure, a synthetic one by its generator parameters — never by a file
+path, so two hosts loading the same matrix from different directories share
+cache entries.
 
 Setting ``REPRO_DSE_DIR`` to a directory of ``*.mtx`` files auto-registers
 each file under its stem name.
@@ -67,12 +67,12 @@ def load_matrix_market(
 ) -> CompressedMatrix:
     """Parse one MatrixMarket ``coordinate`` file into a compressed matrix.
 
-    The parser streams line by line (never holding the text in memory),
-    tolerates CRLF line endings and ``%`` comment lines, accumulates
-    duplicate coordinates and drops explicit zeros — the semantics of
-    :func:`~repro.sparse.formats.matrix_from_arrays`.  ``pattern`` files
-    carry no values; every stored entry becomes ``1.0``.  ``symmetric``
-    files are expanded by mirroring every off-diagonal entry.
+    The parser streams line by line (never holding the text in memory) and
+    tolerates CRLF line endings and ``%`` comment lines.  ``symmetric``
+    files are expanded by mirroring every off-diagonal entry.  The value
+    column is parsed and checked, and decides which positions are entries
+    (:func:`_entries`), but the matrix keeps structure only; every position
+    of a ``pattern`` file is an entry.
 
     ``max_nnz`` / ``max_dim`` bound the declared size line (defaults:
     the ``REPRO_DSE_MAX_NNZ`` / ``REPRO_DSE_MAX_DIM`` knobs); a file past
@@ -162,7 +162,7 @@ def _parse_matrix_market(handle, label, layout, max_nnz, max_dim):
         try:
             r = int(parts[0])
             c = int(parts[1])
-            value = float(parts[2]) if width == 3 else 1.0
+            value = float(parts[2]) if width == 3 else 1.0  # pattern: an entry
         except ValueError:
             fail(lineno, f"malformed entry {text!r}")
         if not (1 <= r <= nrows and 1 <= c <= ncols):
@@ -185,7 +185,20 @@ def _parse_matrix_market(handle, label, layout, max_nnz, max_dim):
             np.concatenate([cols, rows[mirror]]),
             np.concatenate([values, values[mirror]]),
         )
-    return matrix_from_arrays(nrows, ncols, rows, cols, values, layout=layout)
+    return matrix_from_arrays(nrows, ncols, *_entries(rows, cols, values), layout=layout)
+
+
+def _entries(rows, cols, values):
+    """The positions that hold an entry: a repeated position's values are
+    summed in file order, and a position whose sum is ``0.0`` holds none."""
+    order = np.lexsort((cols, rows))  # stable: file order within a position
+    rows, cols, values = rows[order], cols[order], values[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    sums = np.zeros(int(first.sum()))
+    np.add.at(sums, np.cumsum(first) - 1, values)
+    keep = sums != 0.0
+    return rows[first][keep], cols[first][keep]
 
 
 # ----------------------------------------------------------------------
@@ -231,8 +244,9 @@ class Workload:
     def digest(self) -> str:
         """Content hash identifying this workload across processes.
 
-        Matrix workloads hash the loaded operand arrays (shape, layout,
-        stored values); synthetic ones hash their generator parameters.
+        Matrix workloads hash the loaded operands' structure (layout, shape,
+        pointers, indices), so an edit to values alone that moves no entry
+        keeps it; synthetic ones hash their generator parameters.
         The digest is what :meth:`repro.dse.explore.DseSpec.key` folds in,
         keeping campaign keys path-independent.
         """

@@ -3,7 +3,7 @@
 :class:`repro.accelerators.engine.SpmspmEngine` runs every layer through
 the array kernels of :mod:`repro.engine_vec.kernels`.  They compute the
 quantities of a dataflow walk over the zero-copy CSR/CSC storage views
-(``pointers`` / ``indices`` / ``values``) of
+(``pointers`` / ``indices``, all an operand stores) of
 :class:`~repro.sparse.formats.CompressedMatrix`, never materialising
 per-element fiber objects or walking one multiplier batch at a time.
 
@@ -63,7 +63,7 @@ Each kernel is split where the configuration enters:
   it reads none of them.
 * The **pricing pass** (:func:`~repro.engine_vec.kernels.price`) turns a
   record and the pricing fields into the result: the cycles of every phase
-  in the walk's summation order, the DRAM traffic and requests, and the
+  in the walk's summation order, the DRAM traffic and the
   PSRAM spills.
 
 ``SpmspmEngine`` prices a record on every run and memoizes the record per

@@ -115,10 +115,9 @@ def grouped_union_counts(
     return out
 
 
-def _flush_dram(counter, stream: str, total: int, requests: int) -> None:
+def _flush_dram(counter, stream: str, total: int) -> None:
     """Credit bulk traffic to one DRAM stream, mirroring per-call accounting."""
     setattr(counter.traffic, stream, getattr(counter.traffic, stream) + int(total))
-    counter.requests += int(requests)
 
 
 def _cache_stats(accesses: int, misses: int, line_bytes: int) -> CacheStats:
@@ -210,21 +209,11 @@ class RowMerges:
         ctx.stats.psum_reads += total_inputs
         ctx.traffic.psum_bytes += total_inputs * eb
         ctx.stats.merge_passes += len(self.inputs)
-        _flush_dram(
-            ctx.dram,
-            "output_write_bytes",
-            int(self.output_bytes.sum()),
-            int(np.count_nonzero(self.output_bytes)),
-        )
+        _flush_dram(ctx.dram, "output_write_bytes", int(self.output_bytes.sum()))
         spill_bytes = np.maximum(0, self.blocks - cfg.psram_blocks) * cfg.psram_block_bytes
         total_spill = int(spill_bytes.sum())
         if total_spill:
-            _flush_dram(
-                ctx.dram,
-                "psum_spill_bytes",
-                total_spill,
-                int(np.count_nonzero(spill_bytes)),
-            )
+            _flush_dram(ctx.dram, "psum_spill_bytes", total_spill)
 
         # Per row, max(compute, dram) followed by the spill penalty when the
         # row overflowed the PSRAM — interleaved in row order to reproduce
@@ -257,10 +246,8 @@ class StreamRecord:
     stats: DataflowStats = field(default_factory=DataflowStats)
     traffic: TrafficBreakdown = field(default_factory=TrafficBreakdown)
     cache: CacheStats = field(default_factory=CacheStats)
-    #: Their off-chip reads and output writes, and how many requests those
-    #: took.
+    #: Their off-chip reads and output writes.
     dram: DramTrafficCounter = field(default_factory=DramTrafficCounter)
-    dram_requests: int = 0
     #: Stationary elements loaded per batch.
     sta: np.ndarray = field(default_factory=_empty)
     #: Elements the distribution network delivers per batch (Inner Product
@@ -296,7 +283,6 @@ def price(record: StreamRecord, ctx) -> None:
     ctx.traffic = _copy(record.traffic)
     ctx.cache_stats = _copy(record.cache)
     ctx.dram.traffic = _copy(record.dram)
-    ctx.dram.requests = record.dram_requests
 
     sta = record.sta
     ctx.cycles.stationary = ordered_sum(
@@ -517,11 +503,6 @@ def run_inner_product(engine, ctx) -> StreamRecord:
             str_read_bytes=total_misses * line_bytes,
             output_write_bytes=int(out_bytes_b.sum()),
         ),
-        dram_requests=int(
-            np.count_nonzero(sta_b)
-            + np.count_nonzero(miss_bytes_b)
-            + np.count_nonzero(out_bytes_b)
-        ),
         sta=sta_b,
         distributed=snnz,
         reduced=out_b,
@@ -601,7 +582,6 @@ def run_outer_product(engine, ctx) -> StreamRecord:
         dram=DramTrafficCounter(
             sta_read_bytes=n * eb, str_read_bytes=total_misses * line_bytes
         ),
-        dram_requests=int(np.count_nonzero(sta_b) + np.count_nonzero(miss_bytes_b)),
         sta=sta_b,
         distributed=streamed_b,
         reduced=mults_b,
@@ -717,11 +697,6 @@ def run_gustavson(engine, ctx) -> StreamRecord:
             sta_read_bytes=total_sta * eb,
             str_read_bytes=total_misses * line_bytes,
             output_write_bytes=int(out_bytes_b.sum()),
-        ),
-        dram_requests=int(
-            np.count_nonzero(sta_b)
-            + np.count_nonzero(out_bytes_b)
-            + np.count_nonzero(miss_bytes_b)
         ),
         sta=sta_b,
         distributed=streamed_b,

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro import knobs
-from repro.arch.config import AcceleratorConfig, default_config
+from repro.arch.config import AcceleratorConfig, coerce_numeric_fields, default_config
 from repro.workloads.layers import LayerSpec, round_up_pow2, scale_for_budget
 
 
@@ -40,6 +40,9 @@ class ExperimentSettings:
     max_layers_per_model: int = 10
     #: Random-seed salt for synthetic matrix generation.
     seed_salt: int = 0
+
+    def __post_init__(self) -> None:
+        coerce_numeric_fields(self)
 
     # ------------------------------------------------------------------
     def to_record(self) -> dict[str, object]:

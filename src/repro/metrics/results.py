@@ -79,14 +79,6 @@ class PhaseCycles:
         """Total execution cycles of the layer."""
         return self.stationary + self.streaming + self.merging
 
-    def merged_with(self, other: "PhaseCycles") -> "PhaseCycles":
-        """Element-wise sum (used when accumulating layers of a model)."""
-        return PhaseCycles(
-            stationary=self.stationary + other.stationary,
-            streaming=self.streaming + other.streaming,
-            merging=self.merging + other.merging,
-        )
-
     def to_record(self) -> dict[str, float]:
         """JSON-safe dict form."""
         return {
@@ -118,15 +110,6 @@ class TrafficBreakdown:
     def onchip_bytes(self) -> int:
         """Total on-chip memory traffic (the quantity of Fig. 14)."""
         return self.sta_bytes + self.str_bytes + self.psum_bytes
-
-    def merged_with(self, other: "TrafficBreakdown") -> "TrafficBreakdown":
-        """Element-wise sum."""
-        return TrafficBreakdown(
-            sta_bytes=self.sta_bytes + other.sta_bytes,
-            str_bytes=self.str_bytes + other.str_bytes,
-            psum_bytes=self.psum_bytes + other.psum_bytes,
-            offchip_bytes=self.offchip_bytes + other.offchip_bytes,
-        )
 
     def to_record(self) -> dict[str, int]:
         """JSON-safe dict form (numpy integers normalised to plain ints)."""

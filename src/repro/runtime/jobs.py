@@ -12,7 +12,7 @@ forced dataflow.  Because a job is data, it can be
   on-disk result cache (:mod:`repro.runtime.cache`) correct.
 
 The key deliberately covers *everything the result depends on*: the design,
-every configuration field, the layer spec (or the full operand contents when
+every configuration field, the layer spec (or the operand structure when
 explicit matrices are given), scale, seed and forced dataflow, plus a schema
 version that must be bumped whenever the simulator's semantics change.
 
@@ -165,7 +165,8 @@ class SimJob:
     * ``spec`` (with ``scale`` and ``seed``) — the operands are generated on
       the executing worker, so the job itself stays tiny, or
     * ``a`` and ``b`` — explicit operands, content-addressed by hashing their
-      stored arrays (used by the oracle mapper's candidate trials).
+      structure, the only thing a simulation reads of them (used by the
+      oracle mapper's candidate trials).
     """
 
     design: str
@@ -299,7 +300,7 @@ _MATRIX_DIGESTS: dict[int, tuple["weakref.ref[CompressedMatrix]", str]] = {}
 
 
 def _matrix_digest(matrix: CompressedMatrix) -> str:
-    """Content hash of a compressed matrix (layout, shape and stored arrays)."""
+    """Content hash of a matrix's structure (layout, shape, pointers, indices)."""
     # ``id`` here is only a *memo* key for the content hash below — it never
     # reaches the digest, so the returned key stays process-independent.
     entry = _MATRIX_DIGESTS.get(id(matrix))  # repro: allow[determinism]
@@ -310,7 +311,6 @@ def _matrix_digest(matrix: CompressedMatrix) -> str:
     digest.update(f"{matrix.nrows}x{matrix.ncols}".encode())
     digest.update(matrix.pointers.tobytes())
     digest.update(matrix.indices.tobytes())
-    digest.update(matrix.values.tobytes())
     value = digest.hexdigest()
     key = id(matrix)  # repro: allow[determinism]
     _MATRIX_DIGESTS[key] = (

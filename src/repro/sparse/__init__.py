@@ -2,10 +2,11 @@
 
 The package implements the compressed formats the paper builds on (CSR and
 CSC, Section 2.1) and synthetic sparse matrix generation with controllable
-sparsity patterns.  A *fiber* — one compressed row (CSR) or column (CSC) —
-is a slice of a matrix's storage arrays (``fiber_nnz``, ``iter_elements``).
-Layout flips, transposes and dense expansion are :class:`CompressedMatrix`
-methods (``with_layout``, ``transposed``, ``to_dense``).
+sparsity patterns.  A matrix is its structure: the ``pointers`` and
+``indices`` arrays, with no value vector.  A *fiber* — one compressed row
+(CSR) or column (CSC) — is a slice of those arrays (``fiber_nnz``).  Layout
+flips and transposes are :class:`CompressedMatrix` methods (``with_layout``,
+``transposed``).
 """
 
 from repro.sparse.formats import (
@@ -15,13 +16,8 @@ from repro.sparse.formats import (
     csr_from_dense,
     empty_matrix,
     matrix_from_arrays,
-    matrix_from_coo,
 )
-from repro.sparse.generate import (
-    SparsityPattern,
-    random_sparse,
-    sparse_from_density_map,
-)
+from repro.sparse.generate import SparsityPattern, random_sparse
 
 __all__ = [
     "CompressedMatrix",
@@ -30,8 +26,6 @@ __all__ = [
     "csc_from_dense",
     "empty_matrix",
     "matrix_from_arrays",
-    "matrix_from_coo",
     "SparsityPattern",
     "random_sparse",
-    "sparse_from_density_map",
 ]

@@ -2,30 +2,33 @@
 
 The paper treats CSR and CSC as one compression method viewed along two
 different major axes (Section 2.1): three one-dimensional tensors — a pointer
-vector, an index vector and a data vector.  ``CompressedMatrix`` captures that
-directly: fiber ``i`` (a row in CSR, a column in CSC) is the slice
-``pointers[i]:pointers[i + 1]`` of the index and data vectors, which is how
-every dataflow in the accelerator consumes it.
+vector, an index vector and a data vector.  Every cycle and traffic count of
+the simulator reads only the first two (an element's width is priced by
+``word_bits``, never read from a value), so ``CompressedMatrix`` stores the
+structure alone: fiber ``i`` (a row in CSR, a column in CSC) is the slice
+``pointers[i]:pointers[i + 1]`` of the index vector, which is how every
+dataflow in the accelerator consumes it.  The test oracles that check
+``C = A·B`` give each stored position its value themselves.
 """
 
 from __future__ import annotations
 
 import enum
 import weakref
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
 
-def _frozen(array_like, dtype) -> np.ndarray:
-    """A read-only int/float array over ``array_like``, without copying.
+def _frozen(array_like) -> np.ndarray:
+    """A read-only int64 array over ``array_like``, without copying.
 
     When ``asarray`` had to convert, the fresh array is simply frozen; when
     the caller's own ndarray came through unchanged, a zero-copy *view* is
     frozen instead, so the caller's handle keeps its writability (freezing
     an object the constructor does not own would be a visible side effect).
     """
-    arr = np.asarray(array_like, dtype=dtype)
+    arr = np.asarray(array_like, dtype=np.int64)
     if arr.flags.writeable:
         if arr is array_like:
             arr = arr.view()
@@ -54,7 +57,11 @@ class Layout(enum.Enum):
 
 
 class CompressedMatrix:
-    """A sparse matrix stored in CSR or CSC form.
+    """The structure of a sparse matrix stored in CSR or CSC form.
+
+    Every stored position is an entry: a non-zero of the modelled matrix,
+    whose element (a value plus a coordinate) is priced by ``word_bits``.
+    No value is stored.
 
     Parameters
     ----------
@@ -64,16 +71,14 @@ class CompressedMatrix:
         ``Layout.CSR`` (row-major fibers) or ``Layout.CSC`` (column-major).
     pointers:
         ``major_dim + 1`` monotonically non-decreasing offsets into
-        ``indices`` / ``values``.
+        ``indices``.
     indices:
         The minor-axis coordinate of each stored element.
-    values:
-        The value of each stored element.
     """
 
     # __weakref__ lets the runtime memoize content digests per instance
     # (repro.runtime.jobs) without keeping matrices alive.
-    __slots__ = ("nrows", "ncols", "layout", "pointers", "indices", "values", "__weakref__")
+    __slots__ = ("nrows", "ncols", "layout", "pointers", "indices", "__weakref__")
 
     def __init__(
         self,
@@ -82,7 +87,6 @@ class CompressedMatrix:
         layout: Layout,
         pointers: Sequence[int],
         indices: Sequence[int],
-        values: Sequence[float],
         *,
         validate: bool = True,
     ) -> None:
@@ -95,9 +99,8 @@ class CompressedMatrix:
         # layout/transpose views sharing these arrays) are memoized and
         # shared across jobs, so an in-place edit would silently corrupt
         # other results.  Freezing turns that into an immediate error.
-        self.pointers = _frozen(pointers, np.int64)
-        self.indices = _frozen(indices, np.int64)
-        self.values = _frozen(values, np.float64)
+        self.pointers = _frozen(pointers)
+        self.indices = _frozen(indices)
         if validate:
             self._validate()
 
@@ -111,8 +114,6 @@ class CompressedMatrix:
             raise ValueError(
                 f"pointer vector must have {major + 1} entries, got {len(self.pointers)}"
             )
-        if len(self.indices) != len(self.values):
-            raise ValueError("indices and values must have the same length")
         if major and (self.pointers[0] != 0 or self.pointers[-1] != len(self.indices)):
             raise ValueError("pointer vector must start at 0 and end at nnz")
         if np.any(np.diff(self.pointers) < 0):
@@ -149,7 +150,7 @@ class CompressedMatrix:
     @property
     def nnz(self) -> int:
         """Number of stored non-zero elements."""
-        return int(len(self.values))
+        return int(len(self.indices))
 
     @property
     def density(self) -> float:
@@ -169,27 +170,9 @@ class CompressedMatrix:
         """Number of stored elements in a given fiber, without materialising it."""
         return int(self.pointers[major_index + 1] - self.pointers[major_index])
 
-    def iter_elements(self) -> Iterator[tuple[int, int, float]]:
-        """Yield ``(row, col, value)`` triples in major-axis order."""
-        for major in range(self.major_dim):
-            start = int(self.pointers[major])
-            end = int(self.pointers[major + 1])
-            for minor, value in zip(self.indices[start:end], self.values[start:end]):
-                if self.layout.major_is_row:
-                    yield major, int(minor), float(value)
-                else:
-                    yield int(minor), major, float(value)
-
     # ------------------------------------------------------------------
     # Conversions
     # ------------------------------------------------------------------
-    def to_dense(self) -> np.ndarray:
-        """Expand into a dense ``numpy`` array (used for validation only)."""
-        dense = np.zeros((self.nrows, self.ncols), dtype=np.float64)
-        for r, c, v in self.iter_elements():
-            dense[r, c] = v
-        return dense
-
     def with_layout(self, layout: Layout) -> "CompressedMatrix":
         """Return an equivalent matrix stored in ``layout``.
 
@@ -216,7 +199,6 @@ class CompressedMatrix:
             self._convert_layout,
             self.pointers,
             self.indices,
-            self.values,
         )
         return twin if twin.layout is not self.layout else twin.transposed()
 
@@ -226,26 +208,19 @@ class CompressedMatrix:
         Storage is canonical (fibers in major order, coordinates strictly
         increasing within each), so ordering the entries stably by minor
         index lists every new fiber's entries by increasing major index.
-        Explicit zeros, which only a directly built matrix can hold, are
-        dropped, as every constructor drops them.
         """
         majors = np.repeat(
             np.arange(self.major_dim, dtype=np.int64), np.diff(self.pointers)
         )
-        minors, values = self.indices, self.values
-        nonzero = values != 0.0
-        if not nonzero.all():
-            majors, minors, values = majors[nonzero], minors[nonzero], values[nonzero]
-        order = stable_order(minors, self.minor_dim)
+        order = stable_order(self.indices, self.minor_dim)
         pointers = np.zeros(self.minor_dim + 1, dtype=np.int64)
-        np.cumsum(np.bincount(minors, minlength=self.minor_dim), out=pointers[1:])
+        np.cumsum(np.bincount(self.indices, minlength=self.minor_dim), out=pointers[1:])
         return CompressedMatrix(
             self.nrows,
             self.ncols,
             self.layout.other,
             pointers,
             majors[order],
-            values[order],
             validate=False,
         )
 
@@ -253,7 +228,7 @@ class CompressedMatrix:
         """Return the transpose, keeping the same physical storage interpretation.
 
         A CSR matrix transposed becomes a CSC matrix with rows and columns
-        swapped but identical pointer/index/value vectors, which is why the
+        swapped but identical pointer and index vectors, which is why the
         paper can treat CSR and CSC with the same control logic.  The view is
         zero-copy (shared storage arrays) and memoized per instance.
         """
@@ -266,7 +241,6 @@ class CompressedMatrix:
             layout=self.layout.other,
             pointers=self.pointers,
             indices=self.indices,
-            values=self.values,
             # Shares this matrix's (already validated) storage arrays.
             validate=False,
         )
@@ -279,7 +253,6 @@ class CompressedMatrix:
             and self.layout is other.layout
             and np.array_equal(self.pointers, other.pointers)
             and np.array_equal(self.indices, other.indices)
-            and np.allclose(self.values, other.values)
         )
 
     def __repr__(self) -> str:
@@ -333,49 +306,7 @@ def cached_derived(kind: Hashable, build, *owners):
 def empty_matrix(nrows: int, ncols: int, layout: Layout = Layout.CSR) -> CompressedMatrix:
     """Create an all-zero compressed matrix of the requested shape."""
     major = nrows if layout.major_is_row else ncols
-    return CompressedMatrix(nrows, ncols, layout, [0] * (major + 1), [], [])
-
-
-def matrix_from_coo(
-    nrows: int,
-    ncols: int,
-    triples: Iterable[tuple[int, int, float]],
-    layout: Layout = Layout.CSR,
-    accumulate_duplicates: bool = True,
-) -> CompressedMatrix:
-    """Build a compressed matrix from ``(row, col, value)`` triples.
-
-    Duplicate coordinates are accumulated (added) by default, mirroring how
-    partial sums combine.  Zero values are kept out of the compressed
-    representation.
-    """
-    entries: dict[tuple[int, int], float] = {}
-    for r, c, v in triples:
-        if not (0 <= r < nrows and 0 <= c < ncols):
-            raise ValueError(f"coordinate ({r}, {c}) outside shape ({nrows}, {ncols})")
-        key = (int(r), int(c))
-        if accumulate_duplicates and key in entries:
-            entries[key] += float(v)
-        else:
-            entries[key] = float(v)
-
-    major_of = (lambda r, c: r) if layout.major_is_row else (lambda r, c: c)
-    minor_of = (lambda r, c: c) if layout.major_is_row else (lambda r, c: r)
-    ordered = sorted(
-        ((major_of(r, c), minor_of(r, c), v) for (r, c), v in entries.items() if v != 0.0)
-    )
-
-    major_dim = nrows if layout.major_is_row else ncols
-    pointers = [0] * (major_dim + 1)
-    indices: list[int] = []
-    values: list[float] = []
-    for major, minor, value in ordered:
-        pointers[major + 1] += 1
-        indices.append(minor)
-        values.append(value)
-    for i in range(major_dim):
-        pointers[i + 1] += pointers[i]
-    return CompressedMatrix(nrows, ncols, layout, pointers, indices, values)
+    return CompressedMatrix(nrows, ncols, layout, [0] * (major + 1), [])
 
 
 def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
@@ -396,23 +327,20 @@ def matrix_from_arrays(
     ncols: int,
     rows: np.ndarray,
     cols: np.ndarray,
-    values: np.ndarray,
     layout: Layout = Layout.CSR,
 ) -> CompressedMatrix:
-    """Vectorised COO -> compressed constructor for large matrices.
+    """Vectorised COO -> compressed constructor over the positions
+    ``(rows[i], cols[i])``.
 
-    Equivalent to :func:`matrix_from_coo` (duplicates accumulated, zeros
-    dropped) but implemented entirely with numpy so that the synthetic
-    workload generator and the layout converter stay fast for matrices with
-    millions of non-zeros.  Entries are ordered by two :func:`stable_order`
-    passes (minor, then major), which for dimensions up to ``2**16`` are
-    radix sorts; duplicates, when any, are summed in that order.
+    Positions are ordered by two :func:`stable_order` passes (minor, then
+    major), which for dimensions up to ``2**16`` are radix sorts, and a
+    repeated position is stored once, so the synthetic workload generator
+    stays fast for matrices with millions of non-zeros.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    if not (len(rows) == len(cols) == len(values)):
-        raise ValueError("rows, cols and values must have the same length")
+    if len(rows) != len(cols):
+        raise ValueError("rows and cols must have the same length")
     if len(rows) and (
         rows.min() < 0 or rows.max() >= nrows or cols.min() < 0 or cols.max() >= ncols
     ):
@@ -423,32 +351,20 @@ def matrix_from_arrays(
     major_dim = nrows if layout.major_is_row else ncols
     minor_dim = ncols if layout.major_is_row else nrows
 
-    if len(values) == 0:
+    if len(rows) == 0:
         return empty_matrix(nrows, ncols, layout)
 
     # Lexicographic (major, minor) order, ties in input order.
     order = stable_order(minor, minor_dim)
     order = order[stable_order(major[order], major_dim)]
-    major, minor, values = major[order], minor[order], values[order]
+    major, minor = major[order], minor[order]
 
-    # Accumulate duplicates: group boundaries where (major, minor) changes.
-    new_group = np.empty(len(major), dtype=bool)
-    new_group[0] = True
-    new_group[1:] = (major[1:] != major[:-1]) | (minor[1:] != minor[:-1])
-    if new_group.all():
-        # Same bits as adding each value into a zero: -0.0 becomes +0.0.
-        summed = 0.0 + values
-    else:
-        group_starts = np.flatnonzero(new_group)
-        group_ids = np.cumsum(new_group) - 1
-        summed = np.zeros(len(group_starts), dtype=np.float64)
-        np.add.at(summed, group_ids, values)
-        major = major[group_starts]
-        minor = minor[group_starts]
-
-    keep = summed != 0.0
-    if not keep.all():
-        major, minor, summed = major[keep], minor[keep], summed[keep]
+    # Drop repeats: keep each position where (major, minor) changes.
+    first = np.empty(len(major), dtype=bool)
+    first[0] = True
+    first[1:] = (major[1:] != major[:-1]) | (minor[1:] != minor[:-1])
+    if not first.all():
+        major, minor = major[first], minor[first]
 
     counts = np.bincount(major, minlength=major_dim)
     pointers = np.zeros(major_dim + 1, dtype=np.int64)
@@ -456,30 +372,21 @@ def matrix_from_arrays(
     # The ordering + dedup above produce canonical storage (in-range,
     # grouped, strictly increasing within fibers), so re-validation is
     # redundant.
-    return CompressedMatrix(
-        nrows, ncols, layout, pointers, minor, summed, validate=False
-    )
+    return CompressedMatrix(nrows, ncols, layout, pointers, minor, validate=False)
 
 
-def csr_from_dense(dense: np.ndarray, tolerance: float = 0.0) -> CompressedMatrix:
-    """Compress a dense array into CSR, dropping entries with ``|v| <= tolerance``."""
-    return _from_dense(dense, Layout.CSR, tolerance)
+def csr_from_dense(dense: np.ndarray) -> CompressedMatrix:
+    """The CSR structure of a dense array: the positions of its non-zeros."""
+    return _from_dense(dense, Layout.CSR)
 
 
-def csc_from_dense(dense: np.ndarray, tolerance: float = 0.0) -> CompressedMatrix:
-    """Compress a dense array into CSC, dropping entries with ``|v| <= tolerance``."""
-    return _from_dense(dense, Layout.CSC, tolerance)
+def csc_from_dense(dense: np.ndarray) -> CompressedMatrix:
+    """The CSC structure of a dense array: the positions of its non-zeros."""
+    return _from_dense(dense, Layout.CSC)
 
 
-def _from_dense(dense: np.ndarray, layout: Layout, tolerance: float) -> CompressedMatrix:
-    dense = np.asarray(dense, dtype=np.float64)
+def _from_dense(dense: np.ndarray, layout: Layout) -> CompressedMatrix:
+    dense = np.asarray(dense)
     if dense.ndim != 2:
         raise ValueError("only 2-D arrays can be compressed")
-    nrows, ncols = dense.shape
-    triples = [
-        (int(r), int(c), float(dense[r, c]))
-        for r in range(nrows)
-        for c in range(ncols)
-        if abs(dense[r, c]) > tolerance
-    ]
-    return matrix_from_coo(nrows, ncols, triples, layout=layout)
+    return matrix_from_arrays(*dense.shape, *np.nonzero(dense), layout=layout)

@@ -16,6 +16,8 @@ the sparsity degree but also on how the non-zeros cluster:
   depthwise/locally-connected structure).
 * ``BLOCK`` — non-zeros grouped in dense blocks (models structured pruning).
 
+Generators draw positions only: a generated matrix is the structure of its
+non-zeros (see :mod:`repro.sparse.formats`), with no position repeated.
 Generation is fully vectorised (numpy) so that layers with millions of
 non-zeros remain cheap to synthesise.
 """
@@ -47,7 +49,6 @@ def random_sparse(
     pattern: SparsityPattern = SparsityPattern.UNIFORM,
     layout: Layout = Layout.CSR,
     seed: int | np.random.Generator = 0,
-    value_scale: float = 1.0,
 ) -> CompressedMatrix:
     """Generate a random sparse matrix with (approximately) the given density.
 
@@ -63,8 +64,6 @@ def random_sparse(
         Storage layout of the returned matrix.
     seed:
         Integer seed or an existing ``numpy`` generator, for reproducibility.
-    value_scale:
-        Standard deviation of the generated (normal) non-zero values.
     """
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be within [0, 1], got {density}")
@@ -83,40 +82,7 @@ def random_sparse(
     else:  # pragma: no cover - exhaustive over enum
         raise ValueError(f"unknown pattern {pattern}")
 
-    values = _nonzero_values(len(rows), rng, value_scale)
-    return matrix_from_arrays(nrows, ncols, rows, cols, values, layout=layout)
-
-
-def sparse_from_density_map(
-    row_densities: np.ndarray,
-    ncols: int,
-    *,
-    layout: Layout = Layout.CSR,
-    seed: int | np.random.Generator = 0,
-    value_scale: float = 1.0,
-) -> CompressedMatrix:
-    """Generate a matrix whose i-th row has (approximately) ``row_densities[i]`` density.
-
-    Useful for reproducing layers where the sparsity is known to differ across
-    output channels.
-    """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    row_densities = np.clip(np.asarray(row_densities, dtype=np.float64), 0.0, 1.0)
-    nrows = len(row_densities)
-    row_list: list[np.ndarray] = []
-    col_list: list[np.ndarray] = []
-    for r, rho in enumerate(row_densities):
-        count = min(ncols, _stochastic_round(rho * ncols, rng))
-        if count:
-            cols = rng.choice(ncols, size=count, replace=False)
-            row_list.append(np.full(count, r, dtype=np.int64))
-            col_list.append(cols.astype(np.int64))
-    if not row_list:
-        return empty_matrix(nrows, ncols, layout)
-    rows = np.concatenate(row_list)
-    cols = np.concatenate(col_list)
-    values = _nonzero_values(len(rows), rng, value_scale)
-    return matrix_from_arrays(nrows, ncols, rows, cols, values, layout=layout)
+    return matrix_from_arrays(nrows, ncols, rows, cols, layout=layout)
 
 
 # ----------------------------------------------------------------------
@@ -209,9 +175,3 @@ def _stochastic_round(x: float, rng: np.random.Generator) -> int:
     frac = x - base
     return base + (1 if rng.random() < frac else 0)
 
-
-def _nonzero_values(count: int, rng: np.random.Generator, scale: float) -> np.ndarray:
-    """Draw ``count`` normal values, re-mapping exact zeros to ``scale``."""
-    values = rng.normal(0.0, scale, size=count)
-    values[values == 0.0] = scale
-    return values

@@ -10,6 +10,8 @@ NumPy kernels.  These are the others, kept only as references:
   (:mod:`oracles.inner_product`, :mod:`oracles.outer_product`,
   :mod:`oracles.gustavson`), built on the fibers of :mod:`oracles.fiber`,
   with the reference SpGEMM of :mod:`oracles.spgemm` as ground truth.
+  Product operands store positions only; these oracles give each one its
+  value through the one seam of :mod:`oracles.values`, and return C dense.
 * :mod:`oracles.mrn` — a tick-level micro-simulation of the
   Merger-Reduction Network.
 

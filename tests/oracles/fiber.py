@@ -17,9 +17,10 @@ below provides exactly the operations those components need:
   effectual operands), and
 * dot product of two fibers (a full Inner-Product reduction).
 
-The functions at the end read a :class:`~repro.sparse.formats.CompressedMatrix`
-as fibers (:func:`fiber_of`, :func:`row_of`, :func:`col_of`,
-:func:`iter_nonempty_fibers`) and build one from them
+The functions at the end read a :class:`~repro.sparse.formats.CompressedMatrix`,
+which stores positions only, as fibers (:func:`fiber_of`, :func:`row_of`,
+:func:`col_of`, :func:`iter_nonempty_fibers`), each element valued through
+:func:`oracles.values.value_at`, and expand fibers into a dense matrix
 (:func:`matrix_from_fibers`).
 """
 
@@ -28,6 +29,9 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+import numpy as np
+
+from oracles.values import value_at
 from repro.sparse.formats import CompressedMatrix, Layout
 
 
@@ -301,45 +305,42 @@ def _accumulate_sorted(elements: list[Element]) -> list[Element]:
 # ----------------------------------------------------------------------
 # Compressed matrices as fibers
 # ----------------------------------------------------------------------
-def fiber_of(matrix: CompressedMatrix, major_index: int) -> Fiber:
-    """Return the fiber (compressed row or column) at ``major_index``."""
+def fiber_of(matrix: CompressedMatrix, major_index: int, values=None) -> Fiber:
+    """Return the fiber (compressed row or column) at ``major_index``, its
+    elements valued from ``values`` (see :func:`oracles.values.value_at`)."""
     if not 0 <= major_index < matrix.major_dim:
         raise IndexError(
             f"fiber index {major_index} out of range for major dim {matrix.major_dim}"
         )
     start = int(matrix.pointers[major_index])
     end = int(matrix.pointers[major_index + 1])
+    coords = matrix.indices[start:end]
+    if matrix.layout.major_is_row:
+        elements = value_at(major_index, coords, values)
+    else:
+        elements = value_at(coords, major_index, values)
     fiber = Fiber()
-    fiber._elements = [
-        Element(int(c), float(v))
-        for c, v in zip(matrix.indices[start:end], matrix.values[start:end])
-    ]
+    fiber._elements = [Element(int(c), float(v)) for c, v in zip(coords, elements)]
     return fiber
 
 
-def iter_nonempty_fibers(matrix: CompressedMatrix) -> Iterator[tuple[int, Fiber]]:
+def iter_nonempty_fibers(
+    matrix: CompressedMatrix, values=None
+) -> Iterator[tuple[int, Fiber]]:
     """Yield only the fibers that contain at least one element."""
     for major in range(matrix.major_dim):
         if matrix.fiber_nnz(major):
-            yield major, fiber_of(matrix, major)
+            yield major, fiber_of(matrix, major, values)
 
 
-def row_of(matrix: CompressedMatrix, r: int) -> Fiber:
-    """Return row ``r`` as a fiber regardless of layout (may be O(nnz) for CSC)."""
-    if matrix.layout.major_is_row:
-        return fiber_of(matrix, r)
-    return Fiber(
-        ((c, v) for rr, c, v in matrix.iter_elements() if rr == r), sort=True
-    )
+def row_of(matrix: CompressedMatrix, r: int, values=None) -> Fiber:
+    """Return row ``r`` as a fiber regardless of layout (a CSC matrix converts)."""
+    return fiber_of(matrix.with_layout(Layout.CSR), r, values)
 
 
-def col_of(matrix: CompressedMatrix, c: int) -> Fiber:
-    """Return column ``c`` as a fiber regardless of layout (may be O(nnz) for CSR)."""
-    if not matrix.layout.major_is_row:
-        return fiber_of(matrix, c)
-    return Fiber(
-        ((r, v) for r, cc, v in matrix.iter_elements() if cc == c), sort=True
-    )
+def col_of(matrix: CompressedMatrix, c: int, values=None) -> Fiber:
+    """Return column ``c`` as a fiber regardless of layout (a CSR matrix converts)."""
+    return fiber_of(matrix.with_layout(Layout.CSC), c, values)
 
 
 def matrix_from_fibers(
@@ -347,23 +348,17 @@ def matrix_from_fibers(
     ncols: int,
     fibers: dict[int, Fiber],
     layout: Layout = Layout.CSR,
-) -> CompressedMatrix:
-    """Build a compressed matrix from a mapping of major index to fiber."""
-    major_dim = nrows if layout.major_is_row else ncols
-    minor_dim = ncols if layout.major_is_row else nrows
-    pointers = [0] * (major_dim + 1)
-    indices: list[int] = []
-    values: list[float] = []
-    for major in range(major_dim):
-        fiber = fibers.get(major)
-        if fiber is not None:
-            for coord, value in fiber:
-                if coord >= minor_dim:
-                    raise ValueError(
-                        f"coordinate {coord} outside minor dimension {minor_dim}"
-                    )
-                if value != 0.0:
-                    indices.append(coord)
-                    values.append(value)
-        pointers[major + 1] = len(indices)
-    return CompressedMatrix(nrows, ncols, layout, pointers, indices, values)
+) -> np.ndarray:
+    """The dense matrix whose fiber at each major index of ``fibers`` is given
+    (rows for CSR, columns for CSC); every other entry is zero."""
+    dense = np.zeros((nrows, ncols))
+    major_view = dense if layout.major_is_row else dense.T
+    minor_dim = major_view.shape[1]
+    for major, fiber in fibers.items():
+        for coord, value in fiber:
+            if coord >= minor_dim:
+                raise ValueError(
+                    f"coordinate {coord} outside minor dimension {minor_dim}"
+                )
+            major_view[major, coord] = value
+    return dense

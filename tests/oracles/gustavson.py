@@ -12,9 +12,12 @@ one cluster pass.
 
 from __future__ import annotations
 
+import numpy as np
+
 from oracles.fiber import Fiber, fiber_of, matrix_from_fibers
 from oracles.merge_util import merge_tree_counted
 from oracles.result import DataflowResult
+from oracles.values import transposed_values
 from repro.dataflows.stats import DataflowStats
 from repro.sparse.formats import CompressedMatrix, Layout
 
@@ -25,6 +28,7 @@ def run_gustavson(
     *,
     num_multipliers: int = 64,
     n_stationary: bool = False,
+    values=(None, None),
 ) -> DataflowResult:
     """Execute C = A x B with Gustavson's dataflow.
 
@@ -38,6 +42,8 @@ def run_gustavson(
         multiple passes and spills partial fibers to the PSRAM.
     n_stationary:
         Run the ``Gust(N)`` variant (columns of B stationary, emits CSC).
+    values:
+        The value sources of A and B (see :func:`oracles.values.value_at`).
     """
     if a.ncols != b.nrows:
         raise ValueError(f"inner dimensions do not match: {a.shape} x {b.shape}")
@@ -46,11 +52,10 @@ def run_gustavson(
 
     if n_stationary:
         mirrored = run_gustavson(
-            b.transposed(), a.transposed(),
-            num_multipliers=num_multipliers, n_stationary=False,
+            b.transposed(), a.transposed(), num_multipliers=num_multipliers,
+            values=(transposed_values(values[1]), transposed_values(values[0])),
         )
-        mirrored.output = mirrored.output.transposed()
-        return mirrored
+        return DataflowResult(mirrored.output.T, Layout.CSC, mirrored.stats)
 
     a_rows = a if a.layout is Layout.CSR else a.with_layout(Layout.CSR)
     b_rows = b if b.layout is Layout.CSR else b.with_layout(Layout.CSR)
@@ -59,7 +64,7 @@ def run_gustavson(
     output_fibers: dict[int, Fiber] = {}
 
     for m in range(a_rows.major_dim):
-        a_fiber = fiber_of(a_rows, m)
+        a_fiber = fiber_of(a_rows, m, values[0])
         if a_fiber.is_empty():
             continue
         elements = list(a_fiber)
@@ -75,7 +80,7 @@ def run_gustavson(
                 # Leader-follower intersection: the stationary coordinate k
                 # fetches the whole fiber B[k, :].
                 stats.intersection_probes += 1
-                b_fiber = fiber_of(b_rows, k)
+                b_fiber = fiber_of(b_rows, k, values[1])
                 if b_fiber.is_empty():
                     continue
                 stats.streaming_elements_read += b_fiber.nnz
@@ -110,5 +115,5 @@ def run_gustavson(
             output_fibers[m] = pruned
 
     output = matrix_from_fibers(a.nrows, b.ncols, output_fibers, layout=Layout.CSR)
-    stats.output_elements = output.nnz
-    return DataflowResult(output=output, stats=stats)
+    stats.output_elements = int(np.count_nonzero(output))
+    return DataflowResult(output=output, layout=Layout.CSR, stats=stats)

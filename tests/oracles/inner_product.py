@@ -13,10 +13,13 @@ when the intersection is sparse (many streamed elements produce no work).
 
 from __future__ import annotations
 
+import numpy as np
+
 from oracles.fiber import fiber_of
 from oracles.result import DataflowResult
+from oracles.values import transposed_values
 from repro.dataflows.stats import DataflowStats
-from repro.sparse.formats import CompressedMatrix, Layout, matrix_from_coo
+from repro.sparse.formats import CompressedMatrix, Layout
 
 
 def run_inner_product(
@@ -25,6 +28,7 @@ def run_inner_product(
     *,
     num_multipliers: int = 64,
     n_stationary: bool = False,
+    values=(None, None),
 ) -> DataflowResult:
     """Execute C = A x B with the Inner-Product dataflow.
 
@@ -39,6 +43,8 @@ def run_inner_product(
     n_stationary:
         Run the N-stationary variant (``IP(N)``), which holds columns of B
         stationary, streams rows of A, and emits C in CSC.
+    values:
+        The value sources of A and B (see :func:`oracles.values.value_at`).
     """
     if a.ncols != b.nrows:
         raise ValueError(f"inner dimensions do not match: {a.shape} x {b.shape}")
@@ -47,31 +53,28 @@ def run_inner_product(
 
     if n_stationary:
         mirrored = run_inner_product(
-            b.transposed(), a.transposed(),
-            num_multipliers=num_multipliers, n_stationary=False,
+            b.transposed(), a.transposed(), num_multipliers=num_multipliers,
+            values=(transposed_values(values[1]), transposed_values(values[0])),
         )
-        mirrored.output = mirrored.output.transposed()
-        return mirrored
+        return DataflowResult(mirrored.output.T, Layout.CSC, mirrored.stats)
 
     a_rows = a if a.layout is Layout.CSR else a.with_layout(Layout.CSR)
     b_cols = b if b.layout is Layout.CSC else b.with_layout(Layout.CSC)
 
     stats = DataflowStats()
-    triples: list[tuple[int, int, float]] = []
-
     b_nnz = b_cols.nnz
-    stationary_batches = _pack_rows(a_rows, num_multipliers)
+    stationary_batches = _pack_rows(a_rows, num_multipliers, values[0])
     partial_accumulator: dict[tuple[int, int], float] = {}
 
     for batch in stationary_batches:
         stats.stationary_iterations += 1
-        batch_fibers = {m: (fiber_of(a_rows, m) if chunk is None else chunk)
+        batch_fibers = {m: (fiber_of(a_rows, m, values[0]) if chunk is None else chunk)
                         for m, chunk in batch}
         stats.stationary_elements_read += sum(f.nnz for f in batch_fibers.values())
         # The whole streaming matrix passes by once per stationary batch.
         stats.streaming_elements_read += b_nnz
         for n in range(b_cols.major_dim):
-            b_fiber = fiber_of(b_cols, n)
+            b_fiber = fiber_of(b_cols, n, values[1])
             if b_fiber.is_empty():
                 continue
             for m, a_fiber in batch_fibers.items():
@@ -92,17 +95,15 @@ def run_inner_product(
                     else:
                         partial_accumulator[key] = value
 
+    output = np.zeros((a.nrows, b.ncols))
     for (m, n), value in partial_accumulator.items():
-        if value != 0.0:
-            triples.append((m, n, value))
-
-    output = matrix_from_coo(a.nrows, b.ncols, triples, layout=Layout.CSR)
-    stats.output_elements = output.nnz
-    return DataflowResult(output=output, stats=stats)
+        output[m, n] = value
+    stats.output_elements = int(np.count_nonzero(output))
+    return DataflowResult(output=output, layout=Layout.CSR, stats=stats)
 
 
 def _pack_rows(
-    a_rows: CompressedMatrix, num_multipliers: int
+    a_rows: CompressedMatrix, num_multipliers: int, values=None
 ) -> list[list[tuple[int, "object"]]]:
     """Greedily pack rows of A into multiplier-array-sized stationary batches.
 
@@ -122,7 +123,7 @@ def _pack_rows(
             if current:
                 batches.append(current)
                 current, used = [], 0
-            fiber = fiber_of(a_rows, m)
+            fiber = fiber_of(a_rows, m, values)
             elements = list(fiber)
             for start in range(0, len(elements), num_multipliers):
                 chunk_fiber = type(fiber)(

@@ -14,9 +14,12 @@ can dwarf the final output size.
 
 from __future__ import annotations
 
+import numpy as np
+
 from oracles.fiber import Fiber, fiber_of, matrix_from_fibers
 from oracles.merge_util import merge_tree_counted
 from oracles.result import DataflowResult
+from oracles.values import transposed_values
 from repro.dataflows.stats import DataflowStats
 from repro.sparse.formats import CompressedMatrix, Layout
 
@@ -27,6 +30,7 @@ def run_outer_product(
     *,
     num_multipliers: int = 64,
     n_stationary: bool = False,
+    values=(None, None),
 ) -> DataflowResult:
     """Execute C = A x B with the Outer-Product dataflow.
 
@@ -40,6 +44,8 @@ def run_outer_product(
         time, which controls how many partial fibers coexist.
     n_stationary:
         Run the ``OP(N)`` variant (B stationary, emits CSC output).
+    values:
+        The value sources of A and B (see :func:`oracles.values.value_at`).
     """
     if a.ncols != b.nrows:
         raise ValueError(f"inner dimensions do not match: {a.shape} x {b.shape}")
@@ -48,11 +54,10 @@ def run_outer_product(
 
     if n_stationary:
         mirrored = run_outer_product(
-            b.transposed(), a.transposed(),
-            num_multipliers=num_multipliers, n_stationary=False,
+            b.transposed(), a.transposed(), num_multipliers=num_multipliers,
+            values=(transposed_values(values[1]), transposed_values(values[0])),
         )
-        mirrored.output = mirrored.output.transposed()
-        return mirrored
+        return DataflowResult(mirrored.output.T, Layout.CSC, mirrored.stats)
 
     a_cols = a if a.layout is Layout.CSC else a.with_layout(Layout.CSC)
     b_rows = b if b.layout is Layout.CSR else b.with_layout(Layout.CSR)
@@ -70,7 +75,7 @@ def run_outer_product(
     stationary_elements = [
         (int(row_coord), k, float(value))
         for k in range(a_cols.major_dim)
-        for row_coord, value in fiber_of(a_cols, k)
+        for row_coord, value in fiber_of(a_cols, k, values[0])
     ]
 
     for start in range(0, len(stationary_elements), num_multipliers):
@@ -82,7 +87,7 @@ def run_outer_product(
         distinct_ks = {k for _, k, _ in batch}
         stats.streaming_elements_read += sum(b_rows.fiber_nnz(k) for k in distinct_ks)
         for m, k, a_value in batch:
-            b_fiber = fiber_of(b_rows, k)
+            b_fiber = fiber_of(b_rows, k, values[1])
             if b_fiber.is_empty():
                 continue
             psum_fiber = b_fiber.scaled(a_value)
@@ -108,8 +113,8 @@ def run_outer_product(
             output_fibers[m] = pruned
 
     output = matrix_from_fibers(a.nrows, b.ncols, output_fibers, layout=Layout.CSR)
-    stats.output_elements = output.nnz
-    return DataflowResult(output=output, stats=stats)
+    stats.output_elements = int(np.count_nonzero(output))
+    return DataflowResult(output=output, layout=Layout.CSR, stats=stats)
 
 
 def _merge_row(

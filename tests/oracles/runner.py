@@ -16,8 +16,10 @@ def run_dataflow(
     b: CompressedMatrix,
     *,
     num_multipliers: int = 64,
+    values=(None, None),
 ) -> DataflowResult:
-    """Execute ``C = A x B`` using the requested dataflow variant."""
+    """Execute ``C = A x B`` using the requested dataflow variant, with the
+    value sources ``values`` of A and B (see :func:`oracles.values.value_at`)."""
     n_stationary = dataflow.is_n_stationary
     runners = {
         DataflowClass.INNER_PRODUCT: run_inner_product,
@@ -25,4 +27,6 @@ def run_dataflow(
         DataflowClass.GUSTAVSON: run_gustavson,
     }
     runner = runners[dataflow.dataflow_class]
-    return runner(a, b, num_multipliers=num_multipliers, n_stationary=n_stationary)
+    return runner(
+        a, b, num_multipliers=num_multipliers, n_stationary=n_stationary, values=values
+    )

@@ -1,4 +1,8 @@
-"""Tests for the six functional SpMSpM dataflow implementations."""
+"""Tests for the six functional SpMSpM dataflow implementations.
+
+The dataflows value each operand through the oracles' seam
+(:mod:`oracles.values`) and return C dense.
+"""
 
 import numpy as np
 import pytest
@@ -39,7 +43,7 @@ class TestCorrectness:
     def test_output_layout_matches_table3(self, dataflow):
         a, b = random_pair(seed=3)
         result = run_dataflow(dataflow, a, b, num_multipliers=16)
-        assert result.output.layout is DATAFLOW_PROPERTIES[dataflow].c_format
+        assert result.layout is DATAFLOW_PROPERTIES[dataflow].c_format
 
     @pytest.mark.parametrize("dataflow", ALL_DATAFLOWS, ids=lambda d: d.name)
     @pytest.mark.parametrize("num_multipliers", [1, 3, 64, 1000])
@@ -54,16 +58,16 @@ class TestCorrectness:
         a = random_sparse(6, 8, 0.0, seed=1)
         b = random_sparse(8, 5, 0.4, seed=2)
         result = run_dataflow(dataflow, a, b, num_multipliers=4)
-        assert result.output.nnz == 0
+        assert not result.output.any()
         assert result.stats.multiplications == 0
 
     @pytest.mark.parametrize("dataflow", ALL_DATAFLOWS, ids=lambda d: d.name)
     def test_dense_operands(self, dataflow):
         rng = np.random.default_rng(5)
-        a = csr_from_dense(rng.normal(size=(6, 7)))
-        b = csr_from_dense(rng.normal(size=(7, 5)))
-        result = run_dataflow(dataflow, a, b, num_multipliers=8)
-        assert matrices_allclose(result.output, a.to_dense() @ b.to_dense())
+        a_dense, b_dense = rng.normal(size=(6, 7)), rng.normal(size=(7, 5))
+        a, b = csr_from_dense(a_dense), csr_from_dense(b_dense)
+        result = run_dataflow(dataflow, a, b, num_multipliers=8, values=(a_dense, b_dense))
+        assert matrices_allclose(result.output, a_dense @ b_dense)
 
     def test_shape_mismatch_rejected(self):
         a = random_sparse(4, 5, 0.5, seed=1)
@@ -145,22 +149,14 @@ class TestStatistics:
         """With a big enough array, OP touches each B fiber exactly once."""
         a, b = random_pair(seed=27)
         stats = run_outer_product(a, b, num_multipliers=100_000).stats
-        touched_ks = sorted({k for _, k, _ in a.iter_elements()})
-        expected = sum(b.fiber_nnz(k) for k in touched_ks)
+        expected = sum(b.fiber_nnz(k) for k in np.unique(a.indices))
         assert stats.streaming_elements_read == expected
 
     def test_output_elements_counts_nnz_of_c(self):
         a, b = random_pair(seed=28)
         for df in ALL_DATAFLOWS:
             result = run_dataflow(df, a, b, num_multipliers=8)
-            assert result.stats.output_elements == result.output.nnz
-
-    def test_stats_merge(self):
-        a, b = random_pair(seed=29)
-        s1 = run_gustavson(a, b, num_multipliers=4).stats
-        s2 = run_gustavson(a, b, num_multipliers=4).stats
-        merged = s1.merged_with(s2)
-        assert merged.multiplications == 2 * s1.multiplications
+            assert result.stats.output_elements == np.count_nonzero(result.output)
 
 
 class TestTaxonomy:

@@ -3,7 +3,8 @@
 Covers the subsystem's four contracts:
 
 * **MatrixMarket loader** — 1-based coordinate indexing, symmetric mirror
-  expansion, pattern-only files, CRLF/comment tolerance, and the failure
+  expansion, pattern-only files, CRLF/comment tolerance, which positions
+  are entries (matrices store positions, no values), and the failure
   mode: every corrupt file raises :class:`MatrixMarketError` naming the
   offending ``file:line``, and the size-line bounds reject oversized files
   before any entry is read.
@@ -21,10 +22,10 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from fabric_chaos import worker_fleet
+from oracles.values import positions
 from repro.api import Session, SweepSpec
 from repro.cli import main as cli_main
 from repro.dse import designs as designs_module
@@ -94,6 +95,12 @@ def _registry_hygiene():
 # ----------------------------------------------------------------------
 # MatrixMarket parsing
 # ----------------------------------------------------------------------
+def stored(matrix) -> set[tuple[int, int]]:
+    """The 0-based ``(row, col)`` positions a matrix stores."""
+    rows, cols = positions(matrix)
+    return set(zip(rows.tolist(), cols.tolist()))
+
+
 class TestMatrixMarketParsing:
     def test_general_real_entries_are_one_based(self, tmp_path):
         path = write_mtx(
@@ -108,10 +115,8 @@ class TestMatrixMarketParsing:
         )
         matrix = load_matrix_market(path)
         assert matrix.shape == (3, 4)
-        dense = matrix.to_dense()
-        assert dense[0, 0] == 5.0  # file coordinate (1, 1)
-        assert dense[2, 3] == -2.5  # file coordinate (3, 4)
-        assert dense[1, 1] == 1.5
+        # File coordinates (1, 1), (3, 4) and (2, 2).
+        assert stored(matrix) == {(0, 0), (2, 3), (1, 1)}
         assert matrix.nnz == 3
 
     def test_symmetric_mirrors_off_diagonal_only(self, tmp_path):
@@ -125,11 +130,9 @@ class TestMatrixMarketParsing:
             3 2 9.0
             """,
         )
-        dense = load_matrix_market(path).to_dense()
-        assert np.array_equal(dense, dense.T)
-        assert dense[0, 0] == 4.0  # the diagonal entry is NOT doubled
-        assert dense[1, 0] == 7.0 and dense[0, 1] == 7.0
-        assert load_matrix_market(path).nnz == 5  # 3 stored + 2 mirrored
+        matrix = load_matrix_market(path)
+        assert stored(matrix) == {(0, 0), (1, 0), (0, 1), (2, 1), (1, 2)}
+        assert matrix.nnz == 5  # 3 stored + 2 mirrored: the diagonal once
 
     def test_pattern_entries_become_ones(self, tmp_path):
         path = write_mtx(
@@ -141,8 +144,7 @@ class TestMatrixMarketParsing:
             2 1
             """,
         )
-        dense = load_matrix_market(path).to_dense()
-        assert dense[0, 1] == 1.0 and dense[1, 0] == 1.0
+        assert stored(load_matrix_market(path)) == {(0, 1), (1, 0)}
 
     def test_crlf_line_endings_and_comments_parse(self, tmp_path):
         path = write_mtx(
@@ -156,23 +158,26 @@ class TestMatrixMarketParsing:
             """,
             newline="\r\n",
         )
-        dense = load_matrix_market(path).to_dense()
-        assert dense[0, 1] == 3.0
+        assert stored(load_matrix_market(path)) == {(0, 1)}
 
     def test_duplicates_accumulate_and_explicit_zeros_drop(self, tmp_path):
         path = write_mtx(
             tmp_path,
             """
             %%MatrixMarket matrix coordinate real general
-            2 2 3
-            1 1 2.0
-            1 1 3.0
+            2 2 5
+            1 2 2.0
+            1 2 3.0
             2 2 0.0
+            1 1 2.0
+            1 1 -2.0
             """,
         )
         matrix = load_matrix_market(path)
-        assert matrix.to_dense()[0, 0] == 5.0
-        assert matrix.nnz == 1  # the explicit zero is not stored
+        # The repeated (1, 2) is one entry; the explicit zero and the
+        # cancelling pair at (1, 1) sum to 0.0 and are not stored.
+        assert stored(matrix) == {(0, 1)}
+        assert matrix.nnz == 1
 
     def test_zero_based_index_error_names_line_and_convention(self, tmp_path):
         path = write_mtx(
@@ -297,10 +302,16 @@ class TestWorkloadRegistry:
         first = matrix_workload("w1", write_mtx(tmp_path / "a", text))
         second = matrix_workload("w2", write_mtx(tmp_path / "b", text, name="other.mtx"))
         assert first.digest() == second.digest()
-        changed = matrix_workload(
+        # Operands are structure: a value-only edit keeps the digest, a
+        # moved position changes it.
+        revalued = matrix_workload(
             "w3", write_mtx(tmp_path, text.replace("2.0", "3.0"), name="c.mtx")
         )
-        assert changed.digest() != first.digest()
+        assert revalued.digest() == first.digest()
+        moved = matrix_workload(
+            "w4", write_mtx(tmp_path, text.replace("2 2 2.0", "2 1 2.0"), name="d.mtx")
+        )
+        assert moved.digest() != first.digest()
 
     def test_square_matrix_squares_itself_rectangular_uses_transpose(self, tmp_path):
         square = matrix_workload(
@@ -323,7 +334,7 @@ class TestWorkloadRegistry:
         )
         a, b = rect.operands()
         assert a.shape == (2, 3) and b.shape == (3, 2)
-        assert np.array_equal(b.to_dense(), a.to_dense().T)
+        assert stored(b) == {(c, r) for r, c in stored(a)}
 
     def test_dse_dir_auto_registers_mtx_files_by_stem(self, tmp_path, monkeypatch):
         write_mtx(

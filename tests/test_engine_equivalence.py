@@ -212,7 +212,7 @@ def _operand_of(nnz: int, shape: tuple[int, int], seed: int):
     rng = np.random.default_rng(seed)
     flat = rng.choice(shape[0] * shape[1], size=nnz, replace=False)
     rows, cols = np.divmod(flat, shape[1])
-    return matrix_from_arrays(*shape, rows, cols, rng.uniform(0.5, 1.5, size=nnz))
+    return matrix_from_arrays(*shape, rows, cols)
 
 
 @pytest.mark.parametrize("over", [0, 1], ids=["fits", "one-line-over"])
@@ -324,7 +324,7 @@ def test_fiber_packing_matches_the_greedy_loop():
         nnz = int(pointers[-1])
         matrix = CompressedMatrix(
             len(lengths), 1, Layout.CSR, pointers,
-            np.zeros(nnz, dtype=np.int64), np.ones(nnz), validate=False,
+            np.zeros(nnz, dtype=np.int64), validate=False,
         )
         batches = _pack_whole_fibers(matrix, num_multipliers)
         want = [
@@ -362,8 +362,7 @@ def test_merge_model_matches_the_row_loop():
                     merge.price(ctx)
             else:
                 ReferenceEngine._merge_partial_fibers(engine, ctx, psum_rows, psum_lens)
-            outcomes.append((ctx.stats, ctx.traffic, ctx.cycles, ctx.dram.traffic,
-                             ctx.dram.requests))
+            outcomes.append((ctx.stats, ctx.traffic, ctx.cycles, ctx.dram.traffic))
         assert outcomes[0] == outcomes[1], trial
 
 

@@ -1,4 +1,8 @@
-"""Unit and property tests for the CSR/CSC compressed matrix formats."""
+"""Unit and property tests for the CSR/CSC compressed matrix formats.
+
+Matrices store positions only; where a test needs values it reads them
+through the oracles' seam (:mod:`oracles.values`).
+"""
 
 import weakref
 
@@ -15,13 +19,13 @@ from oracles.fiber import (
     matrix_from_fibers,
     row_of,
 )
+from oracles.values import dense_of, positions
 from repro.sparse import (
     CompressedMatrix,
     Layout,
     csc_from_dense,
     csr_from_dense,
     empty_matrix,
-    matrix_from_coo,
     random_sparse,
 )
 from repro.sparse.formats import matrix_from_arrays, stable_order
@@ -47,41 +51,37 @@ class TestConstruction:
         assert m.nnz == 0
         assert m.shape == (3, 4)
         assert m.density == 0.0
-        assert np.array_equal(m.to_dense(), np.zeros((3, 4)))
+        assert np.array_equal(m.pointers, np.zeros(4))
 
+    # ``matrix_from_arrays`` is the COO constructor: positions, no values.
     def test_from_coo_csr(self):
-        m = matrix_from_coo(2, 3, [(0, 1, 5.0), (1, 0, -2.0), (1, 2, 3.0)])
+        m = matrix_from_arrays(2, 3, [1, 0, 1], [0, 1, 2])
         assert m.layout is Layout.CSR
         assert m.nnz == 3
-        expected = np.array([[0, 5.0, 0], [-2.0, 0, 3.0]])
-        assert np.array_equal(m.to_dense(), expected)
+        assert np.array_equal(m.pointers, [0, 1, 3])
+        assert np.array_equal(m.indices, [1, 0, 2])
 
     def test_from_coo_accumulates_duplicates(self):
-        m = matrix_from_coo(2, 2, [(0, 0, 1.0), (0, 0, 2.0)])
-        assert m.nnz == 1
-        assert m.to_dense()[0, 0] == 3.0
-
-    def test_from_coo_drops_explicit_zeros(self):
-        m = matrix_from_coo(2, 2, [(0, 0, 0.0), (1, 1, 1.0)])
+        m = matrix_from_arrays(2, 2, [0, 0], [0, 0])
         assert m.nnz == 1
 
     def test_from_coo_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            matrix_from_coo(2, 2, [(2, 0, 1.0)])
+            matrix_from_arrays(2, 2, [2], [0])
 
     def test_invalid_pointer_vector_rejected(self):
         with pytest.raises(ValueError):
-            CompressedMatrix(2, 2, Layout.CSR, [0, 1], [0], [1.0])
+            CompressedMatrix(2, 2, Layout.CSR, [0, 1], [0])
 
     def test_unsorted_fiber_rejected(self):
         with pytest.raises(ValueError):
-            CompressedMatrix(1, 3, Layout.CSR, [0, 2], [2, 0], [1.0, 1.0])
+            CompressedMatrix(1, 3, Layout.CSR, [0, 2], [2, 0])
 
     def test_matrix_from_fibers(self):
         fibers = {0: Fiber([(1, 2.0)]), 2: Fiber([(0, 1.0), (2, -1.0)])}
         m = matrix_from_fibers(3, 3, fibers)
         expected = np.array([[0, 2.0, 0], [0, 0, 0], [1.0, 0, -1.0]])
-        assert np.array_equal(m.to_dense(), expected)
+        assert np.array_equal(m, expected)
 
     def test_matrix_from_fibers_out_of_range(self):
         with pytest.raises(ValueError):
@@ -93,14 +93,16 @@ class TestDenseRoundtrip:
     @settings(max_examples=40, deadline=None)
     def test_csr_roundtrip(self, dense):
         m = csr_from_dense(dense)
-        assert np.allclose(m.to_dense(), dense)
+        assert np.array_equal(dense_of(m, dense), dense)
+        assert m.nnz == np.count_nonzero(dense)
 
     @given(dense_strategy())
     @settings(max_examples=40, deadline=None)
     def test_csc_roundtrip(self, dense):
         m = csc_from_dense(dense)
         assert m.layout is Layout.CSC
-        assert np.allclose(m.to_dense(), dense)
+        assert np.array_equal(dense_of(m, dense), dense)
+        assert m.nnz == np.count_nonzero(dense)
 
     @given(dense_strategy())
     @settings(max_examples=40, deadline=None)
@@ -108,7 +110,7 @@ class TestDenseRoundtrip:
         csr = csr_from_dense(dense)
         csc = csr.with_layout(Layout.CSC)
         assert csc.layout is Layout.CSC
-        assert np.allclose(csc.to_dense(), dense)
+        assert np.array_equal(dense_of(csc, dense), dense)
         assert csc.nnz == csr.nnz
 
 
@@ -121,11 +123,11 @@ class TestFiberAccess:
     def test_csr_fibers_are_rows(self):
         assert fiber_of(self.csr, 0).coords == [0, 2]
         assert fiber_of(self.csr, 1).is_empty()
-        assert fiber_of(self.csr, 2).values == [3.0, 4.0]
+        assert fiber_of(self.csr, 2, self.dense).values == [3.0, 4.0]
 
     def test_csc_fibers_are_columns(self):
         assert fiber_of(self.csc, 0).coords == [0, 2]
-        assert fiber_of(self.csc, 0).values == [1.0, 3.0]
+        assert fiber_of(self.csc, 0, self.dense).values == [1.0, 3.0]
         assert fiber_of(self.csc, 2).coords == [0]
 
     def test_fiber_nnz_matches_fiber(self):
@@ -141,10 +143,11 @@ class TestFiberAccess:
             assert row_of(m, 2).coords == [0, 1]
             assert col_of(m, 0).coords == [0, 2]
 
-    def test_iter_elements_covers_all_nonzeros(self):
-        triples = set(self.csr.iter_elements())
-        assert triples == {(0, 0, 1.0), (0, 2, 2.0), (2, 0, 3.0), (2, 1, 4.0)}
-        assert set(self.csc.iter_elements()) == triples
+    def test_positions_cover_all_nonzeros(self):
+        for m in (self.csr, self.csc):
+            rows, cols = positions(m)
+            assert set(zip(rows.tolist(), cols.tolist())) == {(0, 0), (0, 2), (2, 0), (2, 1)}
+            assert np.array_equal(dense_of(m, self.dense), self.dense)
 
     def test_iter_nonempty_fibers_skips_empty(self):
         indices = [i for i, _ in iter_nonempty_fibers(self.csr)]
@@ -157,11 +160,11 @@ class TestTransposeAndSize:
         t = m.transposed()
         assert t.shape == (8, 5)
         assert t.layout is m.layout.other
-        assert np.allclose(t.to_dense(), m.to_dense().T)
+        assert np.array_equal(dense_of(t), dense_of(m).T)
 
     def test_double_transpose_is_identity(self):
         m = random_sparse(6, 4, 0.5, seed=4)
-        assert np.allclose(m.transposed().transposed().to_dense(), m.to_dense())
+        assert np.array_equal(dense_of(m.transposed().transposed()), dense_of(m))
 
     def test_density_and_sparsity_sum_to_one(self):
         m = random_sparse(10, 10, 0.37, seed=6)
@@ -201,55 +204,35 @@ class TestGeneration:
         b = random_sparse(20, 20, 0.3, seed=2)
         assert a != b
 
-    def test_density_map_generation(self):
-        from repro.sparse.generate import sparse_from_density_map
-
-        m = sparse_from_density_map(np.array([1.0, 0.0, 0.5]), 10, seed=3)
-        assert m.fiber_nnz(0) == 10
-        assert m.fiber_nnz(1) == 0
-        assert 0 <= m.fiber_nnz(2) <= 10
-
 
 # ----------------------------------------------------------------------
 # The radix-ordered constructor against the lexsort body it replaced
 # ----------------------------------------------------------------------
-def _lexsort_matrix_from_arrays(nrows, ncols, rows, cols, values, layout):
-    """The ``lexsort`` + ``np.add.at`` body ``matrix_from_arrays`` replaced."""
+def _lexsort_matrix_from_arrays(nrows, ncols, rows, cols, layout):
+    """A ``lexsort`` body for ``matrix_from_arrays``: ordered positions, each once."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
     major = rows if layout.major_is_row else cols
     minor = cols if layout.major_is_row else rows
     major_dim = nrows if layout.major_is_row else ncols
 
-    if len(values) == 0:
+    if len(rows) == 0:
         return empty_matrix(nrows, ncols, layout)
 
     order = np.lexsort((minor, major))
-    major, minor, values = major[order], minor[order], values[order]
-
-    # Accumulate duplicates: group boundaries where (major, minor) changes.
-    new_group = np.empty(len(major), dtype=bool)
-    new_group[0] = True
-    new_group[1:] = (major[1:] != major[:-1]) | (minor[1:] != minor[:-1])
-    group_starts = np.flatnonzero(new_group)
-    group_ids = np.cumsum(new_group) - 1
-    summed = np.zeros(len(group_starts), dtype=np.float64)
-    np.add.at(summed, group_ids, values)
-    major = major[group_starts]
-    minor = minor[group_starts]
-
-    keep = summed != 0.0
-    major, minor, summed = major[keep], minor[keep], summed[keep]
+    major, minor = major[order], minor[order]
+    first = np.ones(len(major), dtype=bool)
+    first[1:] = (major[1:] != major[:-1]) | (minor[1:] != minor[:-1])
+    major, minor = major[first], minor[first]
 
     counts = np.bincount(major, minlength=major_dim)
     pointers = np.zeros(major_dim + 1, dtype=np.int64)
     np.cumsum(counts, out=pointers[1:])
-    return CompressedMatrix(nrows, ncols, layout, pointers, minor, summed, validate=False)
+    return CompressedMatrix(nrows, ncols, layout, pointers, minor, validate=False)
 
 
 def _storage_bytes(matrix):
-    return tuple(a.tobytes() for a in (matrix.pointers, matrix.indices, matrix.values))
+    return tuple(a.tobytes() for a in (matrix.pointers, matrix.indices))
 
 
 class TestRadixOrderedConstructor:
@@ -271,44 +254,22 @@ class TestRadixOrderedConstructor:
         rng = np.random.default_rng(nrows * 7 + ncols)
         for trial in range(20):
             n = int(rng.integers(0, 400))
-            # Few distinct coordinates: duplicate groups of 8+ elements,
-            # whose sums depend on the accumulation order.
+            # Few distinct coordinates: repeat groups of 8+ positions.
             span = int(rng.choice([1, 3, 40]))
             rows = rng.integers(0, min(nrows, span), size=n)
             cols = rng.integers(0, ncols, size=n) if trial % 2 else (
                 rng.integers(0, min(ncols, span), size=n)
             )
-            values = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=n)
-            values[rng.random(n) < 0.15] = 0.0
-            values[rng.random(n) < 0.15] = -0.0
-            got = matrix_from_arrays(nrows, ncols, rows, cols, values, layout=layout)
-            want = _lexsort_matrix_from_arrays(nrows, ncols, rows, cols, values, layout)
+            got = matrix_from_arrays(nrows, ncols, rows, cols, layout=layout)
+            want = _lexsort_matrix_from_arrays(nrows, ncols, rows, cols, layout)
             assert _storage_bytes(got) == _storage_bytes(want), trial
             got._validate()
-
-    def test_duplicate_sums_and_negative_zero(self):
-        rows = np.array([0] * 12 + [1, 1])
-        cols = np.array([2] * 12 + [0, 0])
-        values = np.array([1e16, 1.0, -1e16] + [1.0] * 9 + [-0.0, 0.0])
-        got = matrix_from_arrays(2, 3, rows, cols, values)
-        want = _lexsort_matrix_from_arrays(2, 3, rows, cols, values, Layout.CSR)
-        assert _storage_bytes(got) == _storage_bytes(want)
-        # A lone -0.0 is dropped like any other zero.
-        lone = matrix_from_arrays(1, 2, np.array([0]), np.array([1]), np.array([-0.0]))
-        assert lone.nnz == 0
-
 
 class TestLayoutConversion:
     @staticmethod
     def _by_coo(matrix, layout):
-        """The conversion through the COO constructor, entry by entry."""
-        majors = np.repeat(np.arange(matrix.major_dim), np.diff(matrix.pointers))
-        rows, cols = (
-            (majors, matrix.indices) if matrix.layout.major_is_row else (matrix.indices, majors)
-        )
-        return matrix_from_arrays(
-            matrix.nrows, matrix.ncols, rows, cols, matrix.values, layout=layout
-        )
+        """The conversion through the COO constructor, position by position."""
+        return matrix_from_arrays(*matrix.shape, *positions(matrix), layout=layout)
 
     @pytest.mark.parametrize("layout", list(Layout), ids=str)
     @pytest.mark.parametrize(
@@ -320,20 +281,13 @@ class TestLayoutConversion:
             nnz = int(density * shape[0] * shape[1])
             flat = rng.choice(shape[0] * shape[1], size=min(nnz, 5000), replace=False)
             rows, cols = np.divmod(flat, shape[1])
-            values = rng.normal(size=len(flat))
-            m = matrix_from_arrays(*shape, rows, cols, values, layout=layout)
+            m = matrix_from_arrays(*shape, rows, cols, layout=layout)
             for view in (m, m.transposed()):
                 got = view.with_layout(view.layout.other)
                 assert _storage_bytes(got) == _storage_bytes(
                     self._by_coo(view, view.layout.other)
                 )
                 got._validate()
-
-    def test_explicit_zeros_of_a_direct_build_are_dropped(self):
-        m = CompressedMatrix(2, 3, Layout.CSR, [0, 2, 3], [0, 2, 1], [1.5, 0.0, -0.0])
-        csc = m.with_layout(Layout.CSC)
-        assert _storage_bytes(csc) == _storage_bytes(self._by_coo(m, Layout.CSC))
-        assert csc.nnz == 1
 
     def test_a_storage_is_converted_once(self, monkeypatch):
         calls = []
@@ -354,12 +308,10 @@ class TestLayoutConversion:
         assert m_csc is t_csr.transposed()
         assert m.with_layout(Layout.CSC) is m_csc
         assert t.with_layout(Layout.CSR) is t_csr
-        assert np.array_equal(t_csr.to_dense(), m.to_dense().T)
+        assert np.array_equal(dense_of(t_csr), dense_of(m).T)
 
     def test_the_memo_keeps_no_operand_alive(self):
-        m = matrix_from_arrays(
-            40, 30, np.arange(40) % 40, np.arange(40) % 30, np.arange(1.0, 41.0)
-        )
+        m = matrix_from_arrays(40, 30, np.arange(40) % 40, np.arange(40) % 30)
         t = m.transposed()
         converted = t.with_layout(Layout.CSR), m.with_layout(Layout.CSC)
         refs = [weakref.ref(a) for c in converted for a in (c.pointers, c.indices)]

@@ -121,12 +121,6 @@ class TestDramModel:
         assert dram.traffic.total_read_bytes == 300
         assert dram.traffic.total_write_bytes == 75
         assert dram.traffic.total_bytes == 375
-        assert dram.requests == 4
-
-    def test_zero_byte_records_no_request(self):
-        dram = self.make()
-        dram.read_streaming(0)
-        assert dram.requests == 0
 
     def test_negative_traffic_rejected(self):
         with pytest.raises(ValueError):
@@ -134,20 +128,4 @@ class TestDramModel:
 
     def test_latency_and_bandwidth(self):
         dram = self.make()
-        assert dram.latency_cycles == 80
         assert dram.bytes_per_cycle == pytest.approx(320.0)
-
-    def test_cycles_for_transfer(self):
-        dram = self.make()
-        assert dram.cycles_for(0) == 0.0
-        assert dram.cycles_for(3200) == pytest.approx(80 + 10)
-
-    def test_traffic_counter_merge(self):
-        dram = self.make()
-        dram.read_streaming(100)
-        other = self.make()
-        other.write_output(60)
-        merged = dram.traffic.merged_with(other.traffic)
-        assert merged.str_read_bytes == 100
-        assert merged.output_write_bytes == 60
-        assert merged.total_bytes == 160

@@ -23,24 +23,11 @@ class TestPhaseCycles:
         cycles = PhaseCycles(stationary=10, streaming=100, merging=40)
         assert cycles.total == 150
 
-    def test_merge(self):
-        a = PhaseCycles(1, 2, 3)
-        b = PhaseCycles(10, 20, 30)
-        merged = a.merged_with(b)
-        assert (merged.stationary, merged.streaming, merged.merging) == (11, 22, 33)
-
 
 class TestTrafficBreakdown:
     def test_onchip_total(self):
         traffic = TrafficBreakdown(sta_bytes=5, str_bytes=10, psum_bytes=15, offchip_bytes=3)
         assert traffic.onchip_bytes == 30
-
-    def test_merge(self):
-        a = TrafficBreakdown(1, 2, 3, 4)
-        b = TrafficBreakdown(10, 20, 30, 40)
-        merged = a.merged_with(b)
-        assert merged.offchip_bytes == 44
-        assert merged.onchip_bytes == 66
 
 
 class TestModelSimResult:

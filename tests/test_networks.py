@@ -195,7 +195,9 @@ class TestEngineClosedForm:
 # ----------------------------------------------------------------------
 # The paper's walk-through (Figs. 5-7) on a 4-multiplier Flexagon
 # ----------------------------------------------------------------------
-#: The 4x4 example operands used throughout Section 3.2 (Fig. 2), dense.
+#: The 4x4 example operands used throughout Section 3.2 (Fig. 2), dense.  The
+#: walk-throughs compress their positions and read their values back through
+#: the oracles' seam, so C is checked against the paper's literal product.
 PAPER_A = np.array([
     [0.0, 2.0, 0.0, 0.0],
     [1.0, 0.0, 3.0, 4.0],
@@ -216,9 +218,9 @@ def inner_product_on_the_mrn(a_dense, b_dense):
     a, b = csr_from_dense(a_dense), csc_from_dense(b_dense)
     mrn = MergerReductionNetwork(4)
     c = np.zeros((a.nrows, b.ncols))
-    for m, a_fiber in iter_nonempty_fibers(a):
+    for m, a_fiber in iter_nonempty_fibers(a, a_dense):
         for n in range(b.major_dim):
-            b_fiber = fiber_of(b, n)
+            b_fiber = fiber_of(b, n, b_dense)
             products = [
                 a_fiber.value_at(coord) * b_fiber.value_at(coord)
                 for coord in a_fiber.intersect_coords(b_fiber)
@@ -234,9 +236,9 @@ def outer_product_on_the_mrn(a_dense, b_dense):
     merges each row's partial sums."""
     a, b = csc_from_dense(a_dense), csr_from_dense(b_dense)
     psums: dict[int, list[Fiber]] = {}
-    for k, a_fiber in iter_nonempty_fibers(a):
+    for k, a_fiber in iter_nonempty_fibers(a, a_dense):
         for m, a_value in a_fiber:
-            psums.setdefault(m, []).append(fiber_of(b, k).scaled(a_value))
+            psums.setdefault(m, []).append(fiber_of(b, k, b_dense).scaled(a_value))
     mrn = MergerReductionNetwork(4)
     c = np.zeros((a.nrows, b.ncols))
     for m, fibers in psums.items():
@@ -252,8 +254,8 @@ def gustavson_on_the_mrn(a_dense, b_dense):
     a, b = csr_from_dense(a_dense), csr_from_dense(b_dense)
     mrn = MergerReductionNetwork(4)
     c = np.zeros((a.nrows, b.ncols))
-    for m, a_fiber in iter_nonempty_fibers(a):
-        merged, _cycles = mrn.merge([fiber_of(b, k).scaled(v) for k, v in a_fiber])
+    for m, a_fiber in iter_nonempty_fibers(a, a_dense):
+        merged, _cycles = mrn.merge([fiber_of(b, k, b_dense).scaled(v) for k, v in a_fiber])
         for n, value in merged:
             c[m, n] = value
     return c

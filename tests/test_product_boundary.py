@@ -17,6 +17,7 @@ same check holds between them: a fabric worker never loads
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -76,11 +77,18 @@ print(json.dumps({
 
 
 def _fresh_interpreter(script: str) -> dict:
-    """Run ``script`` in a new interpreter; its last stdout line as JSON."""
+    """Run ``script`` in a new interpreter; its last stdout line as JSON.
+
+    The child inherits the caller's environment but every ``REPRO_*`` knob,
+    so the product runs at its defaults and, under the caller's
+    ``PYTHONDONTWRITEBYTECODE``, writes no bytecode into ``src/``.
+    """
+    env = {name: value for name, value in os.environ.items() if not name.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
     proc = subprocess.run(
         [sys.executable, "-c", script],
         cwd=REPO_ROOT,
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env=env,
         capture_output=True,
         text=True,
         timeout=120,

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dataflows.stats import DataflowStats
+from repro.metrics.results import int_record
 from repro.sparse.formats import CompressedMatrix, Layout
 
 
@@ -52,6 +53,23 @@ class CpuRunResult:
     cycles: float
     seconds: float
     stats: DataflowStats
+
+    def to_record(self) -> dict[str, object]:
+        """JSON-safe dict form (the same dict ``asdict`` gives)."""
+        return {
+            "cycles": float(self.cycles),
+            "seconds": float(self.seconds),
+            "stats": int_record(self.stats),
+        }
+
+    @classmethod
+    def from_record(cls, record: dict) -> "CpuRunResult":
+        """Inverse of :meth:`to_record`."""
+        return cls(
+            cycles=record["cycles"],
+            seconds=record["seconds"],
+            stats=DataflowStats(**record["stats"]),
+        )
 
 
 class CpuMklLikeBaseline:

@@ -11,8 +11,8 @@ rule               invariant
                    per-process identity; no numpy global-RNG use anywhere
 ``lock-discipline``  ``# guarded-by: <lock>``-annotated attributes are
                    only touched under ``with self.<lock>:``
-``pickle-boundary``  ``pickle.loads`` only in the restricted unpickler
-                   and the local result cache
+``pickle-boundary``  no ``pickle`` loading anywhere: every cache entry
+                   and fabric payload is an inert JSON record
 ``env-knob``       ``REPRO_*`` env reads go through :mod:`repro.knobs`
 ``wire-hygiene``   mounted routes match the documented route tables;
                    knobs are documented in README; wire dataclass edits

@@ -1,17 +1,12 @@
-"""Rule ``pickle-boundary`` — ``pickle.loads`` only where it is defensible.
+"""Rule ``pickle-boundary`` — no module unpickles anything.
 
-Unpickling runs code, so where it may appear is a security decision, not a
-style one.  Exactly two modules are allowed to deserialize pickles:
-
-* ``repro/fabric/unpickle.py`` — the restricted unpickler itself, which is
-  *how* network-originated bytes are deserialized (``find_class``
-  allowlist), and
-* ``repro/runtime/cache.py`` — the local result cache, which only ever
-  reads bytes this same user wrote to their own cache directory.
-
-Everything else (queue uploads, claim payloads, replication pulls) must go
-through :func:`repro.fabric.unpickle.restricted_loads`.  ``pickle.dumps``
-is unrestricted — producing a pickle is harmless.
+Unpickling runs code: a pickle names the callables it is rebuilt with, and
+an allowlist of names cannot tell a record type from a function that
+shares its module.  So nothing under ``src/repro`` may load a pickle.
+Cache entries, claimed chunks, uploads and pulled entries are inert JSON
+records (:mod:`repro.runtime.records`), whose decoding builds only the
+types the decoder names.  ``pickle.dumps`` is not flagged: producing a
+pickle runs nothing.
 """
 
 from __future__ import annotations
@@ -29,20 +24,11 @@ from repro.analyze.core import (
 
 RULE = "pickle-boundary"
 
-#: Modules allowed to unpickle (matched on the tail of the relative path).
-ALLOWED_MODULES = ("repro/fabric/unpickle.py", "repro/runtime/cache.py")
-
 #: ``pickle`` members that deserialize.
 LOADING_MEMBERS = frozenset({"loads", "load", "Unpickler"})
 
 
-def _module_allowed(module: Module) -> bool:
-    return any(module.rel.endswith(suffix) for suffix in ALLOWED_MODULES)
-
-
 def check_module(module: Module, findings: list[Finding]) -> None:
-    if _module_allowed(module):
-        return
     aliases = import_map(module.tree)
     pickle_aliases = {
         alias for alias, (home, member) in aliases.items()
@@ -56,8 +42,8 @@ def check_module(module: Module, findings: list[Finding]) -> None:
     def flag(node: ast.AST, label: str) -> None:
         emit(
             findings, module, RULE, node.lineno,
-            f"{label} outside the unpickling allowlist "
-            "(use repro.fabric.unpickle.restricted_loads)",
+            f"{label} loads a pickle (decode inert records with "
+            "repro.runtime.records instead)",
             f"{enclosing_function_name(module, node.lineno)}->{label}",
         )
 

@@ -9,7 +9,7 @@ merge network and the memory controllers).
 from __future__ import annotations
 
 import numbers
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 #: The numeric field annotations, and the type each such field is stored as.
 _NUMERIC_TYPES = {"int": int, "float": float, "float | None": float}
@@ -164,8 +164,12 @@ class AcceleratorConfig:
         return cycles / self.frequency_hz
 
     def to_record(self) -> dict[str, object]:
-        """JSON-safe dict form (used by the :mod:`repro.api` response records)."""
-        return asdict(self)
+        """JSON-safe dict form (used by the :mod:`repro.api` response records);
+        the same dict ``asdict`` gives."""
+        dram = self.dram
+        record = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        record["dram"] = {name: getattr(dram, name) for name in dram.__dataclass_fields__}
+        return record
 
     @classmethod
     def from_record(cls, record: dict) -> "AcceleratorConfig":

@@ -12,8 +12,6 @@ sweeps" section for the operational story and
 
 from repro.fabric.wire import IntegrityError
 from repro.fabric.queue import (
-    DEFAULT_LEASE_SECONDS,
-    DEFAULT_MAX_ATTEMPTS,
     FabricError,
     RemoteWorkerError,
     WorkItem,
@@ -27,7 +25,6 @@ from repro.fabric.worker import (
     RecordingCache,
     Worker,
     WorkerReport,
-    parse_chaos,
     run_worker,
 )
 from repro.fabric.sync import PullReport, pull_cache, pull_loop
@@ -43,8 +40,6 @@ from repro.fabric.coordinator import (
 __all__ = [
     "Chaos",
     "Coordinator",
-    "DEFAULT_LEASE_SECONDS",
-    "DEFAULT_MAX_ATTEMPTS",
     "FabricError",
     "IntegrityError",
     "PullReport",
@@ -57,7 +52,6 @@ __all__ = [
     "WorkQueue",
     "lease_seconds_from_env",
     "max_attempts_from_env",
-    "parse_chaos",
     "pull_cache",
     "pull_loop",
     "reset_shared_fabric",

@@ -24,9 +24,11 @@ Routes::
 cache pull <url>`` diffs the inventory against its local cache and fetches
 only the missing entries, digest-verified (see :mod:`repro.fabric.sync`).
 
-Security model: work uploads are *pickled* payloads, so anyone who can
-POST to these routes can execute code in the coordinator process.  Two
-gates keep that surface closed by default:
+Security model: every payload is an inert JSON record, so a hostile
+upload can only fail to decode.  What remains to guard is the cache: an
+authenticated worker may fill absent cache entries (its extras), so only
+trusted workers should reach these routes.  Two gates keep that surface
+closed by default:
 
 * the serve front-end only mounts fabric routes when its session actually
   runs in remote pool mode (``REPRO_POOL=remote``) — a plain query server
@@ -88,18 +90,18 @@ def check_token(request: Request) -> None:
 def require_loopback_or_token(host: str, *, surface: str) -> None:
     """Refuse to expose fabric routes beyond loopback without a token.
 
-    Work uploads deserialize pickled payloads, so an unauthenticated
-    non-loopback fabric listener is remote code execution for anyone who
-    can reach the port.  Called before binding; raises :class:`ValueError`
-    with the remediation (set ``REPRO_FABRIC_TOKEN`` on the coordinator
-    and every worker/peer).
+    A worker that reaches the listener may fill absent cache entries, so an
+    unauthenticated non-loopback fabric listener would let anyone who can
+    reach the port write results into this cache.  Called before binding;
+    raises :class:`ValueError` with the remediation (set
+    ``REPRO_FABRIC_TOKEN`` on the coordinator and every worker/peer).
     """
     if host in LOOPBACK_HOSTS or fabric_token() is not None:
         return
     raise ValueError(
-        f"refusing to bind {surface} on {host!r}: fabric work uploads are "
-        "pickled payloads, so a non-loopback listener without auth lets "
-        "anyone on the network run code in this process. Set "
+        f"refusing to bind {surface} on {host!r}: fabric workers may fill "
+        "absent cache entries, so a non-loopback listener without auth lets "
+        "anyone on the network write results into this cache. Set "
         "REPRO_FABRIC_TOKEN (the same value on the coordinator and every "
         "worker/peer) or bind to 127.0.0.1."
     )

@@ -80,8 +80,8 @@ class Coordinator:
         """Start (or return) the standalone work listener; returns its URL.
 
         Refuses (``ValueError``) to bind a non-loopback address unless
-        ``REPRO_FABRIC_TOKEN`` is set — the work routes deserialize pickled
-        uploads, so an open listener would be remote code execution.
+        ``REPRO_FABRIC_TOKEN`` is set — a worker may fill absent cache
+        entries, so an open listener would let anyone write into the cache.
         """
         bind_host = host or knobs.get("REPRO_FABRIC_HOST")
         api.require_loopback_or_token(bind_host, surface="the fabric listener")

@@ -17,19 +17,22 @@ number of ``python -m repro worker`` processes:
   no orphaned lease survives.
 
 Every upload is verified before it can touch anything: blob digests are
-recomputed, payloads must unpickle, and the outcome count must match the
-chunk the *coordinator* keyed (results are bound to the coordinator's own
-``SimJob.key()`` values, never to keys the worker declares).  A corrupt
+recomputed, every outcome and extra must decode to a result record
+(:func:`repro.fabric.wire.decode_result`; the bytes are inert JSON, so a
+hostile upload can only fail that check), and the outcome count must match
+the chunk the *coordinator* keyed (results are bound to the coordinator's
+own ``SimJob.key()`` values, never to keys the worker declares).  A corrupt
 upload is rejected with a ``400`` and the item goes back on the queue.  For
 the *extras* path (nested results a chunk touched) the keys are necessarily
 worker-declared — the coordinator cannot derive a chunk's nested key set
 without executing it — so its guarantee is narrower: an extra must carry a
 well-formed content key and decode, and it may only *fill an absent* cache
 entry, never replace existing bytes.  What lands under a fresh extras key
-is trusted to the worker set, which is why the fabric surface is opt-in and
-token-guarded (:mod:`repro.fabric.api`) rather than open.  The first
-*valid* completion wins; duplicates (a stalled worker finishing after its
-lease was reassigned) are acknowledged idempotently.
+is trusted to the worker set: authenticated workers may fill absent cache
+entries, which is why the fabric surface is opt-in and token-guarded
+(:mod:`repro.fabric.api`) rather than open.  The first *valid* completion
+wins; duplicates (a stalled worker finishing after its lease was
+reassigned) are acknowledged idempotently.
 
 Environment knobs:
 
@@ -53,7 +56,6 @@ from concurrent.futures import Future, InvalidStateError
 
 from repro import knobs, resilience
 from repro.fabric import wire
-from repro.fabric.unpickle import UnpickleError, restricted_loads
 from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import SimJob
 
@@ -62,9 +64,6 @@ PENDING = "pending"
 LEASED = "leased"
 DONE = "done"
 FAILED = "failed"
-
-DEFAULT_LEASE_SECONDS = 30.0
-DEFAULT_MAX_ATTEMPTS = 5
 
 
 def lease_seconds_from_env() -> float:
@@ -184,7 +183,7 @@ class WorkQueue:
         would have returned locally."""
         if not chunk:
             raise ValueError("cannot submit an empty chunk")
-        # Built outside the lock: the constructor pickles the whole chunk
+        # Built outside the lock: the constructor encodes the whole chunk
         # (wire.encode_jobs), and serializing megabytes under the lock would
         # stall concurrent claim/heartbeat/complete calls — delaying exactly
         # the lease extensions a long batch depends on.  (``itertools.count``
@@ -254,9 +253,9 @@ class WorkQueue:
 
         Verification happens before any state changes: outcomes and extras
         must be lists, every blob's digest is recomputed, outcomes and
-        extras must unpickle, and the outcome count must cover the chunk
-        (exactly, unless the worker reports an
-        execution error — then a completed prefix is legal, mirroring
+        extras must decode to result records, and the outcome count must
+        cover the chunk (exactly, unless the worker reports an execution
+        error — then a completed prefix is legal, mirroring
         ``execute_chunk``'s crash-resume contract).  A verification failure
         requeues the item and raises :class:`FabricError` (the ``400``).
         """
@@ -278,27 +277,17 @@ class WorkQueue:
                 extra_records, list
             ):
                 raise wire.IntegrityError("outcomes and extras must be lists")
-            outcomes = []
-            for blob_record in outcome_records:
-                blob = wire.decode_blob(blob_record)
-                try:
-                    outcomes.append(restricted_loads(blob))
-                except UnpickleError as err:
-                    raise wire.IntegrityError(
-                        f"outcome does not unpickle: {err}"
-                    ) from None
+            outcomes = [
+                wire.decode_result(wire.decode_blob(blob_record))
+                for blob_record in outcome_records
+            ]
             extras: list[tuple[str, bytes]] = []
             for extra in extra_records:
                 key = extra.get("key") if isinstance(extra, dict) else None
                 if not isinstance(key, str) or not wire.is_content_key(key):
                     raise wire.IntegrityError("extra entry carries no valid key")
                 blob = wire.decode_blob(extra)
-                try:
-                    restricted_loads(blob)
-                except UnpickleError as err:
-                    raise wire.IntegrityError(
-                        f"extra entry does not unpickle: {err}"
-                    ) from None
+                wire.decode_result(blob)
                 extras.append((key, blob))
             if len(outcomes) > len(item.keys) or (
                 error_text is None and len(outcomes) != len(item.keys)

@@ -6,16 +6,18 @@ either absent or byte-identical.  Merging is therefore pure anti-entropy:
 diff the peer's key inventory (``GET /v1/cache/keys``) against the local
 :meth:`~repro.runtime.cache.ResultCache.missing` probe, fetch only the
 absent entries (``GET /v1/cache/entry/<key>``), verify each blob against
-the digest header and a trial unpickle, and store the raw bytes.  A
-corrupt or vanished entry — or one whose response carries *no* digest
-header at all (a proxy or foreign peer that stripped it) — is skipped,
-never stored: the local cache can only gain verified entries.
+the digest header, decode it as a result record (inert JSON; see
+:mod:`repro.runtime.records`), and store the raw bytes.  A corrupt or
+vanished entry, one that is no result record, or one whose response
+carries *no* digest header at all (a proxy or foreign peer that stripped
+it) is skipped, never stored: the local cache can only gain verified
+entries.
 
 Transient transport failures (peer restarting, network blip) are retried
-under the shared resilience policy (``REPRO_RETRY_ATTEMPTS`` attempts,
-``REPRO_BACKOFF_*`` pacing); HTTP-level answers are not — a ``404`` means
-the entry was pruned between inventory and fetch, and retrying would not
-bring it back.  :func:`pull_loop` runs pulls continuously with a jittered
+under the shared resilience policy (:data:`repro.resilience.RETRY_ATTEMPTS`
+attempts on the shared backoff ladder); HTTP-level answers are not — a
+``404`` means the entry was pruned between inventory and fetch, and
+retrying would not bring it back.  :func:`pull_loop` runs pulls continuously with a jittered
 interval, the follower mode behind ``cache pull --interval``.
 
 When the peer requires the shared fabric secret (``REPRO_FABRIC_TOKEN``),
@@ -32,7 +34,6 @@ from dataclasses import dataclass
 
 from repro import resilience
 from repro.fabric import wire
-from repro.fabric.unpickle import UnpickleError, restricted_loads
 from repro.httpd import CONTENT_DIGEST_HEADER
 from repro.runtime.cache import ResultCache
 
@@ -128,9 +129,9 @@ def pull_cache(
             skipped += 1
             continue
         try:
-            restricted_loads(blob)
-        except UnpickleError:
-            skipped += 1  # does not decode; a stored copy could never hit
+            wire.decode_result(blob)
+        except wire.IntegrityError:
+            skipped += 1  # no result record; a stored copy could never hit
             continue
         cache.put_blob(key, blob)
         fetched += 1

@@ -4,10 +4,11 @@
 pull loop that claims leased work items from the coordinator, executes the
 jobs through the local engine (exactly the
 :func:`~repro.runtime.jobs.execute_chunk` path a local pool worker runs),
-and uploads the serialized result records.  While a chunk runs, a
-background thread heartbeats at a third of the lease length so a healthy
-worker never loses a long chunk to lease expiry; a worker that dies simply
-stops heartbeating and the coordinator requeues its items.
+and uploads the results as inert records (:mod:`repro.runtime.records`).
+While a chunk runs, a background thread heartbeats at a third of the lease
+length so a healthy worker never loses a long chunk to lease expiry; a
+worker that dies simply stops heartbeating and the coordinator requeues its
+items.
 
 Bit-equivalence with local execution is carried by two things:
 
@@ -18,11 +19,11 @@ Bit-equivalence with local execution is carried by two things:
   coordinator's cache ends up with exactly the key set a local run of the
   same chunk would have produced.
 
-Fault injection (the chaos test harness, ``REPRO_CHAOS``):
+Fault injection (``Worker(chaos=Chaos(mode, value))``, the chaos tests):
 
-* ``die_after:N`` — complete N items, then vanish while holding a lease;
-* ``stall``      — claim an item, then hang without heartbeating;
-* ``corrupt``    — flip a byte in each upload's payload (digest mismatch).
+* ``die_after`` — complete ``value`` items, then vanish holding a lease;
+* ``stall``     — claim an item, then hang without heartbeating;
+* ``corrupt``   — flip a byte in each upload's payload (digest mismatch).
 
 Every wait in this module goes through :mod:`repro.resilience`: idle polls
 are jittered so a fleet never thunders in lockstep, transient claim/upload
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import socket
 import sys
 import threading
@@ -47,29 +47,9 @@ from dataclasses import dataclass, field
 from repro import knobs, resilience
 from repro.fabric import wire
 from repro.fabric.queue import FabricError, WorkQueue
+from repro.runtime import records
 from repro.runtime.cache import ResultCache, default_cache_dir
 from repro.runtime.jobs import execute_chunk
-
-
-def parse_chaos(text: str | None) -> "Chaos | None":
-    """Parse a ``REPRO_CHAOS`` value; ``None``/empty means no chaos."""
-    if not text:
-        return None
-    mode, _, raw = text.partition(":")
-    if mode == "die_after":
-        try:
-            return Chaos("die_after", int(raw))
-        except ValueError:
-            raise ValueError(
-                f"REPRO_CHAOS=die_after needs an integer, got {raw!r}"
-            ) from None
-    if mode in ("stall", "corrupt"):
-        if raw:
-            raise ValueError(f"REPRO_CHAOS={mode} takes no argument")
-        return Chaos(mode, 0)
-    raise ValueError(
-        f"unknown REPRO_CHAOS mode {text!r}; expected die_after:N, stall or corrupt"
-    )
 
 
 @dataclass(frozen=True)
@@ -256,13 +236,13 @@ class Worker:
         self.max_items = max_items
         self.chaos = chaos
         self.stop = stop if stop is not None else threading.Event()
-        self.breaker = breaker if breaker is not None else resilience.CircuitBreaker.from_env()
+        self.breaker = breaker if breaker is not None else resilience.CircuitBreaker()
         #: Backoff for failed claims, seeded at the poll interval so test
         #: fleets with millisecond polls stay fast; resets on success.
-        self.claim_backoff = resilience.Backoff.from_env(initial=poll_seconds)
+        self.claim_backoff = resilience.Backoff(initial=poll_seconds)
         #: Separate ladder for rejected uploads — a corrupting worker must
         #: not speed its claim cadence back up between rejections.
-        self.upload_backoff = resilience.Backoff.from_env(initial=poll_seconds)
+        self.upload_backoff = resilience.Backoff(initial=poll_seconds)
         self.log = log
         self.report = WorkerReport()
         #: The nested-result cache, built on the first claimed item and kept
@@ -375,12 +355,7 @@ class Worker:
             "item_id": item["item_id"],
             "worker": self.worker_id,
             "error": None if error is None else f"{type(error).__name__}: {error}",
-            "outcomes": [
-                wire.encode_blob(
-                    pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
-                )
-                for outcome in outcomes
-            ],
+            "outcomes": [wire.encode_blob(records.encode(outcome)) for outcome in outcomes],
             "extras": [
                 {"key": key, **wire.encode_blob(blob)}
                 for key, blob in sorted(recording.recorded.items())
@@ -459,19 +434,14 @@ def run_worker(
     cache_dir: str | None = None,
     poll_seconds: float = 0.2,
     max_items: int = 1,
-    chaos_text: str | None = None,
 ) -> int:
     """Blocking entry point behind ``python -m repro worker``."""
-    chaos = parse_chaos(
-        chaos_text if chaos_text is not None else knobs.get("REPRO_CHAOS")
-    )
     worker = Worker(
         url,
         worker_id=worker_id,
         cache_dir=cache_dir,
         poll_seconds=poll_seconds,
         max_items=max_items,
-        chaos=chaos,
         log=lambda message: print(
             f"[repro.worker] {message}", file=sys.stderr, flush=True
         ),

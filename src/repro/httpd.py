@@ -62,7 +62,7 @@ MAX_HEADER_COUNT = 100
 MAX_BODY_BYTES = 1 << 20  # 1 MiB — a SweepSpec record is a few hundred bytes
 
 #: Body bound for the one route that accepts fabric work uploads: a
-#: ``/v1/work/complete`` payload carries a chunk's pickled result records
+#: ``/v1/work/complete`` payload carries a chunk's result records
 #: (base64-inflated), which can legitimately run to megabytes on full-scale
 #: sweeps.  Every other route still parses tiny JSON records and keeps the
 #: 1 MiB bound — see :func:`body_bound_for_path`.

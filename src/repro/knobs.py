@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable
 
-#: Valid values of the ``REPRO_POOL`` knob (the pool re-exports this).
+#: Valid values of the ``REPRO_POOL`` knob.
 POOL_MODES = ("persistent", "remote")
 
 
@@ -153,10 +153,6 @@ KNOBS: dict[str, Knob] = {
             "Shared fabric secret; required to expose fabric routes beyond loopback",
         ),
         _knob(
-            "REPRO_CHAOS", None, None,
-            "Worker fault injection: `die_after:N`, `stall` or `corrupt` (tests)",
-        ),
-        _knob(
             "REPRO_FULL_SCALE", "0", _on_flag,
             "Set to `1` to simulate full-size (unscaled) layers",
         ),
@@ -169,40 +165,8 @@ KNOBS: dict[str, Knob] = {
             "Layers sampled per model in the end-to-end sweep",
         ),
         _knob(
-            "REPRO_BACKOFF_INITIAL", "0.2",
-            _positive_float("REPRO_BACKOFF_INITIAL"),
-            "First retry delay in seconds of the shared backoff policy (default 0.2)",
-        ),
-        _knob(
-            "REPRO_BACKOFF_CAP", "30", _positive_float("REPRO_BACKOFF_CAP"),
-            "Ceiling in seconds on any backoff delay (default 30)",
-        ),
-        _knob(
-            "REPRO_BACKOFF_MULTIPLIER", "2",
-            _positive_float("REPRO_BACKOFF_MULTIPLIER"),
-            "Growth factor between consecutive backoff delays (default 2)",
-        ),
-        _knob(
-            "REPRO_BACKOFF_JITTER", "0.1", _float("REPRO_BACKOFF_JITTER"),
-            "Jitter fraction applied to backoff delays and periodic polls (default 0.1)",
-        ),
-        _knob(
-            "REPRO_RETRY_ATTEMPTS", "5",
-            _integer("REPRO_RETRY_ATTEMPTS", minimum=1),
-            "Attempts granted per transient-error retry loop (default 5)",
-        ),
-        _knob(
             "REPRO_HTTP_TIMEOUT", "60", _positive_float("REPRO_HTTP_TIMEOUT"),
             "Socket timeout in seconds of fabric/sync HTTP clients (default 60)",
-        ),
-        _knob(
-            "REPRO_BREAKER_THRESHOLD", "5",
-            _integer("REPRO_BREAKER_THRESHOLD", minimum=1),
-            "Consecutive failures that open the worker's circuit breaker (default 5)",
-        ),
-        _knob(
-            "REPRO_BREAKER_RESET", "15", _positive_float("REPRO_BREAKER_RESET"),
-            "Seconds an open circuit breaker waits before its half-open probe (default 15)",
         ),
         _knob(
             "REPRO_REQUEST_DEADLINE", "30", _float("REPRO_REQUEST_DEADLINE"),

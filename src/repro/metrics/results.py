@@ -18,7 +18,7 @@ in ``tests/oracles/``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from repro.arch.memory.dram import DramTrafficCounter
@@ -47,6 +47,12 @@ def canonical_order(present: dict, canonical) -> list[str]:
     """
     known = [key for key in canonical if key in present]
     return known + [key for key in present if key not in set(known)]
+
+
+def int_record(counters) -> dict[str, int]:
+    """Every field of a flat counter dataclass as a plain int, in field
+    order: the dict ``asdict`` builds for one, without its deep copy."""
+    return {name: int(getattr(counters, name)) for name in counters.__dataclass_fields__}
 
 
 def check_record_schema(record: dict, expected_kind: str | None = None) -> None:
@@ -113,7 +119,7 @@ class TrafficBreakdown:
 
     def to_record(self) -> dict[str, int]:
         """JSON-safe dict form (numpy integers normalised to plain ints)."""
-        return {name: int(value) for name, value in asdict(self).items()}
+        return int_record(self)
 
     @classmethod
     def from_record(cls, record: dict) -> "TrafficBreakdown":
@@ -172,13 +178,9 @@ class LayerSimResult:
             "traffic": self.traffic.to_record(),
             "str_cache_miss_rate": float(self.str_cache_miss_rate),
             "str_cache_accesses": int(self.str_cache_accesses),
-            "stats": {name: int(value) for name, value in asdict(self.stats).items()},
+            "stats": int_record(self.stats),
             "layer_name": self.layer_name,
-            "dram": (
-                None
-                if self.dram is None
-                else {name: int(value) for name, value in asdict(self.dram).items()}
-            ),
+            "dram": None if self.dram is None else int_record(self.dram),
         }
 
     @classmethod

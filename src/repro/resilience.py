@@ -4,9 +4,10 @@ Every blocking sleep, retry loop, timeout and give-up threshold in the
 serving front-end (:mod:`repro.serve`) and the execution fabric
 (:mod:`repro.fabric`) is expressed through this module, so the whole
 repository has exactly one place where "how long do we wait, how often do
-we retry, when do we give up" is decided — and every limit is a registered
-``REPRO_*`` knob (:mod:`repro.knobs`) instead of a constant buried in a
-loop.  The pieces:
+we retry, when do we give up" is decided — each limit is a named constant
+below, or a registered ``REPRO_*`` knob (:mod:`repro.knobs`) where an
+operator has a reason to set it, never a number buried in a loop.  The
+pieces:
 
 * :class:`Deadline` — a monotonic-clock budget (lease expiry, request
   deadlines, drain windows).
@@ -35,6 +36,21 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro import knobs
+
+#: The shared backoff ladder: first delay and ceiling in seconds, growth
+#: factor between delays, and the jitter fraction of delays and polls.
+BACKOFF_INITIAL = 0.2
+BACKOFF_CAP = 30.0
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_JITTER = 0.1
+
+#: Attempts one transient-error retry loop is granted.
+RETRY_ATTEMPTS = 5
+
+#: Consecutive failures that open the worker's circuit breaker, and the
+#: seconds it stays open before its half-open probe.
+BREAKER_THRESHOLD = 5
+BREAKER_RESET = 15.0
 
 
 class DeadlineExceeded(TimeoutError):
@@ -83,10 +99,10 @@ class Backoff:
 
     def __init__(
         self,
-        initial: float,
-        cap: float,
-        multiplier: float = 2.0,
-        jitter: float = 0.1,
+        initial: float = BACKOFF_INITIAL,
+        cap: float = BACKOFF_CAP,
+        multiplier: float = BACKOFF_MULTIPLIER,
+        jitter: float = BACKOFF_JITTER,
         rng: random.Random | None = None,
     ) -> None:
         self.initial = max(0.0, initial)
@@ -95,22 +111,6 @@ class Backoff:
         self.jitter = jitter
         self.failures = 0
         self._rng = rng if rng is not None else random.Random()
-
-    @classmethod
-    def from_env(
-        cls,
-        initial: float | None = None,
-        rng: random.Random | None = None,
-    ) -> "Backoff":
-        """A backoff under the registered knobs; ``initial`` may be pinned
-        by the caller (e.g. a worker seeding from its poll interval)."""
-        return cls(
-            initial if initial is not None else knobs.get("REPRO_BACKOFF_INITIAL"),
-            knobs.get("REPRO_BACKOFF_CAP"),
-            knobs.get("REPRO_BACKOFF_MULTIPLIER"),
-            knobs.get("REPRO_BACKOFF_JITTER"),
-            rng=rng,
-        )
 
     def next_delay(self) -> float:
         delay = min(self.cap, self.initial * (self.multiplier ** self.failures))
@@ -124,18 +124,15 @@ class Backoff:
 def jittered(
     seconds: float,
     *,
-    fraction: float | None = None,
+    fraction: float = BACKOFF_JITTER,
     rng: random.Random | None = None,
 ) -> float:
     """``seconds`` +/- a uniform ``fraction`` of itself (never negative).
 
     The desynchronisation primitive for anything periodic — idle worker
     polls, ``cache pull --interval`` loops — so identical configurations
-    spread out instead of stampeding in phase.  ``fraction`` defaults to
-    the ``REPRO_BACKOFF_JITTER`` knob.
+    spread out instead of stampeding in phase.
     """
-    if fraction is None:
-        fraction = knobs.get("REPRO_BACKOFF_JITTER")
     if seconds <= 0 or fraction <= 0:
         return max(0.0, seconds)
     spread = seconds * fraction
@@ -148,13 +145,9 @@ class RetryBudget:
 
     __slots__ = ("attempts", "spent")
 
-    def __init__(self, attempts: int) -> None:
+    def __init__(self, attempts: int = RETRY_ATTEMPTS) -> None:
         self.attempts = int(attempts)
         self.spent = 0
-
-    @classmethod
-    def from_env(cls) -> "RetryBudget":
-        return cls(knobs.get("REPRO_RETRY_ATTEMPTS"))
 
     def grant(self) -> bool:
         """Take one attempt; ``False`` once the budget is exhausted."""
@@ -174,13 +167,6 @@ class LeasePolicy:
 
     lease_seconds: float
     max_attempts: int
-
-    @classmethod
-    def from_env(cls) -> "LeasePolicy":
-        return cls(
-            lease_seconds=knobs.get("REPRO_LEASE_SECONDS"),
-            max_attempts=knobs.get("REPRO_MAX_ATTEMPTS"),
-        )
 
     def lease_deadline(self, *, now: float | None = None) -> Deadline:
         return Deadline.after(self.lease_seconds, now=now)
@@ -206,7 +192,9 @@ class CircuitBreaker:
     and its heartbeat thread may share one breaker.
     """
 
-    def __init__(self, threshold: int, reset_seconds: float) -> None:
+    def __init__(
+        self, threshold: int = BREAKER_THRESHOLD, reset_seconds: float = BREAKER_RESET
+    ) -> None:
         self.threshold = max(1, int(threshold))
         self.reset_seconds = reset_seconds
         self._lock = threading.Lock()
@@ -214,13 +202,6 @@ class CircuitBreaker:
         self._state = CLOSED  # guarded-by: _lock
         self._retry_at: float | None = None  # guarded-by: _lock
         self.opened_count = 0  # guarded-by: _lock
-
-    @classmethod
-    def from_env(cls) -> "CircuitBreaker":
-        return cls(
-            knobs.get("REPRO_BREAKER_THRESHOLD"),
-            knobs.get("REPRO_BREAKER_RESET"),
-        )
 
     @property
     def state(self) -> str:
@@ -307,12 +288,12 @@ def retry_call(
     Retries only ``retryable`` exceptions (anything else propagates
     immediately), except those ``giveup`` vetoes — e.g. retry transport
     errors but not HTTP-level rejections.  The attempt count comes from
-    ``budget`` (default: the ``REPRO_RETRY_ATTEMPTS`` knob), the pacing
-    from ``backoff`` (default: the ``REPRO_BACKOFF_*`` knobs), and a set
-    ``stop`` event abandons the wait and re-raises the last error.
+    ``budget`` (default: :data:`RETRY_ATTEMPTS`), the pacing from
+    ``backoff`` (default: the shared ladder), and a set ``stop`` event
+    abandons the wait and re-raises the last error.
     """
-    budget = budget if budget is not None else RetryBudget.from_env()
-    backoff = backoff if backoff is not None else Backoff.from_env()
+    budget = budget if budget is not None else RetryBudget()
+    backoff = backoff if backoff is not None else Backoff()
     last: BaseException | None = None
     while budget.grant():
         try:

@@ -26,7 +26,6 @@ from repro.runtime.jobs import (
     execute_job,
 )
 from repro.runtime.pool import (
-    POOL_MODES,
     WorkerPool,
     pool_mode_from_env,
     reset_shared_pool,
@@ -56,7 +55,6 @@ __all__ = [
     "build_design",
     "execute_chunk",
     "execute_job",
-    "POOL_MODES",
     "WorkerPool",
     "pool_mode_from_env",
     "reset_shared_pool",

@@ -13,8 +13,9 @@ back instead of re-simulating.
   its current one passes :data:`_SEGMENT_BYTES`.  Each entry is one record
   appended with a single ``os.write``: a fixed header (key and blob lengths,
   a write stamp, the sha256 of key + blob, and a CRC-32 of the header and
-  key), the key, then the pickled result.  There is no fsync per record; a
-  killed writer leaves at most a torn tail, which reads as a miss.
+  key), the key, then the blob: the result as an inert JSON record
+  (:mod:`repro.runtime.records`).  There is no fsync per record; a killed
+  writer leaves at most a torn tail, which reads as a miss.
 * *Packs* (``<dir>/<pid>-<token>.pack``) hold merged records sorted by a
   64-bit key fingerprint, followed by a table of every record's fingerprint,
   stamp, blob length and offset.  When a writer opening a segment finds
@@ -25,7 +26,10 @@ back instead of re-simulating.
   (33 bytes per record) instead of indexing its records.
 
 A file that is neither is not an entry; in particular, the per-entry
-``<xx>/<key>.pkl`` files of earlier versions read as cold.
+``<xx>/<key>.pkl`` files of earlier versions read as cold.  So do the
+segments and packs of the versions that stored pickles: their magics
+(``RCS1``, ``RCP1``) are not this layout's, and the next merge reclaims
+their files.
 
 **Reading.**  Each :class:`ResultCache` indexes the segments record by
 record, refreshing the index with the records appended since its last look
@@ -71,7 +75,6 @@ import fcntl
 import hashlib
 import heapq
 import os
-import pickle
 import secrets
 import struct
 import sys
@@ -85,6 +88,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro import knobs
+from repro.runtime import records
 
 #: Sentinel distinguishing "not cached" from a cached ``None``.
 MISS = object()
@@ -101,14 +105,14 @@ _HEADER = struct.Struct("<4sIHQQ32s")
 _HEADER_SIZE = _HEADER.size
 _CRC_FROM = 8
 _FIELDS = struct.Struct("<HQQ32s")
-_MAGIC = b"RCS1"
+_MAGIC = b"RCS2"
 _SEGMENT_SUFFIX = ".seg"
 
 #: Pack footer: magic, CRC-32 of the table, record count.  The table before
 #: it is four little-endian uint64 columns — fingerprints (sorted), stamps,
 #: blob lengths, record offsets — and one more offset, where the table starts.
 _FOOTER = struct.Struct("<4sIQ")
-_PACK_MAGIC = b"RCP1"
+_PACK_MAGIC = b"RCP2"
 _PACK_SUFFIX = ".pack"
 
 #: Longest key a record holds (the old layout's file-name limit, rounded up).
@@ -576,8 +580,8 @@ os.register_at_fork(
 class ResultCache:
     """Two-level (memory + disk) store of finished job results.
 
-    The in-memory level keeps the *pickled* bytes rather than the live
-    object: every :meth:`get` deserialises a fresh copy, so callers can
+    The in-memory level keeps the record bytes rather than the live
+    object: every :meth:`get` decodes a fresh copy, so callers can
     never corrupt the cache through a returned record.  It is an LRU
     bounded to :data:`MEMORY_ENTRY_LIMIT` blobs; evicted entries simply fall
     back to the disk level.
@@ -665,7 +669,7 @@ class ResultCache:
             return [key for key in need if self._newest_locked(key) is None]
 
     def get_blob(self, key: str) -> bytes | None:
-        """The stored (pickled) bytes for ``key``, or ``None`` — no decoding.
+        """The stored record bytes for ``key``, or ``None`` — no decoding.
 
         The transport form of the cache-replication path: the fabric
         coordinator serves entries to ``cache pull`` peers as raw bytes, so
@@ -690,11 +694,10 @@ class ResultCache:
 
     def _decode(self, key: str, blob: bytes):
         try:
-            return pickle.loads(blob)
-        except Exception:  # repro: allow[bare-except]
-            # A stale entry (e.g. written by an incompatible version) is
-            # indistinguishable from a miss — whatever pickle raised for it,
-            # the answer is the same: drop the entry so it gets rebuilt.
+            return records.decode(blob)
+        except records.RecordError:
+            # A blob that is no record is a miss: drop the entry so its job
+            # gets rebuilt.
             with self._memory_lock:
                 self._memory.pop(key, None)
             with self._index_lock:
@@ -710,10 +713,10 @@ class ResultCache:
 
     def put(self, key: str, value: object) -> None:
         """Store one finished result under ``key``."""
-        self.put_blob(key, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+        self.put_blob(key, records.encode(value))
 
     def put_blob(self, key: str, blob: bytes) -> None:
-        """Store one entry's already-pickled bytes under ``key``.
+        """Store one entry's already-encoded bytes under ``key``.
 
         The write half of the replication path (:meth:`get_blob` is the read
         half): a digest-verified entry received from a peer lands byte-for-

@@ -31,10 +31,12 @@ import os
 import weakref
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 from repro.arch.config import AcceleratorConfig
 from repro.dataflows.base import Dataflow
 from repro.sparse.formats import CompressedMatrix
+from repro.sparse.generate import SparsityPattern
 from repro.workloads.layers import LayerSpec, materialize_layer
 
 #: Bump whenever the meaning of a cached result changes (simulator semantics,
@@ -206,6 +208,44 @@ class SimJob:
         return materialize_layer(self.spec, scale=self.scale, seed=self.resolved_seed())
 
     # ------------------------------------------------------------------
+    def to_record(self, place: Callable[[CompressedMatrix], int]) -> dict[str, object]:
+        """JSON-safe dict form: what a claimed chunk carries to a worker.
+
+        An explicit operand is written as ``place(operand)``, its index in
+        the chunk's operand table (:func:`repro.fabric.wire.encode_jobs`).
+        """
+        return {
+            "design": self.design,
+            "config": self.config.to_record(),
+            "spec": None if self.spec is None else _spec_record(self.spec),
+            "scale": self.scale,
+            "seed": self.seed,
+            "dataflow": None if self.dataflow is None else self.dataflow.name,
+            "layer_name": self.layer_name,
+            "a": None if self.a is None else place(self.a),
+            "b": None if self.b is None else place(self.b),
+        }
+
+    @classmethod
+    def from_record(cls, record: dict, operands: list[CompressedMatrix]) -> "SimJob":
+        """Inverse of :meth:`to_record`: an explicit operand is the one at
+        its index in ``operands``, the chunk's decoded operand table."""
+        spec, dataflow, a, b = (record[name] for name in ("spec", "dataflow", "a", "b"))
+        for index in (a, b):
+            if index is not None and (type(index) is not int or not 0 <= index < len(operands)):
+                raise ValueError(f"no operand {index!r} in the chunk's operand table")
+        return cls(
+            design=record["design"],
+            config=AcceleratorConfig.from_record(record["config"]),
+            spec=None if spec is None else _spec_from_record(spec),
+            scale=record["scale"],
+            seed=record["seed"],
+            dataflow=None if dataflow is None else Dataflow[dataflow],
+            layer_name=record["layer_name"],
+            a=None if a is None else operands[a],
+            b=None if b is None else operands[b],
+        )
+
     def key(self) -> str:
         """Stable content hash identifying this job across processes.
 
@@ -290,6 +330,22 @@ def execute_chunk(
 
 
 # ----------------------------------------------------------------------
+# Record helpers
+# ----------------------------------------------------------------------
+def _spec_record(spec: LayerSpec) -> dict[str, object]:
+    record = {name: getattr(spec, name) for name in spec.__dataclass_fields__}
+    record["pattern_a"], record["pattern_b"] = spec.pattern_a.value, spec.pattern_b.value
+    return record
+
+
+def _spec_from_record(record: dict) -> LayerSpec:
+    fields = dict(record)
+    for name in ("pattern_a", "pattern_b"):
+        fields[name] = SparsityPattern(fields[name])
+    return LayerSpec(**fields)
+
+
+# ----------------------------------------------------------------------
 # Hashing helpers
 # ----------------------------------------------------------------------
 #: Per-instance digest memo: the oracle mapper keys up to six candidate jobs
@@ -323,7 +379,7 @@ def _matrix_digest(matrix: CompressedMatrix) -> str:
 @functools.lru_cache(maxsize=64)
 def _config_blob(config: AcceleratorConfig) -> str:
     """Canonical JSON of a (frozen, hashable) accelerator configuration."""
-    return json.dumps(asdict(config), sort_keys=True)
+    return json.dumps(config.to_record(), sort_keys=True)
 
 
 def _json_default(value: object) -> object:

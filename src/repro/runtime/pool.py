@@ -26,10 +26,6 @@ from concurrent.futures import Executor, ProcessPoolExecutor
 
 from repro import knobs
 
-#: Valid values of the ``REPRO_POOL`` environment knob (canonical home:
-#: :mod:`repro.knobs`; re-exported here for existing importers).
-POOL_MODES = knobs.POOL_MODES
-
 
 def pool_mode_from_env() -> str:
     """The pool mode the environment asks for (default: ``persistent``)."""
@@ -182,5 +178,5 @@ def acquire_executor(mode: str, max_workers: int) -> Executor:
 
         return runtime_executor()
     if mode != "persistent":
-        raise ValueError(f"unknown pool mode {mode!r}; expected one of {POOL_MODES}")
+        raise ValueError(f"unknown pool mode {mode!r}; expected one of {knobs.POOL_MODES}")
     return shared_pool().executor(max_workers)

@@ -54,13 +54,7 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from dataclasses import dataclass
 from typing import Callable
 
@@ -84,12 +78,6 @@ ProgressCallback = Callable[[int, int], None]
 #: sized to hold one layer across every design (5 jobs) with headroom, so
 #: small batches keep their worker affinity instead of scattering.
 _MIN_GROUP_SPLIT = 8
-
-#: Width of the per-runner submission thread pool behind
-#: :meth:`BatchRunner.submit`.  Submission threads only dispatch to (and
-#: wait on) the process pool, so a handful is plenty; it bounds how many
-#: batches can be in flight concurrently, not how many cores they use.
-_SUBMIT_THREADS = 4
 
 
 def _env_workers() -> int:
@@ -171,9 +159,6 @@ class BatchRunner:
         #: threads at once (the serving front-end's background jobs), and
         #: ``+=`` on a dataclass attribute is not atomic.
         self._stats_lock = threading.Lock()
-        #: Lazily created thread pool behind :meth:`submit`.
-        self._submit_pool: ThreadPoolExecutor | None = None  # guarded-by: _submit_lock
-        self._submit_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def run(
@@ -245,36 +230,6 @@ class BatchRunner:
                 with self._stats_lock:
                     self.stats.exec_seconds += time.perf_counter() - exec_start
         return results
-
-    def submit(
-        self, jobs: list[SimJob], on_result: ProgressCallback | None = None
-    ) -> Future:
-        """Run a job grid off the calling thread; returns a ``Future``.
-
-        The asynchronous face of :meth:`run` for embedders driving raw job
-        grids from an event loop: the batch executes on a small dedicated
-        submission thread pool, so ``await
-        asyncio.wrap_future(runner.submit(jobs))`` never blocks the loop,
-        while ``on_result`` streams ``(done, total)`` progress from the
-        submission thread.  (The ``repro.serve`` front-end goes through
-        :class:`~repro.api.session.Session` instead, whose figure/sweep
-        calls wrap :meth:`run` with collation — this is the equivalent hook
-        for callers below the facade.)  Concurrent batches are safe — the
-        counters are lock-guarded and the process pool dispatch already
-        bounds each batch's in-flight window — though they share the pool's
-        workers.
-        """
-        # Double-checked fast path: reading the installed pool without the
-        # lock is safe (it is written once, under the lock, and never reset).
-        pool = self._submit_pool  # repro: allow[lock-discipline]
-        if pool is None:
-            with self._submit_lock:
-                pool = self._submit_pool
-                if pool is None:
-                    pool = self._submit_pool = ThreadPoolExecutor(
-                        max_workers=_SUBMIT_THREADS, thread_name_prefix="repro-submit"
-                    )
-        return pool.submit(self.run, jobs, on_result)
 
     def run_one(self, job: SimJob):
         """Convenience wrapper: run a single job."""

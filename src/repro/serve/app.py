@@ -25,8 +25,8 @@ in remote pool mode** — run the server with ``REPRO_POOL=remote`` and
 point ``python -m repro worker <url>`` processes at the same port; cold
 figure/sweep jobs then execute on the workers while ``/v1/jobs`` progress
 streams through from their remote completions.  A plain query server never
-carries them: work uploads are pickled payloads, so the fabric surface is
-strictly opt-in, and exposing it beyond loopback requires the shared
+carries them: a worker may fill absent cache entries, so the fabric surface
+is strictly opt-in, and exposing it beyond loopback requires the shared
 ``REPRO_FABRIC_TOKEN`` secret (see :mod:`repro.fabric.api`).
 
 Request handling never blocks the event loop on simulation.  A request
@@ -124,7 +124,7 @@ class ServeApp:
         self.request_deadline = resilience.request_deadline_seconds()
         #: Fabric routes are opt-in: only a session whose runner dispatches
         #: to the remote fabric is a coordinator surface.  A plain query
-        #: server must not carry the pickle-deserializing upload routes.
+        #: server must not carry the routes that let workers fill its cache.
         self.fabric_routes = (
             getattr(session.runner, "pool_mode", None) == "remote"
         )

@@ -4,4 +4,4 @@ import pickle
 
 
 def thaw(blob: bytes):
-    return pickle.loads(blob)  # line 7: raw loads outside the allowlist
+    return pickle.loads(blob)  # line 7: no module may load a pickle

@@ -9,6 +9,8 @@ import pytest
 from repro.cli import main
 from repro.runtime import ResultCache
 
+from test_runtime import _entry
+
 #: Tiny settings flags shared by the simulation-backed CLI invocations.
 MICRO = ["--max-dense-macs", "5e4", "--max-layers", "1", "--serial"]
 
@@ -84,7 +86,7 @@ class TestCacheCommand:
     def _warm_cache(self, tmp_path) -> ResultCache:
         cache = ResultCache(tmp_path / "cache")
         for index in range(3):
-            cache.put(f"{index:02d}" * 32, {"payload": "x" * 2000, "index": index})
+            cache.put(f"{index:02d}" * 32, _entry(index, pad=2000))
         return cache
 
     def test_stats(self, tmp_path, capsys):

@@ -470,7 +470,24 @@ class TestFabricEquivalence:
         reset_shared_fabric()
 
     def test_remote_campaign_matches_local_bytes(self, tmp_path):
-        local = micro_session(tmp_path / "local").dse(CAMPAIGN)
+        """A synthetic campaign and a MatrixMarket one, whose jobs carry
+        their operands across the wire, give the local bytes remotely."""
+        text = """
+        %%MatrixMarket matrix coordinate real general
+        6 6 9
+        1 1 1.0
+        1 4 2.0
+        2 2 3.0
+        2 6 1.5
+        3 1 -1.0
+        4 5 2.5
+        5 3 1.0
+        6 2 4.0
+        6 6 1.0
+        """
+        register_workload(matrix_workload("wire-mtx", write_mtx(tmp_path, text)))
+        campaigns = (CAMPAIGN, DseSpec(workloads=("wire-mtx",), designs=("base", "xbar16")))
+        local = [micro_session(tmp_path / "local").dse(campaign) for campaign in campaigns]
 
         queue = WorkQueue(lease_seconds=30.0)
         coordinator_dir = tmp_path / "coordinator"
@@ -485,14 +502,15 @@ class TestFabricEquivalence:
             ),
         )
         with worker_fleet(queue, [{"cache_dir": tmp_path / "worker-0"}]):
-            remote = session.dse(CAMPAIGN)
+            remote = [session.dse(campaign) for campaign in campaigns]
             executed_cold = session.runner.stats.executed
-            warm = session.dse(CAMPAIGN)
-        assert remote.to_json() == local.to_json()
-        assert executed_cold == 2
+            warm = [session.dse(campaign) for campaign in campaigns]
+        local_json = [result.to_json() for result in local]
+        assert [result.to_json() for result in remote] == local_json
+        assert executed_cold == 4
         # The warm pass answers from the coordinator cache: zero new
         # executions, zero new queue traffic, same bytes.
-        assert warm.to_json() == local.to_json()
+        assert [result.to_json() for result in warm] == local_json
         assert session.runner.stats.executed == executed_cold
         assert queue.snapshot()["outstanding"] == 0
 

@@ -5,8 +5,11 @@ Covers the fabric's four contracts:
 * **Protocol** — the lease queue's claim/heartbeat/complete lifecycle:
   FIFO claims, front-of-queue requeue on lease expiry, heartbeat
   extension, first-valid-completion-wins, bounded lease budgets, and the
-  verification gate (recomputed digests, trial unpickles, outcome counts,
-  content-key-only extras) that keeps a corrupt upload out of the cache.
+  verification gate (recomputed digests, result-record decoding, outcome
+  counts, content-key-only extras) that keeps a corrupt upload out of the
+  cache.
+* **Inert payloads** — pickle bytes that would call a function when
+  unpickled are refused on every inbound path without calling it.
 * **Bit-equivalence** — a sweep through ``REPRO_POOL=remote`` plus worker
   loops produces byte-identical ``SweepResult`` JSON and an identical
   cache key inventory to the local pool, on fixed and randomized grids.
@@ -25,7 +28,6 @@ import hashlib
 import http.client
 import json
 import os
-import pickle
 import random
 import socket
 import subprocess
@@ -47,8 +49,11 @@ from fabric_chaos import (
     worker_fleet,
 )
 from repro import resilience
+from repro.accelerators.cpu import CpuRunResult
 from repro.api import Session, SweepSpec
 from repro.arch.config import default_config
+from repro.dataflows import Dataflow
+from repro.dataflows.stats import DataflowStats
 from repro.experiments.settings import default_settings
 from repro.fabric import (
     Chaos,
@@ -57,7 +62,6 @@ from repro.fabric import (
     RemoteExecutor,
     RemoteWorkerError,
     WorkQueue,
-    parse_chaos,
     pull_cache,
     reset_shared_fabric,
     set_shared_coordinator,
@@ -65,9 +69,10 @@ from repro.fabric import (
 )
 from repro.fabric.worker import DirectClient, RecordingCache
 from repro.httpd import CONTENT_DIGEST_HEADER
-from repro.runtime import BatchRunner, ResultCache, SimJob, reset_shared_pool
-from repro.runtime.jobs import execute_chunk
+from repro.runtime import BatchRunner, ResultCache, SimJob, records, reset_shared_pool
+from repro.runtime.jobs import CPU_DESIGN, ENGINE_DESIGN, execute_chunk
 from repro.serve import BackgroundServer
+from repro.sparse import Layout, random_sparse
 from repro.workloads.representative import REPRESENTATIVE_LAYERS
 
 #: Same micro budgets as tests/test_serve.py, so every grid stays tiny.
@@ -101,6 +106,13 @@ def _job(design: str = "SIGMA-like", index: int = 0, **overrides) -> SimJob:
     return SimJob(**kwargs)
 
 
+def _result(value: int) -> CpuRunResult:
+    """A small, distinct result record to upload or store."""
+    return CpuRunResult(
+        cycles=float(value), seconds=value / 3e9, stats=DataflowStats(multiplications=value)
+    )
+
+
 def _chunk(count: int = 1) -> list[tuple[str, SimJob]]:
     jobs = [_job(index=index) for index in range(count)]
     return [(job.key(), job) for job in jobs]
@@ -110,10 +122,7 @@ def _completion(item: dict, outcomes, error: str | None = None, extras=()) -> di
     """A well-formed upload record for one claimed item."""
     return {
         "item_id": item["item_id"],
-        "outcomes": [
-            wire.encode_blob(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
-            for value in outcomes
-        ],
+        "outcomes": [wire.encode_blob(records.encode(value)) for value in outcomes],
         "extras": [{"key": key, **wire.encode_blob(blob)} for key, blob in extras],
         "error": error,
     }
@@ -149,29 +158,88 @@ class TestWire:
         assert not wire.is_content_key("../" + "a" * 61)  # traversal alphabet
 
     def test_jobs_roundtrip_preserves_keys(self):
-        jobs = [_job(index=0), _job(index=1, design="GAMMA-like")]
+        a = random_sparse(24, 32, 0.3, seed=1)
+        b = random_sparse(32, 20, 0.3, seed=2).with_layout(Layout.CSC)
+        jobs = [
+            _job(index=0),
+            _job(index=1, design="GAMMA-like"),
+            _job(
+                design=ENGINE_DESIGN,
+                config=default_config(num_multipliers=32),
+                dataflow=Dataflow.GUST_N,
+            ),
+            _job(design=CPU_DESIGN, index=2),
+            SimJob(design="SpArch-like", config=default_config(), a=a, b=b, layer_name="ab"),
+        ]
         decoded = wire.decode_jobs(wire.encode_jobs(jobs))
         assert [job.key() for job in decoded] == [job.key() for job in jobs]
+        assert decoded[2].dataflow is Dataflow.GUST_N
+        assert (decoded[4].a, decoded[4].b) == (a, b)
+
+    def test_a_chunk_carries_each_operand_once(self):
+        """Jobs over one operand pair share one decoded operand object (a
+        square workload's ``b`` is its ``a``), and the payload carries its
+        structure once, however many jobs name it."""
+        a = random_sparse(400, 400, 0.25, seed=5)
+
+        def chunk(count: int) -> list[SimJob]:
+            return [
+                SimJob(design="SIGMA-like", config=default_config(), a=a, b=a, layer_name=f"j{n}")
+                for n in range(count)
+            ]
+
+        one, sixteen = (wire.decode_blob(wire.encode_jobs(chunk(n))) for n in (1, 16))
+        assert one.count(b'"pointers"') == sixteen.count(b'"pointers"') == 1
+        assert len(sixteen) < 1.2 * len(one)
+        decoded = wire.decode_jobs(wire.encode_jobs(chunk(16)))
+        assert decoded[0].a == a
+        assert all(job.a is decoded[0].a and job.b is decoded[0].a for job in decoded)
+
+    def test_a_result_record_must_be_canonical(self):
+        """An inbound result is byte for byte what its decoded value writes
+        back: a number spelled as a string or as an equal number of another
+        type, a field the type lacks, or a record of no result kind is
+        refused."""
+        good = _result(1).to_record()
+        assert wire.decode_result(records.encode(_result(1))) == _result(1)
+        layer = execute_chunk([_job(design="Flexagon")])[0][0].to_record()
+        layer["str_cache_accesses"] = 1
+        assert wire.decode_result(records.dumps({"kind": "layer_result", "record": layer}))
+        foreign = [
+            records.dumps({"kind": "layer_result", "record": {**layer, "str_cache_accesses": True}}),
+            records.dumps({"kind": None, "record": good}),
+            records.encode(_result(1)) + b" ",
+            b"[]",
+            b"{}",
+            b"\xff",
+        ]
+        for record in (
+            {**good, "cycles": "1.0"},
+            {**good, "cycles": 1},  # an int for a float
+            {**good, "stats": {**good["stats"], "multiplications": "1"}},
+            {**good, "stats": {**good["stats"], "multiplications": 1.0}},  # a float for an int
+            {**good, "stats": {**good["stats"], "multiplications": True}},
+            {**good, "extra": 1},
+        ):
+            foreign.append(records.dumps({"kind": "cpu_result", "record": record}))
+        for blob in foreign:
+            with pytest.raises(wire.IntegrityError):
+                wire.decode_result(blob)
 
     def test_decode_jobs_rejects_foreign_payloads(self):
-        payload = wire.encode_blob(
-            pickle.dumps(["not", "jobs"], protocol=pickle.HIGHEST_PROTOCOL)
-        )
-        with pytest.raises(wire.IntegrityError):
-            wire.decode_jobs(payload)
-
-    def test_parse_chaos(self):
-        assert parse_chaos(None) is None
-        assert parse_chaos("") is None
-        assert parse_chaos("die_after:2") == Chaos("die_after", 2)
-        assert parse_chaos("stall") == Chaos("stall", 0)
-        assert parse_chaos("corrupt") == Chaos("corrupt", 0)
-        with pytest.raises(ValueError, match="integer"):
-            parse_chaos("die_after:soon")
-        with pytest.raises(ValueError, match="no argument"):
-            parse_chaos("stall:5")
-        with pytest.raises(ValueError, match="unknown"):
-            parse_chaos("explode")
+        operands = (random_sparse(8, 8, 0.4, seed=3), random_sparse(8, 8, 0.4, seed=4))
+        job = SimJob(design="Flexagon", config=default_config(), a=operands[0], b=operands[1])
+        good = json.loads(wire.decode_blob(wire.encode_jobs([job])))
+        foreign = [["not", "jobs"], {"design": "Flexagon"}, {**good, "operands": good["operands"][:1]}]
+        for index in (True, -1, 1.0):  # b named by no place of the table
+            foreign.append({**good, "jobs": [{**good["jobs"][0], "b": index}]})
+        for field, bad in [("indices", 0.5), ("indices", "1"), ("indices", [1]), ("shape", 8.0)]:
+            chunk = json.loads(wire.decode_blob(wire.encode_jobs([job])))
+            chunk["operands"][0][field][0] = bad  # a number that is no integer
+            foreign.append(chunk)
+        for payload in foreign:
+            with pytest.raises(wire.IntegrityError):
+                wire.decode_jobs(wire.encode_blob(records.dumps(payload)))
 
 
 # ----------------------------------------------------------------------
@@ -249,21 +317,21 @@ class TestWorkQueue:
         snapshot = queue.snapshot()
         assert snapshot["failed"] == 1 and snapshot["outstanding"] == 0
         # A straggler's otherwise-valid completion is answered as stale.
-        outcome = queue.complete("w1", _completion(claimed, [{"late": True}]))
+        outcome = queue.complete("w1", _completion(claimed, [_result(1)]))
         assert outcome == {"status": "stale", "item_id": claimed["item_id"]}
 
     def test_valid_completion_resolves_the_future(self, tmp_path):
         queue = WorkQueue(lease_seconds=30)
         extra_key = _content_key("nested trial")
-        extra_blob = pickle.dumps({"trial": 1}, protocol=pickle.HIGHEST_PROTOCOL)
+        extra_blob = records.encode(_result(7))
         future = queue.submit_chunk(_chunk(2), extras_dir=str(tmp_path))
         (claimed,), _ = queue.claim("w1")
         outcome = queue.complete(
             "w1",
-            _completion(claimed, ["r0", "r1"], extras=[(extra_key, extra_blob)]),
+            _completion(claimed, [_result(0), _result(1)], extras=[(extra_key, extra_blob)]),
         )
         assert outcome == {"status": "accepted", "item_id": claimed["item_id"]}
-        assert future.result() == (["r0", "r1"], None)
+        assert future.result() == ([_result(0), _result(1)], None)
         # Extras landed byte-for-byte in the batch's cache directory.
         assert ResultCache(tmp_path).get_blob(extra_key) == extra_blob
         assert queue.snapshot()["done"] == 1
@@ -272,9 +340,9 @@ class TestWorkQueue:
         queue = WorkQueue(lease_seconds=30)
         future = queue.submit_chunk(_chunk(2))
         (claimed,), _ = queue.claim("w1")
-        queue.complete("w1", _completion(claimed, ["r0"], error="RuntimeError: boom"))
+        queue.complete("w1", _completion(claimed, [_result(0)], error="RuntimeError: boom"))
         outcomes, error = future.result()
-        assert outcomes == ["r0"]
+        assert outcomes == [_result(0)]
         assert isinstance(error, RemoteWorkerError) and "boom" in str(error)
 
     def test_wrong_outcome_count_is_rejected_and_requeued(self):
@@ -282,7 +350,7 @@ class TestWorkQueue:
         future = queue.submit_chunk(_chunk(2))
         (claimed,), _ = queue.claim("w1")
         with pytest.raises(FabricError) as excinfo:
-            queue.complete("w1", _completion(claimed, ["only one"]))
+            queue.complete("w1", _completion(claimed, [_result(1)]))
         assert excinfo.value.status == 400
         snapshot = queue.snapshot()
         assert snapshot["rejected_uploads"] == 1
@@ -293,7 +361,7 @@ class TestWorkQueue:
         queue = WorkQueue(lease_seconds=30)
         queue.submit_chunk(_chunk(1))
         (claimed,), _ = queue.claim("w1")
-        record = _completion(claimed, ["result"])
+        record = _completion(claimed, [_result(1)])
         record["outcomes"][0]["sha256"] = wire.digest(b"someone else's bytes")
         with pytest.raises(FabricError, match="corrupt upload"):
             queue.complete("w1", record)
@@ -304,11 +372,11 @@ class TestWorkQueue:
         cache entries — a completion naming an already-present key must
         leave the original bytes untouched."""
         existing_key = _content_key("already present")
-        original = pickle.dumps({"original": True}, protocol=pickle.HIGHEST_PROTOCOL)
+        original = records.encode(_result(1))
         ResultCache(tmp_path).put_blob(existing_key, original)
         fresh_key = _content_key("genuinely new")
-        fresh_blob = pickle.dumps({"fresh": True}, protocol=pickle.HIGHEST_PROTOCOL)
-        imposter = pickle.dumps({"imposter": True}, protocol=pickle.HIGHEST_PROTOCOL)
+        fresh_blob = records.encode(_result(2))
+        imposter = records.encode(_result(3))
         queue = WorkQueue(lease_seconds=30)
         queue.submit_chunk(_chunk(1), extras_dir=str(tmp_path))
         (claimed,), _ = queue.claim("w1")
@@ -316,7 +384,7 @@ class TestWorkQueue:
             "w1",
             _completion(
                 claimed,
-                ["r0"],
+                [_result(0)],
                 extras=[(existing_key, imposter), (fresh_key, fresh_blob)],
             ),
         )
@@ -328,10 +396,10 @@ class TestWorkQueue:
         queue = WorkQueue(lease_seconds=30)
         queue.submit_chunk(_chunk(1), extras_dir=str(tmp_path))
         (claimed,), _ = queue.claim("w1")
-        blob = pickle.dumps({"x": 1}, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = records.encode(_result(1))
         with pytest.raises(FabricError, match="no valid key"):
             queue.complete(
-                "w1", _completion(claimed, ["r0"], extras=[("../escape", blob)])
+                "w1", _completion(claimed, [_result(0)], extras=[("../escape", blob)])
             )
         assert ResultCache(tmp_path).entry_count() == 0
 
@@ -348,7 +416,7 @@ class TestWorkQueue:
         queue = WorkQueue(lease_seconds=30)
         queue.submit_chunk(_chunk(1))
         (claimed,), _ = queue.claim("w1")
-        record = _completion(claimed, ["result"])
+        record = _completion(claimed, [_result(1)])
         assert queue.complete("w1", record)["status"] == "accepted"
         assert queue.complete("w2", record)["status"] == "duplicate"
         assert queue.snapshot()["completed_items"] == 1
@@ -360,10 +428,10 @@ class TestWorkQueue:
         (claimed,), _ = queue.claim("slow")
         time.sleep(0.08)
         assert queue.snapshot()["pending"] == 1  # sweep requeued the item
-        assert queue.complete("slow", _completion(claimed, ["late"]))["status"] == (
+        assert queue.complete("slow", _completion(claimed, [_result(1)]))["status"] == (
             "accepted"
         )
-        assert future.result() == (["late"], None)
+        assert future.result() == ([_result(1)], None)
         items, _ = queue.claim("other")  # nothing left to hand out
         assert items == []
 
@@ -409,8 +477,8 @@ class TestRemoteExecutor:
         future = executor.submit(execute_chunk, [job], trial_cache=None)
         (claimed,), _ = queue.claim("w1")
         assert claimed["keys"] == [job.key()]
-        queue.complete("w1", _completion(claimed, ["outcome"]))
-        assert future.result() == (["outcome"], None)
+        queue.complete("w1", _completion(claimed, [_result(1)]))
+        assert future.result() == ([_result(1)], None)
 
     def test_trial_cache_reduces_to_its_directory(self, tmp_path):
         queue = WorkQueue(lease_seconds=30)
@@ -640,7 +708,7 @@ class TestChaosConvergence:
         coordinator_cache = ResultCache(coordinator_dir)
         assert sorted(coordinator_cache.keys()) == reference_keys
         for key in coordinator_cache.keys():
-            pickle.loads(coordinator_cache.get_blob(key))
+            wire.decode_result(coordinator_cache.get_blob(key))
 
     def test_exhausted_lease_budget_fails_the_batch(self, tmp_path):
         """With only a corrupting worker and one lease allowed per item,
@@ -851,7 +919,7 @@ class TestHttpFabric:
         # Cache replication routes: inventory, entry bytes, digest header,
         # and the content-key gate on the entry path.
         key = _content_key("replicated entry")
-        blob = pickle.dumps({"hello": "fabric"}, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = records.encode(_result(1))
         cache.put_blob(key, blob)
         with urllib.request.urlopen(url + "/v1/cache/keys", timeout=60) as response:
             inventory = json.loads(response.read())
@@ -961,7 +1029,7 @@ class TestHttpFabric:
 
     def test_plain_serve_does_not_mount_fabric_routes(self, tmp_path):
         """A query-only serve instance (local pool) must not carry the
-        pickle-deserializing fabric surface at all — every fabric path
+        fabric surface at all — every fabric path
         answers 404, exactly like any unknown route."""
         session = Session(
             MICRO,
@@ -1062,6 +1130,34 @@ class TestHttpFabric:
 # ----------------------------------------------------------------------
 # Authentication and exposure gates
 # ----------------------------------------------------------------------
+class _FakeResponse:
+    def __init__(self, payload, headers):
+        self._payload = payload
+        self.headers = headers
+
+    def read(self):
+        return self._payload
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+
+def _fake_peer(monkeypatch, key: str, blob: bytes, headers: dict) -> None:
+    """Make ``cache pull`` talk to a peer that lists ``key`` and serves
+    ``blob`` with ``headers`` for it."""
+    from repro.fabric import sync
+
+    def fake_open(url, timeout):
+        if url.endswith("/v1/cache/keys"):
+            return _FakeResponse(json.dumps({"keys": [key]}).encode(), {})
+        return _FakeResponse(blob, headers)
+
+    monkeypatch.setattr(sync, "_open", fake_open)
+
+
 class TestFabricAuth:
     def test_dispatch_requires_the_token_when_configured(self, monkeypatch):
         from repro.fabric import api
@@ -1131,31 +1227,8 @@ class TestFabricAuth:
         """A peer (or proxy) that strips the digest header gets its entries
         skipped — 'digest-verified before storing' is strict, not
         best-effort."""
-        from repro.fabric import sync
-
         key = _content_key("naked entry")
-        blob = pickle.dumps({"x": 1}, protocol=pickle.HIGHEST_PROTOCOL)
-
-        class FakeResponse:
-            def __init__(self, payload, headers):
-                self._payload = payload
-                self.headers = headers
-
-            def read(self):
-                return self._payload
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-        def fake_open(url, timeout):
-            if url.endswith("/v1/cache/keys"):
-                return FakeResponse(json.dumps({"keys": [key]}).encode(), {})
-            return FakeResponse(blob, {})  # digest header stripped
-
-        monkeypatch.setattr(sync, "_open", fake_open)
+        _fake_peer(monkeypatch, key, records.encode(_result(1)), {})  # no digest header
         report = pull_cache(ResultCache(tmp_path), "http://peer")
         assert report.remote_entries == 1
         assert report.skipped == 1 and report.fetched == 0
@@ -1232,3 +1305,68 @@ class TestWorkerTrialCache:
         first, second = ({e["key"]: e["data"] for e in u["extras"]} for u in log.uploads)
         assert first and second == first  # the oracle's trials, both times
         assert not set(second) & set(from_disk)  # read from the memory level
+
+
+# ----------------------------------------------------------------------
+# Inert payloads: pickle bytes that would run code are only bytes
+# ----------------------------------------------------------------------
+#: A protocol-4 pickle naming ``os.getpid`` through the module
+#: ``repro.knobs`` (a dotted name an allowlist of ``repro.*`` modules
+#: admits) and calling it with no arguments.
+PROBE = b"\x80\x04\x8c\x0brepro.knobs\x8c\x09os.getpid\x93)R."
+
+
+@contextlib.contextmanager
+def _getpid_recorded(monkeypatch):
+    """A recording stub stands in for ``os.getpid`` inside the block;
+    yields the list of its calls."""
+    calls: list[tuple] = []
+    real = os.getpid
+
+    def stub(*args):
+        calls.append(args)
+        return real()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "getpid", stub)
+        yield calls
+
+
+class TestInertPayloads:
+    def test_a_probe_job_list_is_refused(self, monkeypatch):
+        with _getpid_recorded(monkeypatch) as calls, pytest.raises(wire.IntegrityError):
+            wire.decode_jobs(wire.encode_blob(PROBE))
+        assert calls == []
+
+    @pytest.mark.parametrize("field", ["outcomes", "extras"])
+    def test_a_probe_upload_answers_400_and_stores_nothing(
+        self, tmp_path, monkeypatch, field
+    ):
+        queue = WorkQueue(lease_seconds=30)
+        future = queue.submit_chunk(_chunk(1), extras_dir=str(tmp_path))
+        (claimed,), _ = queue.claim("w1")
+        if field == "outcomes":
+            record = _completion(claimed, [])
+            record["outcomes"] = [wire.encode_blob(PROBE)]
+        else:
+            record = _completion(
+                claimed, [_result(0)], extras=[(_content_key("probe"), PROBE)]
+            )
+        with _getpid_recorded(monkeypatch) as calls, pytest.raises(FabricError) as excinfo:
+            queue.complete("w1", record)
+        assert calls == []
+        assert excinfo.value.status == 400
+        snapshot = queue.snapshot()
+        assert snapshot["rejected_uploads"] == 1 and snapshot["pending"] == 1
+        assert not future.done()
+        assert ResultCache(tmp_path).entry_count() == 0
+
+    def test_a_pulled_probe_entry_is_skipped(self, tmp_path, monkeypatch):
+        key = _content_key("probe entry")
+        _fake_peer(monkeypatch, key, PROBE, {CONTENT_DIGEST_HEADER: wire.digest(PROBE)})
+        with _getpid_recorded(monkeypatch) as calls:
+            report = pull_cache(ResultCache(tmp_path), "http://peer")
+        assert calls == []
+        assert report.skipped == 1 and report.fetched == 0
+        assert ResultCache(tmp_path).get_blob(key) is None
+        assert ResultCache(tmp_path).entry_count() == 0

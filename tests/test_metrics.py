@@ -1,9 +1,15 @@
 """Tests for the metrics package: result records and report formatting."""
 
+from dataclasses import asdict
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.accelerators.cpu import CpuRunResult
+from repro.arch.config import default_config
+from repro.arch.memory.dram import DramTrafficCounter
 from repro.dataflows import Dataflow
 from repro.dataflows.stats import DataflowStats
 from repro.metrics import (
@@ -28,6 +34,35 @@ class TestTrafficBreakdown:
     def test_onchip_total(self):
         traffic = TrafficBreakdown(sta_bytes=5, str_bytes=10, psum_bytes=15, offchip_bytes=3)
         assert traffic.onchip_bytes == 30
+
+
+class TestRecords:
+    def test_to_record_is_what_asdict_gave(self):
+        """Records are built field by field, to the dict ``asdict`` built:
+        same keys in the same order, numbers as plain ints and floats."""
+        stats = DataflowStats(multiplications=np.int64(7), additions=3)
+        layer = LayerSimResult(
+            accelerator="X",
+            dataflow=Dataflow.OP_N,
+            traffic=TrafficBreakdown(sta_bytes=np.int64(5), offchip_bytes=2),
+            stats=stats,
+            dram=DramTrafficCounter(str_read_bytes=np.int64(9)),
+        )
+        record = layer.to_record()
+        assert record["traffic"] == {k: int(v) for k, v in asdict(layer.traffic).items()}
+        assert list(record["stats"].items()) == [
+            (k, int(v)) for k, v in asdict(stats).items()
+        ]
+        assert list(record["dram"].items()) == [
+            (k, int(v)) for k, v in asdict(layer.dram).items()
+        ]
+        assert all(type(v) is int for v in record["stats"].values())
+        assert LayerSimResult.from_record(record) == layer
+        cpu = CpuRunResult(cycles=12.5, seconds=12.5 / 3e9, stats=DataflowStats(additions=4))
+        assert list(cpu.to_record().items()) == list(asdict(cpu).items())
+        assert CpuRunResult.from_record(cpu.to_record()) == cpu
+        config = default_config(num_multipliers=32)
+        assert list(config.to_record().items()) == list(asdict(config).items())
 
 
 class TestModelSimResult:

@@ -67,17 +67,15 @@ class TestBackoff:
         assert all(delay >= 0.0 for delay in delays)
         assert len(set(delays)) > 1  # the noise is real
 
-    def test_from_env_reads_the_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKOFF_INITIAL", "2.5")
-        monkeypatch.setenv("REPRO_BACKOFF_CAP", "40")
-        monkeypatch.setenv("REPRO_BACKOFF_MULTIPLIER", "3")
-        backoff = Backoff.from_env()
-        assert backoff.initial == 2.5
-        assert backoff.cap == 40.0
-        assert backoff.multiplier == 3.0
-
-    def test_from_env_caller_pins_initial(self):
-        assert Backoff.from_env(initial=0.01).initial == 0.01
+    def test_caller_pins_initial_over_the_shared_ladder(self):
+        backoff = Backoff(initial=0.01)
+        assert backoff.initial == 0.01
+        assert (backoff.cap, backoff.multiplier, backoff.jitter) == (
+            resilience.BACKOFF_CAP,
+            resilience.BACKOFF_MULTIPLIER,
+            resilience.BACKOFF_JITTER,
+        )
+        assert Backoff().initial == resilience.BACKOFF_INITIAL
 
 
 class TestJittered:
@@ -91,9 +89,15 @@ class TestJittered:
         assert jittered(0.0, fraction=0.5) == 0.0
         assert jittered(-1.0, fraction=0.5) == 0.0
 
-    def test_fraction_defaults_to_the_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKOFF_JITTER", "0")
-        assert jittered(5.0) == 5.0
+    def test_fraction_defaults_to_the_shared_jitter(self):
+        fraction = resilience.BACKOFF_JITTER
+        assert jittered(5.0, rng=random.Random(4)) == jittered(
+            5.0, fraction=fraction, rng=random.Random(4)
+        )
+        assert all(
+            5.0 * (1 - fraction) <= jittered(5.0) <= 5.0 * (1 + fraction)
+            for _ in range(50)
+        )
 
 
 class TestRetryBudget:
@@ -102,10 +106,6 @@ class TestRetryBudget:
         assert [budget.grant() for _ in range(5)] == [True, True, True, False, False]
         assert budget.exhausted
 
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY_ATTEMPTS", "2")
-        assert RetryBudget.from_env().attempts == 2
-
 
 class TestLeasePolicy:
     def test_deadline_and_budget_come_from_the_policy(self):
@@ -113,13 +113,6 @@ class TestLeasePolicy:
         deadline = policy.lease_deadline(now=100.0)
         assert deadline.expires_at == pytest.approx(130.0)
         assert policy.lease_budget().attempts == 5
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LEASE_SECONDS", "7")
-        monkeypatch.setenv("REPRO_MAX_ATTEMPTS", "2")
-        policy = LeasePolicy.from_env()
-        assert policy.lease_seconds == 7.0
-        assert policy.max_attempts == 2
 
 
 class TestCircuitBreaker:
@@ -163,13 +156,6 @@ class TestCircuitBreaker:
         breaker.record_success()
         assert breaker.record_failure(now=1.0) is False  # streak restarted
         assert breaker.state == CLOSED
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "9")
-        monkeypatch.setenv("REPRO_BREAKER_RESET", "3.5")
-        breaker = CircuitBreaker.from_env()
-        assert breaker.threshold == 9
-        assert breaker.reset_seconds == 3.5
 
 
 class TestPause:

@@ -13,6 +13,7 @@ Covers the three properties the runtime guarantees:
 
 from __future__ import annotations
 
+import inspect
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from repro.api import Session
 from repro.arch.config import default_config
 from repro.dataflows import Dataflow
 from repro.experiments import default_settings
+from repro.metrics.results import LayerSimResult
 from repro.runtime import (
     CPU_DESIGN,
     DESIGN_ORDER,
@@ -53,6 +55,21 @@ def _layer_job(design: str = "SIGMA-like", index: int = 0, **overrides) -> SimJo
     )
     kwargs.update(overrides)
     return SimJob(**kwargs)
+
+
+def _entry(name, pad: int = 0) -> LayerSimResult:
+    """A result record to store, told apart by ``name``; ``pad`` filler
+    characters make its record that much longer."""
+    return LayerSimResult(
+        accelerator="test", dataflow=Dataflow.IP_M, layer_name=f"{name}" + "x" * pad
+    )
+
+
+#: What a writer process a test starts runs to build :func:`_entry` values.
+_ENTRY_SOURCE = (
+    "from repro.dataflows import Dataflow\n"
+    "from repro.metrics.results import LayerSimResult\n" + inspect.getsource(_entry)
+)
 
 
 def _segments(directory):
@@ -160,40 +177,57 @@ class TestResultCache:
     def test_roundtrip(self, tmp_path):
         cache = ResultCache(tmp_path)
         assert cache.get("ab" * 32) is MISS
-        cache.put("ab" * 32, {"cycles": 42.0})
-        assert cache.get("ab" * 32) == {"cycles": 42.0}
+        cache.put("ab" * 32, _entry(42))
+        assert cache.get("ab" * 32) == _entry(42)
         assert cache.entry_count() == 1
 
+    def test_results_come_back_as_their_types(self, tmp_path):
+        """Results are stored as JSON records and decoded to their types."""
+        cache = ResultCache(tmp_path)
+        results = {
+            "ab" * 32: execute_job(_layer_job(design=CPU_DESIGN)),
+            "cd" * 32: execute_job(_layer_job(design="SIGMA-like"), trial_cache=None),
+        }
+        for key, result in results.items():
+            cache.put(key, result)
+            assert cache.get_blob(key).startswith(b'{"kind":')
+        fresh = ResultCache(tmp_path)
+        for key, result in results.items():
+            value = fresh.get(key)
+            assert type(value) is type(result) and value == result
+
     def test_survives_a_new_instance(self, tmp_path):
-        ResultCache(tmp_path).put("cd" * 32, [1, 2, 3])
-        assert ResultCache(tmp_path).get("cd" * 32) == [1, 2, 3]
+        ResultCache(tmp_path).put("cd" * 32, _entry(123))
+        assert ResultCache(tmp_path).get("cd" * 32) == _entry(123)
 
     def test_returns_fresh_copies(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put("ef" * 32, {"mutable": []})
+        cache.put("ef" * 32, _entry("mutable"))
         first = cache.get("ef" * 32)
-        first["mutable"].append("oops")
-        assert cache.get("ef" * 32) == {"mutable": []}
+        first.stats.multiplications += 1
+        assert cache.get("ef" * 32) == _entry("mutable")
 
     def test_corrupt_entry_is_a_miss_and_gets_dropped(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = "12" * 32
-        cache.put_blob(key, b"not a pickle")
+        cache.put_blob(key, b"not a record")
         assert cache.get(key) is MISS
         assert key not in cache._memory
         assert ResultCache(tmp_path).get(key) is MISS
         # The rebuilt entry supersedes the dropped record for every reader.
-        cache.put(key, {"cycles": 3.0})
-        assert ResultCache(tmp_path).get(key) == {"cycles": 3.0}
+        cache.put(key, _entry(3))
+        assert ResultCache(tmp_path).get(key) == _entry(3)
 
     def test_clear(self, tmp_path):
+        from repro.runtime import cache as cache_module
+
         cache = ResultCache(tmp_path)
-        cache.put("34" * 32, 1)
-        cache.put("56" * 32, 2)
+        cache.put("34" * 32, _entry(1))
+        cache.put("56" * 32, _entry(2))
         # What a writer killed mid-record strands: a torn tail in its segment.
         (segment,) = _segments(tmp_path)
         with open(segment, "ab") as handle:
-            handle.write(b"RCS1partial")
+            handle.write(cache_module._MAGIC + b"partial")
         assert cache.clear() == 2
         assert cache.get("34" * 32) is MISS
         assert cache.entry_count() == 0
@@ -206,17 +240,17 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         keys = [f"{i:02d}" * 32 for i in range(5)]
         for i, key in enumerate(keys):
-            cache.put(key, i)
+            cache.put(key, _entry(i))
         assert len(cache._memory) == 3
         # Evicted entries fall back to disk transparently.
-        assert cache.get(keys[0]) == 0
+        assert cache.get(keys[0]) == _entry(0)
 
     def test_missing_probes_without_reading(self, tmp_path):
         cache = ResultCache(tmp_path)
         present = ["ab" * 32, "cd" * 32]
         absent = ["ef" * 32, "01" * 32]
         for key in present:
-            cache.put(key, {"cycles": 1.0})
+            cache.put(key, _entry(1))
         probe = ResultCache(tmp_path)  # cold memory level: pure disk probe
         assert sorted(probe.missing(present + absent)) == sorted(absent)
         assert probe.missing(present) == []
@@ -230,7 +264,7 @@ class TestResultCache:
 
     def test_missing_sees_the_memory_level(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put("ab" * 32, 1)
+        cache.put("ab" * 32, _entry(1))
         ResultCache(tmp_path).clear()  # only the memory level holds it now
         assert cache.missing(["ab" * 32, "ef" * 32]) == ["ef" * 32]
 
@@ -284,7 +318,7 @@ class TestResultCacheConcurrentMutation:
                 while not stop.is_set():
                     key = rng.choice(keys)
                     if rng.random() < 0.6:
-                        writer.put(key, {"value": key})
+                        writer.put(key, _entry(key))
                     else:
                         writer.prune(prefix=key)  # evicts by compaction
             except BaseException as error:  # surfaced by the main thread
@@ -302,7 +336,7 @@ class TestResultCacheConcurrentMutation:
                 assert set(found) <= set(keys)
                 assert set(absent) <= set(keys)
                 for key, value in found.items():
-                    assert value == {"value": key}
+                    assert value == _entry(key)
         finally:
             stop.set()
             thread.join(timeout=30)
@@ -324,9 +358,10 @@ class TestResultCacheConcurrentMutation:
                 (
                     "import sys, time\n"
                     "from repro.runtime import ResultCache\n"
+                    f"{_ENTRY_SOURCE}"
                     "cache = ResultCache(sys.argv[1])\n"
                     "for key in sys.argv[2:]:\n"
-                    "    cache.put(key, {'value': key})\n"
+                    "    cache.put(key, _entry(key))\n"
                     "    time.sleep(0.01)\n"
                 ),
                 str(tmp_path),
@@ -344,7 +379,7 @@ class TestResultCacheConcurrentMutation:
             assert writer.wait(timeout=120) == 0
         found = ResultCache(tmp_path).get_many(keys)
         assert sorted(found) == sorted(keys)
-        assert all(found[key] == {"value": key} for key in keys)
+        assert all(found[key] == _entry(key) for key in keys)
 
 
 class TestResultCachePrune:
@@ -357,7 +392,7 @@ class TestResultCachePrune:
         # Write stamps strictly increase within a process, so writing in
         # order ranks in order: keys[0] is the oldest, keys[-1] the newest.
         for key in keys:
-            cache.put(key, {"payload": "x" * 1000, "key": key})
+            cache.put(key, _entry(key, pad=1000))
         return cache, keys
 
     def test_evicts_oldest_entries_first(self, tmp_path):
@@ -372,7 +407,7 @@ class TestResultCachePrune:
     def test_rewriting_refreshes_an_entrys_rank(self, tmp_path):
         cache, keys = self._filled_cache(tmp_path)
         # Rewrite the oldest entry: it becomes the newest and must survive.
-        cache.put(keys[0], {"payload": "x" * 1000, "key": keys[0]})
+        cache.put(keys[0], _entry(keys[0], pad=1000))
         entry_size = cache.size_bytes() // len(keys)
         cache.prune(entry_size)
         assert cache.get(keys[0]) is not MISS
@@ -418,14 +453,14 @@ class TestResultCacheSegments:
         cache = ResultCache(tmp_path)
         keys = [f"{i:02d}" * 32 for i in range(6)]
         for key in keys:
-            cache.put(key, {"key": key})
-        ResultCache(tmp_path).put("aa" * 32, "other instance, same segment")
+            cache.put(key, _entry(key))
+        ResultCache(tmp_path).put("aa" * 32, _entry("other instance, same segment"))
         cache.prune(prefix=keys[0])
         assert _segments(tmp_path) == []
         assert len(_packs(tmp_path)) == 1
         fresh = ResultCache(tmp_path)
         assert fresh.get(keys[0]) is MISS
-        assert fresh.get_many(keys[1:]) == {key: {"key": key} for key in keys[1:]}
+        assert fresh.get_many(keys[1:]) == {key: _entry(key) for key in keys[1:]}
         # Compaction keeps the write stamps, so the rank order survives it.
         entry_size = fresh.size_bytes() // fresh.entry_count()
         fresh.prune(entry_size * (fresh.entry_count() - 1))
@@ -436,10 +471,10 @@ class TestResultCacheSegments:
         import multiprocessing
 
         cache = ResultCache(tmp_path)
-        cache.put("ab" * 32, "parent")
+        cache.put("ab" * 32, _entry("parent"))
         (parent_segment,) = _segments(tmp_path)
         child = multiprocessing.get_context("fork").Process(
-            target=ResultCache(tmp_path).put, args=("cd" * 32, "child")
+            target=ResultCache(tmp_path).put, args=("cd" * 32, _entry("child"))
         )
         child.start()
         child.join(timeout=60)
@@ -450,7 +485,7 @@ class TestResultCacheSegments:
             str(os.getpid()), str(child.pid)
         }
         assert ResultCache(tmp_path).get_many(["ab" * 32, "cd" * 32]) == {
-            "ab" * 32: "parent", "cd" * 32: "child"
+            "ab" * 32: _entry("parent"), "cd" * 32: _entry("child")
         }
 
     def test_append_handles_stay_bounded(self, tmp_path):
@@ -469,13 +504,13 @@ class TestResultCacheSegments:
 
         limit = cache_module._APPEND_HANDLE_LIMIT
         for index in range(limit + 4):
-            ResultCache(tmp_path / f"dir-{index}").put("ab" * 32, index)
+            ResultCache(tmp_path / f"dir-{index}").put("ab" * 32, _entry(index))
         assert len(open_segments()) <= limit
         # Deleted directories do not keep their segments' space pinned once
         # the process writes anywhere else.
         for index in range(limit + 4):
             shutil.rmtree(tmp_path / f"dir-{index}")
-        ResultCache(tmp_path / "after").put("ab" * 32, "after")
+        ResultCache(tmp_path / "after").put("ab" * 32, _entry("after"))
         assert [target for target in open_segments() if "(deleted)" in target] == []
 
     def test_concurrent_writer_threads_never_interleave_records(self, tmp_path):
@@ -490,7 +525,7 @@ class TestResultCacheSegments:
         try:
             threads = [
                 threading.Thread(
-                    target=lambda part: [ResultCache(tmp_path).put(k, k * 4) for k in part],
+                    target=lambda part: [ResultCache(tmp_path).put(k, _entry(k)) for k in part],
                     args=(part,),
                 )
                 for part in shards
@@ -503,7 +538,7 @@ class TestResultCacheSegments:
         finally:
             sys.setswitchinterval(old_interval)
         assert len(_segments(tmp_path)) == 1
-        assert ResultCache(tmp_path).get_many(keys) == {key: key * 4 for key in keys}
+        assert ResultCache(tmp_path).get_many(keys) == {key: _entry(key) for key in keys}
 
     def test_refresh_reads_headers_in_bounded_pieces(self, tmp_path, monkeypatch):
         from repro.runtime import cache as cache_module
@@ -547,12 +582,12 @@ class TestResultCacheMerge:
         keys = [f"{i:02d}" * 32 for i in range(3 * cache_module._MERGE_AT)]
         cache = ResultCache(tmp_path)
         for key in keys:
-            cache.put(key, {"key": key})
+            cache.put(key, _entry(key))
             files = len(_segments(tmp_path)) + len(_packs(tmp_path))
             assert files <= cache_module._MERGE_AT
         assert _packs(tmp_path)
         fresh = ResultCache(tmp_path)
-        assert fresh.get_many(keys) == {key: {"key": key} for key in keys}
+        assert fresh.get_many(keys) == {key: _entry(key) for key in keys}
         assert fresh.entry_count() == len(keys)
         assert fresh.missing(keys + ["ff" * 32]) == ["ff" * 32]
 
@@ -568,7 +603,7 @@ class TestResultCacheMerge:
         def write(part):
             cache = ResultCache(tmp_path)
             for key in part:
-                cache.put(key, key)
+                cache.put(key, _entry(key))
 
         context = multiprocessing.get_context("fork")
         writers = [context.Process(target=write, args=(part,)) for part in shards]
@@ -578,7 +613,7 @@ class TestResultCacheMerge:
             writer.join(timeout=120)
         assert [writer.exitcode for writer in writers] == [0] * len(writers)
         keys = [key for part in shards for key in part]
-        assert ResultCache(tmp_path).get_many(keys) == {key: key for key in keys}
+        assert ResultCache(tmp_path).get_many(keys) == {key: _entry(key) for key in keys}
 
     def test_a_live_writers_segment_is_not_merged(self, tmp_path, monkeypatch):
         import fcntl
@@ -594,22 +629,22 @@ class TestResultCacheMerge:
             fcntl.flock(holder, fcntl.LOCK_EX)
             cache = ResultCache(tmp_path)
             for i in range(2 * cache_module._MERGE_AT):
-                cache.put(f"{i:02d}" * 32, i)
+                cache.put(f"{i:02d}" * 32, _entry(i))
             assert live.exists()
         assert ResultCache(tmp_path).get_blob(key.decode()) == b"live"
 
     def test_rewrites_keep_the_newest_record_across_a_merge(self, tmp_path, monkeypatch):
         cache_module = self._one_segment_per_put(monkeypatch)
         cache = ResultCache(tmp_path)
-        cache.put("ab" * 32, "old")
+        cache.put("ab" * 32, _entry("old"))
         for i in range(cache_module._MERGE_AT):
-            cache.put(f"{i:02d}" * 32, i)
+            cache.put(f"{i:02d}" * 32, _entry(i))
         assert _packs(tmp_path)
-        cache.put("ab" * 32, "new")  # in a segment, newer than the pack's
-        assert ResultCache(tmp_path).get("ab" * 32) == "new"
+        cache.put("ab" * 32, _entry("new"))  # in a segment, newer than the pack's
+        assert ResultCache(tmp_path).get("ab" * 32) == _entry("new")
         for i in range(cache_module._MERGE_AT):
-            cache.put(f"{i:02d}" * 32, i)
-        assert ResultCache(tmp_path).get("ab" * 32) == "new"
+            cache.put(f"{i:02d}" * 32, _entry(i))
+        assert ResultCache(tmp_path).get("ab" * 32) == _entry("new")
 
     def test_a_probe_reads_the_pack_table_not_its_records(self, tmp_path, monkeypatch):
         cache_module = self._one_segment_per_put(monkeypatch)
@@ -632,6 +667,34 @@ class TestResultCacheMerge:
         assert sum(reads) < 40 * (cache_module._MERGE_AT + 2) + 1024
         assert sum(reads) < pack.stat().st_size // 100
 
+    def test_a_directory_of_the_pickle_layout_reads_as_empty(self, tmp_path, monkeypatch):
+        """Segments and packs of the layout that stored pickles (magics
+        ``RCS1``/``RCP1``) are no entries: nothing of them is decoded, and
+        the next merge reclaims their files."""
+        import pickle
+
+        cache_module = self._one_segment_per_put(monkeypatch)
+        keys = [f"{i:02d}" * 32 for i in range(cache_module._MERGE_AT + 2)]
+        with monkeypatch.context() as old_layout:
+            old_layout.setattr(cache_module, "_MAGIC", b"RCS1")
+            old_layout.setattr(cache_module, "_PACK_MAGIC", b"RCP1")
+            old = ResultCache(tmp_path)
+            for key in keys:
+                old.put_blob(key, pickle.dumps({"cycles": 7.0}))
+            assert _packs(tmp_path) and _segments(tmp_path)
+            assert ResultCache(tmp_path).entry_count() == len(keys)
+        cache = ResultCache(tmp_path)
+        assert cache.get(keys[0]) is cache_module.MISS
+        assert cache.get_many(keys) == {}
+        assert cache.missing(keys) == keys
+        assert cache.keys() == [] and cache.entry_count() == 0
+        for i in range(cache_module._MERGE_AT):
+            cache.put(f"{i:02d}" * 32, _entry(i))
+        assert ResultCache(tmp_path).entry_count() == cache_module._MERGE_AT
+        stale = [path for path in _segments(tmp_path) + _packs(tmp_path)
+                 if path.read_bytes()[:4] == b"RCS1" or path.read_bytes()[-16:-12] == b"RCP1"]
+        assert not stale
+
     def test_a_torn_pack_is_ignored_then_removed(self, tmp_path, monkeypatch):
         cache_module = self._one_segment_per_put(monkeypatch)
         torn = tmp_path / "1-torn.pack"
@@ -639,7 +702,7 @@ class TestResultCacheMerge:
         cache = ResultCache(tmp_path)
         assert cache.entry_count() == 0
         for i in range(cache_module._MERGE_AT):
-            cache.put(f"{i:02d}" * 32, i)
+            cache.put(f"{i:02d}" * 32, _entry(i))
         assert not torn.exists()
         assert ResultCache(tmp_path).entry_count() == cache_module._MERGE_AT
 
@@ -656,10 +719,10 @@ class TestResultCachePruneRewrites:
         second = [f"{i:02d}" * 32 for i in range(4, 8)]
         cache = ResultCache(tmp_path)
         for key in first:
-            cache.put(key, {"payload": "x" * 1000, "key": key})
+            cache.put(key, _entry(key, pad=1000))
         # A second process's segment.
         child = multiprocessing.get_context("fork").Process(
-            target=lambda: [ResultCache(tmp_path).put(key, {"payload": "x" * 1000, "key": key})
+            target=lambda: [ResultCache(tmp_path).put(key, _entry(key, pad=1000))
                             for key in second]
         )
         child.start()
@@ -679,7 +742,7 @@ class TestResultCachePruneRewrites:
 
     def test_an_evicted_key_does_not_resurface_from_an_older_record(self, tmp_path):
         cache, first, second = self._two_segments(tmp_path)
-        cache.put(second[0], {"payload": "newer", "key": second[0]})
+        cache.put(second[0], _entry(f"{second[0]}-newer"))
         cache.prune(prefix=second[0])
         assert ResultCache(tmp_path).get(second[0]) is MISS
         assert ResultCache(tmp_path).entry_count() == len(first + second) - 1
@@ -701,7 +764,7 @@ class TestResultCachePruneRewrites:
         fresh = ResultCache(tmp_path)
         assert fresh.size_bytes() <= bound
         assert fresh.get_many(first + second) == {
-            key: {"payload": "x" * 1000, "key": key} for key in second
+            key: _entry(key, pad=1000) for key in second
         }
 
 
@@ -740,7 +803,7 @@ class TestResultCacheFaults:
         self._flip(segment, segment.read_bytes().index(b"B" * 500) + 250)
         fresh = ResultCache(tmp_path)
         assert fresh.get(self.KEYS[1]) is MISS
-        assert fresh.get_many(list(self.KEYS)) == {}  # b"A"*500 is no pickle
+        assert fresh.get_many(list(self.KEYS)) == {}  # b"A"*500 is no record
         self._assert_only_b_is_lost(tmp_path, cache)
 
     def test_flipped_key_byte_never_serves_another_key(self, tmp_path):
@@ -772,15 +835,16 @@ class TestResultCacheFaults:
             "import os, signal, sys\n"
             "from repro.runtime import ResultCache\n"
             "from repro.runtime import cache as cache_module\n"
+            f"{_ENTRY_SOURCE}"
             "cache = ResultCache(sys.argv[1])\n"
             "for key in sys.argv[2:-1]:\n"
-            "    cache.put(key, {'value': key})\n"
+            "    cache.put(key, _entry(key))\n"
             "real_write = os.write\n"
             "def torn_write(fd, data):\n"
             "    real_write(fd, data[: len(data) // 2])\n"
             "    os.kill(os.getpid(), signal.SIGKILL)\n"
             "cache_module.os.write = torn_write\n"
-            "cache.put(sys.argv[-1], {'value': sys.argv[-1]})\n"
+            "cache.put(sys.argv[-1], _entry(sys.argv[-1]))\n"
         )
         writer = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path), *keys],
@@ -790,23 +854,23 @@ class TestResultCacheFaults:
         assert writer.returncode == -signal.SIGKILL
         torn = keys[-1]
         fresh = ResultCache(tmp_path)
-        assert fresh.get_many(keys) == {key: {"value": key} for key in keys[:-1]}
+        assert fresh.get_many(keys) == {key: _entry(key) for key in keys[:-1]}
         assert fresh.get(torn) is MISS
         assert fresh.missing(keys) == [torn]
-        ResultCache(tmp_path).put(torn, {"value": torn})
-        assert ResultCache(tmp_path).get(torn) == {"value": torn}
+        ResultCache(tmp_path).put(torn, _entry(torn))
+        assert ResultCache(tmp_path).get(torn) == _entry(torn)
 
     def test_put_after_a_clear_elsewhere_lands(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put("ab" * 32, 1)
+        cache.put("ab" * 32, _entry(1))
         ResultCache(tmp_path).clear()
-        cache.put("cd" * 32, 2)
-        assert ResultCache(tmp_path).get("cd" * 32) == 2
+        cache.put("cd" * 32, _entry(2))
+        assert ResultCache(tmp_path).get("cd" * 32) == _entry(2)
         # Another process's clear unlinks the segment under an open handle.
         for segment in _segments(tmp_path):
             segment.unlink()
-        cache.put("ef" * 32, 3)
-        assert ResultCache(tmp_path).get("ef" * 32) == 3
+        cache.put("ef" * 32, _entry(3))
+        assert ResultCache(tmp_path).get("ef" * 32) == _entry(3)
 
     @staticmethod
     def _deny_opens(monkeypatch, under, errno_code, *, reads=True):
@@ -838,19 +902,19 @@ class TestResultCacheFaults:
     def test_eacces_on_segment_open(self, tmp_path, monkeypatch, capsys):
         import errno
 
-        ResultCache(tmp_path / "readable").put("ab" * 32, "kept")
+        ResultCache(tmp_path / "readable").put("ab" * 32, _entry("kept"))
         self._deny_opens(monkeypatch, tmp_path, errno.EACCES)
         writer = ResultCache(tmp_path / "denied")
-        writer.put("cd" * 32, 1)
-        writer.put("ef" * 32, 2)
-        assert writer.get("cd" * 32) == 1  # the memory level still answers
+        writer.put("cd" * 32, _entry(1))
+        writer.put("ef" * 32, _entry(2))
+        assert writer.get("cd" * 32) == _entry(1)  # the memory level still answers
         assert writer.write_failures == 2
         assert capsys.readouterr().err.count("[repro.cache]") == 1
         reader = ResultCache(tmp_path / "readable")
         assert reader.get("ab" * 32) is MISS
         assert reader.get_many(["ab" * 32]) == {}
         monkeypatch.undo()
-        assert ResultCache(tmp_path / "readable").get("ab" * 32) == "kept"
+        assert ResultCache(tmp_path / "readable").get("ab" * 32) == _entry("kept")
 
     def test_enospc_puts_do_not_fail_a_run(self, tmp_path, monkeypatch, capsys):
         import errno
@@ -1266,32 +1330,6 @@ class TestStreamingProgress:
         )
         runner.run_one(_layer_job())
         assert seen[-1] == (1, 1)
-
-    def test_submit_runs_the_batch_off_thread(self, tmp_path):
-        """``submit`` is ``run`` behind a Future — same results, live
-        progress, counters intact (the serving front-end's async hook)."""
-        import threading
-
-        runner = BatchRunner(parallel=False, cache=ResultCache(tmp_path))
-        jobs = [_layer_job(design=d) for d in ("SIGMA-like", "GAMMA-like")]
-        reference = BatchRunner(parallel=False, cache=None).run(jobs)
-        seen: list[tuple[int, int]] = []
-        calling_thread = threading.get_ident()
-        threads: set[int] = set()
-
-        def observe(done: int, total: int) -> None:
-            threads.add(threading.get_ident())
-            seen.append((done, total))
-
-        future = runner.submit(jobs, on_result=observe)
-        results = future.result(timeout=300)
-        assert results == reference
-        assert seen[-1] == (2, 2)
-        assert calling_thread not in threads  # progress came off-thread
-        assert runner.stats.submitted == 2 and runner.stats.executed == 2
-        # A second submit reuses the pool and answers from the cache.
-        assert runner.submit(jobs).result(timeout=300) == results
-        assert runner.stats.cache_hits == 2
 
     def test_results_stream_into_the_cache_as_they_land(self, tmp_path, monkeypatch):
         """Each finished job is on disk before the next one executes."""

@@ -11,19 +11,21 @@ from conftest import run_once
 from repro.accelerators.engine import SpmspmEngine
 from repro.core import HeuristicMapper, OracleMapper
 from repro.metrics import format_table, geometric_mean
+from repro.runtime import BatchRunner
 from repro.workloads.representative import REPRESENTATIVE_LAYERS
 from repro.workloads.layers import materialize_layer
 
 
 def _compare(settings):
     rows = []
+    runner = BatchRunner(parallel=False)
     for spec in REPRESENTATIVE_LAYERS:
         scale = settings.layer_scale(spec)
         config = settings.scaled_config(scale)
         a, b = materialize_layer(spec, scale=scale)
         engine = SpmspmEngine(config)
         heuristic_choice = HeuristicMapper(config).select(a, b)
-        oracle_choice = OracleMapper(config).select(a, b)
+        oracle_choice = OracleMapper(config, runner).select(a, b)
         heuristic_cycles = engine.run_layer(heuristic_choice, a, b).total_cycles
         oracle_cycles = engine.run_layer(oracle_choice, a, b).total_cycles
         rows.append(

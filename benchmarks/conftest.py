@@ -29,7 +29,7 @@ import pytest
 from repro import knobs
 from repro.api import Session
 from repro.experiments import default_settings
-from repro.runtime import default_runner
+from repro.runtime import BatchRunner
 
 
 def _knob_or(name: str, default):
@@ -53,23 +53,28 @@ def settings():
     )
 
 
+#: Where the session's runner is kept for the terminal summary.
+_RUNNER = pytest.StashKey[BatchRunner]()
+
+
 @pytest.fixture(scope="session")
-def session(settings):
+def session(settings, request):
     """The shared :class:`repro.api.Session` every benchmark submits through.
 
-    Backed by the process-wide runner, so the end-to-end and layer-wise grids
-    run (at most) once per pytest session and each figure benchmark only
-    slices rows out of the memoized results.
+    Backed by one environment-configured runner for the pytest session, so
+    the end-to-end and layer-wise grids run (at most) once per session and
+    each figure benchmark only slices rows out of the memoized results.
     """
-    return Session(settings, runner=default_runner())
+    runner = request.config.stash[_RUNNER] = BatchRunner()
+    return Session(settings, runner=runner)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Report what the simulation runtime did for this benchmark session."""
-    runner = default_runner()
-    stats = runner.stats
-    if stats.submitted == 0:
+    runner = config.stash.get(_RUNNER, None)
+    if runner is None or runner.stats.submitted == 0:
         return
+    stats = runner.stats
     terminalreporter.write_sep("-", "repro.runtime job summary")
     terminalreporter.write_line(
         "   ".join(f"{name}: {value}" for name, value in stats.as_row().items())

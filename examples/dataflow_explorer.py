@@ -20,6 +20,7 @@ from repro.core import HeuristicMapper, OracleMapper
 from repro.dataflows import Dataflow
 from repro.experiments import default_settings
 from repro.metrics import format_table
+from repro.runtime import BatchRunner
 from repro.workloads import get_representative_layer, materialize_layer
 
 
@@ -56,7 +57,7 @@ def main() -> None:
     print(format_table(rows, title=f"All six dataflows on layer {spec.name}"))
 
     heuristic = HeuristicMapper(config).select(a, b)
-    oracle = OracleMapper(config).select(a, b)
+    oracle = OracleMapper(config, BatchRunner(parallel=False)).select(a, b)
     print(f"Heuristic mapper picks : {heuristic.informal_name}")
     print(f"Oracle mapper picks    : {oracle.informal_name}")
     best = min(rows, key=lambda row: row["cycles"])

@@ -15,8 +15,10 @@ Public API layers (README, "Repository layout", lists every package):
   and operation counters.
 * :mod:`repro.arch` — the accelerator configuration (Table 5) and the DRAM
   model.
-* :mod:`repro.accelerators` — Flexagon plus the SIGMA-like, SpArch-like,
-  GAMMA-like and CPU baselines, and the area/power model.
+* :mod:`repro.accelerators` — the engine all four hardware designs share,
+  the CPU baseline and the area/power model.  The designs themselves —
+  Flexagon and the SIGMA-like, SpArch-like and GAMMA-like baselines — are
+  rows of dataflows in :mod:`repro.runtime.jobs`.
 * :mod:`repro.core` — the mapper (per-layer dataflow analysis).
 * :mod:`repro.workloads` — the 8 DNN models and 9 representative layers of
   the paper's evaluation.

@@ -1,30 +1,18 @@
-"""Accelerator models: Flexagon, the three fixed-dataflow baselines and the CPU.
+"""Accelerator models: the shared engine, the CPU baseline and the area model.
 
-* :class:`~repro.accelerators.flexagon.FlexagonAccelerator` — the paper's
-  design: all six dataflows on one substrate, dataflow chosen per layer.
-* :class:`~repro.accelerators.sigma_like.SigmaLikeAccelerator` — Inner
-  Product only (FAN-style reduction network).
-* :class:`~repro.accelerators.sparch_like.SparchLikeAccelerator` — Outer
-  Product only (merger network).
-* :class:`~repro.accelerators.gamma_like.GammaLikeAccelerator` — Gustavson
-  only (merger network + fiber cache).
+* :class:`~repro.accelerators.engine.SpmspmEngine` — the cycle-accounting
+  substrate all four hardware designs run on.  The designs differ only in
+  which dataflows they may configure on it, so a design is a row of
+  :data:`repro.runtime.jobs.DESIGN_DATAFLOWS` (Flexagon: all six, chosen per
+  layer; SIGMA-like, SpArch-like and GAMMA-like: one family each), run by
+  :func:`repro.runtime.jobs.run_design`.
 * :class:`~repro.accelerators.cpu.CpuMklLikeBaseline` — the CPU MKL-style
   software baseline of Table 2 / Fig. 12.
 * :mod:`repro.accelerators.area_power` — the analytical area/power model
-  behind Table 8, Fig. 17 and Fig. 18.
-
-All four hardware designs share the same cycle-accounting engine
-(:mod:`repro.accelerators.engine`); they differ in which dataflows they are
-allowed to configure and in their area/power breakdown, exactly as the paper
-normalises its comparison.
+  behind Table 8, Fig. 17 and Fig. 18, where the designs also differ.
 """
 
-from repro.accelerators.base import Accelerator
 from repro.accelerators.engine import SpmspmEngine
-from repro.accelerators.flexagon import FlexagonAccelerator
-from repro.accelerators.sigma_like import SigmaLikeAccelerator
-from repro.accelerators.sparch_like import SparchLikeAccelerator
-from repro.accelerators.gamma_like import GammaLikeAccelerator
 from repro.accelerators.cpu import CpuMklLikeBaseline
 from repro.accelerators.area_power import (
     AreaPowerBreakdown,
@@ -33,12 +21,7 @@ from repro.accelerators.area_power import (
 )
 
 __all__ = [
-    "Accelerator",
     "SpmspmEngine",
-    "FlexagonAccelerator",
-    "SigmaLikeAccelerator",
-    "SparchLikeAccelerator",
-    "GammaLikeAccelerator",
     "CpuMklLikeBaseline",
     "AreaPowerBreakdown",
     "accelerator_area_power",

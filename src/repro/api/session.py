@@ -20,8 +20,7 @@ an :class:`~repro.experiments.ExperimentSettings`, a
   experiment grids behind the paper's figures, memoized per session.
 * :meth:`Session.simulate` — ad-hoc simulation of one explicit operand pair
   across designs (the quickstart workflow).
-* :meth:`Session.cache_stats` / :meth:`Session.clear_cache` /
-  :meth:`Session.prune_cache` — result-cache maintenance.
+* :meth:`Session.cache_stats` — the result cache's statistics.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from repro.metrics.results import LayerSimResult
 from repro.runtime import (
     DESIGN_ORDER,
     BatchRunner,
-    PruneReport,
     ResultCache,
     RunnerStats,
     SimJob,
@@ -417,25 +415,6 @@ class Session:
         report["write_failures"] = self.cache.write_failures
         report["runner"] = self.stats.as_row()
         return report
-
-    def clear_cache(self) -> int:
-        """Drop every cache entry; returns how many were removed."""
-        if self.cache is None:
-            return 0
-        return self.cache.clear()
-
-    def prune_cache(
-        self, max_size_bytes: int | None = None, *, prefix: str | None = None
-    ) -> PruneReport:
-        """Evict cache entries: by LRU size bound, key prefix, or both.
-
-        See :meth:`ResultCache.prune` — ``prefix`` restricts eviction to
-        keys starting with it (e.g. ``"dse-"`` drops a finished campaign's
-        report bodies without touching figure results).
-        """
-        if self.cache is None:
-            return PruneReport(0, 0, 0, 0)
-        return self.cache.prune(max_size_bytes, prefix=prefix)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Session(settings={self.settings!r}, runner={self.runner!r})"

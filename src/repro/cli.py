@@ -13,7 +13,7 @@ Subcommands::
     python -m repro cache prune --max-size-mb 64   # evict least recently written
     python -m repro cache prune --prefix figure-   # drop stored figure bodies
     python -m repro cache pull http://host:8734    # merge a peer's entries
-    python -m repro list                      # figures, models, layers, designs
+    python -m repro list                      # figures, models, layers, designs, workloads
 
 ``figure``, ``sweep`` and ``dse`` write the canonical JSON of the response
 record to stdout (or ``-o FILE``) through :meth:`Session.answer`: the first
@@ -190,23 +190,7 @@ def _parse_override(text: str) -> tuple[str, object]:
     return name, value
 
 
-def _print_sweepable_models() -> None:
-    """``sweep --list-models``: Table 2 models plus DSE-registered workloads."""
-    from repro.dse.workloads import get_workload, workload_names
-
-    print("models (python -m repro sweep --models ...):")
-    for short_name, model in MODEL_REGISTRY.items():
-        print(f"  {short_name:12s} {model.name} ({model.num_layers} layers)")
-    print("dse workloads (python -m repro dse --workloads ...):")
-    for name in workload_names():
-        workload = get_workload(name)
-        print(f"  {name:12s} [{workload.kind}]")
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.list_models:
-        _print_sweepable_models()
-        return 0
     spec = SweepSpec(
         designs=args.designs,
         models=args.models,
@@ -220,21 +204,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_dse(args: argparse.Namespace) -> int:
-    from repro.dse import design_point_names, get_design_point, workload_names
+    from repro.dse import workload_names
     from repro.dse.explore import DseSpec
 
-    if args.list_workloads or args.list_designs:
-        if args.list_workloads:
-            _print_sweepable_models()
-        if args.list_designs:
-            print("design points (python -m repro dse --designs ...):")
-            for name in design_point_names():
-                point = get_design_point(name)
-                print(f"  {name:18s} [{point.family}] {point.accelerator}")
-        return 0
     if not args.workloads:
         print(
-            "error: --workloads is required (see --list-workloads); "
+            "error: --workloads is required (see python -m repro list workloads); "
             f"registered: {','.join(workload_names())}",
             file=sys.stderr,
         )
@@ -446,10 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale", type=float, default=None,
         help="pin the operand scale factor (skips the MAC-budget policy)",
     )
-    sweep.add_argument(
-        "--list-models", action="store_true",
-        help="list sweepable models (and DSE workloads), then exit",
-    )
     _add_output_args(sweep)
     _add_settings_args(sweep)
     _add_runner_args(sweep)
@@ -463,25 +434,17 @@ def build_parser() -> argparse.ArgumentParser:
     dse.add_argument(
         "--workloads", default=None, metavar="CSV",
         help="DSE workload names, e.g. xf-prune-80,gnn-cora "
-        "(--list-workloads shows all)",
+        "('python -m repro list workloads' shows all)",
     )
     dse.add_argument(
         "--designs", default=None, metavar="CSV",
         help="design-point names (default: every built-in family; "
-        "--list-designs shows all)",
+        "'python -m repro list workloads' shows all)",
     )
     dse.add_argument(
         "--scale", type=float, default=None,
         help="pin the operand scale of synthetic workloads "
         "(skips the MAC-budget policy)",
-    )
-    dse.add_argument(
-        "--list-workloads", action="store_true",
-        help="list registered workloads, then exit",
-    )
-    dse.add_argument(
-        "--list-designs", action="store_true",
-        help="list registered design points, then exit",
     )
     _add_output_args(dse)
     _add_settings_args(dse)
@@ -580,7 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
     cache.set_defaults(func=_cmd_cache)
 
     lister = subparsers.add_parser(
-        "list", help="list answerable figures, models, layers and designs"
+        "list", help="list answerable figures, models, layers, designs and DSE "
+        "workloads with their design points"
     )
     lister.add_argument(
         "what", nargs="?", default="all",

@@ -14,8 +14,10 @@ provides two concrete policies:
   re-fetches of B fibers that miss in the streaming cache.  The cheapest
   estimate wins.  This is fast enough to call for every layer of every model.
 * :class:`OracleMapper` — exhaustively simulates the candidate dataflows with
-  the cycle-accounting engine and picks the fastest.  Slow, but it provides
-  the upper bound the ablation benchmarks compare the heuristic against.
+  the cycle-accounting engine, through the job runner it is given, and picks
+  the fastest.  Flexagon runs with it (the paper evaluates Flexagon with the
+  best dataflow per layer), and the ablation bench compares the heuristic
+  against it.
 """
 
 from __future__ import annotations
@@ -130,34 +132,22 @@ class OracleMapper:
     """Exhaustive per-layer dataflow selection by simulation.
 
     Simulates every candidate dataflow with the cycle-accounting engine and
-    picks the one with the fewest cycles.  Used by the mapper ablation bench
-    and as ground truth when validating the heuristic.
+    picks the one with the fewest cycles.  This is the mapper the product
+    configures Flexagon with (:func:`repro.runtime.jobs.run_design`); the
+    mapper ablation bench compares the heuristic against it.
 
     The candidate trials are the hottest redundant work in the harness (the
     same operands are simulated under up to six dataflows, and then again by
-    whoever asked), so they are submitted as content-addressed jobs through a
-    :class:`repro.runtime.BatchRunner`: a layer the oracle has seen before —
-    in this process or any earlier one — costs a cache lookup instead of six
-    simulations.  The runner is serial by default because ``select`` already
-    runs inside pool workers during parallel sweeps.
+    whoever asked), so they are submitted as content-addressed jobs through
+    ``runner``, a :class:`repro.runtime.BatchRunner`: with a cache, a layer
+    the oracle has seen before — in this process or any earlier one — costs
+    a cache lookup instead of six simulations.  Pass a serial runner:
+    ``select`` already runs inside pool workers during parallel sweeps.
     """
 
-    def __init__(
-        self,
-        config: AcceleratorConfig | None = None,
-        runner: "object | None" = None,
-    ) -> None:
-        self.config = config or default_config()
-        self._runner = runner
-
-    @property
-    def runner(self):
-        """The job runner candidate trials go through (lazily constructed)."""
-        if self._runner is None:
-            from repro.runtime import trial_runner
-
-            self._runner = trial_runner()
-        return self._runner
+    def __init__(self, config: AcceleratorConfig, runner) -> None:
+        self.config = config
+        self.runner = runner
 
     def select(self, a: CompressedMatrix, b: CompressedMatrix) -> Dataflow:
         """Pick the fastest dataflow by simulating all six."""

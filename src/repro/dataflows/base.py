@@ -73,11 +73,6 @@ class Dataflow(enum.Enum):
         }
         return names[self.dataflow_class] + suffix
 
-    @property
-    def properties(self) -> "DataflowProperties":
-        """The full Table 3 row for this dataflow."""
-        return DATAFLOW_PROPERTIES[self]
-
     def mirrored(self) -> "Dataflow":
         """Return the same family with the opposite stationary dimension."""
         return _MIRROR[self]

@@ -22,7 +22,6 @@ from repro.dse.designs import (
     design_point_names,
     enumerate_designs,
     get_design_point,
-    has_design_point,
     register_design_point,
 )
 from repro.dse.workloads import (
@@ -54,7 +53,6 @@ __all__ = [
     "get_design_point",
     "get_workload",
     "gnn_adjacency",
-    "has_design_point",
     "has_workload",
     "load_matrix_market",
     "matrix_workload",

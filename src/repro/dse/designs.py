@@ -153,11 +153,6 @@ def design_point_names() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def has_design_point(name: str) -> bool:
-    """Whether ``name`` is a registered design point."""
-    return name in _REGISTRY
-
-
 def get_design_point(name: str) -> DesignPoint:
     """The registered point for ``name`` (``ValueError`` names the options)."""
     point = _REGISTRY.get(name)

@@ -259,7 +259,7 @@ class Workload:
         return hashlib.sha256(encoded.encode()).hexdigest()
 
     def to_record(self) -> dict[str, object]:
-        """JSON-safe summary row (the catalog / ``--list-workloads`` form)."""
+        """JSON-safe summary row (the catalog / ``list workloads --json`` form)."""
         record: dict[str, object] = {"name": self.name, "kind": self.kind}
         if self.spec is not None:
             record["m"], record["k"], record["n"] = self.spec.m, self.spec.k, self.spec.n

@@ -27,7 +27,6 @@ import os
 from concurrent.futures import Executor, Future
 
 from repro.fabric.queue import WorkQueue
-from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import SimJob, execute_chunk
 
 
@@ -43,21 +42,15 @@ class RemoteExecutor(Executor):
                 "RemoteExecutor only dispatches execute_chunk batches, "
                 f"got {fn!r}"
             )
-        if len(args) != 1:
-            raise TypeError("execute_chunk takes exactly one positional argument")
+        if len(args) != 1 or set(kwargs) != {"trial_cache"}:
+            raise TypeError(
+                "execute_chunk takes one positional argument and trial_cache"
+            )
         jobs: list[SimJob] = args[0]
-        trial_cache = kwargs.pop("trial_cache", None)
-        if kwargs:
-            raise TypeError(f"unexpected keyword arguments {sorted(kwargs)}")
         # The runner ships its cache as a directory across the pool boundary
-        # (see BatchRunner._execute_stream); a live ResultCache would only
-        # appear via direct embedding — reduce it to its directory too.
-        if isinstance(trial_cache, ResultCache):
-            extras_dir: str | None = str(trial_cache.directory)
-        elif trial_cache is not None:
-            extras_dir = os.fspath(trial_cache)
-        else:
-            extras_dir = None
+        # (see BatchRunner._execute_stream).
+        trial_cache = kwargs["trial_cache"]
+        extras_dir = None if trial_cache is None else os.fspath(trial_cache)
         chunk = [(job.key(), job) for job in jobs]
         return self.queue.submit_chunk(chunk, extras_dir=extras_dir)
 

@@ -12,7 +12,7 @@ from repro.metrics.results import (
     geometric_mean,
     speedup,
 )
-from repro.metrics.reporting import format_table, format_markdown_table
+from repro.metrics.reporting import format_table
 
 __all__ = [
     "RESULT_SCHEMA_VERSION",
@@ -26,5 +26,4 @@ __all__ = [
     "geometric_mean",
     "speedup",
     "format_table",
-    "format_markdown_table",
 ]

@@ -1,8 +1,8 @@
 """Plain-text table formatting used by the benchmark harness and examples.
 
 The benchmark scripts print the same rows/series the paper's tables and
-figures report; these helpers render them as aligned ASCII or Markdown tables
-without pulling in any plotting dependency.
+figures report; this helper renders them as aligned ASCII tables without
+pulling in any plotting dependency.
 """
 
 from __future__ import annotations
@@ -32,23 +32,6 @@ def format_table(
     lines.append("  ".join("-" * w for w in widths))
     for r in rendered:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(r)))
-    return "\n".join(lines) + "\n"
-
-
-def format_markdown_table(
-    rows: Sequence[Mapping[str, object]],
-    columns: Sequence[str] | None = None,
-    float_format: str = "{:.3g}",
-) -> str:
-    """Render a list of row dictionaries as a GitHub-flavoured Markdown table."""
-    if not rows:
-        return "(empty)\n"
-    columns = list(columns) if columns else list(rows[0].keys())
-    lines = ["| " + " | ".join(columns) + " |", "|" + "|".join("---" for _ in columns) + "|"]
-    for row in rows:
-        lines.append(
-            "| " + " | ".join(_fmt(row.get(col, ""), float_format) for col in columns) + " |"
-        )
     return "\n".join(lines) + "\n"
 
 

@@ -9,6 +9,10 @@ content-addressed on-disk :class:`ResultCache`, and fans the rest out over a
 process pool (or runs them serially for determinism checking; both modes are
 bit-identical).
 
+A hardware design is a row of :data:`DESIGN_DATAFLOWS`, the dataflows it may
+configure on the shared engine; :func:`run_design` runs one layer on one
+design as nested engine jobs through the runner it is given.
+
 See the README's "Batched simulation runtime" section for the job model, the
 cache location and the environment knobs.
 """
@@ -18,12 +22,13 @@ from repro.runtime.cost import estimate_job_cost, job_group_key
 from repro.runtime.jobs import (
     CACHE_SCHEMA_VERSION,
     CPU_DESIGN,
+    DESIGN_DATAFLOWS,
     DESIGN_ORDER,
     ENGINE_DESIGN,
     SimJob,
-    build_design,
     execute_chunk,
     execute_job,
+    run_design,
 )
 from repro.runtime.pool import (
     WorkerPool,
@@ -32,13 +37,7 @@ from repro.runtime.pool import (
     shared_pool,
     shutdown_shared_pool,
 )
-from repro.runtime.runner import (
-    BatchRunner,
-    RunnerStats,
-    default_runner,
-    reset_default_runners,
-    trial_runner,
-)
+from repro.runtime.runner import BatchRunner, RunnerStats
 
 __all__ = [
     "MISS",
@@ -49,12 +48,13 @@ __all__ = [
     "job_group_key",
     "CACHE_SCHEMA_VERSION",
     "CPU_DESIGN",
+    "DESIGN_DATAFLOWS",
     "DESIGN_ORDER",
     "ENGINE_DESIGN",
     "SimJob",
-    "build_design",
     "execute_chunk",
     "execute_job",
+    "run_design",
     "WorkerPool",
     "pool_mode_from_env",
     "reset_shared_pool",
@@ -62,7 +62,4 @@ __all__ = [
     "shutdown_shared_pool",
     "BatchRunner",
     "RunnerStats",
-    "default_runner",
-    "reset_default_runners",
-    "trial_runner",
 ]

@@ -28,8 +28,9 @@ back instead of re-simulating.
 A file that is neither is not an entry; in particular, the per-entry
 ``<xx>/<key>.pkl`` files of earlier versions read as cold.  So do the
 segments and packs of the versions that stored pickles: their magics
-(``RCS1``, ``RCP1``) are not this layout's, and the next merge reclaims
-their files.
+(``RCS1``, ``RCP1``) are not this layout's, so a reader reads a segment's
+first four bytes or a pack's footer and nothing more of them, and the next
+merge reclaims their files.
 
 **Reading.**  Each :class:`ResultCache` indexes the segments record by
 record, refreshing the index with the records appended since its last look
@@ -200,8 +201,12 @@ def _scan(fd: int, offset: int, size: int, searching: bool, found) -> tuple[int,
     Returns where the next scan resumes: the first incomplete record (a torn
     tail or a write in progress), or the end.  ``searching`` means the bytes
     at ``offset`` follow a damaged header, so the next valid header has to
-    be found first.
+    be found first.  A file whose first four bytes are not this layout's
+    magic (the pickle era's ``RCS1``, say) holds no record of it: the scan
+    reads those four bytes and reports the end.
     """
+    if offset == 0 and size >= len(_MAGIC) and os.pread(fd, len(_MAGIC), 0) != _MAGIC:
+        return size, False
     while offset + _HEADER_SIZE <= size:
         piece = os.pread(fd, min(_PIECE, size - offset), offset)
         end = len(piece)

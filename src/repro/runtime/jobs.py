@@ -16,9 +16,9 @@ every configuration field, the layer spec (or the operand structure when
 explicit matrices are given), scale, seed and forced dataflow, plus a schema
 version that must be bumped whenever the simulator's semantics change.
 
-Design jobs run their engine simulations as nested ``engine`` jobs through
-the sweep's own cache (:func:`build_design`), so an engine run shared by
-several designs over the same operands executes once.
+A hardware design is a row of :data:`DESIGN_DATAFLOWS`; :func:`run_design`
+runs one as nested ``engine`` jobs through the sweep's own cache, so an
+engine run shared by several designs over the same operands executes once.
 """
 
 from __future__ import annotations
@@ -30,14 +30,20 @@ import json
 import os
 import weakref
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
-from typing import Callable
+from dataclasses import asdict, dataclass, replace
+from typing import TYPE_CHECKING, Callable
 
 from repro.arch.config import AcceleratorConfig
+from repro.core.mapper import OracleMapper
 from repro.dataflows.base import Dataflow
+from repro.metrics.results import LayerSimResult
 from repro.sparse.formats import CompressedMatrix
 from repro.sparse.generate import SparsityPattern
 from repro.workloads.layers import LayerSpec, materialize_layer
+
+if TYPE_CHECKING:
+    from repro.runtime.cache import ResultCache
+    from repro.runtime.runner import BatchRunner
 
 #: Bump whenever the meaning of a cached result changes (simulator semantics,
 #: result record layout, ...).  Stale cache entries then simply never hit.
@@ -45,8 +51,24 @@ from repro.workloads.layers import LayerSpec, materialize_layer
 #: JSON-record contract of :mod:`repro.metrics.results`.
 CACHE_SCHEMA_VERSION = 2
 
-#: The four hardware designs of the paper's comparison, in plot order.
-DESIGN_ORDER = ("SIGMA-like", "SpArch-like", "GAMMA-like", "Flexagon")
+#: The four hardware designs of the paper's comparison, in plot order, each
+#: with the dataflows it may configure, its own choice first.  All four share
+#: one substrate and differ only in how the memory controllers deliver the
+#: data (Section 4): SIGMA-like reduces clusters of dot products on a FAN
+#: with intersection at the controller and no partial-sum memory (Inner
+#: Product); SpArch-like merges outer-product partial matrices in a merger
+#: tree, its partial-sum memory standing in for SpArch's condenser and merge
+#: buffers (Outer Product); GAMMA-like merges per-row partial fibers and
+#: keeps the streaming operand in a fiber cache (Gustavson); Flexagon's MRN
+#: configures any of the six, chosen per layer by the oracle mapper.
+DESIGN_DATAFLOWS: dict[str, tuple[Dataflow, ...]] = {
+    "SIGMA-like": (Dataflow.IP_M, Dataflow.IP_N),
+    "SpArch-like": (Dataflow.OP_M, Dataflow.OP_N),
+    "GAMMA-like": (Dataflow.GUST_M, Dataflow.GUST_N),
+    "Flexagon": tuple(Dataflow),
+}
+
+DESIGN_ORDER = tuple(DESIGN_DATAFLOWS)
 
 #: Software baseline design name (the CPU MKL-like cost model).
 CPU_DESIGN = "CPU-MKL"
@@ -58,104 +80,78 @@ ENGINE_DESIGN = "engine"
 _KNOWN_DESIGNS = DESIGN_ORDER + (CPU_DESIGN, ENGINE_DESIGN)
 
 
-#: Default for ``trial_cache``: use the process-wide trial runner.
-SHARED_TRIAL_CACHE = "<shared>"
-
-
 #: Per-process memo of nested runners keyed by cache directory: every job a
 #: pool worker executes over the same sweep cache reuses one runner, so the
 #: cache's in-memory blob level stays warm across the worker's whole chunk
 #: stream instead of re-reading shared engine results from disk per job.
 #: Bounded LRU: persistent-pool workers live for the whole process, and each
 #: retained runner pins up to one cache's worth of in-memory blobs.
-_NESTED_RUNNERS: "OrderedDict[str, object]" = OrderedDict()
+_NESTED_RUNNERS: OrderedDict[str, BatchRunner] = OrderedDict()
 _NESTED_RUNNER_LIMIT = 4
 
 
-def _nested_runner(trial_cache: object):
-    """The serial runner nested (trial / shared engine) jobs go through.
+def _nested_runner(trial_cache: ResultCache | str | os.PathLike | None) -> BatchRunner:
+    """The serial runner a design job's engine runs go through.
 
-    :data:`SHARED_TRIAL_CACHE` resolves to the process-wide trial runner; a
-    :class:`~repro.runtime.cache.ResultCache` instance or a directory path
-    yields a serial runner over that cache (memoized per directory within
-    the process); ``None`` yields a cache-less serial runner (nested work
-    executes but memoizes nothing).
+    A :class:`~repro.runtime.cache.ResultCache` yields a serial runner over
+    that live cache; a directory path one over that directory (memoized per
+    directory within the process); ``None`` a cache-less one, whose nested
+    work executes but memoizes nothing.
     """
-    if isinstance(trial_cache, str) and trial_cache == SHARED_TRIAL_CACHE:
-        from repro.runtime.runner import trial_runner
-
-        return trial_runner()
     from repro.runtime.cache import ResultCache
     from repro.runtime.runner import BatchRunner
 
-    if trial_cache is not None and not isinstance(trial_cache, ResultCache):
-        directory = os.fspath(trial_cache)
-        runner = _NESTED_RUNNERS.get(directory)
-        if runner is None:
-            runner = BatchRunner(parallel=False, cache=ResultCache(directory))
-            _NESTED_RUNNERS[directory] = runner
-        else:
-            _NESTED_RUNNERS.move_to_end(directory)
-        while len(_NESTED_RUNNERS) > _NESTED_RUNNER_LIMIT:
-            _NESTED_RUNNERS.popitem(last=False)
-        return runner
-    return BatchRunner(parallel=False, cache=trial_cache)
+    if trial_cache is None or isinstance(trial_cache, ResultCache):
+        return BatchRunner(parallel=False, cache=trial_cache)
+    directory = os.fspath(trial_cache)
+    runner = _NESTED_RUNNERS.get(directory)
+    if runner is None:
+        runner = BatchRunner(parallel=False, cache=ResultCache(directory))
+        _NESTED_RUNNERS[directory] = runner
+    else:
+        _NESTED_RUNNERS.move_to_end(directory)
+    while len(_NESTED_RUNNERS) > _NESTED_RUNNER_LIMIT:
+        _NESTED_RUNNERS.popitem(last=False)
+    return runner
 
 
-def build_design(
+def run_design(
     design: str,
     config: AcceleratorConfig,
+    a: CompressedMatrix,
+    b: CompressedMatrix,
     *,
-    trial_cache: object = SHARED_TRIAL_CACHE,
-):
-    """Instantiate one hardware design; Flexagon gets the oracle mapper.
+    runner: BatchRunner,
+    dataflow: Dataflow | None = None,
+    layer_name: str = "",
+) -> LayerSimResult:
+    """Simulate one SpMSpM layer on one hardware design.
 
-    The paper configures Flexagon with the most suitable dataflow per layer
-    (the offline mapper/compiler of Fig. 3b); the oracle mapper reproduces
-    that by simulating the candidate dataflows and picking the fastest.
+    Flexagon configures the dataflow its oracle mapper picks (the offline
+    mapper of Fig. 3b: the fastest of six trials), a fixed-dataflow baseline
+    the first of its :data:`DESIGN_DATAFLOWS` row.  A forced ``dataflow``
+    must be in the design's row; a claimed fabric chunk can carry one that
+    is not, so the check raises :class:`ValueError`.
 
-    ``trial_cache`` controls where nested engine-level jobs — the oracle's
-    candidate trials *and* the design's final configured engine run — are
-    memoized: the default (:data:`SHARED_TRIAL_CACHE`) routes them through
-    the process-wide (env configured) trial runner; a
-    :class:`~repro.runtime.cache.ResultCache` instance or a directory path
-    gives the design a private serial runner over that cache; ``None``
-    disables nested caching entirely.  A
-    :class:`~repro.runtime.runner.BatchRunner` forwards its own cache here
-    (the live object in-process, the directory across a pool boundary) so
-    nested work can never read or write a cache the caller did not choose.
-
-    Because engine jobs are content-addressed by (config, operands, dataflow)
-    alone, routing every design's engine run through the same cache
-    deduplicates the sweep's hottest redundant work: a fixed-dataflow
-    baseline re-simulates exactly the run Flexagon's oracle already trialed
-    over the same operands, and Flexagon's own final run re-simulates its
-    winning trial.  A cache-less nested runner (``trial_cache=None``) runs
-    every engine simulation directly instead.
+    The configured run is an ``engine`` job through ``runner``.  Engine jobs
+    are keyed by (config, operands, dataflow) alone, so with a cache the
+    run is often a hit: a baseline's is the trial Flexagon's oracle ran over
+    the same operands, and Flexagon's own is its winning trial.
     """
-    from repro.accelerators import (
-        FlexagonAccelerator,
-        GammaLikeAccelerator,
-        SigmaLikeAccelerator,
-        SparchLikeAccelerator,
+    allowed = DESIGN_DATAFLOWS[design]
+    if dataflow is None:
+        if design == "Flexagon":
+            dataflow = OracleMapper(config, runner).select(a, b)
+        else:
+            dataflow = allowed[0]
+    elif dataflow not in allowed:
+        raise ValueError(
+            f"{design} does not support the {dataflow.informal_name} dataflow"
+        )
+    record = runner.run_one(
+        SimJob(design=ENGINE_DESIGN, config=config, a=a, b=b, dataflow=dataflow)
     )
-
-    nested = _nested_runner(trial_cache)
-    if design == "Flexagon":
-        from repro.core.mapper import OracleMapper
-
-        mapper = OracleMapper(config, runner=nested)
-        accelerator = FlexagonAccelerator(config, mapper=mapper)
-    else:
-        classes = {
-            "SIGMA-like": SigmaLikeAccelerator,
-            "SpArch-like": SparchLikeAccelerator,
-            "GAMMA-like": GammaLikeAccelerator,
-        }
-        accelerator = classes[design](config)
-    if nested.cache is not None:
-        accelerator.engine_job_runner = nested
-    return accelerator
+    return replace(record, accelerator=design, layer_name=layer_name)
 
 
 @dataclass(frozen=True)
@@ -278,13 +274,15 @@ class SimJob:
         return hashlib.sha256(encoded.encode()).hexdigest()
 
 
-def execute_job(job: SimJob, *, trial_cache: object = SHARED_TRIAL_CACHE):
+def execute_job(job: SimJob, *, trial_cache: ResultCache | str | os.PathLike | None):
     """Run one job to completion and return its result record.
 
     This is a module-level function (not a method) so that
     :class:`concurrent.futures.ProcessPoolExecutor` can pickle it by
-    reference and ship only the job data to the worker.
-    ``trial_cache`` is forwarded to :func:`build_design`.
+    reference and ship only the job data to the worker.  A design job's
+    nested engine runs go through ``trial_cache``: a live
+    :class:`~repro.runtime.cache.ResultCache`, a cache directory, or
+    ``None`` for no cache (see :func:`_nested_runner`).
     """
     a, b = job.operands()
     if job.design == CPU_DESIGN:
@@ -297,14 +295,19 @@ def execute_job(job: SimJob, *, trial_cache: object = SHARED_TRIAL_CACHE):
         return SpmspmEngine(job.config).run_layer(
             job.dataflow, a, b, layer_name=job.layer_name
         )
-    accelerator = build_design(job.design, job.config, trial_cache=trial_cache)
-    return accelerator.run_layer(
-        a, b, dataflow=job.dataflow, layer_name=job.layer_name
+    return run_design(
+        job.design,
+        job.config,
+        a,
+        b,
+        runner=_nested_runner(trial_cache),
+        dataflow=job.dataflow,
+        layer_name=job.layer_name,
     )
 
 
 def execute_chunk(
-    jobs: list[SimJob], *, trial_cache: object = SHARED_TRIAL_CACHE
+    jobs: list[SimJob], *, trial_cache: ResultCache | str | os.PathLike | None
 ) -> tuple[list, BaseException | None]:
     """Run a list of jobs sequentially in this process, in the given order.
 

@@ -241,12 +241,11 @@ class BatchRunner:
     def _execute_stream(self, misses: list[tuple[str, SimJob]]):
         """Yield ``(key, result)`` pairs as the missing jobs complete.
 
-        Nested work (oracle trials, shared engine runs) must land in *this*
-        runner's cache — not the env-default one — and must stay uncached
-        when this runner was explicitly built without a cache.  In-process
-        execution hands over the live cache object (keeping its in-memory
-        memo warm across jobs); the pool path ships the directory instead,
-        since the memo dict should not be pickled to every worker.
+        Nested work (oracle trials, design engine runs) goes through *this*
+        runner's cache, and stays uncached when this runner has none.
+        In-process execution hands over the live cache object (keeping its
+        in-memory memo warm across jobs); the pool path ships the directory
+        instead, since the memo dict should not be pickled to every worker.
         """
         if not self.parallel or len(misses) < 2:
             run = functools.partial(execute_job, trial_cache=self.cache)
@@ -401,44 +400,3 @@ class BatchRunner:
         else:
             mode = "serial"
         return f"BatchRunner({mode}, cache={self.cache!r})"
-
-
-# ----------------------------------------------------------------------
-# Shared runner singletons
-# ----------------------------------------------------------------------
-_default_runner: BatchRunner | None = None
-_trial_runner: BatchRunner | None = None
-
-
-def default_runner() -> BatchRunner:
-    """The process-wide runner the experiment harnesses submit through.
-
-    Configured from the environment on first use; tests that need bespoke
-    behaviour should construct their own :class:`BatchRunner` and pass it to
-    the experiment entry points instead of mutating this one.
-    """
-    global _default_runner
-    if _default_runner is None:
-        _default_runner = BatchRunner()
-    return _default_runner
-
-
-def trial_runner() -> BatchRunner:
-    """Serial runner for nested work (oracle trials, shared engine runs).
-
-    Nested jobs already run *inside* pool workers during a parallel sweep,
-    so this runner never forks again — but it shares the default runner's
-    disk cache, which is what makes repeated engine runs over the same
-    operands (the hottest redundant work of the harness) near-free.
-    """
-    global _trial_runner
-    if _trial_runner is None:
-        _trial_runner = BatchRunner(parallel=False, cache=default_runner().cache)
-    return _trial_runner
-
-
-def reset_default_runners() -> None:
-    """Drop the shared singletons (tests use this after changing the env)."""
-    global _default_runner, _trial_runner
-    _default_runner = None
-    _trial_runner = None

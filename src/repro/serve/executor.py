@@ -240,11 +240,6 @@ class JobManager:
     # ------------------------------------------------------------------
     # Graceful shutdown
     # ------------------------------------------------------------------
-    @property
-    def draining(self) -> bool:
-        with self._lock:
-            return self._draining
-
     def begin_drain(self) -> None:
         """Refuse new cold work from now on (idempotent).
 

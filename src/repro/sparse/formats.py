@@ -158,11 +158,6 @@ class CompressedMatrix:
         total = self.nrows * self.ncols
         return self.nnz / total if total else 0.0
 
-    @property
-    def sparsity(self) -> float:
-        """Fraction of zero entries, in ``[0, 1]`` (the paper reports this in %)."""
-        return 1.0 - self.density
-
     # ------------------------------------------------------------------
     # Fiber access
     # ------------------------------------------------------------------

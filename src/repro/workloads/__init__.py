@@ -16,7 +16,6 @@ from repro.workloads.models import (
     MODEL_REGISTRY,
     ModelSpec,
     get_model,
-    list_models,
 )
 from repro.workloads.representative import REPRESENTATIVE_LAYERS, get_representative_layer
 
@@ -26,7 +25,6 @@ __all__ = [
     "ModelSpec",
     "MODEL_REGISTRY",
     "get_model",
-    "list_models",
     "REPRESENTATIVE_LAYERS",
     "get_representative_layer",
 ]

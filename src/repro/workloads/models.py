@@ -467,11 +467,6 @@ def _build_registry() -> dict[str, ModelSpec]:
 MODEL_REGISTRY: dict[str, ModelSpec] = _build_registry()
 
 
-def list_models() -> list[str]:
-    """Short names of the available models, in Table 2 order."""
-    return list(MODEL_REGISTRY)
-
-
 def get_model(name: str) -> ModelSpec:
     """Look up a model by short name (``"A"``) or full name (``"AlexNet"``)."""
     if name in MODEL_REGISTRY:

@@ -1,13 +1,9 @@
-"""Tests for the four accelerator designs, the CPU baseline and the area model."""
+"""Tests for the four hardware designs, the CPU baseline and the area model."""
 
 import pytest
 
 from repro.accelerators import (
     CpuMklLikeBaseline,
-    FlexagonAccelerator,
-    GammaLikeAccelerator,
-    SigmaLikeAccelerator,
-    SparchLikeAccelerator,
     accelerator_area_power,
     naive_triple_network_area,
 )
@@ -15,11 +11,12 @@ from repro.accelerators.area_power import performance_per_area
 from repro.accelerators.cpu import CpuConfig
 from repro.arch.config import default_config
 from repro.dataflows import Dataflow, DataflowClass
+from repro.runtime import DESIGN_DATAFLOWS, DESIGN_ORDER, BatchRunner, run_design
 from repro.sparse import random_sparse
 from repro.workloads import get_representative_layer, materialize_layer
 
 CONFIG = default_config()
-BASELINES = [SigmaLikeAccelerator, SparchLikeAccelerator, GammaLikeAccelerator]
+BASELINES = ("SIGMA-like", "SpArch-like", "GAMMA-like")
 
 
 def pair(seed=0, m=60, k=80, n=50, da=0.3, db=0.25):
@@ -29,92 +26,62 @@ def pair(seed=0, m=60, k=80, n=50, da=0.3, db=0.25):
     )
 
 
+def run(design, a, b, **kwargs):
+    """One layer on ``design``, as the product runs it, without a cache."""
+    runner = BatchRunner(parallel=False, cache=None)
+    return run_design(design, CONFIG, a, b, runner=runner, **kwargs)
+
+
+def test_design_order_is_the_table():
+    assert DESIGN_ORDER == tuple(DESIGN_DATAFLOWS)
+
+
+@pytest.mark.parametrize("design", DESIGN_ORDER)
+def test_a_forced_dataflow_in_the_row_is_configured(design):
+    a, b = pair(seed=5)
+    forced = DESIGN_DATAFLOWS[design][-1]
+    assert run(design, a, b, dataflow=forced).dataflow is forced
+
+
 class TestFixedDataflowBaselines:
-    @pytest.mark.parametrize("cls,family", [
-        (SigmaLikeAccelerator, DataflowClass.INNER_PRODUCT),
-        (SparchLikeAccelerator, DataflowClass.OUTER_PRODUCT),
-        (GammaLikeAccelerator, DataflowClass.GUSTAVSON),
-    ])
-    def test_supported_dataflows_are_one_family(self, cls, family):
-        acc = cls(CONFIG)
-        assert all(d.dataflow_class is family for d in acc.supported_dataflows)
-        assert len(acc.supported_dataflows) == 2  # M and N variants
+    @pytest.mark.parametrize("design,family", [
+        ("SIGMA-like", DataflowClass.INNER_PRODUCT),
+        ("SpArch-like", DataflowClass.OUTER_PRODUCT),
+        ("GAMMA-like", DataflowClass.GUSTAVSON),
+    ], ids=BASELINES)
+    def test_row_is_one_family(self, design, family):
+        """A baseline's row is its family's M- then N-stationary variant."""
+        row = DESIGN_DATAFLOWS[design]
+        assert [d.dataflow_class for d in row] == [family, family]
+        assert row[0].is_m_stationary and row[1].is_n_stationary
 
-    @pytest.mark.parametrize("cls", BASELINES)
-    def test_default_choice_is_m_stationary(self, cls):
-        a, b = pair(seed=1)
-        acc = cls(CONFIG)
-        assert acc.choose_dataflow(a, b).is_m_stationary
-
-    @pytest.mark.parametrize("cls", BASELINES)
-    def test_run_layer_uses_own_dataflow(self, cls):
+    @pytest.mark.parametrize("design", BASELINES)
+    def test_runs_the_first_of_its_row(self, design):
         a, b = pair(seed=3)
-        acc = cls(CONFIG)
-        result = acc.run_layer(a, b)
-        assert result.dataflow in acc.supported_dataflows
-        assert result.accelerator == acc.name
+        result = run(design, a, b, layer_name="L")
+        assert result.dataflow is DESIGN_DATAFLOWS[design][0]
+        assert (result.accelerator, result.layer_name) == (design, "L")
         assert result.total_cycles > 0
 
     def test_unsupported_forced_dataflow_rejected(self):
         a, b = pair(seed=4)
-        acc = SigmaLikeAccelerator(CONFIG)
-        with pytest.raises(ValueError, match="forced by the caller"):
-            acc.run_layer(a, b, dataflow=Dataflow.GUST_M)
-
-    def test_unsupported_policy_dataflow_rejected(self):
-        """Regression: a dataflow from the design's *own* selection policy is
-        validated too — a buggy or misconfigured policy (e.g. a custom mapper
-        handed to Flexagon) must fail loudly, not silently run an illegal
-        configuration on the engine."""
-
-        class BrokenPolicy(SigmaLikeAccelerator):
-            def choose_dataflow(self, a, b, **kwargs):
-                return Dataflow.GUST_M  # not an Inner-Product variant
-
-        a, b = pair(seed=5)
-        with pytest.raises(ValueError, match="choose_dataflow"):
-            BrokenPolicy(CONFIG).run_layer(a, b)
-
-    def test_flexagon_validates_a_custom_mappers_choice(self):
-        """Same regression at the Flexagon level: a mapper returning a value
-        outside the design's supported set is caught before execution."""
-
-        class BadMapper:
-            def select(self, a, b, **kwargs):
-                return "not-a-dataflow"
-
-        a, b = pair(seed=6)
-        accelerator = FlexagonAccelerator(CONFIG, mapper=BadMapper())
-        with pytest.raises(ValueError, match="does not support"):
-            accelerator.run_layer(a, b)
+        with pytest.raises(ValueError, match="SIGMA-like does not support"):
+            run("SIGMA-like", a, b, dataflow=Dataflow.GUST_M)
 
 
 class TestFlexagon:
     def test_supports_all_six_dataflows(self):
-        acc = FlexagonAccelerator(CONFIG)
-        assert set(acc.supported_dataflows) == set(Dataflow)
+        assert DESIGN_DATAFLOWS["Flexagon"] == tuple(Dataflow)
 
     def test_never_slower_than_fixed_baselines_on_representative_layers(self):
-        """The headline claim: Flexagon matches the best fixed design per layer."""
-        flexagon = FlexagonAccelerator(CONFIG)
-        baselines = [cls(CONFIG) for cls in BASELINES]
+        """The headline claim: Flexagon, configured by its oracle mapper as
+        the product runs it, matches the best fixed design on every layer."""
         for name in ("SQ5", "R6", "MB215"):
             spec = get_representative_layer(name)
             a, b = materialize_layer(spec, scale=0.35)
-            flex_cycles = flexagon.run_layer(a, b).total_cycles
-            best_baseline = min(acc.run_layer(a, b).total_cycles for acc in baselines)
-            # Allow a small tolerance: the heuristic mapper may not always pick
-            # the oracle-best dataflow.
-            assert flex_cycles <= best_baseline * 1.30
-
-    def test_custom_mapper_injection(self):
-        class AlwaysGustavson:
-            def select(self, a, b, **kwargs):
-                return Dataflow.GUST_M
-
-        acc = FlexagonAccelerator(CONFIG, mapper=AlwaysGustavson())
-        a, b = pair(seed=6)
-        assert acc.run_layer(a, b).dataflow is Dataflow.GUST_M
+            flex_cycles = run("Flexagon", a, b).total_cycles
+            best_baseline = min(run(design, a, b).total_cycles for design in BASELINES)
+            assert flex_cycles <= best_baseline
 
 
 class TestCpuBaseline:
@@ -140,9 +107,8 @@ class TestCpuBaseline:
         spec = get_representative_layer("SQ11")
         a, b = materialize_layer(spec, scale=0.5)
         cpu = CpuMklLikeBaseline()
-        flexagon = FlexagonAccelerator(CONFIG)
         cpu_seconds = cpu.run_layer(a, b).seconds
-        accel_result = flexagon.run_layer(a, b)
+        accel_result = run("Flexagon", a, b)
         accel_seconds = CONFIG.cycles_to_seconds(accel_result.total_cycles)
         assert cpu_seconds / accel_seconds > 5.0
 

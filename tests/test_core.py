@@ -5,6 +5,7 @@ import pytest
 from repro.arch.config import default_config
 from repro.core import HeuristicMapper, OracleMapper
 from repro.dataflows import Dataflow, DataflowClass
+from repro.runtime import BatchRunner
 from repro.sparse import random_sparse
 from repro.workloads import get_representative_layer, materialize_layer
 
@@ -57,7 +58,7 @@ class TestOracleMapper:
         from repro.accelerators.engine import SpmspmEngine
 
         a, b = pair(seed=7, m=30, k=40, n=30)
-        oracle = OracleMapper(CONFIG)
+        oracle = OracleMapper(CONFIG, BatchRunner(parallel=False, cache=None))
         chosen = oracle.select(a, b)
         engine = SpmspmEngine(CONFIG)
         cycles = {d: engine.run_layer(d, a, b).total_cycles for d in Dataflow}
@@ -68,7 +69,8 @@ class TestOracleMapper:
 
         a, b = pair(seed=8, m=30, k=40, n=30)
         engine = SpmspmEngine(CONFIG)
-        oracle_cycles = engine.run_layer(OracleMapper(CONFIG).select(a, b), a, b).total_cycles
+        oracle = OracleMapper(CONFIG, BatchRunner(parallel=False, cache=None))
+        oracle_cycles = engine.run_layer(oracle.select(a, b), a, b).total_cycles
         heuristic_cycles = engine.run_layer(
             HeuristicMapper(CONFIG).select(a, b), a, b
         ).total_cycles

@@ -632,10 +632,10 @@ class TestPrunePrefix:
 # CLI surface
 # ----------------------------------------------------------------------
 class TestCliSurface:
-    def test_sweep_list_models_includes_dse_workloads(self, capsys):
-        assert cli_main(["sweep", "--list-models"]) == 0
+    def test_list_names_models_and_dse_workloads(self, capsys):
+        assert cli_main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "resnet50" in out or "models (" in out
+        assert "models:" in out and "ResNet-50" in out
         assert "xf-prune-80" in out and "gnn-cora" in out
 
     def test_unknown_sweep_model_hints_at_the_dse_runner(self):
@@ -668,10 +668,10 @@ class TestCliSurface:
         assert cli_main(["dse"]) == 2
         err = capsys.readouterr().err
         assert "--workloads is required" in err and "xf-prune-80" in err
+        assert "python -m repro list workloads" in err
 
     def test_dse_cli_listings(self, capsys):
-        assert cli_main(["dse", "--list-workloads"]) == 0
-        assert "gnn-citeseer" in capsys.readouterr().out
-        assert cli_main(["dse", "--list-designs"]) == 0
+        assert cli_main(["list", "workloads"]) == 0
         out = capsys.readouterr().out
+        assert "gnn-citeseer" in out
         assert "xbar128" in out and "[stacked]" in out

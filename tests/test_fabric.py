@@ -202,7 +202,7 @@ class TestWire:
         refused."""
         good = _result(1).to_record()
         assert wire.decode_result(records.encode(_result(1))) == _result(1)
-        layer = execute_chunk([_job(design="Flexagon")])[0][0].to_record()
+        layer = execute_chunk([_job(design="Flexagon")], trial_cache=None)[0][0].to_record()
         layer["str_cache_accesses"] = 1
         assert wire.decode_result(records.dumps({"kind": "layer_result", "record": layer}))
         foreign = [
@@ -469,6 +469,8 @@ class TestRemoteExecutor:
         executor = RemoteExecutor(WorkQueue(lease_seconds=30))
         with pytest.raises(TypeError, match="execute_chunk"):
             executor.submit(print, ["job"])
+        with pytest.raises(TypeError, match="trial_cache"):
+            executor.submit(execute_chunk, [_job()])
 
     def test_submission_becomes_a_keyed_item(self):
         queue = WorkQueue(lease_seconds=30)
@@ -483,9 +485,9 @@ class TestRemoteExecutor:
     def test_trial_cache_reduces_to_its_directory(self, tmp_path):
         queue = WorkQueue(lease_seconds=30)
         executor = RemoteExecutor(queue)
-        executor.submit(execute_chunk, [_job()], trial_cache=ResultCache(tmp_path))
+        executor.submit(execute_chunk, [_job()], trial_cache=tmp_path)
         executor.submit(execute_chunk, [_job(index=1)], trial_cache=str(tmp_path))
-        executor.submit(execute_chunk, [_job(index=2)])
+        executor.submit(execute_chunk, [_job(index=2)], trial_cache=None)
         dirs = [item.extras_dir for item in queue._items.values()]
         assert dirs == [str(tmp_path), str(tmp_path), None]
 

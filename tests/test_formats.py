@@ -166,10 +166,6 @@ class TestTransposeAndSize:
         m = random_sparse(6, 4, 0.5, seed=4)
         assert np.array_equal(dense_of(m.transposed().transposed()), dense_of(m))
 
-    def test_density_and_sparsity_sum_to_one(self):
-        m = random_sparse(10, 10, 0.37, seed=6)
-        assert m.density + m.sparsity == pytest.approx(1.0)
-
 
 class TestGeneration:
     @pytest.mark.parametrize("pattern", ["uniform", "row_skewed", "banded", "block"])

@@ -17,7 +17,6 @@ from repro.metrics import (
     ModelSimResult,
     PhaseCycles,
     TrafficBreakdown,
-    format_markdown_table,
     format_table,
     geometric_mean,
     speedup,
@@ -122,11 +121,3 @@ class TestReporting:
     def test_format_table_column_selection(self):
         text = format_table(self.ROWS, columns=["name"])
         assert "value" not in text
-
-    def test_markdown_table(self):
-        text = format_markdown_table(self.ROWS)
-        assert text.startswith("| name | value | flag |")
-        assert "| a | 1.5 | yes |" in text
-
-    def test_markdown_empty(self):
-        assert format_markdown_table([]) == "(empty)\n"

@@ -185,7 +185,7 @@ class TestResultCache:
         """Results are stored as JSON records and decoded to their types."""
         cache = ResultCache(tmp_path)
         results = {
-            "ab" * 32: execute_job(_layer_job(design=CPU_DESIGN)),
+            "ab" * 32: execute_job(_layer_job(design=CPU_DESIGN), trial_cache=None),
             "cd" * 32: execute_job(_layer_job(design="SIGMA-like"), trial_cache=None),
         }
         for key, result in results.items():
@@ -695,6 +695,34 @@ class TestResultCacheMerge:
                  if path.read_bytes()[:4] == b"RCS1" or path.read_bytes()[-16:-12] == b"RCP1"]
         assert not stale
 
+    def test_a_segment_of_the_pickle_layout_is_skipped_not_scanned(
+        self, tmp_path, monkeypatch
+    ):
+        """A fresh reader reads the first four bytes of an ``RCS1`` segment
+        and no more of it, however large it is."""
+        import pickle
+
+        cache_module = self._one_segment_per_put(monkeypatch)
+        keys = [f"{i:02d}" * 32 for i in range(cache_module._MERGE_AT - 3)]
+        with monkeypatch.context() as old_layout:
+            old_layout.setattr(cache_module, "_MAGIC", b"RCS1")
+            old = ResultCache(tmp_path)
+            for key in keys:
+                old.put_blob(key, pickle.dumps({"cycles": 7.0, "pad": "x" * 100_000}))
+        segments = _segments(tmp_path)
+        assert len(segments) == len(keys) and not _packs(tmp_path)
+        reads: list[int] = []
+        real_pread = os.pread
+
+        def counting_pread(fd, size, offset):
+            data = real_pread(fd, size, offset)
+            reads.append(len(data))
+            return data
+
+        monkeypatch.setattr(cache_module.os, "pread", counting_pread)
+        assert ResultCache(tmp_path).missing(keys) == keys
+        assert sum(reads) <= 4 * len(segments)
+
     def test_a_torn_pack_is_ignored_then_removed(self, tmp_path, monkeypatch):
         cache_module = self._one_segment_per_put(monkeypatch)
         torn = tmp_path / "1-torn.pack"
@@ -1000,36 +1028,35 @@ class TestBatchRunner:
 
     def test_execute_job_matches_runner_result(self):
         job = _layer_job(design="GAMMA-like")
-        direct = execute_job(job)
+        direct = execute_job(job, trial_cache=None)
         via_runner = BatchRunner(parallel=False, cache=None).run_one(job)
         assert via_runner.total_cycles == direct.total_cycles
 
     def test_engine_job_runs_forced_dataflow(self):
         job = _layer_job(design=ENGINE_DESIGN, dataflow=Dataflow.IP_M)
-        result = execute_job(job)
+        result = execute_job(job, trial_cache=None)
         assert result.dataflow is Dataflow.IP_M
         assert result.total_cycles > 0
 
     def test_cacheless_runner_disables_nested_trial_cache(self):
         """A ``cache=None`` sweep must not consume persisted mapper trials."""
-        from repro.runtime import build_design
+        from repro.runtime.jobs import _nested_runner
 
-        flexagon = build_design("Flexagon", default_config(), trial_cache=None)
-        assert flexagon.mapper.runner.cache is None
+        nested = _nested_runner(None)
+        assert nested.cache is None and not nested.parallel
 
     def test_custom_cache_dir_reaches_nested_trials(self, tmp_path):
-        """Mapper trials land in the sweep's own cache, not the env default."""
-        from repro.runtime import build_design, trial_runner
+        """Nested engine runs land in the sweep's own cache, not the env
+        default: a directory gets one serial runner per process, a live
+        cache is used as it is."""
+        from repro.runtime.jobs import _nested_runner
 
-        flexagon = build_design(
-            "Flexagon", default_config(), trial_cache=str(tmp_path)
-        )
-        assert str(flexagon.mapper.runner.cache.directory) == str(tmp_path)
+        by_directory = _nested_runner(str(tmp_path))
+        assert str(by_directory.cache.directory) == str(tmp_path)
+        assert not by_directory.parallel
+        assert _nested_runner(tmp_path) is by_directory
         live = ResultCache(tmp_path)
-        in_process = build_design("Flexagon", default_config(), trial_cache=live)
-        assert in_process.mapper.runner.cache is live
-        shared = build_design("Flexagon", default_config())
-        assert shared.mapper.runner is trial_runner()
+        assert _nested_runner(live).cache is live
 
     def test_cpu_jobs_are_cached_independently_of_the_config(self):
         """One CPU baseline result serves every accelerator design point."""

@@ -10,7 +10,6 @@ from repro.workloads import (
     LayerSpec,
     get_model,
     get_representative_layer,
-    list_models,
     materialize_layer,
 )
 from repro.workloads.layers import layer_summary, scale_for_budget
@@ -105,7 +104,7 @@ class TestMaterialization:
 class TestModels:
     def test_registry_has_eight_models(self):
         assert len(MODEL_REGISTRY) == 8
-        assert list_models() == ["A", "SQ", "V", "R", "S-R", "S-M", "DB", "MB"]
+        assert list(MODEL_REGISTRY) == ["A", "SQ", "V", "R", "S-R", "S-M", "DB", "MB"]
 
     def test_layer_counts_match_table2(self):
         expected = {"A": 7, "SQ": 26, "V": 8, "R": 54, "S-R": 37, "S-M": 29,

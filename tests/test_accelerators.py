@@ -17,6 +17,8 @@ from repro.workloads import get_representative_layer, materialize_layer
 
 CONFIG = default_config()
 BASELINES = ("SIGMA-like", "SpArch-like", "GAMMA-like")
+# Test ids keep the names these baselines had as accelerator classes.
+BASELINE_IDS = ("SigmaLikeAccelerator", "SparchLikeAccelerator", "GammaLikeAccelerator")
 
 
 def pair(seed=0, m=60, k=80, n=50, da=0.3, db=0.25):
@@ -48,12 +50,17 @@ class TestFixedDataflowBaselines:
         ("SIGMA-like", DataflowClass.INNER_PRODUCT),
         ("SpArch-like", DataflowClass.OUTER_PRODUCT),
         ("GAMMA-like", DataflowClass.GUSTAVSON),
-    ], ids=BASELINES)
-    def test_row_is_one_family(self, design, family):
+    ], ids=BASELINE_IDS)
+    def test_supported_dataflows_are_one_family(self, design, family):
         """A baseline's row is its family's M- then N-stationary variant."""
         row = DESIGN_DATAFLOWS[design]
         assert [d.dataflow_class for d in row] == [family, family]
         assert row[0].is_m_stationary and row[1].is_n_stationary
+
+    @pytest.mark.parametrize("design", BASELINES, ids=BASELINE_IDS)
+    def test_default_choice_is_m_stationary(self, design):
+        a, b = pair(seed=1)
+        assert run(design, a, b).dataflow.is_m_stationary
 
     @pytest.mark.parametrize("design", BASELINES)
     def test_runs_the_first_of_its_row(self, design):

@@ -23,5 +23,5 @@ setup(
     packages=find_packages("src"),
     package_data={"repro.analyze": ["schema_lock.json"]},
     python_requires=">=3.11",
-    install_requires=["numpy", "scipy"],
+    install_requires=["numpy>=2.0"],
 )

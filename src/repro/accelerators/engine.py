@@ -285,8 +285,10 @@ def _structural_counts(
     """nnz of every output row and column of C = A x B (structure only).
 
     Computed with one grouped distinct-coordinate count over the CSR index
-    arrays (rows of A are the groups) instead of a per-row Python union —
-    the counts are exact integers either way.
+    arrays (rows of A are the groups; :func:`kernels.grouped_union_counts`
+    ORs B's rows as 64-bit coordinate sets, or sorts ``(row, column)`` keys
+    when they are sparse) instead of a per-row Python union — the counts
+    are exact integers either way.
     """
     a_indices = np.asarray(a_csr.indices, dtype=np.int64)
     if len(a_indices) == 0:

@@ -15,7 +15,10 @@ streaming-cache model of :mod:`repro.engine_vec.cache_model` (compulsory
 misses when the streaming operand fits the cache, the batched LRU model
 otherwise), and the pricing pass computes per-batch cycle terms as float64
 arrays that are then accumulated in the walk's iteration order so the
-floating-point sums match bit for bit.
+floating-point sums match bit for bit.  The sizes of C's rows and columns
+and of Gustavson's partial fibers come from :func:`grouped_union_counts`,
+in NumPy alone: dense fibers are OR-ed as 64-bit coordinate sets, sparse
+ones deduplicated as sorted keys.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from repro.arch.memory.dram import DramTrafficCounter
 from repro.dataflows.stats import DataflowStats
@@ -82,37 +84,141 @@ def grouped_union_counts(
     """Distinct minor coordinates of ``union(B[k, :] for k in group)`` per group.
 
     ``ks`` lists B fibers in group-major order (``groups`` must be
-    non-decreasing); the result is exact — equivalent to
-    ``len(np.unique(concatenate(fiber coords)))`` per group.  The count is
-    the structural row-nnz of a SciPy spgemm (selector matrix x B).
+    non-decreasing, and a group may list a fiber twice); the result is
+    exact — equivalent to ``len(np.unique(concatenate(fiber coords)))`` per
+    group, ``int64``, 0 for a group no ``k`` belongs to.
 
     With ``minor_counts`` the result is ``(per_group, per_minor)``, where
     ``per_minor[c]`` is the number of groups whose union holds coordinate
-    ``c``: the column counts of the same structural product.
+    ``c``: the column counts of the structural product (selector x B).
+
+    The call's own sizes pick one of two exact paths
+    (:data:`_PAIR_COST_IN_WORDS`): fibers dense enough are OR-ed as
+    64-coordinate bitsets and their bits counted (:func:`_word_unions`);
+    sparser ones are deduplicated as sorted ``(group, coordinate)`` keys
+    (:func:`_pair_unions`).  Either walks consecutive whole groups in
+    blocks of at most :data:`_UNION_BLOCK` words or keys, so, beyond the
+    word path's bitsets of B's fibers, memory follows a block, not the call.
     """
-    nk = len(ks)
-    if nk == 0 or minor_dim == 0:
-        out = np.zeros(num_groups, dtype=np.int64)
-        return (out, np.zeros(minor_dim, dtype=np.int64)) if minor_counts else out
+    per_group = np.zeros(num_groups, dtype=np.int64)
+    per_minor = np.zeros(minor_dim, dtype=np.int64)
     ks = np.asarray(ks, dtype=np.int64)
-    groups = np.asarray(groups, dtype=np.int64)
-    k_dim = len(b_pointers) - 1
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(groups, minlength=num_groups))))
-    selector = sparse.csr_matrix(
-        (np.ones(nk, dtype=np.int64), ks, indptr), shape=(num_groups, k_dim)
-    )
-    b_struct = sparse.csr_matrix(
-        (np.ones(len(b_indices), dtype=np.int64), b_indices, b_pointers),
-        shape=(k_dim, minor_dim),
-    )
-    # The product's sparsity structure is the per-group union of B fibers
-    # (scipy's symbolic pass; explicit zeros are never produced since all
-    # inputs are positive), so indptr differences are the distinct counts.
-    product = selector @ b_struct
-    out = np.diff(product.indptr).astype(np.int64)
-    if minor_counts:
-        return out, np.bincount(product.indices, minlength=minor_dim).astype(np.int64)
-    return out
+    fiber_nnz = b_pointers[ks + 1] - b_pointers[ks]
+    pairs = int(fiber_nnz.sum())
+    if pairs:
+        groups = np.asarray(groups, dtype=np.int64)
+        # Every group present: its first position in ``ks``, then the end.
+        bounds = np.flatnonzero(np.concatenate(([True], groups[1:] != groups[:-1])))
+        gids = groups[bounds]
+        bounds = np.append(bounds, len(ks))
+        words = -(-minor_dim // 64)
+        members = per_minor if minor_counts else None
+        if len(ks) * words <= _PAIR_COST_IN_WORDS * (pairs + len(ks)):
+            _word_unions(b_indices, b_pointers, ks, bounds, gids, words, per_group, members)
+        else:
+            _pair_unions(
+                b_indices, b_pointers, ks, fiber_nnz, bounds, gids, minor_dim, per_group, members
+            )
+    return (per_group, per_minor) if minor_counts else per_group
+
+
+#: Words or keys one block of :func:`grouped_union_counts` holds (1 MB of
+#: ``uint64`` words): consecutive whole groups up to that size, a larger
+#: group alone.  Blocks of 2**16 to 2**18 ran fastest, measured on a
+#: 20,000-node graph squared and on a 1,024 x 4,096 x 4,096 product; at
+#: 2**21 these took 1.3x and 4x as long.
+_UNION_BLOCK = 1 << 17
+
+#: What a key of the pair path or a fiber it expands costs, in words of the
+#: word path, which takes a call whose words are at most this many times
+#: its keys plus fibers.  Measured on a 2-vCPU Xeon with NumPy 2.4 over 105
+#: structural products A x B from 512 x 64 x 2 to 2,000 x 2,000 x 2,000: a
+#: word costs about 3 ns, a key 14 ns and a fiber 16 ns.  Summed over the
+#: products, this rule's choices took 2.4% longer than the faster path on
+#: each (at worst 1.4x it, on a 0.05 ms call); ``keys >= words`` took 75%
+#: longer, up to 5.5x on one product.
+_PAIR_COST_IN_WORDS = 4
+
+#: ``_BIT[c]`` is the bit of coordinate ``c`` within its 64-bit word.
+_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+
+
+def _group_blocks(sizes_prefix: np.ndarray, limit: int):
+    """``(first, end)`` runs of consecutive groups whose sizes sum to at
+    most ``limit``, a larger group alone; ``sizes_prefix`` holds the
+    cumulative size at every group boundary."""
+    first, groups = 0, len(sizes_prefix) - 1
+    while first < groups:
+        end = int(np.searchsorted(sizes_prefix, sizes_prefix[first] + limit, side="right")) - 1
+        end = max(end, first + 1)
+        yield first, end
+        first = end
+
+
+def _fiber_words(b_indices: np.ndarray, b_pointers: np.ndarray, words: int) -> np.ndarray:
+    """Every fiber of B as a row of ``words`` 64-bit coordinate sets.
+
+    Coordinates strictly increase within a fiber (``CompressedMatrix``
+    validates it), so each ``(fiber, word)`` cell is one run of stored
+    positions, OR-ed with one ``reduceat``.
+    """
+    fibers = len(b_pointers) - 1
+    cells = np.repeat(np.arange(0, fibers * words, words), np.diff(b_pointers))
+    cells += b_indices >> 6
+    runs = np.flatnonzero(np.concatenate(([True], cells[1:] != cells[:-1])))
+    bits = np.zeros(fibers * words, dtype=np.uint64)
+    bits[cells[runs]] = np.bitwise_or.reduceat(_BIT[b_indices & 63], runs)
+    return bits.reshape(fibers, words)
+
+
+def _word_unions(b_indices, b_pointers, ks, bounds, gids, words, per_group, per_minor) -> None:
+    """The bitset path of :func:`grouped_union_counts`: OR each group's
+    fiber words, count the bits, and add the members to ``per_minor``."""
+    bits = _fiber_words(b_indices, b_pointers, words)
+    # The column counts unpack a bounded number of sets at a time, fewer
+    # than 2**16, so their uint16 sums cannot wrap.
+    step = max(1, _UNION_BLOCK // (64 * words))
+    for first, end in _group_blocks(bounds * words, _UNION_BLOCK):
+        lo, hi = bounds[first], bounds[end]
+        unions = np.bitwise_or.reduceat(bits.take(ks[lo:hi], axis=0), bounds[first:end] - lo)
+        per_group[gids[first:end]] = np.bitwise_count(unions).sum(axis=1)
+        if per_minor is None:
+            continue
+        for row in range(0, len(unions), step):
+            sets = unions[row : row + step].astype("<u8", copy=False).view(np.uint8)
+            flags = np.unpackbits(sets, axis=1, count=len(per_minor), bitorder="little")
+            per_minor += flags.sum(axis=0, dtype=np.uint16)
+
+
+def _pair_unions(
+    b_indices, b_pointers, ks, fiber_nnz, bounds, gids, minor_dim, per_group, per_minor
+) -> None:
+    """The sorted-key path of :func:`grouped_union_counts`: one key
+    ``group x minor_dim + coordinate`` per stored coordinate, sorted, and
+    each key that differs from its predecessor counted once."""
+    pair_prefix = np.concatenate(([0], np.cumsum(fiber_nnz)))
+    pair_bounds = pair_prefix[bounds]
+    for first, end in _group_blocks(pair_bounds, _UNION_BLOCK):
+        lo, hi = bounds[first], bounds[end]
+        total = int(pair_bounds[end] - pair_bounds[first])
+        if total == 0:
+            continue
+        # 32-bit keys sort about twice as fast as 64-bit ones.
+        key_type = np.uint32 if (end - first) * minor_dim < 1 << 32 else np.int64
+        # Stored positions of the block's fibers (``expand_spans`` would also
+        # index each key's fiber: 20% slower on a 20,000-node graph).
+        positions = np.repeat(
+            b_pointers[ks[lo:hi]] - (pair_prefix[lo:hi] - pair_prefix[lo]), fiber_nnz[lo:hi]
+        )
+        positions += np.arange(total)
+        bases = np.arange(0, (end - first + 1) * minor_dim, minor_dim, dtype=key_type)
+        keys = np.repeat(bases[:-1], np.diff(pair_bounds[first : end + 1]))
+        keys += b_indices[positions].astype(key_type)
+        keys.sort()
+        distinct = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        per_group[gids[first:end]] = np.diff(np.searchsorted(distinct, bases))
+        if per_minor is not None:
+            per_minor += np.bincount(distinct % key_type(minor_dim), minlength=minor_dim)
 
 
 def _flush_dram(counter, stream: str, total: int) -> None:

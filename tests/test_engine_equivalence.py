@@ -281,31 +281,81 @@ def test_ordered_sum_adds_like_the_loop(terms):
         assert got.hex() == total.hex(), initial
 
 
-def test_grouped_union_counts_match_per_group_set_unions():
-    rng = np.random.default_rng(5)
-    b = random_sparse(50, 70, 0.2, seed=9)
-    ks = np.sort(rng.integers(0, 50, size=200)).astype(np.int64)
-    groups = np.sort(rng.integers(0, 12, size=200)).astype(np.int64)
-    args = (
-        np.asarray(b.indices, dtype=np.int64),
-        np.asarray(b.pointers, dtype=np.int64),
-        ks, groups, 12, b.ncols,
-    )
+#: Cases of the union count: ``(minor_dim, stored coordinates per B fiber
+#: (one count, or a range), the path the call must take, the pair-path
+#: cost to force it with (None: the call's own sizes), the block size)``.
+_UNION_CASES = [
+    pytest.param(70, (0, 28), "words", None, None, id="dense-words"),
+    pytest.param(4000, (0, 4), "pairs", None, None, id="sparse-pairs"),
+    # With one coordinate per fiber, 512 columns (8 words a fiber) put the
+    # call exactly at the crossover, words = 4 x (pairs + fibers); 513
+    # columns (9 words) put it past.
+    pytest.param(512, 1, "words", None, None, id="at-crossover-words"),
+    pytest.param(513, 1, "pairs", None, None, id="past-crossover-pairs"),
+    *[
+        pytest.param(minor_dim, (1, 2 * minor_dim // 3 + 1), path, cost, None,
+                     id=f"minor{minor_dim}-{path}")
+        for minor_dim in (1, 63, 64, 65, 130)
+        for path, cost in (("words", 10**9), ("pairs", 0))
+    ],
+    pytest.param(130, (0, 40), "words", None, 60, id="blocks-words"),
+    pytest.param(4000, (0, 4), "pairs", None, 40, id="blocks-pairs"),
+]
+
+
+@pytest.mark.parametrize(("minor_dim", "stored", "path", "cost", "block"), _UNION_CASES)
+def test_grouped_union_counts_match_per_group_set_unions(
+    monkeypatch, minor_dim, stored, path, cost, block
+):
+    rng = np.random.default_rng(minor_dim)
+    k_dim, nk, num_groups = 40, 1200, 300
+    empty_groups = [3, num_groups - 1]
+    if isinstance(stored, int):
+        fiber_nnz = np.full(k_dim, stored)
+    else:
+        fiber_nnz = rng.integers(stored[0], stored[1] + 1, size=k_dim)
+        fiber_nnz[[0, 7, 8]] = 0  # empty fibers
+    b_pointers = np.concatenate(([0], np.cumsum(fiber_nnz))).astype(np.int64)
+    b_indices = np.concatenate(
+        [np.sort(rng.choice(minor_dim, n, replace=False)) for n in fiber_nnz]
+    ).astype(np.int64)
+    ks = rng.integers(0, k_dim, size=nk).astype(np.int64)
+    # Two groups (one the last) hold no k, and a group may list a fiber
+    # twice.  Skewed sizes: a block holds one large group or several small.
+    present = [g for g in range(num_groups) if g not in empty_groups]
+    weights = 1.0 / np.sqrt(np.arange(1, len(present) + 1))
+    groups = np.sort(rng.choice(present, size=nk, p=weights / weights.sum()))
+    args = (b_indices, b_pointers, ks, groups.astype(np.int64), num_groups, minor_dim)
+
+    if cost is not None:
+        monkeypatch.setattr(kernels, "_PAIR_COST_IN_WORDS", cost)
+    if block is not None:
+        monkeypatch.setattr(kernels, "_UNION_BLOCK", block)
+    taken = []
+    for name, label in (("_word_unions", "words"), ("_pair_unions", "pairs")):
+        def spy(*spy_args, _run=getattr(kernels, name), _label=label):
+            taken.append(_label)
+            return _run(*spy_args)
+        monkeypatch.setattr(kernels, name, spy)
+
     per_group = kernels.grouped_union_counts(*args)
     per_group_too, per_minor = kernels.grouped_union_counts(*args, minor_counts=True)
+    assert taken == [path, path]
     # Against a straightforward per-group set union.
-    expected = np.zeros(12, dtype=np.int64)
-    expected_minor = np.zeros(b.ncols, dtype=np.int64)
-    for g in range(12):
+    expected = np.zeros(num_groups, dtype=np.int64)
+    expected_minor = np.zeros(minor_dim, dtype=np.int64)
+    for g in range(num_groups):
         cols = set()
-        for k in ks[groups == g]:
-            cols.update(b.indices[b.pointers[k]:b.pointers[k + 1]].tolist())
+        for k in ks[groups == g].tolist():
+            cols.update(b_indices[b_pointers[k]:b_pointers[k + 1]].tolist())
         expected[g] = len(cols)
         expected_minor[sorted(cols)] += 1
-    assert np.array_equal(per_group, expected)
-    assert np.array_equal(per_group_too, expected)
-    assert np.array_equal(per_minor, expected_minor)
-    assert per_minor.dtype == np.int64
+    assert expected[empty_groups].tolist() == [0, 0]
+    if minor_dim == 1:  # more groups share the column than a uint8 counts
+        assert expected_minor[0] > 255
+    for got, want in ((per_group, expected), (per_group_too, expected), (per_minor, expected_minor)):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 # ----------------------------------------------------------------------

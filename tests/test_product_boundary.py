@@ -6,7 +6,8 @@ dataflows, the MRN micro-simulation) live in ``tests/oracles/``.  This
 checks the real import graph: a fresh interpreter imports every product
 entry package and simulates a layer on every design, and that must load
 every module of the package but the two ``__main__`` scripts, so no module
-only the tests use can sit in ``src/``.
+only the tests use can sit in ``src/``.  It must load no SciPy module:
+NumPy is the product's one dependency.
 
 The serving front-end and the fabric share only :mod:`repro.httpd`, so the
 same check holds between them: a fabric worker never loads
@@ -41,9 +42,10 @@ a = random_sparse(24, 32, 0.3, seed=1)
 b = random_sparse(32, 20, 0.3, seed=2)
 results = session.simulate(a, b, designs=DESIGN_ORDER + (CPU_DESIGN,))
 loaded = sorted(name for name in sys.modules if name.startswith("repro."))
+scipy = sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
 # Listed after the snapshot: walking imports every subpackage.
 package = sorted(info.name for info in pkgutil.walk_packages(repro.__path__, "repro."))
-print(json.dumps({"results": len(results), "loaded": loaded, "package": package}))
+print(json.dumps({"results": len(results), "loaded": loaded, "scipy": scipy, "package": package}))
 """
 
 
@@ -103,6 +105,7 @@ def test_product_paths_load_every_module_of_the_package():
     assert "repro.accelerators.engine" in report["package"]
     unloaded = set(report["package"]) - set(report["loaded"]) - SCRIPT_MODULES
     assert not unloaded, f"modules no product path loads: {sorted(unloaded)}"
+    assert report["scipy"] == [], "a product path loads SciPy; NumPy is the only dependency"
 
 
 def test_the_fabric_never_loads_the_serve_front_end():

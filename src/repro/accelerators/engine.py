@@ -48,7 +48,7 @@ from repro.dataflows.stats import DataflowStats
 from repro.engine_vec import kernels
 from repro.engine_vec.cache_model import CacheStats
 from repro.metrics.results import LayerSimResult, PhaseCycles, TrafficBreakdown
-from repro.sparse.formats import CompressedMatrix, Layout, cached_derived, stable_order
+from repro.sparse.formats import CompressedMatrix, Layout, cached_derived
 
 
 @dataclass
@@ -192,65 +192,69 @@ class SpmspmEngine:
     # ------------------------------------------------------------------
     # Merging-phase model (Outer Product)
     # ------------------------------------------------------------------
-    def _merge_partial_fibers(
-        self, ctx: _LayerContext, psum_rows: np.ndarray, psum_lens: np.ndarray
-    ) -> kernels.OpMerge | None:
+    def _merge_partial_fibers(self, ctx: _LayerContext) -> kernels.OpMerge | None:
         """The OP merging phase's stream pass, from the partial fiber lengths.
 
-        Array form of the oracle's row loop
+        Every stored ``(m, k)`` of A leaves row ``m`` a partial fiber of
+        ``nnz(B[k, :])`` elements.  A's CSR view lists a row's fibers in
+        increasing ``k``, the order in which the oracle's row loop
         (``ReferenceEngine._merge_partial_fibers`` in
-        ``tests/oracles/reference_engine.py``),
-        which :meth:`kernels.OpMerge.price` completes with the merging cycles
-        and the PSRAM spill; ``None`` when the layer made no partial fiber.
-        A row with more non-empty partial fibers than tree leaves merges in
-        passes: pass 0 takes the first ``leaves`` fibers, every later pass
-        ``leaves - 1`` fresh ones plus the previous pass's result, truncated
-        to the row's output length ``L``.  With ``S_p`` the total length of
-        the fresh fibers of passes ``0..p``, the truncated result re-entering
-        pass ``p`` is ``min(S_{p-1}, L)`` (by induction, as fresh inputs are
-        never negative), so the passes of all rows form one ragged array in
-        row-major order and no loop is needed.
+        ``tests/oracles/reference_engine.py``) takes them from the walk, and
+        is read in blocks of whole rows of at most ``kernels._BLOCK`` stored
+        elements.  :meth:`kernels.OpMerge.price` completes the array form
+        with the merging cycles and the PSRAM spill; ``None`` when A is
+        empty.  A row with more non-empty partial fibers than tree leaves
+        merges in passes: pass 0 takes the first ``leaves`` fibers, every
+        later pass ``leaves - 1`` fresh ones plus the previous pass's result,
+        truncated to the row's output length ``L``.  With ``S_p`` the total
+        length of the fresh fibers of passes ``0..p``, the truncated result
+        re-entering pass ``p`` is ``min(S_{p-1}, L)`` (by induction, as fresh
+        inputs are never negative), so the passes of a block's rows form one
+        ragged array in row-major order and no loop over rows is needed.
         """
         cfg = self.config
-        if len(psum_rows) == 0:
+        a_ptr = ctx.a_csr.pointers
+        if a_ptr[-1] == 0:
             return None
-
-        # Empty partial fibers take no part in a merge.
-        nonempty = psum_lens > 0
-        rows = psum_rows[nonempty]
-        lens = psum_lens[nonempty]
-        order = stable_order(rows, len(ctx.c_row_nnz))
-        rows = rows[order]
-        lens = lens[order]
-        total_blocks_needed = int(
-            np.ceil(lens / max(1, cfg.psram_elements_per_block)).sum()
-        )
 
         # A merge pass must combine at least two fibers to make progress, even
         # in a degenerate single-multiplier configuration.
         leaves = max(2, cfg.num_multipliers)
-        new_row = np.empty(len(rows), dtype=bool)
-        new_row[:1] = True
-        np.not_equal(rows[1:], rows[:-1], out=new_row[1:])
-        row_starts = np.flatnonzero(new_row)
-        row_fibers = np.diff(np.append(row_starts, len(rows)))
-        passes = 1 + (np.maximum(row_fibers - leaves, 0) + leaves - 2) // (leaves - 1)
-        # One entry per (row, pass), row-major: the reference loop's order.
-        pass_row = np.repeat(np.arange(len(passes)), passes)
-        first_pass = np.cumsum(passes) - passes
-        pass_index = np.arange(int(passes.sum())) - first_pass[pass_row]
-        consumed = np.minimum(leaves + pass_index * (leaves - 1), row_fibers[pass_row])
-        length_prefix = np.concatenate(([0], np.cumsum(lens)))
-        start = row_starts[pass_row]
-        fresh_through = length_prefix[start + consumed] - length_prefix[start]  # S_p
-        fresh_before = np.zeros_like(fresh_through)  # S_{p-1}, 0 for pass 0
-        fresh_before[1:] = fresh_through[:-1]
-        fresh_before[first_pass] = 0
-        merged = np.minimum(fresh_before, ctx.c_row_nnz[rows[start]])
+        merged = blocks_needed = 0
+        inputs = []
+        for first, end in kernels._group_blocks(a_ptr, kernels._BLOCK):
+            lens = ctx.b_row_nnz[ctx.a_csr.indices[a_ptr[first] : a_ptr[end]]]
+            rows = np.repeat(np.arange(first, end), np.diff(a_ptr[first : end + 1]))
+            # Empty partial fibers take no part in a merge.
+            nonempty = lens > 0
+            rows = rows[nonempty]
+            lens = lens[nonempty]
+            blocks_needed += int(np.ceil(lens / max(1, cfg.psram_elements_per_block)).sum())
+
+            new_row = np.empty(len(rows), dtype=bool)
+            new_row[:1] = True
+            np.not_equal(rows[1:], rows[:-1], out=new_row[1:])
+            row_starts = np.flatnonzero(new_row)
+            row_fibers = np.diff(np.append(row_starts, len(rows)))
+            passes = 1 + (np.maximum(row_fibers - leaves, 0) + leaves - 2) // (leaves - 1)
+            # One entry per (row, pass), row-major: the reference loop's order.
+            pass_row = np.repeat(np.arange(len(passes)), passes)
+            first_pass = np.cumsum(passes) - passes
+            pass_index = np.arange(int(passes.sum())) - first_pass[pass_row]
+            consumed = np.minimum(leaves + pass_index * (leaves - 1), row_fibers[pass_row])
+            length_prefix = np.concatenate(([0], np.cumsum(lens)))
+            start = row_starts[pass_row]
+            fresh_through = length_prefix[start + consumed] - length_prefix[start]  # S_p
+            fresh_before = np.zeros_like(fresh_through)  # S_{p-1}, 0 for pass 0
+            fresh_before[1:] = fresh_through[:-1]
+            fresh_before[first_pass] = 0
+            truncated = np.minimum(fresh_before, ctx.c_row_nnz[rows[start]])
+            merged += int(truncated.sum())
+            inputs.append(truncated + fresh_through - fresh_before)
         return kernels.OpMerge(
-            merged=int(merged.sum()),
-            inputs=merged + fresh_through - fresh_before,
-            blocks=total_blocks_needed,
+            merged=merged,
+            inputs=kernels._join(inputs),
+            blocks=blocks_needed,
             output_bytes=int(ctx.c_row_nnz.sum()) * ctx.element_bytes,
         )
 

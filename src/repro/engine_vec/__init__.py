@@ -32,18 +32,21 @@ is approximated:
   and per-access hits are derived from LRU stack distances (a batched
   per-set reuse-distance computation).  Both provably reproduce the
   oracle's per-line ``StreamingCache`` (``tests/oracles/cache.py``).  A
-  trace longer than ``kernels._MAX_TRACE_LINES`` is resolved in chunks,
-  each prefixed with the lines the cache holds after the previous one, so
-  memory stays bounded and the hits stay exact; there is no per-line
-  fallback.
+  trace is resolved in chunks of at most ``kernels._BLOCK`` lines, each
+  prefixed with the lines the cache holds after the previous one, so the
+  hits stay exact; there is no per-line fallback.  Gustavson and Outer
+  Product walk A in blocks of at most ``kernels._BLOCK`` stored elements
+  and carry the cache's state from block to block, so their memory follows
+  a block, not a layer.
 * **Cycle accumulation order** is preserved: per-batch cycle terms are
   computed as float64 arrays with the same expression shapes and then summed
   in the walk's iteration order, so the floating-point results are
   identical bit for bit.
 * The **merging-phase model** (partial-fiber merge trees) is computed
-  analytically from fiber lengths: as array code by
-  :meth:`SpmspmEngine._merge_partial_fibers` for the kernels, and by the
-  row loop ``ReferenceEngine._merge_partial_fibers`` in the oracle.
+  analytically from fiber lengths: as array code over A's CSR view, in
+  blocks of rows, by :meth:`SpmspmEngine._merge_partial_fibers` for the
+  kernels, and by the row loop ``ReferenceEngine._merge_partial_fibers`` in
+  the oracle.
   Inner Product's greedy fiber packing likewise has an array form
   (:func:`repro.engine_vec.kernels.pack_fiber_batches`) beside the oracle's
   loop.

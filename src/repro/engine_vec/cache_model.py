@@ -1,9 +1,9 @@
 """Exact set-associative LRU model of the streaming cache, in two regimes.
 
-The engine's kernels resolve all of a layer's fiber touches against the
-streaming cache at once, with NumPy and no per-access Python.  Which of two
-exact paths they take follows from the streaming operand and the cache
-alone:
+The engine's kernels resolve a layer's fiber touches against the streaming
+cache a block of touches at a time, with NumPy and no per-access Python.
+Which of two exact paths they take follows from the streaming operand and
+the cache alone:
 
 * **The operand fits** (its ``L`` lines number at most ``sets x ways``).
   An operand's lines are consecutive, so no set ever maps more than
@@ -40,14 +40,18 @@ alone:
   element of a right-hand run gains the left-run elements placed before
   it.  The ``ceil(log2 n)`` levels cost ``O(n log n)`` in all.
 
-A trace too long for one call is resolved in chunks: :func:`lru_resident`
-gives the lines the cache holds after a chunk, and replaying them ahead of
-the next chunk rebuilds the exact LRU state (LRU keeps each set's ``W``
-most recently used lines).  Either path is *identical* to replaying the
-trace through the test oracle's per-line ``StreamingCache`` in
-``tests/oracles/cache.py`` (``tests/test_engine_equivalence.py``
-cross-checks random traces, whole and chunked, and operands on both sides
-of the fits boundary).
+The kernels feed a pass's touches in blocks and resolve each block's trace
+in chunks of a bounded number of lines (``kernels._BLOCK``), so memory
+follows a chunk, not a layer, and both paths carry their state across.  On
+the first, a mask of the lines earlier blocks reached.  On the second,
+:func:`lru_resident` gives the lines the cache holds after a chunk, and
+replaying them ahead of the next chunk rebuilds the exact LRU state (LRU
+keeps each set's ``W`` most recently used lines).  Either path is
+*identical* to replaying the trace through the test oracle's per-line
+``StreamingCache`` in ``tests/oracles/cache.py``
+(``tests/test_engine_equivalence.py`` cross-checks random traces, whole,
+chunked and split, operands on both sides of the fits boundary, and walks
+over blocks of several sizes).
 """
 
 from __future__ import annotations
@@ -215,7 +219,11 @@ def _previous_occurrence(tags: np.ndarray, sets: np.ndarray) -> np.ndarray:
 
 
 def first_touch_misses(
-    fibers: np.ndarray, pointers: np.ndarray, element_bytes: int, line_bytes: int
+    fibers: np.ndarray,
+    pointers: np.ndarray,
+    element_bytes: int,
+    line_bytes: int,
+    reached: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-touch misses of a cache that holds the whole operand.
 
@@ -224,6 +232,11 @@ def first_touch_misses(
     touch misses on the lines of its fiber that no earlier touch reached:
     each line is charged to its first toucher.  Exact whenever the
     operand's lines fit the cache (see the module docstring).
+
+    A sequence fed in blocks passes ``reached``, a bool mask over the
+    operand's lines that is true where an earlier block's touches reached:
+    those lines are charged to no touch of this block, and the mask gains
+    the lines this block reaches.
     """
     touches = len(fibers)
     if touches == 0:
@@ -243,7 +256,14 @@ def first_touch_misses(
     new_line = np.ones(len(owner), dtype=bool)
     fiber_start = np.cumsum(line_counts) - line_counts
     new_line[fiber_start[1:]] = first_line[1:] != last_line[:-1]
-    first_toucher = np.minimum.reduceat(owner, np.flatnonzero(new_line))
+    line_start = np.flatnonzero(new_line)
+    first_toucher = np.minimum.reduceat(owner, line_start)
+    if reached is not None:
+        # Entry ``i`` of touched fiber ``f`` is line ``first_line[f] + i -
+        # fiber_start[f]``; each run of entries is one distinct line.
+        lines = np.repeat(first_line - fiber_start, line_counts)[line_start] + line_start
+        first_toucher = first_toucher[~reached[lines]]
+        reached[lines] = True
     return np.bincount(first_toucher, minlength=touches)
 
 

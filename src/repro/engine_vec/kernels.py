@@ -15,7 +15,10 @@ streaming-cache model of :mod:`repro.engine_vec.cache_model` (compulsory
 misses when the streaming operand fits the cache, the batched LRU model
 otherwise), and the pricing pass computes per-batch cycle terms as float64
 arrays that are then accumulated in the walk's iteration order so the
-floating-point sums match bit for bit.  The sizes of C's rows and columns
+floating-point sums match bit for bit.  The Outer Product and Gustavson
+passes walk A in blocks of at most :data:`_BLOCK` stored elements, carrying
+the streaming cache's state across, so their memory follows a block, not a
+layer.  The sizes of C's rows and columns
 and of Gustavson's partial fibers come from :func:`grouped_union_counts`,
 in NumPy alone: dense fibers are OR-ed as 64-bit coordinate sets, sparse
 ones deduplicated as sorted keys.
@@ -23,6 +26,7 @@ ones deduplicated as sorted keys.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -406,41 +410,46 @@ def price(record: StreamRecord, ctx) -> None:
         record.merge.price(ctx)
 
 
-#: Upper bound on the line-address trace one :func:`lru_hits` call resolves,
-#: in int64 entries.  Besides the expanded lines and their span indices, a
-#: call holds up to about a dozen trace-sized int64 arrays at once: the
-#: set-major order, tags and sets; the sub-trace's previous occurrences;
-#: and the merge tree's slots, keys, carried ranks, gains, sort order and
-#: one gathered copy.  So the cap bounds *peak* memory, not just the trace:
-#: one call on a 2**23-line trace with every set over-full measured 0.72 GB
-#: above the process before it (NumPy 2.4, 2 vCPUs).  A longer trace, as
-#: unscaled (REPRO_FULL_SCALE) layers can produce, is resolved in chunks of
-#: at most this many lines with the same hits (see :func:`_span_misses`).
-_MAX_TRACE_LINES = 1 << 23
+#: Stored elements of A one step of the Outer Product and Gustavson stream
+#: passes walks, and lines of the LRU trace one :func:`lru_hits` call
+#: resolves beyond the lines the cache holds before it.  A step or a call
+#: holds a few dozen arrays of this many int64 entries at most, so memory
+#: follows a block, not a layer, and the merge tree (:func:`prefix_rank_leq`)
+#: runs on cache-sized traces.  The unscaled fig12 (at most 10 layers per
+#: model, 2 workers on 2 vCPUs, NumPy 2.4) took 55.5, 31.0, 24.8, 27.3, 29.5
+#: and 39.9 s with blocks of 2**12, 2**14, 2**16, 2**18, 2**20 and 2**23;
+#: its largest process peaked at 458-521 MB up to 2**20 and at 1,155 MB at
+#: 2**23.
+_BLOCK = 1 << 16
 
 
 def _span_misses(
-    first_line: np.ndarray, line_counts: np.ndarray, num_sets: int, ways: int
-) -> np.ndarray:
+    first_line: np.ndarray,
+    line_counts: np.ndarray,
+    num_sets: int,
+    ways: int,
+    resident: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-span misses of the LRU line trace the ``(first_line, count)`` spans
-    expand to, in span order, starting from a cold cache.
+    expand to, in span order, and the lines the cache holds after it.
 
-    The trace is resolved by the batched LRU model, in one call when it fits
-    :data:`_MAX_TRACE_LINES` and in chunks of that many lines otherwise.
-    Each chunk is prefixed with the lines the cache holds after the previous
-    one (:func:`lru_resident`): replayed into a cold cache they rebuild the
+    The trace starts from a cache holding ``resident`` (least recently used
+    first, as :func:`lru_resident` gives them), or from a cold one when
+    ``resident`` is None; then no lines are returned either.  It is resolved
+    in chunks of at most :data:`_BLOCK` lines, each prefixed with the lines
+    the cache holds before it: replayed into a cold cache they rebuild the
     exact LRU state, so the chunk's hits are the ones the whole trace gives.
     """
     total_lines = int(line_counts.sum())
-    if total_lines <= _MAX_TRACE_LINES:
+    if resident is None and total_lines <= _BLOCK:
         lines, line_span = expand_spans(first_line, line_counts)
         hits = lru_hits(lines, num_sets, ways)
-        return np.bincount(line_span[~hits], minlength=len(line_counts))
+        return np.bincount(line_span[~hits], minlength=len(line_counts)), None
+    held = _empty() if resident is None else resident
     misses = np.zeros(len(line_counts), dtype=np.int64)
     ends = np.cumsum(line_counts)
-    resident = np.zeros(0, dtype=np.int64)
-    for lo in range(0, total_lines, _MAX_TRACE_LINES):
-        hi = min(lo + _MAX_TRACE_LINES, total_lines)
+    for lo in range(0, total_lines, _BLOCK):
+        hi = min(lo + _BLOCK, total_lines)
         # The spans overlapping trace positions [lo, hi), clipped to them.
         first = int(np.searchsorted(ends, lo, side="right"))
         last = int(np.searchsorted(ends, hi, side="left"))
@@ -451,13 +460,14 @@ def _span_misses(
         counts[0] -= skipped
         counts[-1] -= int(ends[last]) - hi
         lines, line_span = expand_spans(starts, counts)
-        trace = np.concatenate((resident, lines))
-        hits = lru_hits(trace, num_sets, ways)[len(resident) :]
+        trace = np.concatenate((held, lines))
+        hits = lru_hits(trace, num_sets, ways)[len(held) :]
         misses[first : last + 1] += np.bincount(
             line_span[~hits], minlength=last + 1 - first
         )
-        resident = lru_resident(trace, num_sets, ways)
-    return misses
+        if hi < total_lines or resident is not None:
+            held = lru_resident(trace, num_sets, ways)
+    return misses, (None if resident is None else held)
 
 
 def _streaming_fits(ctx) -> bool:
@@ -474,25 +484,45 @@ def _streaming_fits(ctx) -> bool:
     return lines <= cfg.str_cache_sets * cfg.str_cache_associativity
 
 
-def _fiber_touch_misses(ctx, cfg, fibers: np.ndarray, nnzs: np.ndarray) -> np.ndarray:
-    """Per-touch streaming-cache misses for an ordered fiber-touch sequence.
+def _touch_misses(ctx, carry: bool):
+    """The streaming cache of one stream pass, fed its fiber touches in
+    blocks: a function from one block's ``(fibers, nnzs)`` to its per-touch
+    misses, called in walk order.
 
-    ``fibers``/``nnzs`` must already exclude empty fibers.  An operand that
-    fits the cache is never evicted from, so its touches miss only on lines
-    no earlier touch reached (:func:`first_touch_misses`); any other runs
-    the LRU model over its expanded line trace.
+    Touches must exclude empty fibers.  An operand that fits the cache is
+    never evicted from, so its touches miss only on lines no earlier touch
+    reached (:func:`first_touch_misses`); any other runs the LRU model over
+    its expanded line trace (:func:`_span_misses`).  With ``carry`` the
+    function keeps, from block to block, the mask of lines reached or the
+    lines the cache holds, so any split into blocks gives the misses of the
+    whole sequence (LRU's stack property); a pass of one block carries none.
     """
+    from repro.accelerators.engine import _lines_for
+
+    cfg = ctx.config
     pointers = ctx.streaming.pointers
+    eb, line_bytes = ctx.element_bytes, cfg.str_cache_line_bytes
     if _streaming_fits(ctx):
-        return first_touch_misses(
-            fibers, pointers, ctx.element_bytes, cfg.str_cache_line_bytes
+        reached = None
+        if carry:
+            reached = np.zeros(_lines_for(int(ctx.streaming.nnz), ctx), dtype=bool)
+        return lambda fibers, nnzs: first_touch_misses(fibers, pointers, eb, line_bytes, reached)
+    resident = _empty() if carry else None
+
+    def lru_misses(fibers: np.ndarray, nnzs: np.ndarray) -> np.ndarray:
+        nonlocal resident
+        first_line, line_counts = fiber_line_spans(pointers[fibers], nnzs, eb, line_bytes)
+        misses, resident = _span_misses(
+            first_line, line_counts, cfg.str_cache_sets, cfg.str_cache_associativity, resident
         )
-    first_line, line_counts = fiber_line_spans(
-        pointers[fibers], nnzs, ctx.element_bytes, cfg.str_cache_line_bytes
-    )
-    return _span_misses(
-        first_line, line_counts, cfg.str_cache_sets, cfg.str_cache_associativity
-    )
+        return misses
+
+    return lru_misses
+
+
+def _join(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The blocks' arrays end to end; a lone block's array as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 # ----------------------------------------------------------------------
@@ -621,166 +651,133 @@ def run_inner_product(engine, ctx) -> StreamRecord:
 # Outer Product
 # ----------------------------------------------------------------------
 def run_outer_product(engine, ctx) -> StreamRecord:
-    """Stream pass of the oracle walk ``ReferenceEngine._run_outer_product``."""
+    """Stream pass of the oracle walk ``ReferenceEngine._run_outer_product``.
+
+    A's CSC elements are walked in ranges of whole batches, at most
+    :data:`_BLOCK` elements each (one batch at least): every range starts a
+    batch, so a batch's touches stay inside one range, and the streaming
+    cache carries its state from range to range (:func:`_touch_misses`).
+    The merging phase reads A's CSR view
+    (:meth:`~repro.accelerators.engine.SpmspmEngine._merge_partial_fibers`).
+    """
     cfg = engine.config
-    a_csc = ctx.stationary
-    b_row_nnz = ctx.b_row_nnz
     eb = ctx.element_bytes
     line_bytes = cfg.str_cache_line_bytes
-    counts = np.diff(a_csc.pointers)
-    ks_all = np.repeat(np.arange(a_csc.major_dim, dtype=np.int64), counts)
-    ms_all = np.asarray(a_csc.indices, dtype=np.int64)
-    psum_rows = ms_all
-    psum_lens = b_row_nnz[ks_all]
-
-    # The merging phase: the array form of the reference walk's row loop.
-    merge = engine._merge_partial_fibers(ctx, psum_rows, psum_lens)
+    merge = engine._merge_partial_fibers(ctx)
     output_elements = int(ctx.c_row_nnz.sum())
-    n = len(ks_all)
+    n = int(ctx.stationary.nnz)
     if n == 0:
         return StreamRecord(stats=DataflowStats(output_elements=output_elements))
 
     P = cfg.num_multipliers
-    positions = np.arange(n, dtype=np.int64)
-    batch_of = positions // P
-    nb = int(batch_of[-1]) + 1
-    sta_b = np.bincount(batch_of, minlength=nb)
-
-    # One fiber touch per distinct k per batch; ks_all is non-decreasing,
-    # so "distinct within batch" is "differs from predecessor or starts a
-    # batch", and the touch order matches np.unique's ascending order.
-    is_touch = np.empty(n, dtype=bool)
-    is_touch[0] = True
-    np.not_equal(ks_all[1:], ks_all[:-1], out=is_touch[1:])
-    is_touch[::P] = True
-    touch_k = ks_all[is_touch]
-    touch_b = batch_of[is_touch]
-    touch_nnz = ctx.streaming_fiber_nnz[touch_k]
-
-    streamed_b = np.zeros(nb, dtype=np.int64)
-    np.add.at(streamed_b, touch_b, touch_nnz)
-    boundaries = np.concatenate((np.arange(0, n, P, dtype=np.int64), [n]))
-    mult_prefix = np.concatenate(([0], np.cumsum(psum_lens)))
-    mults_b = mult_prefix[boundaries[1:]] - mult_prefix[boundaries[:-1]]
-
-    active = touch_nnz > 0
-    miss_per_touch = _fiber_touch_misses(ctx, cfg, touch_k[active], touch_nnz[active])
-    miss_b = np.zeros(nb, dtype=np.int64)
-    np.add.at(miss_b, touch_b[active], miss_per_touch)
-    total_misses = int(miss_per_touch.sum())
-    total_streamed = int(streamed_b.sum())
+    nb = -(-n // P)
+    sta_b = np.full(nb, P, dtype=np.int64)
+    sta_b[-1] = n - (nb - 1) * P
+    step = max(1, _BLOCK // P) * P
+    starts = range(0, n, step)
+    touch_misses = _touch_misses(ctx, carry=len(starts) > 1)
+    parts = [_outer_product_range(ctx, lo, min(lo + step, n), touch_misses) for lo in starts]
+    streamed_b, mults_b, miss_b = map(_join, zip(*parts))
+    accesses = int(streamed_b.sum())  # every touch of a non-empty fiber
+    total_misses = int(miss_b.sum())
     total_mults = int(mults_b.sum())
-    miss_bytes_b = miss_b * line_bytes
 
     return StreamRecord(
         stats=DataflowStats(
             multiplications=total_mults,
             psum_writes=total_mults,
             stationary_elements_read=n,
-            streaming_elements_read=total_streamed,
+            streaming_elements_read=accesses,
             output_elements=output_elements,
             stationary_iterations=nb,
         ),
         traffic=TrafficBreakdown(
-            sta_bytes=n * eb, str_bytes=total_streamed * eb, psum_bytes=total_mults * eb
+            sta_bytes=n * eb, str_bytes=accesses * eb, psum_bytes=total_mults * eb
         ),
-        cache=_cache_stats(int(touch_nnz[active].sum()), total_misses, line_bytes),
+        cache=_cache_stats(accesses, total_misses, line_bytes),
         dram=DramTrafficCounter(
             sta_read_bytes=n * eb, str_read_bytes=total_misses * line_bytes
         ),
         sta=sta_b,
         distributed=streamed_b,
         reduced=mults_b,
-        dram_bytes=miss_bytes_b,
+        dram_bytes=miss_b * line_bytes,
         merge=merge,
     )
+
+
+def _outer_product_range(ctx, lo: int, hi: int, touch_misses):
+    """A's CSC elements ``[lo, hi)`` of the Outer Product walk, ``lo`` a
+    batch start: the streamed elements, multiplications and misses of each
+    of its batches."""
+    P = ctx.config.num_multipliers
+    a_ptr = ctx.stationary.pointers
+    n = hi - lo
+    # The k of every element: the columns overlapping the range, clipped to it.
+    first = int(np.searchsorted(a_ptr, lo, side="right")) - 1
+    end = int(np.searchsorted(a_ptr, hi, side="left"))
+    counts = np.diff(a_ptr[first : end + 1])
+    counts[0] -= lo - a_ptr[first]
+    counts[-1] -= a_ptr[end] - hi
+    ks = np.repeat(np.arange(first, end, dtype=np.int64), counts)
+    batch_starts = np.arange(0, n, P)
+
+    # One fiber touch per distinct k per batch; ks is non-decreasing, so
+    # "distinct within batch" is "differs from predecessor or starts a
+    # batch", and the touch order matches np.unique's ascending order.
+    is_touch = np.empty(n, dtype=bool)
+    is_touch[0] = True
+    np.not_equal(ks[1:], ks[:-1], out=is_touch[1:])
+    is_touch[::P] = True
+    touch_at = np.flatnonzero(is_touch)
+    touch_k = ks[touch_at]
+    touch_b = touch_at // P
+    touch_nnz = ctx.streaming_fiber_nnz[touch_k]
+
+    streamed_b = np.zeros(len(batch_starts), dtype=np.int64)
+    np.add.at(streamed_b, touch_b, touch_nnz)
+    mults_b = np.add.reduceat(ctx.b_row_nnz[ks], batch_starts)
+
+    active = touch_nnz > 0
+    miss_per_touch = touch_misses(touch_k[active], touch_nnz[active])
+    miss_b = np.zeros(len(batch_starts), dtype=np.int64)
+    np.add.at(miss_b, touch_b[active], miss_per_touch)
+    return streamed_b, mults_b, miss_b
 
 
 # ----------------------------------------------------------------------
 # Gustavson
 # ----------------------------------------------------------------------
 def run_gustavson(engine, ctx) -> StreamRecord:
-    """Stream pass of the oracle walk ``ReferenceEngine._run_gustavson``."""
+    """Stream pass of the oracle walk ``ReferenceEngine._run_gustavson``.
+
+    A's CSR rows are walked in blocks of whole rows holding at most
+    :data:`_BLOCK` stored elements (a longer row alone), so the arrays with
+    one entry per element follow a block, not the layer.  Each block numbers
+    its chunks from 0, the streaming cache carries its state from block to
+    block (:func:`_touch_misses`), and the per-chunk arrays and the final
+    merges are joined in row order.
+    """
     cfg = engine.config
-    a_csr = ctx.stationary
-    b_csr = ctx.streaming
-    b_row_nnz = ctx.b_row_nnz
     eb = ctx.element_bytes
     line_bytes = cfg.str_cache_line_bytes
-    P = cfg.num_multipliers
-
-    a_ptr = np.asarray(a_csr.pointers)
-    a_idx = np.asarray(a_csr.indices, dtype=np.int64)
-    row_nnz = np.diff(a_ptr)
-    rows = np.flatnonzero(row_nnz)
+    a_ptr = ctx.stationary.pointers
     output_elements = int(ctx.c_row_nnz.sum())
-    if len(rows) == 0:
+    if a_ptr[-1] == 0:
         return StreamRecord(stats=DataflowStats(output_elements=output_elements))
 
-    # Chunk layout: each non-empty row is cut into ceil(nnz/P) chunks of up
-    # to P stationary scalars, processed row-major (the reference loop order).
-    chunks_per_row = (row_nnz[rows] + P - 1) // P
-    nchunks = int(chunks_per_row.sum())
-    chunk_row = np.repeat(rows, chunks_per_row)
-    chunk_pos = np.arange(nchunks, dtype=np.int64) - np.repeat(
-        np.cumsum(chunks_per_row) - chunks_per_row, chunks_per_row
-    )
-    sta_b = np.minimum(row_nnz[chunk_row] - chunk_pos * P, P)
-    multi_b = row_nnz[chunk_row] > P  # chunk belongs to a multi-chunk row
+    blocks = list(_group_blocks(a_ptr, _BLOCK))
+    touch_misses = _touch_misses(ctx, carry=len(blocks) > 1)
+    parts = [_gustavson_block(ctx, first, end, touch_misses) for first, end in blocks]
+    *per_chunk, merges = zip(*parts)
+    sta_b, streamed_b, miss_b, chunk_out, out_bytes_b = map(_join, per_chunk)
+    merges = [rows for rows in merges if rows is not None]
+    merge = RowMerges(*map(_join, zip(*merges))) if merges else None
 
-    # Every stored element of A is one fiber touch, in storage order; its
-    # chunk is derived from the chunk sizes directly.
-    elem_chunk = np.repeat(np.arange(nchunks, dtype=np.int64), sta_b)
-    ks = a_idx
-    touch_nnz = b_row_nnz[ks]
-
-    chunk_bounds = np.concatenate(([0], np.cumsum(sta_b)))
-    nnz_prefix = np.concatenate(([0], np.cumsum(touch_nnz)))
-    # Every streamed element is multiplied once: one array for both networks.
-    streamed_b = nnz_prefix[chunk_bounds[1:]] - nnz_prefix[chunk_bounds[:-1]]
-
-    active = touch_nnz > 0
-    miss_per_touch = _fiber_touch_misses(ctx, cfg, ks[active], touch_nnz[active])
-    miss_b = np.zeros(nchunks, dtype=np.int64)
-    np.add.at(miss_b, elem_chunk[active], miss_per_touch)
-    total_misses = int(miss_per_touch.sum())
-    total_streamed = int(streamed_b.sum())
-
-    # Per-chunk output unions of the multi-chunk rows (the partial fibers
-    # written to / merged from the PSRAM); single-chunk rows write C rows
-    # straight out.
-    chunk_out = np.zeros(nchunks, dtype=np.int64)
-    multi_elems = multi_b[elem_chunk]
-    if np.any(multi_elems):
-        chunk_out += grouped_union_counts(
-            np.asarray(b_csr.indices, dtype=np.int64),
-            np.asarray(b_csr.pointers, dtype=np.int64),
-            ks[multi_elems],
-            elem_chunk[multi_elems],
-            nchunks,
-            b_csr.minor_dim,
-        )
-    out_bytes_b = np.where(multi_b, 0, ctx.c_row_nnz[chunk_row]) * eb
-    miss_bytes_b = miss_b * line_bytes
-
-    # Final merge of the per-chunk partial fibers of every multi-chunk row.
-    merge = None
-    if np.any(multi_b):
-        multi_row = row_nnz[rows] > P
-        row_first_chunk = np.concatenate(([0], np.cumsum(chunks_per_row)))
-        starts = row_first_chunk[:-1][multi_row]
-        ends = row_first_chunk[1:][multi_row]
-        out_prefix = np.concatenate(([0], np.cumsum(chunk_out)))
-        # PSRAM occupancy per row: blocks of every chunk's partial fiber.
-        blocks_per_chunk = np.ceil(chunk_out / cfg.psram_elements_per_block).astype(np.int64)
-        blocks_prefix = np.concatenate(([0], np.cumsum(blocks_per_chunk)))
-        merge = RowMerges(
-            inputs=out_prefix[ends] - out_prefix[starts],
-            output_bytes=ctx.c_row_nnz[rows[multi_row]] * eb,
-            blocks=blocks_prefix[ends] - blocks_prefix[starts],
-        )
-
+    nchunks = len(sta_b)
     total_sta = int(sta_b.sum())
+    total_streamed = int(streamed_b.sum())  # every touch of a non-empty fiber
+    total_misses = int(miss_b.sum())
     total_chunk_out = int(chunk_out.sum())
     return StreamRecord(
         stats=DataflowStats(
@@ -798,7 +795,7 @@ def run_gustavson(engine, ctx) -> StreamRecord:
             str_bytes=total_streamed * eb,
             psum_bytes=total_chunk_out * eb,
         ),
-        cache=_cache_stats(int(touch_nnz[active].sum()), total_misses, line_bytes),
+        cache=_cache_stats(total_streamed, total_misses, line_bytes),
         dram=DramTrafficCounter(
             sta_read_bytes=total_sta * eb,
             str_read_bytes=total_misses * line_bytes,
@@ -807,7 +804,85 @@ def run_gustavson(engine, ctx) -> StreamRecord:
         sta=sta_b,
         distributed=streamed_b,
         reduced=streamed_b,
-        dram_bytes=miss_bytes_b + out_bytes_b,
+        dram_bytes=miss_b * line_bytes + out_bytes_b,
         exposed_misses=miss_b,
         merge=merge,
     )
+
+
+def _gustavson_block(ctx, first: int, end: int, touch_misses):
+    """Rows ``[first, end)`` of the Gustavson walk, chunks numbered from 0.
+
+    Returns the per-chunk stationary elements, streamed elements, misses,
+    partial-fiber sizes and output bytes, then the ``RowMerges`` fields of
+    the block's rows longer than the array (None if it has none).
+    """
+    cfg = ctx.config
+    b_csr = ctx.streaming
+    P = cfg.num_multipliers
+    a_ptr = ctx.stationary.pointers
+    row_nnz = np.diff(a_ptr[first : end + 1])
+    rows = np.flatnonzero(row_nnz)
+    row_nnz = row_nnz[rows]
+    c_row_nnz = ctx.c_row_nnz[first:end][rows]
+
+    # Chunk layout: each non-empty row is cut into ceil(nnz/P) chunks of up
+    # to P stationary scalars, processed row-major (the reference loop order).
+    chunks_per_row = (row_nnz + P - 1) // P
+    nchunks = int(chunks_per_row.sum())
+    chunk_row = np.repeat(np.arange(len(rows)), chunks_per_row)
+    chunk_pos = np.arange(nchunks, dtype=np.int64) - np.repeat(
+        np.cumsum(chunks_per_row) - chunks_per_row, chunks_per_row
+    )
+    sta_b = np.minimum(row_nnz[chunk_row] - chunk_pos * P, P)
+    multi_b = row_nnz[chunk_row] > P  # chunk belongs to a multi-chunk row
+
+    # Every stored element of A is one fiber touch, in storage order; its
+    # chunk is derived from the chunk sizes directly.
+    elem_chunk = np.repeat(np.arange(nchunks, dtype=np.int64), sta_b)
+    ks = ctx.stationary.indices[a_ptr[first] : a_ptr[end]]
+    touch_nnz = ctx.b_row_nnz[ks]
+
+    chunk_bounds = np.concatenate(([0], np.cumsum(sta_b)))
+    nnz_prefix = np.concatenate(([0], np.cumsum(touch_nnz)))
+    # Every streamed element is multiplied once: one array for both networks.
+    streamed_b = nnz_prefix[chunk_bounds[1:]] - nnz_prefix[chunk_bounds[:-1]]
+
+    active = touch_nnz > 0
+    miss_per_touch = touch_misses(ks[active], touch_nnz[active])
+    miss_b = np.zeros(nchunks, dtype=np.int64)
+    np.add.at(miss_b, elem_chunk[active], miss_per_touch)
+
+    # Per-chunk output unions of the multi-chunk rows (the partial fibers
+    # written to / merged from the PSRAM); single-chunk rows write C rows
+    # straight out.
+    chunk_out = np.zeros(nchunks, dtype=np.int64)
+    multi_elems = multi_b[elem_chunk]
+    if np.any(multi_elems):
+        chunk_out += grouped_union_counts(
+            b_csr.indices,
+            b_csr.pointers,
+            ks[multi_elems],
+            elem_chunk[multi_elems],
+            nchunks,
+            b_csr.minor_dim,
+        )
+    out_bytes_b = np.where(multi_b, 0, c_row_nnz[chunk_row]) * ctx.element_bytes
+
+    # Final merge of the per-chunk partial fibers of every multi-chunk row.
+    merges = None
+    if np.any(multi_b):
+        multi_row = row_nnz > P
+        row_first_chunk = np.concatenate(([0], np.cumsum(chunks_per_row)))
+        starts = row_first_chunk[:-1][multi_row]
+        ends = row_first_chunk[1:][multi_row]
+        out_prefix = np.concatenate(([0], np.cumsum(chunk_out)))
+        # PSRAM occupancy per row: blocks of every chunk's partial fiber.
+        blocks_per_chunk = np.ceil(chunk_out / cfg.psram_elements_per_block).astype(np.int64)
+        blocks_prefix = np.concatenate(([0], np.cumsum(blocks_per_chunk)))
+        merges = (
+            out_prefix[ends] - out_prefix[starts],
+            c_row_nnz[multi_row] * ctx.element_bytes,
+            blocks_prefix[ends] - blocks_prefix[starts],
+        )
+    return sta_b, streamed_b, miss_b, chunk_out, out_bytes_b, merges

@@ -72,7 +72,10 @@ def random_sparse(
         return empty_matrix(max(nrows, 0), max(ncols, 0), layout)
 
     if pattern is SparsityPattern.UNIFORM:
-        rows, cols = _uniform_coords(nrows, ncols, density, rng)
+        flat = _uniform_positions(nrows, ncols, density, rng)
+        if layout is Layout.CSR:
+            return _csr_from_positions(nrows, ncols, flat)
+        rows, cols = flat // ncols, flat % ncols
     elif pattern is SparsityPattern.ROW_SKEWED:
         rows, cols = _row_skewed_coords(nrows, ncols, density, rng)
     elif pattern is SparsityPattern.BANDED:
@@ -86,17 +89,28 @@ def random_sparse(
 
 
 # ----------------------------------------------------------------------
-# Pattern implementations (each returns parallel row/col index arrays)
+# Pattern implementations (each returns parallel row/col index arrays; the
+# uniform one returns flat positions)
 # ----------------------------------------------------------------------
-def _uniform_coords(
+def _uniform_positions(
     nrows: int, ncols: int, density: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
+    """Distinct flat positions ``row x ncols + col``, drawn uniformly."""
     total = nrows * ncols
     count = max(0, min(_stochastic_round(density * total, rng), total))
     if count == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    flat = rng.choice(total, size=count, replace=False)
-    return flat // ncols, flat % ncols
+        return np.empty(0, dtype=np.int64)
+    return rng.choice(total, size=count, replace=False)
+
+
+def _csr_from_positions(nrows: int, ncols: int, flat: np.ndarray) -> CompressedMatrix:
+    """The CSR matrix of distinct flat positions, sorted in place: then they
+    run row by row with increasing columns, the canonical storage
+    :func:`~repro.sparse.formats.matrix_from_arrays` builds, and each row
+    starts where its first position would be inserted."""
+    flat.sort()
+    pointers = np.searchsorted(flat, np.arange(0, (nrows + 1) * ncols, ncols))
+    return CompressedMatrix(nrows, ncols, Layout.CSR, pointers, flat % ncols, validate=False)
 
 
 def _row_skewed_coords(

@@ -3,12 +3,13 @@
 A :class:`LayerSpec` captures everything the evaluation needs to know about
 one SpMSpM layer: the GEMM dimensions, the sparsity of each operand and the
 sparsity pattern.  ``materialize_layer`` turns a spec into a concrete pair of
-compressed matrices, optionally *scaled*: pure-Python cycle simulation of the
-full-size layers (up to tens of MiB compressed) is not tractable in this
-environment, so the benchmark harness shrinks the dimensions by a scale
-factor while the accelerator configuration shrinks its SRAM capacities by the
-same factor (see ``AcceleratorConfig.scaled``), preserving the
-working-set-to-capacity ratios that drive the paper's trends.
+compressed matrices, optionally *scaled*: simulating the full-size layers (up
+to tens of MiB compressed) takes minutes (the unscaled fig12 over all 513
+layers took about 100 s on 2 workers of a 2-vCPU host), so the benchmark
+harness shrinks the dimensions by a scale factor while the accelerator
+configuration shrinks its SRAM capacities by the same factor (see
+``AcceleratorConfig.scaled``), preserving the working-set-to-capacity ratios
+that drive the paper's trends.
 """
 
 from __future__ import annotations

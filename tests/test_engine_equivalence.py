@@ -10,6 +10,8 @@ sparsities/shapes/seeds across all six dataflows and several cache
 geometries (including degenerate single-set caches), cross-checks the
 batched LRU model, whole and in chunks, against the per-line reference
 cache, and compares a whole layer-wise figure grid computed both ways.
+The Outer Product and Gustavson walks must give the same records over any
+split of A into blocks, and allocate a bounded number of blocks' arrays.
 It also checks that configurations which share a memoized stream record
 price it into the records fresh operands give, and that they do share it.
 """
@@ -29,7 +31,7 @@ from repro.dataflows.base import Dataflow, DataflowClass
 from repro.dse.designs import BUILTIN_DESIGN_POINTS, get_design_point
 from repro.engine_vec.cache_model import lru_hits, prefix_rank_leq
 from repro.engine_vec import kernels
-from repro.sparse.formats import csr_from_dense, matrix_from_arrays
+from repro.sparse.formats import CompressedMatrix, Layout, csr_from_dense, matrix_from_arrays
 from repro.sparse.generate import SparsityPattern, random_sparse
 
 # ----------------------------------------------------------------------
@@ -131,11 +133,22 @@ def test_batched_lru_matches_streaming_cache_on_random_traces(monkeypatch):
         lines = rng.integers(0, int(rng.integers(1, 200)), size=n).astype(np.int64)
         walked = np.array([cache.access_byte(int(l) * line_bytes) for l in lines])
         assert np.array_equal(walked, lru_hits(lines, num_sets, ways))
-        # Once more in chunks of a small cap, each line its own span.
+        # Once more in chunks of a small cap, each line its own span, whole
+        # and split in two with the lines the cache holds carried across.
         cap = int(caps.integers(1, 50))
-        monkeypatch.setattr(kernels, "_MAX_TRACE_LINES", cap)
-        misses = kernels._span_misses(lines, np.ones(n, dtype=np.int64), num_sets, ways)
+        monkeypatch.setattr(kernels, "_BLOCK", cap)
+        ones = np.ones(n, dtype=np.int64)
+        misses, held = kernels._span_misses(lines, ones, num_sets, ways)
+        assert held is None
         assert np.array_equal(walked, misses == 0), cap
+        split = int(caps.integers(0, n + 1))
+        head, held = kernels._span_misses(
+            lines[:split], ones[:split], num_sets, ways, np.zeros(0, dtype=np.int64)
+        )
+        tail, after = kernels._span_misses(lines[split:], ones[split:], num_sets, ways, held)
+        assert len(held) <= num_sets * ways
+        assert np.array_equal(walked, np.concatenate((head, tail)) == 0), (cap, split)
+        assert np.array_equal(after, kernels.lru_resident(lines, num_sets, ways))
 
 
 def test_batched_lru_matches_fiber_touch_walk():
@@ -189,12 +202,14 @@ def _count_lru_calls(monkeypatch) -> list[int]:
 def test_chunked_lru_traces_match_the_walk(monkeypatch, cap):
     """Traces over the cap resolve in chunks, with the walk's records.
 
-    A 1-line cap makes every multi-line touch longer than a chunk, 7 puts
-    chunk boundaries inside touches, and 64 holds several touches per chunk.
-    Both operands overflow the single-set cache, so its four runs take the
-    LRU path; under ``default_config()`` every operand fits and none does.
+    The cap is the block: a 1-line cap makes every multi-line touch longer
+    than a chunk, 7 puts chunk boundaries inside touches, and 64 holds
+    several touches per chunk; the walks step through A a row or a batch at
+    a time, or a few.  Both operands overflow the single-set cache, so its
+    four runs take the LRU path; under ``default_config()`` every operand
+    fits and none does.
     """
-    monkeypatch.setattr(kernels, "_MAX_TRACE_LINES", cap)
+    monkeypatch.setattr(kernels, "_BLOCK", cap)
     traces = _count_lru_calls(monkeypatch)
     a, b = _make_pair(LAYER_CASES[5])
     for config in CONFIGS[:2]:
@@ -236,6 +251,77 @@ def test_the_fits_boundary_picks_the_path_and_keeps_the_walks_records(
         v = SpmspmEngine(config).run_layer(dataflow, a, b)
         _assert_results_equal(r, v, ("fits boundary", over, dataflow))
         assert len(traces) - before == over, dataflow
+
+
+def _walk_pair():
+    """A 24 x 300 A whose rows (about 90 stored elements) outgrow blocks of 7
+    and 64, and a B that overflows the one-set and 16-set caches and fits
+    ``default_config()``'s (so does A, which the N-stationary runs stream)."""
+    a = random_sparse(24, 300, 0.3, seed=31)
+    b = random_sparse(300, 20, 0.25, seed=32)
+    return a, b
+
+
+@pytest.mark.parametrize("block", [7, 64, None], ids=["block-7", "block-64", "default-block"])
+@pytest.mark.parametrize("config", CONFIGS[:3], ids=["fits", "one-set", "16-set"])
+def test_block_walks_keep_the_walks_records(monkeypatch, config, block):
+    """Gustavson and Outer Product walk A a block at a time, and the
+    streaming cache carries its state across blocks: every split gives the
+    walk's records.  Small blocks put an Outer Product range boundary inside
+    a column and leave a Gustavson row longer than a block; no LRU trace
+    holds more than the cache's lines plus a block."""
+    if block is not None:
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+    traces = _count_lru_calls(monkeypatch)
+    a, b = _walk_pair()
+    if block is not None:
+        assert a.nnz > 2 * block
+        assert int(np.diff(a.pointers).max()) > block
+        width = config.num_multipliers
+        step = max(1, block // width) * width
+        columns = set(a.with_layout(Layout.CSC).pointers.tolist())
+        assert any(lo not in columns for lo in range(step, a.nnz, step))
+    for dataflow in (Dataflow.OP_M, Dataflow.OP_N, Dataflow.GUST_M, Dataflow.GUST_N):
+        r = ReferenceEngine(config).run_layer(dataflow, a, b)
+        v = SpmspmEngine(config).run_layer(dataflow, a, b)
+        _assert_results_equal(r, v, ("block walk", block, dataflow))
+    capacity = config.str_cache_sets * config.str_cache_associativity
+    assert (len(traces) == 0) == (config is CONFIGS[0])
+    assert all(length <= capacity + kernels._BLOCK for length in traces)
+
+
+#: Bytes a stream pass may allocate beyond what it holds on entry, in int64
+#: arrays of one block.  Over an A of 8.3 blocks, measured with NumPy 2.4,
+#: the walk allocates 9.2 (Gustavson) and 5.5 (Outer Product) such arrays
+#: when B fits the cache and 31.5 and 10.3 when it takes the LRU path; a
+#: pass that held arrays with one entry per element of A allocated 70, 61,
+#: 205 and 74.
+_BLOCK_ARRAYS = {"fits": 16, "one-set": 48}
+
+
+@pytest.mark.parametrize("run", ["run_gustavson", "run_outer_product"])
+@pytest.mark.parametrize("path", list(_BLOCK_ARRAYS))
+def test_stream_pass_memory_follows_a_block(run, path):
+    """A stream pass over an A of eight blocks and more allocates a bounded
+    number of one block's int64 arrays, on either cache path."""
+    import tracemalloc
+
+    config = CONFIGS[0] if path == "fits" else CONFIGS[1]
+    a = random_sparse(1024, 2048, 0.26, seed=41)
+    b = random_sparse(2048, 64, 0.1, seed=42)
+    assert a.nnz >= 8 * kernels._BLOCK
+    engine = SpmspmEngine(config)
+    dataflow = Dataflow.GUST_M if run == "run_gustavson" else Dataflow.OP_M
+    ctx = engine._build_context(dataflow, a, b)
+    assert kernels._streaming_fits(ctx) == (path == "fits")
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        getattr(kernels, run)(engine, ctx)
+        allocated = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert allocated < _BLOCK_ARRAYS[path] * 8 * kernels._BLOCK, allocated / a.nnz
 
 
 def _brute_prefix_rank(values: np.ndarray, positions) -> np.ndarray:
@@ -363,7 +449,6 @@ def test_grouped_union_counts_match_per_group_set_unions(
 # ----------------------------------------------------------------------
 def test_fiber_packing_matches_the_greedy_loop():
     from oracles.reference_engine import _pack_whole_fibers
-    from repro.sparse.formats import CompressedMatrix, Layout
 
     rng = np.random.default_rng(13)
     for trial in range(600):
@@ -387,33 +472,50 @@ def test_fiber_packing_matches_the_greedy_loop():
             assert np.array_equal(np.asarray(want_field, dtype=np.int64), got_field), trial
 
 
-def test_merge_model_matches_the_row_loop():
-    """The array merge, priced by ``OpMerge.price``, against the row loop."""
-    a, b = _make_pair(LAYER_CASES[2])
-    rng = np.random.default_rng(17)
-    for trial in range(400):
-        config = default_config(
-            num_multipliers=int(rng.choice([1, 2, 3, 8, 64])),
-            psram_bytes=int(rng.choice([2048, 1 << 20])),
-        )
-        engine = SpmspmEngine(config)
-        num_rows = int(rng.integers(1, 12))
-        n = int(rng.integers(0, 200))
-        psum_rows = rng.integers(0, num_rows, size=n).astype(np.int64)
-        psum_lens = rng.integers(0, int(rng.choice([1, 4, 60])), size=n).astype(np.int64)
-        c_row_nnz = rng.integers(0, 80, size=num_rows).astype(np.int64)
-        outcomes = []
-        for vectorized in (False, True):
-            ctx = engine._build_context(Dataflow.OP_M, a, b)
-            ctx.c_row_nnz = c_row_nnz
-            if vectorized:
-                merge = SpmspmEngine._merge_partial_fibers(engine, ctx, psum_rows, psum_lens)
-                if merge is not None:
-                    merge.price(ctx)
-            else:
-                ReferenceEngine._merge_partial_fibers(engine, ctx, psum_rows, psum_lens)
-            outcomes.append((ctx.stats, ctx.traffic, ctx.cycles, ctx.dram.traffic))
-        assert outcomes[0] == outcomes[1], trial
+def _merge_operands(psum_rows, psum_lens, num_rows):
+    """Operands whose Outer Product walk leaves exactly these partial fibers:
+    A holds element ``i`` at ``(psum_rows[i], i)``, and row ``i`` of B holds
+    ``psum_lens[i]`` entries."""
+    n = len(psum_rows)
+    a = matrix_from_arrays(num_rows, n, psum_rows, np.arange(n))
+    width = max(1, int(psum_lens.max(initial=0)))
+    pointers = np.concatenate(([0], np.cumsum(psum_lens)))
+    indices = np.arange(pointers[-1]) - np.repeat(pointers[:-1], psum_lens)
+    return a, CompressedMatrix(n, width, Layout.CSR, pointers, indices)
+
+
+def test_merge_model_matches_the_row_loop(monkeypatch):
+    """The array merge over A's CSR view, priced by ``OpMerge.price``,
+    against the row loop over the same partial fibers in the walk's order,
+    with A read in one block and in blocks of three elements."""
+    for block in (kernels._BLOCK, 3):
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+        rng = np.random.default_rng(17)
+        for trial in range(400):
+            config = default_config(
+                num_multipliers=int(rng.choice([1, 2, 3, 8, 64])),
+                psram_bytes=int(rng.choice([2048, 1 << 20])),
+            )
+            engine = SpmspmEngine(config)
+            num_rows = int(rng.integers(1, 12))
+            n = int(rng.integers(0, 200))
+            psum_rows = rng.integers(0, num_rows, size=n).astype(np.int64)
+            psum_lens = rng.integers(0, int(rng.choice([1, 4, 60])), size=n).astype(np.int64)
+            c_row_nnz = rng.integers(0, 80, size=num_rows).astype(np.int64)
+            a, b = _merge_operands(psum_rows, psum_lens, num_rows)
+            outcomes = []
+            for vectorized in (False, True):
+                ctx = engine._build_context(Dataflow.OP_M, a, b)
+                ctx.c_row_nnz = c_row_nnz
+                if vectorized:
+                    merge = SpmspmEngine._merge_partial_fibers(engine, ctx)
+                    assert (merge is None) == (n == 0), trial
+                    if merge is not None:
+                        merge.price(ctx)
+                else:
+                    ReferenceEngine._merge_partial_fibers(engine, ctx, psum_rows, psum_lens)
+                outcomes.append((ctx.stats, ctx.traffic, ctx.cycles, ctx.dram.traffic))
+            assert outcomes[0] == outcomes[1], (block, trial)
 
 
 # ----------------------------------------------------------------------

@@ -200,6 +200,28 @@ class TestGeneration:
         b = random_sparse(20, 20, 0.3, seed=2)
         assert a != b
 
+    @pytest.mark.parametrize(
+        ("shape", "density"),
+        [((9, 13), 1e-9), ((1, 500), 0.3), ((500, 1), 0.3), ((3, 70000), 0.01),
+         ((70000, 2), 0.4), ((40, 40), 1.0)],
+        ids=["empty-draw", "one-row", "one-column", "wide", "tall", "full"],
+    )
+    def test_uniform_csr_stores_what_matrix_from_arrays_builds(self, shape, density):
+        """A uniform CSR operand, built from its draw sorted in place, holds
+        the bytes ``matrix_from_arrays`` builds from the same draw; CSC
+        operands are built by it."""
+        from repro.sparse.generate import _uniform_positions
+
+        nrows, ncols = shape
+        for seed in range(3):
+            flat = _uniform_positions(nrows, ncols, density, np.random.default_rng(seed))
+            assert (len(flat) == 0) == (density < 1e-6)
+            for layout in Layout:
+                want = matrix_from_arrays(nrows, ncols, flat // ncols, flat % ncols, layout)
+                got = random_sparse(nrows, ncols, density, layout=layout, seed=seed)
+                assert _storage_bytes(got) == _storage_bytes(want), (seed, layout)
+                got._validate()
+
 
 # ----------------------------------------------------------------------
 # The radix-ordered constructor against the lexsort body it replaced
